@@ -17,6 +17,7 @@ one container; configs travel in JSON sidecars.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -48,31 +49,44 @@ def save_tensors(path, tensors: dict) -> None:
 
 
 def load_tensors(path) -> dict:
-    """Read a container back into {name: float64 array}, preserving order."""
+    """Read a container back into {name: float64 array}, preserving order.
+
+    Every malformed file raises CheckpointError: bad magic or version, a
+    record cut short, a name that is not UTF-8, or a rank or shape that does
+    not fit the file.
+    """
     path = Path(path)
     blob = path.read_bytes()
     if blob[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic {blob[:4]!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
+    total = len(blob)
+    off = 4
+
+    def take(n: int) -> int:
+        """Offset of the next `n` bytes, which must all lie inside the file."""
+        nonlocal off
+        if n > total - off:
+            raise CheckpointError(f"{path}: truncated at byte {off} ({n} bytes needed)")
+        off += n
+        return off - n
+
+    (version,) = struct.unpack_from("<I", blob, take(4))
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
     out = {}
-    off = 8
-    total = len(blob)
     while off < total:
-        (name_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off : off + name_len].decode("utf-8")
-        off += name_len
-        (rank,) = struct.unpack_from("<Q", blob, off)
-        off += 8
-        dims = struct.unpack_from(f"<{rank}Q", blob, off)
-        off += 8 * rank
-        count = int(np.prod(dims)) if rank else 1
-        end = off + 8 * count
-        if end > total:
-            raise CheckpointError(f"{path}: truncated payload for {name!r}")
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
-        out[name] = arr.astype(np.float64).reshape(dims)
-        off = end
+        (name_len,) = struct.unpack_from("<I", blob, take(4))
+        start = take(name_len)
+        try:
+            name = blob[start:off].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: tensor name at byte {start} is not UTF-8") from exc
+        (rank,) = struct.unpack_from("<Q", blob, take(8))
+        dims = struct.unpack_from(f"<{rank}Q", blob, take(8 * rank))
+        count = math.prod(dims)
+        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=take(8 * count))
+        try:
+            out[name] = arr.astype(np.float64).reshape(dims)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: bad shape {dims} for {name!r}") from exc
     return out

@@ -86,6 +86,11 @@ def _write_manifest(out: Path, subcommand: str, params: dict, seeds: dict,
         "config_hash": config_hash,
         "parents": _parent_hashes(input_dirs),
         "created_unix": int(time.time()),
+        # trained weights can differ in their last bits with the BLAS thread count
+        "environment": {
+            "numpy": np.__version__,
+            **{v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        },
     }
     if diagnostics:
         manifest["diagnostics"] = diagnostics

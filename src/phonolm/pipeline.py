@@ -50,7 +50,7 @@ _EVAL_SPLIT_FRACS = (0.25, 0.35, 0.45)  # fixed prompt splits for accuracy probe
 
 
 class TrainingError(RuntimeError):
-    """Training diverged (non-finite loss) or could not proceed."""
+    """Training diverged (non-finite loss or gradient) or could not proceed."""
 
 
 @dataclass
@@ -171,7 +171,9 @@ def _run_training(model, step_forward, config: TrainingConfig, snapshot=None) ->
             raise TrainingError(f"non-finite loss {value} at step {step}")
         backward(loss, tape)
         grads = fill_missing_grads(params)
-        clip_grad_norm(grads, config.grad_clip)
+        norm = clip_grad_norm(grads, config.grad_clip)
+        if not np.isfinite(norm):
+            raise TrainingError(f"non-finite gradient norm {norm} at step {step}")
         adam_step(params, grads, adam)
         losses.append(value)
         if snapshot and config.checkpoint_interval > 0 and (step + 1) % config.checkpoint_interval == 0:
@@ -414,6 +416,10 @@ def _prepare_entry(bundle: SystemBundle, request: SynthesisRequest, rng) -> _Gen
     cap = int(np.ceil(request.max_length_factor * _expected_generation(request, bundle.world_spec, stream)))
     base_len = len(phonemes) + 1 + len(prompt_stream)
     headroom = bundle.ar.config.max_sequence_len - base_len - 1
+    # the NAR input is [phonemes][SEP][prompt frames][generated frames], and a
+    # proposed system turns `cap` tokens into ceil(3 cap / 2) frames
+    nar_room = bundle.nar.config.max_sequence_len - (len(phonemes) + 1 + prompt_codes.shape[0])
+    headroom = min(headroom, 2 * nar_room // 3 if bundle.kind == KIND_PROPOSED else nar_room)
     if headroom < 1:
         raise ContractError("prompt leaves no room for generation under max_sequence_len")
     return _GenEntry(

@@ -1,11 +1,13 @@
 """Discretization layer: K-means tokens, residual vector quantization, and
 the 2:3 token-rate upsampler.
 
-Nearest-centroid assignment everywhere uses explicit squared differences
-(chunked over rows) with first-minimum tie breaking, so results are exactly
-reproducible against a brute-force search. Empty clusters are repaired by
-moving their centroid onto the point farthest from its current centroid,
-which keeps Lloyd's distortion monotone.
+Nearest-centroid assignment everywhere (chunked over rows) screens with the
+expanded form ||x||^2 - 2 x.c + ||c||^2, one matrix product per chunk, and
+rechecks near-ties with explicit squared differences. Ids (first minimum on
+ties) and distances are therefore exactly those of a brute-force search over
+explicit squared differences. Empty clusters are repaired by moving their
+centroid onto the point farthest from its current centroid, which keeps
+Lloyd's distortion monotone.
 """
 
 from __future__ import annotations
@@ -67,16 +69,46 @@ class Quantizers:
 def _nearest(vectors: np.ndarray, centroids: np.ndarray) -> tuple:
     """(ids, squared distances) of the nearest centroid per vector.
 
-    Ties resolve to the lowest centroid index (argmin picks the first min).
+    Both equal the explicit search `((x - c) ** 2).sum()` + argmin, ties to
+    the lowest centroid index (argmin picks the first min).
+
+    Screening uses g = ||x||^2 - 2 x.c + ||c||^2. Let D be the exact squared
+    distance, e its explicit float value, d the dimension, u = eps / 2 and
+    gamma_n = n u / (1 - n u). Every term of e is (x_k - c_k)^2 to within a
+    relative (1 + u)^3, and summing d non-negative terms in any order adds at
+    most gamma_(d-1), so |e - D| <= gamma_(d+2) D <= gamma_(d+2) (|x| + |c|)^2.
+    In g, ||x||^2, x.c and ||c||^2 each carry at most gamma_d times
+    ||x||^2, |x||c| and ||c||^2 (Cauchy-Schwarz, any summation order, FMA or
+    not), and the two additions add 2u of (|x| + |c|)^2, so also
+    |g - D| <= gamma_(d+2) (|x| + |c|)^2. Hence |g - e| <= tol with
+    tol = (d + 4) eps (|x| + max|c|)^2, which exceeds 2 gamma_(d+2) (...)^2
+    and leaves room for rounding in tol itself. If g_j > min(g) + 2 tol for
+    every centroid j but the screened one, then e_j > min(g) + tol >= e at
+    the screened one, so it is the explicit argmin. Rows where a second
+    centroid is within 2 tol, or where tol is not finite, are rechecked with
+    the explicit form.
     """
-    n = vectors.shape[0]
+    n, d = vectors.shape
     ids = np.empty(n, dtype=np.int64)
     dists = np.empty(n, dtype=np.float64)
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    c_max = float(np.sqrt(c_sq.max())) if c_sq.size else 0.0
     for start in range(0, n, _ASSIGN_CHUNK):
         chunk = vectors[start : start + _ASSIGN_CHUNK]
-        d2 = ((chunk[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        ids[start : start + _ASSIGN_CHUNK] = d2.argmin(axis=1)
-        dists[start : start + _ASSIGN_CHUNK] = d2[np.arange(chunk.shape[0]), ids[start : start + chunk.shape[0]]]
+        x_sq = np.einsum("ij,ij->i", chunk, chunk)
+        g = chunk @ centroids.T
+        g *= -2.0
+        g += x_sq[:, None]
+        g += c_sq[None, :]
+        best = g.argmin(axis=1)
+        tol = (d + 4) * np.finfo(np.float64).eps * (np.sqrt(x_sq) + c_max) ** 2
+        bound = g.min(axis=1) + 2.0 * tol
+        near = (np.count_nonzero(g <= bound[:, None], axis=1) > 1) | ~np.isfinite(bound)
+        if near.any():
+            sub = chunk[near]
+            best[near] = ((sub[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+        ids[start : start + chunk.shape[0]] = best
+        dists[start : start + chunk.shape[0]] = ((chunk - centroids[best]) ** 2).sum(axis=1)
     return ids, dists
 
 
@@ -123,6 +155,7 @@ def kmeans_fit(
             raise ShapeError("init_centroids shape mismatch")
     else:
         centroids = _kmeans_pp_init(vectors, k, rng)
+    columns = np.ascontiguousarray(vectors.T)
     assignments = None
     history = []
     iters = 0
@@ -130,11 +163,11 @@ def kmeans_fit(
         ids, d2 = _nearest(vectors, centroids)
         history.append(float(d2.mean()))
         if assignments is not None and np.array_equal(ids, assignments):
-            break
+            break  # fixpoint: ids and d2 already belong to the final centroids
         assignments = ids
         iters += 1
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, ids, vectors)
+        # bincount adds in index order, like np.add.at, so sums are bit-identical
+        sums = np.stack([np.bincount(ids, weights=col, minlength=k) for col in columns], axis=1)
         counts = np.bincount(ids, minlength=k)
         occupied = counts > 0
         centroids[occupied] = sums[occupied] / counts[occupied, None]
@@ -145,7 +178,8 @@ def kmeans_fit(
                 far = int(dist_now.argmax())
                 centroids[e] = vectors[far]
                 dist_now[far] = 0.0
-    ids, d2 = _nearest(vectors, centroids)
+    else:  # no fixpoint within max_iters: assign to the last update's centroids
+        ids, d2 = _nearest(vectors, centroids)
     final = float(d2.mean())
     if not history or final != history[-1]:
         history.append(final)

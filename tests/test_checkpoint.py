@@ -52,3 +52,48 @@ def test_truncated_payload_rejected(tmp_path):
     path.write_bytes(blob[:-8])
     with pytest.raises(CheckpointError):
         load_tensors(path)
+
+
+def test_every_truncation_rejected(tmp_path):
+    path = tmp_path / "t.ckpt"
+    save_tensors(path, {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(2)})
+    blob = path.read_bytes()
+    # cutting at a record boundary leaves a valid, shorter file
+    boundaries = {8, 8 + 4 + 1 + 8 + 16 + 48, len(blob)}
+    for cut in range(len(blob) + 1):
+        path.write_bytes(blob[:cut])
+        if cut in boundaries:
+            load_tensors(path)
+        else:
+            with pytest.raises(CheckpointError):
+                load_tensors(path)
+
+
+def test_non_utf8_name_rejected(tmp_path):
+    path = tmp_path / "n.ckpt"
+    save_tensors(path, {"w": np.zeros(2)})
+    blob = bytearray(path.read_bytes())
+    blob[12] = 0xFF  # the one-byte name "w"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError):
+        load_tensors(path)
+
+
+@pytest.mark.parametrize("dims", [[2**40], [2**63, 2**63], [0, 2**63]])
+def test_absurd_shapes_rejected(tmp_path, dims):
+    path = tmp_path / "r.ckpt"
+    blob = MAGIC + (1).to_bytes(4, "little") + (1).to_bytes(4, "little") + b"w"
+    blob += len(dims).to_bytes(8, "little") + b"".join(d.to_bytes(8, "little") for d in dims)
+    path.write_bytes(blob + b"\x00" * 64)
+    with pytest.raises(CheckpointError):
+        load_tensors(path)
+
+
+def test_absurd_rank_rejected(tmp_path):
+    path = tmp_path / "r.ckpt"
+    save_tensors(path, {"w": np.zeros(2)})
+    blob = bytearray(path.read_bytes())
+    blob[13:21] = (2**62).to_bytes(8, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError):
+        load_tensors(path)

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from phonolm.cli import main
@@ -66,6 +67,23 @@ def test_world_manifest_written(workspace):
     assert manifest["seeds"]["seed"] == 3
     assert "train.jsonl" in manifest["outputs"]
     assert manifest["diagnostics"]["raw_frame_oracle_per"] < 0.01
+
+
+def test_manifest_records_environment_outside_config_hash(tmp_path, monkeypatch):
+    hashes = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / f"w{threads}"
+        assert main(["world", "--out", str(out), "--seed", "3", "--n-train", "4", "--n-test", "2"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        env = manifest["environment"]
+        assert env["numpy"] == np.__version__
+        assert env["OPENBLAS_NUM_THREADS"] == threads
+        assert env["MKL_NUM_THREADS"] is None
+        assert "OMP_NUM_THREADS" in env
+        hashes.append(manifest["config_hash"])
+    assert hashes[0] == hashes[1]
 
 
 def test_quantize_rejects_k_above_frames(tmp_path, workspace):

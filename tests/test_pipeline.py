@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from phonolm import model as md
+from phonolm import numerics as nm
 from phonolm import pipeline as pl
 from phonolm import quantizer as qz
 from phonolm import tokenworld as tw
@@ -114,6 +115,27 @@ def test_vocab_mismatch_rejected(tiny_corpus, tiny_quantizers, tiny_model_config
     bad = md.ModelConfig(**{**tiny_model_config.to_dict(), "phonetic_vocab": 99})
     with pytest.raises(ContractError):
         pl.train_ar(tiny_corpus, tiny_quantizers, quick_config(steps=1), bad)
+
+
+def test_training_stops_at_non_finite_gradient():
+    # The loss is finite (the four terms cancel), but w's two gradient paths
+    # are 2 * 1e308 = inf and 2 * -1e308 = -inf, which sum to NaN.
+    w = nm.Tensor(np.full(2, 0.25), requires_grad=True)
+    x = nm.Tensor(np.full(2, 1e308))
+
+    class OneParam:
+        def parameters(self):
+            return [w]
+
+    def step_forward(step, drop_rng):
+        both = nm.concat([nm.mul(w, x), nm.mul(w, nm.scale(x, -1.0))])
+        return nm.scale(nm.sum_all(both), 2.0)
+
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        pl.TrainingError, match="non-finite gradient norm nan at step 0"
+    ):
+        pl._run_training(OneParam(), step_forward, quick_config(steps=3))
+    np.testing.assert_array_equal(w.data, 0.25)  # Adam never ran
 
 
 def _make_bundles(tiny_corpus, tiny_quantizers, tiny_model_config, steps=30, seed=5):
@@ -261,3 +283,29 @@ def test_overfit_single_utterance_smoke(tiny_world_spec):
     acc = pl.ar_teacher_forced_accuracy(model, tokenized)
     assert acc > 0.95
     assert losses[-1] < 0.3
+
+
+def test_synthesize_caps_generation_to_fit_nar_input():
+    # Long phoneme strings with long prompts: AR headroom alone would let a
+    # proposed system upsample past the NAR's max_sequence_len.
+    spec = tw.WorldSpec(utterance_len_min=10, utterance_len_max=12, duration_min=3, duration_max=3)
+    corpus = tw.build_corpus(spec, 60, 8, np.random.default_rng(0))
+    quant = pl.fit_corpus_quantizers(corpus, max_iters=3)
+    cfg = md.ModelConfig(
+        n_layers=1, n_heads=2, d_model=16, d_ff=32, dropout=0.0,
+        phoneme_vocab=spec.phoneme_vocab_size, phonetic_vocab=quant.phonetic.k,
+        codec_vocab=quant.rvq.vocab, n_codec_layers=quant.rvq.n_layers, max_sequence_len=256,
+    )
+    bundle = pl.SystemBundle(
+        world_spec=spec, quantizers=quant,
+        ar=md.build_ar_model(cfg, md.STREAM_PHONETIC, seed=0),
+        nar=md.build_nar_model(cfg, md.VARIANT_PROPOSED, seed=1),
+        kind=pl.KIND_PROPOSED,
+    )
+    utt = max(corpus.test_clean, key=lambda u: len(u.phonemes))
+    req = pl.SynthesisRequest(phonemes=utt.phonemes, prompt=utt)
+    results = pl.synthesize_many(bundle, [req] * 3, [2, 7, 8])
+    base = 2 * len(utt.phonemes) + 1 + utt.acoustic_frames.shape[0]
+    for res in results:
+        assert res.codes.shape[0] == math.ceil(3 * res.generated_length / 2)
+        assert base + res.codes.shape[0] <= cfg.max_sequence_len

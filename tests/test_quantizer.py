@@ -234,3 +234,133 @@ def test_quantizer_checkpoint_bytes_deterministic(tmp_path):
         )
         qz.save_quantizers(q, tmp_path / f"{name}.ckpt")
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the screened nearest-centroid search against the explicit one
+# ---------------------------------------------------------------------------
+
+
+def _explicit_nearest(vectors, centroids):
+    """Brute force over explicit squared differences, first minimum on ties."""
+    d2 = ((vectors[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    ids = d2.argmin(axis=1)
+    return ids, d2[np.arange(vectors.shape[0]), ids]
+
+
+def _assert_same_as_explicit(vectors, centroids):
+    ids, dists = qz._nearest(vectors, centroids)
+    want_ids, want_dists = _explicit_nearest(vectors, centroids)
+    np.testing.assert_array_equal(ids, want_ids)
+    assert dists.tobytes() == want_dists.tobytes()
+
+
+def test_nearest_duplicate_centroids_take_lowest_index():
+    rng = np.random.default_rng(20)
+    base = rng.normal(size=(6, 5))
+    centroids = np.concatenate([base, base[::-1], base])  # every centroid three times
+    vectors = np.concatenate([rng.normal(size=(300, 5)), centroids])
+    _assert_same_as_explicit(vectors, centroids)
+    assert qz._nearest(vectors, centroids)[0].max() < 6
+
+
+def test_nearest_points_midway_between_centroids():
+    rng = np.random.default_rng(21)
+    # 26-bit dyadic coordinates: differences and midpoints are exact, so each
+    # midpoint is an exact explicit tie, while the expanded form rounds.
+    centroids = 1000.0 + rng.integers(-(2**25), 2**25, size=(12, 4)) / 2.0**20
+    a, b = np.triu_indices(12, 1)
+    mid = (centroids[a] + centroids[b]) / 2.0
+    _assert_same_as_explicit(np.concatenate([mid, mid[:, ::-1]]), np.concatenate([centroids, centroids[:, ::-1]]))
+    # a grid puts many points at exact ties with two or more centroids
+    grid = np.stack(np.meshgrid(*[np.arange(-8.0, 8.5, 0.5)] * 2), axis=-1).reshape(-1, 2)
+    _assert_same_as_explicit(grid, rng.integers(-8, 8, size=(16, 2)).astype(np.float64))
+
+
+def test_nearest_large_offset_cancellation():
+    # ||x||^2 and ||c||^2 are ~1e13 while the distances are ~1e-6, so the
+    # expanded form alone has no correct bits; the recheck must catch it.
+    rng = np.random.default_rng(22)
+    centroids = 1e6 + 1e-3 * rng.normal(size=(16, 6))
+    vectors = 1e6 + 1e-3 * rng.normal(size=(500, 6))
+    _assert_same_as_explicit(vectors, centroids)
+    _assert_same_as_explicit(vectors, centroids - 1e6)  # far away: one side large
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, qz._ASSIGN_CHUNK - 1, qz._ASSIGN_CHUNK, qz._ASSIGN_CHUNK + 1, 2 * qz._ASSIGN_CHUNK + 3]
+)
+def test_nearest_chunk_boundaries(n):
+    rng = np.random.default_rng(23)
+    centroids = rng.normal(size=(9, 3))
+    _assert_same_as_explicit(rng.normal(size=(n, 3)), centroids)
+
+
+def test_nearest_non_finite_inputs_match_explicit():
+    rng = np.random.default_rng(24)
+    centroids = rng.normal(size=(5, 3))
+    vectors = rng.normal(size=(8, 3))
+    vectors[2, 1] = np.nan
+    vectors[4] = 1e200
+    # at 1e200 the expanded form is inf - inf = NaN everywhere, yet the
+    # explicit distances to the two large centroids are finite and distinct
+    huge = np.array([[1e200 * (1 + 1e-10)] * 3, [1e200] * 3])
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_same_as_explicit(vectors, centroids)
+        _assert_same_as_explicit(vectors, np.concatenate([huge, centroids]))
+
+
+def test_fits_byte_identical_to_explicit_search(monkeypatch):
+    from phonolm import tokenworld as tw
+
+    spec = tw.WorldSpec(seed=25)
+    corpus = tw.build_corpus(spec, 30, 2, np.random.default_rng(25))
+    phonetic = np.concatenate([u.phonetic_frames for u in corpus.train])
+    acoustic = np.concatenate([u.acoustic_frames for u in corpus.train])
+
+    def fit():
+        book = qz.kmeans_fit(phonetic, k=32, max_iters=15, seed=25)
+        rvq = qz.rvq_fit(acoustic, layers=4, k=16, max_iters=10, seed=25)
+        codes = qz.rvq_encode(acoustic, rvq)
+        return (
+            [book.centroids.tobytes(), book.distortion_history, book.final_distortion, book.iterations_run],
+            [(b.centroids.tobytes(), b.distortion_history, b.iterations_run) for b in rvq.layers],
+            rvq.residual_energy,
+            codes.tobytes(),
+        )
+
+    screened = fit()
+    monkeypatch.setattr(qz, "_nearest", _explicit_nearest)
+    assert fit() == screened
+
+
+def test_bincount_sums_match_add_at_bit_for_bit():
+    rng = np.random.default_rng(26)
+    vectors = rng.normal(size=(5000, 7)) * rng.uniform(1e-3, 1e3, size=7)
+    ids = rng.integers(0, 33, size=5000)
+    want = np.zeros((33, 7))
+    np.add.at(want, ids, vectors)
+    got = np.stack([np.bincount(ids, weights=col, minlength=33) for col in vectors.T], axis=1)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_kmeans_fixpoint_needs_no_extra_search(monkeypatch):
+    rng = np.random.default_rng(27)
+    pts = rng.normal(size=(200, 3))
+    calls = []
+    real = qz._nearest
+
+    def counting(v, c):
+        calls.append(c.shape[0])
+        return real(v, c)
+
+    monkeypatch.setattr(qz, "_nearest", counting)
+    book = qz.kmeans_fit(pts, k=5, max_iters=100, seed=27)
+    assert book.iterations_run < 100  # stopped at a fixpoint
+    # one search per update round plus the one that found the fixpoint
+    assert len(calls) == book.iterations_run + 1
+    assert book.final_distortion == book.distortion_history[-1]
+    calls.clear()
+    capped = qz.kmeans_fit(pts, k=5, max_iters=2, seed=27)
+    assert len(calls) == 3  # two rounds, then one search for the final centroids
+    assert capped.distortion_history[-1] == capped.final_distortion
