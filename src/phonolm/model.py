@@ -253,25 +253,62 @@ def load_model(path, meta_path=None) -> DecoderModel:
 # ---------------------------------------------------------------------------
 
 
-def _attention_mask(lengths, pad_len: int, causal: bool) -> Tensor:
-    """(B, 1, T, T) additive mask: 0 where attending is allowed, -inf where not.
+def _attention_mask(lengths, n_queries: int, n_keys: int, causal: bool, offsets=0) -> Tensor:
+    """Additive attention mask: 0 where attending is allowed, -inf where not.
 
-    Padded key positions are never attended; padded query rows still get at
-    least one allowed key so softmax stays finite (their outputs are dropped
-    from the loss anyway).
+    Entry b has keys at positions [0, lengths[b]) and queries at positions
+    offsets[b] + [0, n_queries). Keys at or past the entry's length are never
+    attended; a causal mask also hides keys after the query. Padded query
+    rows still get at least one allowed key so softmax stays finite (their
+    outputs are dropped from the loss anyway). Shape (B, 1, Q, K), or
+    (B, 1, 1, K) when not causal.
     """
-    B = len(lengths)
-    cols = np.arange(pad_len)
-    mask = np.zeros((B, 1, pad_len, pad_len))
-    for b, n in enumerate(lengths):
-        allowed = cols[None, :] < n
-        if causal:
-            allowed = allowed & (cols[None, :] <= cols[:, None])
-        mask[b, 0][~np.broadcast_to(allowed, (pad_len, pad_len))] = _NEG_INF
-    return Tensor(mask)
+    keys = np.arange(n_keys)
+    allowed = keys < np.asarray(lengths)[:, None, None, None]
+    if causal:
+        queries = np.arange(n_queries)[:, None] + np.asarray(offsets)[..., None, None, None]
+        allowed = allowed & (keys <= queries)
+    return Tensor(np.where(allowed, 0.0, _NEG_INF))
 
 
-def _trunk_forward(model: DecoderModel, x: Tensor, mask: Tensor, train: bool, rng) -> Tensor:
+class KVCache:
+    """Per-block attention keys and values of a batch of AR sequences, so
+    decoding feeds each new token once instead of the whole prefix.
+
+    Block i keeps (B, H, capacity, hd) arrays; entry b has its first
+    `lengths[b]` rows filled. Rows past that may hold leftovers of padding,
+    which the length mask hides.
+    """
+
+    def __init__(self, model: DecoderModel, batch: int, capacity: int):
+        cfg = model.config
+        shape = (batch, cfg.n_heads, capacity, cfg.d_model // cfg.n_heads)
+        self.keys = [np.zeros(shape) for _ in range(cfg.n_layers)]
+        self.values = [np.zeros(shape) for _ in range(cfg.n_layers)]
+        self.lengths = np.zeros(batch, dtype=np.int64)
+
+    def write(self, block: int, k: Tensor, v: Tensor) -> tuple:
+        """Store a forward's new (B, H, T, hd) rows after each entry's filled
+        rows; return the block's keys and values up to the longest entry."""
+        B, _, T, _ = k.shape
+        pos = self.lengths[:, None] + np.arange(T)
+        rows = np.arange(B)[:, None]
+        self.keys[block][rows, :, pos] = k.data.transpose(0, 2, 1, 3)
+        self.values[block][rows, :, pos] = v.data.transpose(0, 2, 1, 3)
+        n = int(pos.max()) + 1
+        return Tensor(self.keys[block][:, :, :n]), Tensor(self.values[block][:, :, :n])
+
+    def keep(self, entries) -> None:
+        """Drop every entry not listed in `entries` (indices, in order)."""
+        self.keys = [k[entries] for k in self.keys]
+        self.values = [v[entries] for v in self.values]
+        self.lengths = self.lengths[entries]
+
+
+def _trunk_forward(model: DecoderModel, x: Tensor, mask: Tensor, train: bool, rng, cache=None) -> Tensor:
+    """Pre-LN blocks over (B, T, d) inputs. With a KVCache, the T inputs sit
+    after each entry's cached rows and attend over those rows too; `mask`
+    must then cover the keys up to the longest entry."""
     cfg = model.config
     p = model.params
     B, T, d = x.shape
@@ -291,6 +328,8 @@ def _trunk_forward(model: DecoderModel, x: Tensor, mask: Tensor, train: bool, rn
         q = nm.transpose(nm.reshape(q, (B, T, H, hd)), (0, 2, 1, 3))
         k = nm.transpose(nm.reshape(k, (B, T, H, hd)), (0, 2, 1, 3))
         v = nm.transpose(nm.reshape(v, (B, T, H, hd)), (0, 2, 1, 3))
+        if cache is not None:
+            k, v = cache.write(i, k, v)
         scores = nm.scale(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), inv_sqrt)
         att = nm.softmax_rows(nm.add(scores, mask))
         att = drop(att)
@@ -316,7 +355,7 @@ def _check_len(model: DecoderModel, n: int):
 # ---------------------------------------------------------------------------
 
 
-def ar_batch_logits(model: DecoderModel, items, train: bool = False, rng=None) -> tuple:
+def ar_batch_logits(model: DecoderModel, items, train: bool = False, rng=None, cache=None) -> tuple:
     """Batched AR forward.
 
     items: (phonemes, prompt_ids, target_ids) triples. The full token input
@@ -326,12 +365,16 @@ def ar_batch_logits(model: DecoderModel, items, train: bool = False, rng=None) -
     Returns (logits Tensor (M, V), target ids (M,) with STOP appended).
 
     Lookups are batched: one embedding op per table over all items' ids, then
-    per-item slices are reassembled for padding.
+    per-item slices are reassembled for padding. An empty KVCache with one
+    entry per item, if given, is filled with the items' keys and values
+    (inference only).
     """
     if model.kind != AR:
         raise ContractError("ar_batch_logits needs an AR model")
     if train and model.config.dropout > 0 and rng is None:
         raise ContractError("training forward needs an rng for dropout")
+    if cache is not None and (train or cache.lengths.shape != (len(items),) or cache.lengths.any()):
+        raise ContractError("a cache is filled by an inference forward, one empty entry per item")
     p = model.params
     ph_list, tok_list, lengths, rows, flat_targets = [], [], [], [], []
     for phonemes, prompt, target in items:
@@ -363,8 +406,10 @@ def ar_batch_logits(model: DecoderModel, items, train: bool = False, rng=None) -
     x = nm.pad_stack(embeds, T)
     if train and model.config.dropout > 0:
         x = nm.dropout(x, model.config.dropout, rng)
-    mask = _attention_mask(lengths, T, causal=True)
-    h = _trunk_forward(model, x, mask, train, rng)
+    mask = _attention_mask(lengths, T, T, causal=True)
+    h = _trunk_forward(model, x, mask, train, rng, cache)
+    if cache is not None:
+        cache.lengths = np.asarray(lengths, dtype=np.int64)
     flat = nm.reshape(h, (len(items) * T, model.config.d_model))
     indices = np.concatenate(
         [b * T + start + np.arange(count) for b, (start, count) in enumerate(rows)]
@@ -378,6 +423,36 @@ def ar_forward(model: DecoderModel, phonemes, prompt_tokens, target_prefix) -> T
     the row that predicts the first target token. Inference mode (no dropout)."""
     logits, _ = ar_batch_logits(model, [(phonemes, prompt_tokens, target_prefix)])
     return logits
+
+
+def ar_prefill(model: DecoderModel, items, capacity: int) -> tuple:
+    """Start incremental decoding of (phonemes, prompt_ids) items.
+
+    Runs [phonemes][SEP][prompt] once per item and returns (logits (B, V) of
+    the first token to generate, a KVCache with room for `capacity`
+    positions per entry).
+    """
+    cache = KVCache(model, len(items), capacity)
+    logits, _ = ar_batch_logits(model, [(ph, prompt, ()) for ph, prompt in items], cache=cache)
+    return logits, cache
+
+
+def ar_step(model: DecoderModel, cache: KVCache, tokens) -> Tensor:
+    """Feed one token per cache entry at the entry's next position.
+
+    Returns logits (B, V) of the token that follows; equal, up to rounding,
+    to the last row a full ar_batch_logits pass over the same prefix gives.
+    """
+    p = model.params
+    pos = cache.lengths
+    n_keys = int(pos.max()) + 1
+    _check_len(model, n_keys)
+    x = nm.add(nm.embedding(p["emb/token"], tokens), nm.embedding(p["emb/pos"], pos))
+    B, d = x.shape
+    mask = _attention_mask(pos + 1, 1, n_keys, causal=True, offsets=pos)
+    h = _trunk_forward(model, nm.reshape(x, (B, 1, d)), mask, False, None, cache)
+    cache.lengths = pos + 1
+    return nm.matmul(nm.reshape(h, (B, d)), p["head/w"])
 
 
 def ar_sample_next(logits_row, temperature: float, top_k: int, rng: np.random.Generator) -> int:
@@ -499,7 +574,7 @@ def nar_batch_logits(model: DecoderModel, items, train: bool = False, rng=None) 
     x = nm.pad_stack(embeds, T)
     if train and model.config.dropout > 0:
         x = nm.dropout(x, model.config.dropout, rng)
-    mask = _attention_mask(lengths, T, causal=False)
+    mask = _attention_mask(lengths, T, T, causal=False)
     h = _trunk_forward(model, x, mask, train, rng)
     flat = nm.reshape(h, (len(items) * T, model.config.d_model))
     indices = np.concatenate(

@@ -154,10 +154,9 @@ def backward(loss: Tensor, tape: Tape) -> None:
         for inp, gin in zip(inputs, vjp(gout)):
             if gin is None or not inp.requires_grad:
                 continue
-            if inp.grad is None:
-                inp.grad = gin
-            else:
-                inp.grad += gin
+            # out of place: a VJP may hand back `gout` itself or a view of
+            # it, which another input's gradient can share
+            inp.grad = gin if inp.grad is None else inp.grad + gin
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -168,7 +167,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
-    return np.ascontiguousarray(grad)
+    # ascontiguousarray makes a 0-d array 1-d; the reshape restores `shape`
+    return np.ascontiguousarray(grad).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -90,17 +90,25 @@ class TokenizedUtterance:
 
 
 def tokenize_utterances(utts, quantizers: Quantizers) -> list:
-    out = []
-    for u in utts:
-        out.append(
-            TokenizedUtterance(
-                phonemes=np.asarray(u.phonemes, dtype=np.int64),
-                phonetic=qz.kmeans_assign(u.phonetic_frames, quantizers.phonetic),
-                codes=qz.rvq_encode(u.acoustic_frames, quantizers.rvq),
-                speaker_id=u.speaker_id,
-            )
+    """Encode every utterance with one search per codebook over all of their
+    frames; the search is row by row, so the codes are those of encoding
+    each utterance alone."""
+    utts = list(utts)
+    if not utts:
+        return []
+
+    def encode(frames, fn, book):
+        bounds = np.cumsum([f.shape[0] for f in frames])[:-1]
+        return np.split(fn(np.concatenate(frames), book), bounds)
+
+    phonetic = encode([u.phonetic_frames for u in utts], qz.kmeans_assign, quantizers.phonetic)
+    codes = encode([u.acoustic_frames for u in utts], qz.rvq_encode, quantizers.rvq)
+    return [
+        TokenizedUtterance(
+            phonemes=np.asarray(u.phonemes, dtype=np.int64), phonetic=ph, codes=c, speaker_id=u.speaker_id
         )
-    return out
+        for u, ph, c in zip(utts, phonetic, codes)
+    ]
 
 
 def split_slots(slots: int, frac: float) -> int:
@@ -435,18 +443,19 @@ def _prepare_entry(bundle: SystemBundle, request: SynthesisRequest, rng) -> _Gen
 
 
 def _generate_tokens(model: md.DecoderModel, entries: list) -> None:
-    """Batched AR sampling until every entry emits STOP or hits its cap."""
+    """Batched AR sampling until every entry emits STOP or hits its cap.
+
+    One prefill over each entry's [phonemes][SEP][prompt], then one cached
+    step per sampled token; finished entries leave the cache.
+    """
     active = [e for e in entries if not e.done]
-    while active:
-        items = [
-            (e.phonemes, e.prompt_stream, np.asarray(e.generated, dtype=np.int64)) for e in active
-        ]
-        logits, _ = md.ar_batch_logits(model, items)
-        offset = 0
-        for e in active:
-            rows = len(e.generated) + 1
-            row = logits.data[offset + rows - 1]
-            offset += rows
+    if not active:
+        return
+    # base length + cap - 1 positions: the last sampled token is never fed back
+    capacity = max(len(e.phonemes) + len(e.prompt_stream) + e.cap for e in active)
+    logits, cache = md.ar_prefill(model, [(e.phonemes, e.prompt_stream) for e in active], capacity)
+    while True:
+        for e, row in zip(active, logits.data):
             token = md.ar_sample_next(row, e.temperature, e.top_k, e.rng)
             if token == model.stop_id:
                 e.done = True
@@ -455,7 +464,13 @@ def _generate_tokens(model: md.DecoderModel, entries: list) -> None:
                 if len(e.generated) >= e.cap:
                     e.done = True
                     e.runaway = True
-        active = [e for e in active if not e.done]
+        live = [i for i, e in enumerate(active) if not e.done]
+        if not live:
+            return
+        if len(live) < len(active):
+            cache.keep(live)
+            active = [active[i] for i in live]
+        logits = md.ar_step(model, cache, [e.generated[-1] for e in active])
 
 
 def _predict_codes(bundle: SystemBundle, entries: list) -> list:

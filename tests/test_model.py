@@ -252,3 +252,109 @@ def test_training_grads_flow_everywhere():
     backward(loss, tape)
     touched = sum(p.grad is not None and np.any(p.grad != 0) for p in m.parameters())
     assert touched > len(m.parameters()) * 0.9
+
+
+def test_attention_mask_matches_per_item_loop():
+    lengths = [5, 2, 7, 1]
+    T = 7
+    for causal in (False, True):
+        want = np.zeros((len(lengths), 1, T, T))
+        cols = np.arange(T)
+        for b, n in enumerate(lengths):
+            allowed = np.broadcast_to(cols[None, :] < n, (T, T))
+            if causal:
+                allowed = allowed & (cols[None, :] <= cols[:, None])
+            want[b, 0][~allowed] = -np.inf
+        got = md._attention_mask(lengths, T, T, causal).data
+        np.testing.assert_array_equal(np.broadcast_to(got, want.shape), want)
+
+
+def test_nar_batch_embedding_grads_match_finite_differences():
+    # emb/sep enters one concat once per item, next to the emb/pos sum
+    cfg = md.ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16, dropout=0.0,
+                         phoneme_vocab=6, phonetic_vocab=5, codec_vocab=4,
+                         n_codec_layers=3, max_sequence_len=16)
+    m = md.build_nar_model(cfg, md.VARIANT_PROPOSED, seed=4)
+    for p in m.parameters():  # larger weights, so every gradient is well above noise
+        p.data *= 10.0
+    rng = np.random.default_rng(1)
+    items = [
+        ([1, 2, 3], [0, 1, 2, 3], rng.integers(0, 4, (2, 3)), rng.integers(0, 4, (4, 1)), 2),
+        ([5, 0], [4, 4, 1], rng.integers(0, 4, (3, 3)), rng.integers(0, 4, (3, 2)), 3),
+    ]
+    labels = rng.integers(0, 4, 7)
+
+    def loss():
+        return nm.cross_entropy(md.nar_batch_logits(m, items), labels)
+
+    with Tape() as tape:
+        out = loss()
+    backward(out, tape)
+    h = 1e-5
+    for name in ("emb/pos", "emb/sep", "emb/phoneme"):
+        param = m.params[name]
+        fd = np.zeros_like(param.data)
+        flat = param.data.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = loss().item()
+            flat[i] = orig - h
+            down = loss().item()
+            flat[i] = orig
+            fd.reshape(-1)[i] = (up - down) / (2 * h)
+        scale = np.abs(fd).max()
+        assert scale > 1e-3, name
+        assert np.abs(param.grad - fd).max() <= 1e-6 * scale, name
+
+
+def _ragged_decode_case():
+    m = md.build_ar_model(tiny_config(), md.STREAM_PHONETIC, seed=6)
+    rng = np.random.default_rng(2)
+    items = [
+        (rng.integers(0, 10, n_ph), rng.integers(0, 12, n_pr))
+        for n_ph, n_pr in ((3, 2), (1, 0), (5, 4), (2, 6), (4, 1))
+    ]
+    steps = [4, 1, 6, 2, 6]  # tokens fed per entry; entries leave at different steps
+    tokens = [rng.integers(0, 12, n) for n in steps]
+    return m, items, steps, tokens
+
+
+def test_cached_steps_match_full_recompute():
+    m, items, steps, tokens = _ragged_decode_case()
+    capacity = max(len(ph) + 1 + len(pr) + n for (ph, pr), n in zip(items, steps))
+    logits, cache = md.ar_prefill(m, items, capacity)
+    full, _ = md.ar_batch_logits(m, [(ph, pr, []) for ph, pr in items])
+    np.testing.assert_array_equal(logits.data, full.data)  # the prefill is that very pass
+    active, fed, worst = list(range(len(items))), 0, 0.0
+    while True:
+        live = [i for i, b in enumerate(active) if steps[b] > fed]
+        if not live:
+            break
+        if len(live) < len(active):
+            cache.keep(live)
+            active = [active[i] for i in live]
+        logits = md.ar_step(m, cache, [tokens[b][fed] for b in active])
+        fed += 1
+        full, _ = md.ar_batch_logits(m, [(*items[b], tokens[b][:fed]) for b in active])
+        last = np.cumsum([fed + 1] * len(active)) - 1
+        worst = max(worst, np.abs(logits.data - full.data[last]).max())
+    assert fed == max(steps)
+    assert worst <= 1e-12
+
+
+def test_cached_step_length_guard():
+    m = md.build_ar_model(tiny_config(max_sequence_len=8), md.STREAM_PHONETIC, seed=0)
+    _, cache = md.ar_prefill(m, [([1, 2, 3], [4, 5, 6]), ([1], [2])], capacity=9)
+    md.ar_step(m, cache, [7, 7])  # the first entry now fills all 8 positions
+    with pytest.raises(md.SequenceLengthError):
+        md.ar_step(m, cache, [7, 7])
+
+
+def test_cache_filled_only_by_inference_forward():
+    m = md.build_ar_model(tiny_config(), md.STREAM_PHONETIC, seed=0)
+    items = [([1, 2], [3], [4])]
+    with pytest.raises(ContractError):
+        md.ar_batch_logits(m, items, train=True, rng=np.random.default_rng(0), cache=md.KVCache(m, 1, 8))
+    with pytest.raises(ContractError):
+        md.ar_batch_logits(m, items, cache=md.KVCache(m, 2, 8))

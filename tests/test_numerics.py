@@ -358,3 +358,25 @@ def test_backward_visits_each_record_once_via_fanout_accumulation():
         loss = nm.sum_all(z)
     backward(loss, tape)
     np.testing.assert_allclose(w.grad, [8.0])
+
+
+def test_backward_of_scalar_sums_keeps_0d_gradients():
+    # add's VJP unbroadcasts a 0-d gradient; it must stay 0-d for sum_all's VJP
+    w = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+    with Tape() as tape:
+        loss = nm.add(nm.sum_all(w), nm.sum_all(w))
+    backward(loss, tape)
+    np.testing.assert_array_equal(w.grad, [2.0, 2.0, 2.0])
+
+
+def test_backward_accumulates_without_writing_into_shared_gradients():
+    # add hands the same gradient array to both inputs and concat hands out
+    # views of it; accumulating into w's view must not change e's gradient
+    w = Tensor([[1.0, 2.0]], requires_grad=True)
+    e = Tensor(np.ones((2, 2)), requires_grad=True)
+    with Tape() as tape:
+        both = nm.add(nm.concat([w, w]), e)
+        loss = nm.sum_all(nm.mul(both, Tensor([[1.0, 2.0], [3.0, 4.0]])))
+    backward(loss, tape)
+    np.testing.assert_array_equal(e.grad, [[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(w.grad, [[4.0, 6.0]])

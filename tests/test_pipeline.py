@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -309,3 +310,101 @@ def test_synthesize_caps_generation_to_fit_nar_input():
     for res in results:
         assert res.codes.shape[0] == math.ceil(3 * res.generated_length / 2)
         assert base + res.codes.shape[0] <= cfg.max_sequence_len
+
+
+def test_tokenize_utterances_matches_per_utterance_encoding(tiny_corpus, tiny_quantizers):
+    utts = tiny_corpus.train[:7] + tiny_corpus.test_other
+    for batch in (utts, utts[:1], []):
+        got = pl.tokenize_utterances(batch, tiny_quantizers)
+        assert len(got) == len(batch)
+        for u, tu in zip(batch, got):
+            np.testing.assert_array_equal(tu.phonemes, u.phonemes)
+            np.testing.assert_array_equal(
+                tu.phonetic, qz.kmeans_assign(u.phonetic_frames, tiny_quantizers.phonetic)
+            )
+            np.testing.assert_array_equal(tu.codes, qz.rvq_encode(u.acoustic_frames, tiny_quantizers.rvq))
+            assert tu.speaker_id == u.speaker_id
+
+
+def _full_recompute_tokens(model, entries):
+    """Decoding without a cache: one full ar_batch_logits pass over every
+    entry's whole prefix per sampled token."""
+    active = [e for e in entries if not e.done]
+    while active:
+        items = [(e.phonemes, e.prompt_stream, np.asarray(e.generated, dtype=np.int64)) for e in active]
+        logits, _ = md.ar_batch_logits(model, items)
+        offset = 0
+        for e in active:
+            offset += len(e.generated) + 1
+            token = md.ar_sample_next(logits.data[offset - 1], e.temperature, e.top_k, e.rng)
+            if token == model.stop_id:
+                e.done = True
+            else:
+                e.generated.append(token)
+                if len(e.generated) >= e.cap:
+                    e.done = e.runaway = True
+        active = [e for e in active if not e.done]
+
+
+def _never_stopping(bundle):
+    """The bundle with an untrained AR model whose STOP logit is always
+    about 100 below the others: final_ln/bias[0] = 10 meets head/w[0] = -10
+    in the STOP column only."""
+    ar = md.build_ar_model(bundle.ar.config, bundle.ar.role, seed=82)
+    ar.params["final_ln/bias"].data[0] = 10.0
+    ar.params["head/w"].data[0] = 0.0
+    ar.params["head/w"].data[0, ar.stop_id] = -10.0
+    return dataclasses.replace(bundle, ar=ar)
+
+
+@pytest.mark.parametrize("kind", [pl.KIND_PROPOSED, pl.KIND_BASELINE])
+def test_cached_decoding_matches_full_recompute(tiny_bundles, tiny_corpus, kind):
+    trained = tiny_bundles[0 if kind == pl.KIND_PROPOSED else 1]
+    utts = tiny_corpus.test_clean + tiny_corpus.test_other
+    # factor 40 asks for more tokens than max_sequence_len leaves room for
+    shapes = [(2.0, 8), (1.1, 8), (40.0, 1), (2.0, 1), (3.0, 4), (40.0, 8)]
+    reqs = [
+        pl.SynthesisRequest(phonemes=utts[i].phonemes, prompt=utts[-1 - i], max_length_factor=f, top_k=k)
+        for i, (f, k) in enumerate(shapes)
+    ]
+    seeds = [11, 12, 13, 14, 15, 16]
+    stops = at_limit = 0
+    for bundle in (trained, _never_stopping(trained)):
+        got = pl.synthesize_many(bundle, reqs, seeds)
+        entries = [
+            pl._prepare_entry(bundle, r, np.random.Generator(np.random.PCG64(s))) for r, s in zip(reqs, seeds)
+        ]
+        _full_recompute_tokens(bundle.ar, entries)
+        want = pl._predict_codes(bundle, entries)
+        for g, w, r, e in zip(got, want, reqs, entries):
+            assert (g.generated_length, g.runaway) == (w.generated_length, w.runaway)
+            np.testing.assert_array_equal(g.codes, w.codes)
+            if kind == pl.KIND_PROPOSED:
+                np.testing.assert_array_equal(g.phonetic_tokens, w.phonetic_tokens)
+            stops += not g.runaway
+            wanted = math.ceil(r.max_length_factor * pl._expected_generation(r, bundle.world_spec, bundle.ar.role))
+            at_limit += g.runaway and e.cap < wanted
+    assert stops >= 1 and at_limit >= 2
+
+
+def test_cached_decoding_fills_max_sequence_len_exactly(tiny_bundles, tiny_corpus):
+    bundle = _never_stopping(tiny_bundles[0])
+    ar = bundle.ar
+    req = pl.SynthesisRequest(phonemes=tiny_corpus.test_clean[0].phonemes, prompt=tiny_corpus.test_clean[1], top_k=1)
+
+    def entry(extra):
+        e = pl._prepare_entry(bundle, req, np.random.default_rng(0))
+        base = len(e.phonemes) + 1 + len(e.prompt_stream)
+        # the last token fed sits at position base + cap - 2
+        e.cap = ar.config.max_sequence_len - base + 1 + extra
+        return e
+
+    cached, full = entry(0), entry(0)
+    pl._generate_tokens(ar, [cached])
+    _full_recompute_tokens(ar, [full])
+    assert cached.runaway and full.runaway
+    assert cached.generated == full.generated
+    assert len(cached.phonemes) + 1 + len(cached.prompt_stream) + len(cached.generated) - 1 == ar.config.max_sequence_len
+    for run in (pl._generate_tokens, _full_recompute_tokens):
+        with pytest.raises(md.SequenceLengthError):
+            run(ar, [entry(1)])
