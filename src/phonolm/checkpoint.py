@@ -18,6 +18,7 @@ one container; configs travel in JSON sidecars.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -32,20 +33,31 @@ class CheckpointError(ValueError):
 
 
 def save_tensors(path, tensors: dict) -> None:
-    """Write {name: array} to `path`. Order follows dict insertion order."""
+    """Write {name: array} to `path`. Order follows dict insertion order.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces `path` in one step: a reader sees the old file or the new one,
+    never part of one, and a write that fails leaves `path` as it was.
+    """
     path = Path(path)
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        for name, arr in tensors.items():
-            arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<Q", arr.ndim))
-            for dim in arr.shape:
-                f.write(struct.pack("<Q", dim))
-            f.write(arr.astype("<f8", copy=False).tobytes())
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", VERSION))
+            for name, arr in tensors.items():
+                arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
+                nb = name.encode("utf-8")
+                f.write(struct.pack("<I", len(nb)))
+                f.write(nb)
+                f.write(struct.pack("<Q", arr.ndim))
+                for dim in arr.shape:
+                    f.write(struct.pack("<Q", dim))
+                f.write(arr.astype("<f8", copy=False).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_tensors(path) -> dict:

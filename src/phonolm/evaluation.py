@@ -241,13 +241,6 @@ def evaluate_passthrough(corpus: tw.Corpus, quantizers, split: str, n_prompts: i
     return _aggregate(evals, skipped)
 
 
-def evaluate_bundle(bundle, corpus, splits, n_prompts, seed, **kw) -> EvalReport:
-    report = EvalReport(system=bundle.kind, seed=seed)
-    for split in splits:
-        report.splits[split] = evaluate_system(bundle, corpus, split, n_prompts, seed, **kw)
-    return report
-
-
 # ---------------------------------------------------------------------------
 # seed aggregation and comparison tables
 # ---------------------------------------------------------------------------

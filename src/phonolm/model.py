@@ -191,7 +191,7 @@ def _trunk_entries(cfg: ModelConfig) -> list:
     return entries
 
 
-def build_ar_model(config: ModelConfig, stream: str, seed: int) -> DecoderModel:
+def _ar_entries(config: ModelConfig, stream: str) -> list:
     if stream not in (STREAM_PHONETIC, STREAM_CODEC):
         raise ContractError(f"unknown AR stream {stream!r}")
     d = config.d_model
@@ -203,11 +203,10 @@ def build_ar_model(config: ModelConfig, stream: str, seed: int) -> DecoderModel:
     ]
     entries += _trunk_entries(config)
     entries += [("head/w", (d, vocab + 1), "weight")]
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xA12])))
-    return DecoderModel(config, AR, stream, _init_params(entries, rng))
+    return entries
 
 
-def build_nar_model(config: ModelConfig, variant: str, seed: int) -> DecoderModel:
+def _nar_entries(config: ModelConfig, variant: str) -> list:
     if variant not in (VARIANT_PROPOSED, VARIANT_BASELINE):
         raise ContractError(f"unknown NAR variant {variant!r}")
     d = config.d_model
@@ -223,29 +222,42 @@ def build_nar_model(config: ModelConfig, variant: str, seed: int) -> DecoderMode
     entries.append(("emb/codec", (config.n_codec_layers * config.codec_vocab, d), "weight"))
     entries += _trunk_entries(config)
     entries += [("head/w", (d, config.codec_vocab), "weight")]
+    return entries
+
+
+def build_ar_model(config: ModelConfig, stream: str, seed: int) -> DecoderModel:
+    entries = _ar_entries(config, stream)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xA12])))
+    return DecoderModel(config, AR, stream, _init_params(entries, rng))
+
+
+def build_nar_model(config: ModelConfig, variant: str, seed: int) -> DecoderModel:
+    entries = _nar_entries(config, variant)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xB34])))
     return DecoderModel(config, NAR, variant, _init_params(entries, rng))
 
 
 def load_model(path, meta_path=None) -> DecoderModel:
+    """Read a model saved by `DecoderModel.save`. The checkpoint must hold
+    exactly the tensors, by name and shape, that its config and role imply;
+    anything else raises CheckpointError."""
     if meta_path is None:
         meta_path = Path(path).with_suffix(".json")
     meta = json.loads(Path(meta_path).read_text())
     config = ModelConfig.from_dict(meta["config"])
-    if meta["kind"] == AR:
-        model = build_ar_model(config, meta["role"], seed=0)
-    else:
-        model = build_nar_model(config, meta["role"], seed=0)
+    kind, role = (AR if meta["kind"] == AR else NAR), meta["role"]
+    entries = _ar_entries(config, role) if kind == AR else _nar_entries(config, role)
     tensors = checkpoint.load_tensors(path)
-    if set(tensors) != set(model.params):
-        missing = set(model.params) - set(tensors)
-        extra = set(tensors) - set(model.params)
+    expected = {name: shape for name, shape, _ in entries}
+    if set(tensors) != set(expected):
+        missing = set(expected) - set(tensors)
+        extra = set(tensors) - set(expected)
         raise checkpoint.CheckpointError(f"parameter mismatch: missing {missing}, extra {extra}")
-    for name, arr in tensors.items():
-        if arr.shape != model.params[name].data.shape:
-            raise checkpoint.CheckpointError(f"shape mismatch for {name}")
-        model.params[name].data = np.ascontiguousarray(arr)
-    return model
+    for name, shape in expected.items():
+        if tensors[name].shape != shape:
+            raise checkpoint.CheckpointError(f"shape mismatch for {name}: {tensors[name].shape} != {shape}")
+    params = {name: Tensor(tensors[name], requires_grad=True) for name in expected}
+    return DecoderModel(config, kind, role, params)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,24 @@ Gradient correctness is the contract here: every op's vector-Jacobian product
 is checked against central finite differences in the test suite, so new ops
 must come with smooth derivatives (this is why the nonlinearity is gelu, not
 relu).
+
+Backward splits its work in two. The input-gradient chain runs in order on
+the calling thread. A leaf's gradient (a parameter's, say `Xᵀ·G` for a
+weight) is read by nothing until backward returns, so a VJP may hand it back
+as a function, and `backward` runs that function on one worker thread per
+process while the chain goes on. Each product is the same numpy call on
+either thread, and `backward` adds each leaf's contributions in the order of
+the sweep, so gradients are bit-identical to a single-threaded pass. Work
+sent to the worker calls numpy only, never a function of this package: the
+benchmark's tracer (perfbench/tracer.py) wraps this package's functions with
+one stack of open spans, which assumes every call comes from the main thread.
 """
 
 from __future__ import annotations
 
+import os
 import threading
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,15 +131,16 @@ class Tape:
         return len(self.records)
 
 
-# Spec-facing alias.
-ComputationTape = Tape
-
-
 def _record(out: Tensor, inputs: tuple, vjp):
     """Attach a backward rule to the active tape, if recording is on.
 
-    `vjp(grad_out)` must return one fresh (never aliased) array or None per
-    input, in order. None means "no gradient flows to this input".
+    `vjp(grad_out)` returns one entry per input, in order: None ("no
+    gradient flows to this input"), an array, or a function of no arguments
+    that returns the array. An array may be `grad_out` itself or a view of
+    it or of another input's gradient: `backward` never writes into a
+    gradient, so VJPs must not either. A function is how a VJP hands over
+    work that only a leaf needs (see `backward`); it must call numpy only,
+    and may run on another thread.
     """
     stack = _tape_stack()
     if stack and out.requires_grad:
@@ -142,21 +156,67 @@ def _result(data: np.ndarray, inputs: tuple, vjp) -> Tensor:
     return out
 
 
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    """In the child of a fork: the parent's worker thread does not exist
+    here, and a pool that still thinks it has one would hang on its first
+    submit. The next backward starts a new one."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _submit(fn) -> Future:
+    """Run `fn` on the process's one leaf-gradient thread, started on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="phonolm-leaf-grad")
+        pool = _pool
+    return pool.submit(fn)
+
+
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Populate .grad on every requires_grad tensor reachable from `loss`."""
+    """Populate .grad on every requires_grad tensor reachable from `loss`.
+
+    A leaf is a tensor no record on `tape` produced. A VJP's function for a
+    leaf runs on the worker thread; for any other input it runs here, when
+    the sweep reaches it. Leaf gradients are summed after the sweep, each in
+    sweep order, onto whatever .grad held before.
+    """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     loss.grad = np.ones_like(loss.data)
-    for out, inputs, vjp in reversed(tape.records):
-        gout = out.grad
-        if gout is None:
-            continue
-        for inp, gin in zip(inputs, vjp(gout)):
-            if gin is None or not inp.requires_grad:
+    produced = {id(out) for out, _, _ in tape.records}
+    leaves = {}  # id -> (leaf, [array or Future]), in order of first contribution
+    try:
+        for out, inputs, vjp in reversed(tape.records):
+            gout = out.grad
+            if gout is None:
                 continue
-            # out of place: a VJP may hand back `gout` itself or a view of
-            # it, which another input's gradient can share
-            inp.grad = gin if inp.grad is None else inp.grad + gin
+            for inp, gin in zip(inputs, vjp(gout)):
+                if gin is None or not inp.requires_grad:
+                    continue
+                if id(inp) not in produced:
+                    leaves.setdefault(id(inp), (inp, []))[1].append(_submit(gin) if callable(gin) else gin)
+                    continue
+                if callable(gin):
+                    gin = gin()
+                # out of place: a VJP may hand back `gout` itself or a view of
+                # it, which another input's gradient can share
+                inp.grad = gin if inp.grad is None else inp.grad + gin
+    except BaseException:
+        wait([part for _, parts in leaves.values() for part in parts if isinstance(part, Future)])
+        raise
+    for leaf, parts in leaves.values():
+        for part in parts:
+            gin = part.result() if isinstance(part, Future) else part
+            leaf.grad = gin if leaf.grad is None else leaf.grad + gin
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -212,16 +272,34 @@ def scale(x: Tensor, c: float) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     # tanh-form gelu; smooth everywhere, which keeps finite-difference
     # gradient checks meaningful at any input (a relu kink would not).
-    # powers spelled as multiplies: np.power is an order of magnitude slower
+    # powers spelled as multiplies: np.power is an order of magnitude slower.
+    # The in-place steps compute exactly 0.5 * xd * (1 + tanh(c * (xd +
+    # 0.044715 * xd³))) and its derivative: each is the same ufunc on the
+    # same operands as the plain expression (products and sums commute).
     c = np.sqrt(2.0 / np.pi)
     xd = x.data
     x2 = xd * xd
-    t = np.tanh(c * (xd + 0.044715 * (x2 * xd)))
-    data = 0.5 * xd * (1.0 + t)
+    t = x2 * xd
+    t *= 0.044715
+    t += xd
+    t *= c
+    np.tanh(t, out=t)
+    data = np.add(t, 1.0)
+    data *= 0.5 * xd
 
     def vjp(g):
-        du = c * (1.0 + 3 * 0.044715 * x2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du),)
+        du = x2 * (3 * 0.044715)
+        du += 1.0
+        du *= c
+        tail = t * t
+        np.subtract(1.0, tail, out=tail)
+        tail *= 0.5 * xd
+        tail *= du
+        head = np.add(t, 1.0, out=du)
+        head *= 0.5
+        head += tail
+        head *= g
+        return (head,)
 
     return _result(data, (x,), vjp)
 
@@ -233,34 +311,33 @@ def gelu(x: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product. 2-D x 2-D, stacked N-D x N-D (equal leading dims),
-    or N-D x 2-D (shared weight applied to every leading slice)."""
+    or N-D x 2-D (shared weight applied to every leading slice).
+
+    N-D x 2-D runs as one 2-D product over all leading rows; the weight's
+    gradient `Xᵀ·G` is handed to `backward` as a function (see there)."""
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2:
         raise ShapeError(f"matmul needs >=2-D operands, got {ad.shape} @ {bd.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"inner dims differ: {ad.shape} @ {bd.shape}")
-    if ad.ndim == bd.ndim:
-        if ad.shape[:-2] != bd.shape[:-2]:
-            raise ShapeError(f"leading dims differ: {ad.shape} @ {bd.shape}")
+    if bd.ndim == 2:
+        k, n = bd.shape
+        a2 = ad.reshape(-1, k)
 
         def vjp(g):
-            return (
-                np.ascontiguousarray(g @ bd.swapaxes(-1, -2)),
-                np.ascontiguousarray(ad.swapaxes(-1, -2) @ g),
-            )
+            g2 = g.reshape(-1, n)
+            return ((g2 @ bd.T).reshape(ad.shape), lambda: a2.T @ g2)
 
-    elif bd.ndim == 2:
-
-        def vjp(g):
-            k, n = bd.shape
-            ga = g @ bd.T
-            gb = ad.reshape(-1, k).T @ g.reshape(-1, n)
-            return (np.ascontiguousarray(ga), gb)
-
-    else:
+        return _result((a2 @ bd).reshape(ad.shape[:-1] + (n,)), (a, b), vjp)
+    if ad.ndim != bd.ndim:
         raise ShapeError(f"unsupported matmul arrangement: {ad.shape} @ {bd.shape}")
+    if ad.shape[:-2] != bd.shape[:-2]:
+        raise ShapeError(f"leading dims differ: {ad.shape} @ {bd.shape}")
 
-    return _result(np.ascontiguousarray(ad @ bd), (a, b), vjp)
+    def vjp(g):
+        return (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g)
+
+    return _result(ad @ bd, (a, b), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +355,16 @@ def softmax_rows(x: Tensor) -> Tensor:
     m = xd.max(axis=-1, keepdims=True)
     if np.isnan(m).any():  # NaN propagates through max; cheaper than a full scan
         raise NumericError("softmax_rows: NaN in input")
-    shifted = xd - m
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = xd - m
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - dot),)
+        gx = g * s
+        dot = gx.sum(axis=-1, keepdims=True)
+        np.subtract(g, dot, out=gx)
+        gx *= s
+        return (gx,)
 
     return _result(s, (x,), vjp)
 
@@ -321,26 +401,35 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    The variance is np.var's own arithmetic (mean, subtract, square, sum,
+    divide) on the centred rows this function needs anyway."""
     xd = x.data
+    d = xd.shape[-1]
     mu = xd.mean(axis=-1, keepdims=True)
-    var = xd.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu) * inv
-    data = xhat * gain.data + bias.data
+    xhat = xd - mu
+    data = np.square(xhat)
+    inv = data.sum(axis=-1, keepdims=True)
+    inv /= d
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=data)
+    data += bias.data
 
     def vjp(g):
-        d = xd.shape[-1]
-        gg = g * gain.data
-        gx = inv * (
-            gg
-            - gg.mean(axis=-1, keepdims=True)
-            - xhat * (gg * xhat).mean(axis=-1, keepdims=True)
-        )
         lead = tuple(range(g.ndim - 1))
-        ggain = (g * xhat).sum(axis=lead)
-        gbias = g.sum(axis=lead)
-        return (np.ascontiguousarray(gx), ggain, gbias)
+        gx = g * gain.data
+        tmp = gx * xhat
+        m2 = tmp.mean(axis=-1, keepdims=True)
+        np.multiply(xhat, m2, out=tmp)
+        gx -= gx.mean(axis=-1, keepdims=True)
+        gx -= tmp
+        gx *= inv
+        np.multiply(g, xhat, out=tmp)
+        return (gx, tmp.sum(axis=lead), g.sum(axis=lead))
 
     return _result(data, (x, gain, bias), vjp)
 
@@ -369,10 +458,13 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
         return x
     keep = rng.random(x.data.shape) >= p
     factor = 1.0 / (1.0 - p)
-    data = x.data * keep * factor
+    data = x.data * keep
+    data *= factor
 
     def vjp(g):
-        return (g * keep * factor,)
+        gx = g * keep
+        gx *= factor
+        return (gx,)
 
     return _result(data, (x,), vjp)
 
@@ -438,7 +530,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     orig = x.data.shape
 
     def vjp(g):
-        return (g.reshape(orig).copy(),)
+        return (g.reshape(orig),)
 
     return _result(data, (x,), vjp)
 
@@ -480,7 +572,9 @@ def sum_axis(x: Tensor, axis: int) -> Tensor:
     data = x.data.sum(axis=axis)
 
     def vjp(g):
-        return (np.ascontiguousarray(np.broadcast_to(np.expand_dims(g, axis), x.data.shape)),)
+        # a copy even where the broadcast is trivial: broadcast_to gives a
+        # read-only view, and a gradient's owner may scale it in place
+        return (np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy(),)
 
     return _result(data, (x,), vjp)
 
@@ -549,18 +643,23 @@ def adam_step(params, grads, state: AdamState) -> None:
     bc2 = 1.0 - b2**t
     lr = state.learning_rate / bc1
     inv_sqrt_bc2 = 1.0 / np.sqrt(bc2)
+    # one scratch buffer, viewed at each parameter's shape
+    scratch = np.empty(max((p.data.size for p in params), default=0))
     for p, g, m, v in zip(params, grads, state.m, state.v):
+        s = scratch[: g.size].reshape(g.shape)
+        np.multiply(g, 1.0 - b1, out=s)
         m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
+        m += s
         g *= g
-        v += (1.0 - b2) * g
-        denom = np.sqrt(v)
-        denom *= inv_sqrt_bc2
-        denom += state.epsilon
-        denom = m / denom
-        denom *= lr
-        p.data -= denom
+        np.multiply(g, 1.0 - b2, out=s)
+        v *= b2
+        v += s
+        np.sqrt(v, out=s)
+        s *= inv_sqrt_bc2
+        s += state.epsilon
+        np.divide(m, s, out=s)
+        s *= lr
+        p.data -= s
         g[...] = 0.0
 
 

@@ -97,3 +97,22 @@ def test_absurd_rank_rejected(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError):
         load_tensors(path)
+
+
+def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "c.ckpt"
+    save_tensors(path, {"w": np.arange(4.0)})
+    before = path.read_bytes()
+    ragged = [[1.0], [1.0, 2.0]]  # np.asarray raises once "w" is written
+    with pytest.raises(ValueError):
+        save_tensors(path, {"w": np.zeros(1000), "bad": ragged})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ckpt"]
+
+
+def test_save_replaces_existing_file(tmp_path):
+    path = tmp_path / "c.ckpt"
+    save_tensors(path, {"w": np.zeros(3)})
+    save_tensors(path, {"v": np.ones(2)})
+    assert list(load_tensors(path)) == ["v"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ckpt"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phonolm import checkpoint
 from phonolm import model as md
 from phonolm import numerics as nm
 from phonolm.numerics import ContractError, Tape, backward
@@ -206,6 +207,37 @@ def test_checkpoint_round_trip_bit_identical_logits(tmp_path):
     x = md.nar_forward(n, [1], None, prompt, np.zeros((2, 1), dtype=np.int64), 2).data
     y = md.nar_forward(nl, [1], None, prompt, np.zeros((2, 1), dtype=np.int64), 2).data
     np.testing.assert_array_equal(x, y)
+
+
+def test_load_model_draws_no_random_init(tmp_path, monkeypatch):
+    m = md.build_nar_model(tiny_config(), md.VARIANT_PROPOSED, seed=3)
+    m.save(tmp_path / "nar.ckpt")
+
+    def no_init(*a, **k):
+        raise AssertionError("load_model drew a random init")
+
+    monkeypatch.setattr(md, "_init_params", no_init)
+    loaded = md.load_model(tmp_path / "nar.ckpt")
+    assert list(loaded.params) == list(m.params)
+    for name, p in m.params.items():
+        assert loaded.params[name].requires_grad
+        np.testing.assert_array_equal(loaded.params[name].data, p.data)
+
+
+@pytest.mark.parametrize("damage", ["missing", "extra", "shape"])
+def test_load_model_rejects_mismatched_tensors(tmp_path, damage):
+    m = md.build_ar_model(tiny_config(), md.STREAM_CODEC, seed=4)
+    m.save(tmp_path / "ar.ckpt")
+    tensors = checkpoint.load_tensors(tmp_path / "ar.ckpt")
+    if damage == "missing":
+        del tensors["blocks/1/ffn/w2"]
+    elif damage == "extra":
+        tensors["blocks/9/ffn/w2"] = np.zeros((2, 2))
+    else:
+        tensors["head/w"] = tensors["head/w"][:, :-1]
+    checkpoint.save_tensors(tmp_path / "ar.ckpt", tensors)
+    with pytest.raises(checkpoint.CheckpointError):
+        md.load_model(tmp_path / "ar.ckpt")
 
 
 def test_sample_next_topk1_is_argmax():

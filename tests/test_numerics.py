@@ -1,9 +1,12 @@
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import sys
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from phonolm import model as md
 from phonolm import numerics as nm
 from phonolm.numerics import (
     AdamState,
@@ -380,3 +383,239 @@ def test_backward_accumulates_without_writing_into_shared_gradients():
     backward(loss, tape)
     np.testing.assert_array_equal(e.grad, [[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_array_equal(w.grad, [[4.0, 6.0]])
+
+
+def test_concurrent_backward_calls_share_the_worker_safely():
+    # several threads share the one leaf-gradient worker; a short switch
+    # interval makes them interleave inside backward
+    serial = [_tiny_training_run(seed) for seed in range(6)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as ex:
+            threaded = list(ex.map(_tiny_training_run, range(6)))
+    finally:
+        sys.setswitchinterval(old)
+    assert threaded == serial
+
+
+# ---------------------------------------------------------------------------
+# leaf gradients on the worker thread
+# ---------------------------------------------------------------------------
+
+
+def _run_inline(fn) -> Future:
+    done = Future()
+    done.set_result(fn())
+    return done
+
+
+def _tiny_model_weights(steps: int) -> bytes:
+    """Train a 2-block AR decoder with dropout; return its weight bytes."""
+    cfg = md.ModelConfig(n_layers=2, n_heads=2, d_model=16, d_ff=32, dropout=0.1, phoneme_vocab=7,
+                         phonetic_vocab=9, codec_vocab=5, n_codec_layers=2, max_sequence_len=32)
+    model = md.build_ar_model(cfg, md.STREAM_PHONETIC, seed=3)
+    rng = np.random.default_rng(4)
+    items = [(rng.integers(0, 7, 5), rng.integers(0, 9, 3), rng.integers(0, 9, n)) for n in (4, 7, 2)]
+    drop = np.random.default_rng(5)
+    state = AdamState(learning_rate=1e-2)
+    params = model.parameters()
+    for _ in range(steps):
+        with Tape() as tape:
+            logits, targets = md.ar_batch_logits(model, items, train=True, rng=drop)
+            loss = nm.cross_entropy(logits, targets)
+        backward(loss, tape)
+        grads = nm.fill_missing_grads(params)
+        nm.clip_grad_norm(grads, 1.0)
+        adam_step(params, grads, state)
+    return b"".join(p.data.tobytes() for p in params)
+
+
+def test_worker_and_inline_leaf_gradients_train_identical_weights(monkeypatch):
+    submitted = []
+    real_submit = nm._submit
+
+    def counting_submit(fn):
+        submitted.append(fn)
+        return real_submit(fn)
+
+    monkeypatch.setattr(nm, "_submit", counting_submit)
+    on_worker = _tiny_model_weights(3)
+    assert submitted, "no leaf gradient went to the worker"
+    monkeypatch.setattr(nm, "_submit", _run_inline)
+    assert _tiny_model_weights(3) == on_worker
+
+
+def test_gradcheck_interior_weight_runs_inline(monkeypatch):
+    # the matmul's weight operand is a reshape output, so its gradient
+    # function must run on the calling thread, never on the worker
+    def no_submit(fn):
+        raise AssertionError("an interior operand's gradient went to the worker")
+
+    monkeypatch.setattr(nm, "_submit", no_submit)
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(0, 0.5, (2, 10)), requires_grad=True)
+
+    def make_loss():
+        y = nm.matmul(x, nm.reshape(w, (4, 5)))  # N-D @ 2-D, interior weight
+        return nm.mean_all(nm.gelu(y))
+
+    check_grads(make_loss, [x, w])
+
+
+def test_leaf_gradient_error_is_raised_by_backward():
+    w = Tensor(np.ones((2, 2)), requires_grad=True)
+
+    def failing_vjp(g):
+        def leaf_grad():
+            raise FloatingPointError("leaf gradient failed")
+        return (leaf_grad,)
+
+    with Tape() as tape:
+        out = nm._result(np.asarray(w.data.sum()), (w,), failing_vjp)
+    with pytest.raises(FloatingPointError):
+        backward(out, tape)
+
+
+def test_leaf_contributions_summed_in_sweep_order_onto_existing_grad():
+    # w feeds a matmul (its gradient is a function run on the worker) and an
+    # add (a plain array). The add is recorded last, so it is swept first:
+    # w.grad must be exactly (old + add's part) + matmul's part
+    rng = np.random.default_rng(15)
+    w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    x = Tensor(rng.normal(size=(4, 3)))
+    coeff = rng.normal(size=(3, 3))
+    old = rng.normal(size=(3, 3))
+    w.grad = old.copy()
+    with Tape() as tape:
+        y = nm.matmul(x, w)
+        loss = nm.sum_all(nm.mul(nm.add(nm.sum_axis(y, 0), w), Tensor(coeff)))
+    backward(loss, tape)
+    dy = np.ascontiguousarray(np.broadcast_to(coeff.sum(axis=0), (4, 3)))
+    want = (old + coeff) + x.data.T @ dy
+    assert want.tobytes() != ((old + x.data.T @ dy) + coeff).tobytes()  # the order shows
+    assert w.grad.tobytes() == want.tobytes()
+
+
+def _train_in_child(conn):
+    conn.send(_tiny_model_weights(2))
+    conn.close()
+
+
+def test_forked_child_starts_its_own_worker():
+    parent_bytes = _tiny_model_weights(2)  # the parent's worker now exists
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_train_in_child, args=(send,))
+    child.start()
+    send.close()
+    try:
+        assert recv.poll(60), "the forked child hung in backward"
+        child_bytes = recv.recv()
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join(10)
+    assert not child.is_alive()
+    assert child.exitcode == 0
+    assert child_bytes == parent_bytes
+
+
+# ---------------------------------------------------------------------------
+# in-place kernels against their plain expressions
+# ---------------------------------------------------------------------------
+
+
+def _vjp_of(make, x, g):
+    with Tape() as tape:
+        out = make(x)
+    (_, _, vjp), = [r for r in tape.records if r[0] is out]
+    return out.data, vjp(g)
+
+
+def test_inplace_kernels_match_plain_expressions_bitwise():
+    # each op must compute exactly what its plain numpy expression does
+    rng = np.random.default_rng(16)
+    xd = rng.normal(size=(3, 5, 8)) * 2
+    g = rng.normal(size=xd.shape)
+    x = Tensor(xd, requires_grad=True)
+
+    c = np.sqrt(2.0 / np.pi)
+    t = np.tanh(c * (xd + 0.044715 * (xd * xd * xd)))
+    out, (gx,) = _vjp_of(nm.gelu, x, g)
+    assert out.tobytes() == (0.5 * xd * (1.0 + t)).tobytes()
+    du = c * (1.0 + 3 * 0.044715 * (xd * xd))
+    assert gx.tobytes() == (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du)).tobytes()
+
+    e = np.exp(xd - xd.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
+    out, (gx,) = _vjp_of(nm.softmax_rows, x, g)
+    assert out.tobytes() == s.tobytes()
+    assert gx.tobytes() == (s * (g - (g * s).sum(axis=-1, keepdims=True))).tobytes()
+
+    gain = Tensor(rng.normal(size=8), requires_grad=True)
+    bias = Tensor(rng.normal(size=8), requires_grad=True)
+    mu = xd.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(xd.var(axis=-1, keepdims=True) + 1e-5)
+    xhat = (xd - mu) * inv
+    out, (gx, ggain, gbias) = _vjp_of(lambda t: nm.layer_norm(t, gain, bias), x, g)
+    assert out.tobytes() == (xhat * gain.data + bias.data).tobytes()
+    gg = g * gain.data
+    want = inv * (gg - gg.mean(axis=-1, keepdims=True) - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
+    assert gx.tobytes() == want.tobytes()
+    assert ggain.tobytes() == (g * xhat).sum(axis=(0, 1)).tobytes()
+    assert gbias.tobytes() == g.sum(axis=(0, 1)).tobytes()
+
+    keep = np.random.default_rng(17).random(xd.shape) >= 0.3
+    out, (gx,) = _vjp_of(lambda t: nm.dropout(t, 0.3, np.random.default_rng(17)), x, g)
+    assert out.tobytes() == (xd * keep * (1.0 / 0.7)).tobytes()
+    assert gx.tobytes() == (g * keep * (1.0 / 0.7)).tobytes()
+
+
+def test_adam_step_matches_plain_update_bitwise():
+    rng = np.random.default_rng(18)
+    shapes = [(4, 3), (7,), (2, 2, 2)]
+    params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    ref = [p.data.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    state = AdamState(learning_rate=1e-2)
+    for t in range(1, 4):
+        grads = [rng.normal(size=s) for s in shapes]
+        plain = [gr.copy() for gr in grads]
+        adam_step(params, grads, state)
+        b1, b2 = state.beta1, state.beta2
+        for i, gr in enumerate(plain):
+            m[i] = b1 * m[i] + (1.0 - b1) * gr
+            v[i] = b2 * v[i] + (1.0 - b2) * (gr * gr)
+            denom = np.sqrt(v[i]) * (1.0 / np.sqrt(1.0 - b2**t)) + state.epsilon
+            ref[i] = ref[i] - (m[i] / denom) * (state.learning_rate / (1.0 - b1**t))
+        for p, r, gr in zip(params, ref, grads):
+            assert p.data.tobytes() == r.tobytes()
+            assert not gr.any()
+
+
+def test_nd_matmul_matches_per_slice_products():
+    # the N-D x 2-D product runs as one 2-D product; BLAS may block the rows
+    # differently from a per-slice loop, so agreement is to rounding only
+    rng = np.random.default_rng(19)
+    for shape in [(2, 3, 5), (4, 1, 5), (3, 17, 5), (2, 2, 2, 5)]:
+        a = rng.normal(size=shape)
+        w = rng.normal(size=(5, 6))
+        got = nm.matmul(Tensor(a), Tensor(w)).data
+        want = np.stack([s @ w for s in a.reshape(-1, *shape[-2:])]).reshape(shape[:-1] + (6,))
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def test_gradients_are_writable_after_a_trivial_broadcast():
+    # sum_axis over a size-1 axis once handed out a read-only broadcast view,
+    # which clip_grad_norm could not scale in place
+    w = Tensor(np.ones((2, 1, 3)), requires_grad=True)
+    with Tape() as tape:
+        loss = nm.sum_all(nm.reshape(nm.sum_axis(w, 1), (3, 2)))
+    backward(loss, tape)
+    assert nm.clip_grad_norm([w.grad], 0.5) == pytest.approx(math.sqrt(6))
+    np.testing.assert_allclose(w.grad, np.full((2, 1, 3), 0.5 / math.sqrt(6)))
