@@ -3,8 +3,10 @@ synthesize, and render comparison reports.
 
 Every subcommand writes a manifest.json into its output directory that
 enumerates the files it consumed (with hashes), the seeds in play, and a
-config hash covering everything that affects results. Exit codes: 0 success,
-2 validation error, 3 runtime/training failure.
+config hash covering everything that affects results, and, outside that
+hash, the subcommand's wall time and the process's peak resident set so far.
+Exit codes: 0 success, 2 validation error (bad arguments or a malformed
+corpus), 3 runtime/training failure.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -71,7 +74,7 @@ def _parent_hashes(input_dirs) -> list:
 
 
 def _write_manifest(out: Path, subcommand: str, params: dict, seeds: dict,
-                    input_files, output_files, input_dirs=(), diagnostics=None) -> None:
+                    input_files, output_files, started: float, input_dirs=(), diagnostics=None) -> None:
     inputs = {str(p): _sha256(Path(p)) for p in sorted(str(x) for x in input_files)}
     payload = {"subcommand": subcommand, "params": params, "inputs": inputs}
     config_hash = hashlib.sha256(
@@ -90,6 +93,12 @@ def _write_manifest(out: Path, subcommand: str, params: dict, seeds: dict,
         "environment": {
             "numpy": np.__version__,
             **{v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        },
+        # ru_maxrss is the process's peak so far, which in a process that ran
+        # other work before this subcommand may come from that work
+        "resources": {
+            "wall_s": round(time.perf_counter() - started, 3),
+            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         },
     }
     if diagnostics:
@@ -151,6 +160,7 @@ def cmd_world(args) -> int:
         seeds={"seed": seed},
         input_files=[args.spec] if args.spec else [],
         output_files=outputs,
+        started=args.started,
         diagnostics={"raw_frame_oracle_per": floor},
     )
     return EXIT_OK
@@ -189,6 +199,7 @@ def cmd_quantize(args) -> int:
         seeds={"seed": seed},
         input_files=[corpus_dir / "world.json", corpus_dir / "train.jsonl"],
         output_files=["quantizers.ckpt", "quantizers.json"],
+        started=args.started,
         input_dirs=[corpus_dir],
         diagnostics={
             "phonetic_distortion": quant.phonetic.final_distortion,
@@ -268,6 +279,7 @@ def cmd_train(args) -> int:
         seeds={"seed": config.seed},
         input_files=[corpus_dir / "world.json", corpus_dir / "train.jsonl", quant_path],
         output_files=[ckpt_name, losses_name, "config.json"],
+        started=args.started,
         input_dirs=[corpus_dir, quant_path.parent],
         diagnostics={"final_loss": losses[-1]},
     )
@@ -319,6 +331,8 @@ def cmd_eval(args) -> int:
                 try:
                     key, metrics = future.result()
                     results[key] = metrics
+                except tw.CorpusError:
+                    raise
                 except Exception as exc:  # noqa: BLE001 - report and flag via exit code
                     crashed.append((task, repr(exc)))
                     print(f"synthesis crashed for {task}: {exc}", file=sys.stderr)
@@ -327,6 +341,8 @@ def cmd_eval(args) -> int:
             try:
                 key, metrics = _eval_task(task)
                 results[key] = metrics
+            except tw.CorpusError:
+                raise
             except Exception as exc:  # noqa: BLE001 - report and flag via exit code
                 crashed.append((task, repr(exc)))
                 print(f"synthesis crashed for {task}: {exc}", file=sys.stderr)
@@ -374,6 +390,7 @@ def cmd_eval(args) -> int:
         seeds={"base_seed": base_seed},
         input_files=input_files,
         output_files=[p.name for p in out.iterdir() if p.name != "manifest.json"],
+        started=args.started,
         input_dirs=[corpus_dir] + [b for b, _ in systems],
     )
     if crashed:
@@ -498,9 +515,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = time.perf_counter()
     try:
         return args.func(args)
-    except (ValidationError, ContractError) as exc:
+    except (ValidationError, ContractError, tw.CorpusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except pl.TrainingError as exc:

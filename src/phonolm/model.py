@@ -334,9 +334,9 @@ def _trunk_forward(model: DecoderModel, x: Tensor, mask: Tensor, train: bool, rn
     for i in range(cfg.n_layers):
         b = f"blocks/{i}"
         h = nm.layer_norm(x, p[f"{b}/ln1/gain"], p[f"{b}/ln1/bias"])
-        q = nm.add(nm.matmul(h, p[f"{b}/attn/wq"]), p[f"{b}/attn/bq"])
-        k = nm.add(nm.matmul(h, p[f"{b}/attn/wk"]), p[f"{b}/attn/bk"])
-        v = nm.add(nm.matmul(h, p[f"{b}/attn/wv"]), p[f"{b}/attn/bv"])
+        q = nm.matmul(h, p[f"{b}/attn/wq"], p[f"{b}/attn/bq"])
+        k = nm.matmul(h, p[f"{b}/attn/wk"], p[f"{b}/attn/bk"])
+        v = nm.matmul(h, p[f"{b}/attn/wv"], p[f"{b}/attn/bv"])
         q = nm.transpose(nm.reshape(q, (B, T, H, hd)), (0, 2, 1, 3))
         k = nm.transpose(nm.reshape(k, (B, T, H, hd)), (0, 2, 1, 3))
         v = nm.transpose(nm.reshape(v, (B, T, H, hd)), (0, 2, 1, 3))
@@ -346,11 +346,11 @@ def _trunk_forward(model: DecoderModel, x: Tensor, mask: Tensor, train: bool, rn
         att = nm.softmax_rows(nm.add(scores, mask))
         att = drop(att)
         mix = nm.reshape(nm.transpose(nm.matmul(att, v), (0, 2, 1, 3)), (B, T, d))
-        out = nm.add(nm.matmul(mix, p[f"{b}/attn/wo"]), p[f"{b}/attn/bo"])
+        out = nm.matmul(mix, p[f"{b}/attn/wo"], p[f"{b}/attn/bo"])
         x = nm.add(x, drop(out))
         h2 = nm.layer_norm(x, p[f"{b}/ln2/gain"], p[f"{b}/ln2/bias"])
-        f = nm.gelu(nm.add(nm.matmul(h2, p[f"{b}/ffn/w1"]), p[f"{b}/ffn/b1"]))
-        f = nm.add(nm.matmul(f, p[f"{b}/ffn/w2"]), p[f"{b}/ffn/b2"])
+        f = nm.gelu(nm.matmul(h2, p[f"{b}/ffn/w1"], p[f"{b}/ffn/b1"]))
+        f = nm.matmul(f, p[f"{b}/ffn/w2"], p[f"{b}/ffn/b2"])
         x = nm.add(x, drop(f))
     return nm.layer_norm(x, p["final_ln/gain"], p["final_ln/bias"])
 

@@ -12,14 +12,24 @@ relu).
 
 Backward splits its work in two. The input-gradient chain runs in order on
 the calling thread. A leaf's gradient (a parameter's, say `Xᵀ·G` for a
-weight) is read by nothing until backward returns, so a VJP may hand it back
-as a function, and `backward` runs that function on one worker thread per
-process while the chain goes on. Each product is the same numpy call on
-either thread, and `backward` adds each leaf's contributions in the order of
-the sweep, so gradients are bit-identical to a single-threaded pass. Work
-sent to the worker calls numpy only, never a function of this package: the
-benchmark's tracer (perfbench/tracer.py) wraps this package's functions with
-one stack of open spans, which assumes every call comes from the main thread.
+weight, or the sum of `G` over its rows for a bias) is read by nothing until
+backward returns, so a VJP may hand it back as a function, and `backward`
+runs that function on one worker thread per process while the chain goes on.
+Each product is the same numpy call on either thread, and `backward` adds
+each leaf's contributions in the order of the sweep, so gradients are
+bit-identical to a single-threaded pass. Work sent to the worker calls numpy
+only, never a function of this package: the benchmark's tracer
+(perfbench/tracer.py) wraps this package's functions with one stack of open
+spans, which assumes every call comes from the main thread.
+
+Backward keeps few buffers alive. It consumes interior gradients: a
+record's output gradient is dropped as soon as that record's VJP has run,
+since nothing else reads it, so run `backward` once per tape; afterwards
+every interior `.grad` is None. A leaf owns its gradient buffer: the first
+contribution is copied into a new array and later ones are added into it in
+place, so no two leaves share memory and `clip_grad_norm`/`adam_step` may
+scale each in place. `matmul` takes the bias, so a projection is one record
+with no pre-bias array, and `gelu` saves only its tanh term for the VJP.
 """
 
 from __future__ import annotations
@@ -137,10 +147,12 @@ def _record(out: Tensor, inputs: tuple, vjp):
     `vjp(grad_out)` returns one entry per input, in order: None ("no
     gradient flows to this input"), an array, or a function of no arguments
     that returns the array. An array may be `grad_out` itself or a view of
-    it or of another input's gradient: `backward` never writes into a
-    gradient, so VJPs must not either. A function is how a VJP hands over
-    work that only a leaf needs (see `backward`); it must call numpy only,
-    and may run on another thread.
+    it or of another input's gradient: `backward` writes only into the
+    buffers leaves own, so VJPs must not write into a gradient either. A
+    function is how a VJP hands over work that only a leaf needs (see
+    `backward`); it must call numpy only, and may run on another thread.
+    `grad_out` is released once the VJP returns, so nothing may keep it
+    except through the arrays and functions the VJP hands back.
     """
     stack = _tape_stack()
     if stack and out.requires_grad:
@@ -182,12 +194,17 @@ def _submit(fn) -> Future:
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Populate .grad on every requires_grad tensor reachable from `loss`.
+    """Populate .grad on every requires_grad leaf reachable from `loss`.
 
     A leaf is a tensor no record on `tape` produced. A VJP's function for a
     leaf runs on the worker thread; for any other input it runs here, when
     the sweep reaches it. Leaf gradients are summed after the sweep, each in
-    sweep order, onto whatever .grad held before.
+    sweep order, into the leaf's own buffer: a copy of the first
+    contribution when .grad was None, else the existing .grad, in place.
+
+    Interior gradients are consumed: each record's output .grad is set to
+    None once its VJP has run, so the sweep holds only the gradients still
+    waiting for their record. Run `backward` once per tape.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -199,7 +216,9 @@ def backward(loss: Tensor, tape: Tape) -> None:
             gout = out.grad
             if gout is None:
                 continue
-            for inp, gin in zip(inputs, vjp(gout)):
+            gins = vjp(gout)
+            out.grad = None
+            for inp, gin in zip(inputs, gins):
                 if gin is None or not inp.requires_grad:
                     continue
                 if id(inp) not in produced:
@@ -216,7 +235,10 @@ def backward(loss: Tensor, tape: Tape) -> None:
     for leaf, parts in leaves.values():
         for part in parts:
             gin = part.result() if isinstance(part, Future) else part
-            leaf.grad = gin if leaf.grad is None else leaf.grad + gin
+            if leaf.grad is None:
+                leaf.grad = gin.copy()  # a VJP's array may be shared with another input
+            else:
+                leaf.grad += gin
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -276,10 +298,12 @@ def gelu(x: Tensor) -> Tensor:
     # The in-place steps compute exactly 0.5 * xd * (1 + tanh(c * (xd +
     # 0.044715 * xd³))) and its derivative: each is the same ufunc on the
     # same operands as the plain expression (products and sums commute).
+    # Only t is kept for the VJP, which recomputes xd * xd: the same multiply,
+    # so the same bits, and one array of the input's size less on the tape.
     c = np.sqrt(2.0 / np.pi)
     xd = x.data
-    x2 = xd * xd
-    t = x2 * xd
+    t = xd * xd
+    t *= xd
     t *= 0.044715
     t += xd
     t *= c
@@ -288,7 +312,8 @@ def gelu(x: Tensor) -> Tensor:
     data *= 0.5 * xd
 
     def vjp(g):
-        du = x2 * (3 * 0.044715)
+        du = xd * xd
+        du *= 3 * 0.044715
         du += 1.0
         du *= c
         tail = t * t
@@ -309,26 +334,39 @@ def gelu(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """Matrix product. 2-D x 2-D, stacked N-D x N-D (equal leading dims),
     or N-D x 2-D (shared weight applied to every leading slice).
 
     N-D x 2-D runs as one 2-D product over all leading rows; the weight's
-    gradient `Xᵀ·G` is handed to `backward` as a function (see there)."""
+    gradient `Xᵀ·G` is handed to `backward` as a function (see there).
+    With a 2-D weight, an optional 1-D `bias` is added in place to the
+    product, which gives the bits of `add(matmul(a, b), bias)` as one record;
+    its gradient, the sum of `G` over the leading axes, is also a function."""
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2:
         raise ShapeError(f"matmul needs >=2-D operands, got {ad.shape} @ {bd.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"inner dims differ: {ad.shape} @ {bd.shape}")
+    if bias is not None and (bd.ndim != 2 or bias.data.shape != bd.shape[-1:]):
+        raise ShapeError(f"bias {bias.data.shape} does not fit the weight {bd.shape}")
     if bd.ndim == 2:
         k, n = bd.shape
         a2 = ad.reshape(-1, k)
+        data = a2 @ bd
+        if bias is not None:
+            data += bias.data
 
         def vjp(g):
             g2 = g.reshape(-1, n)
-            return ((g2 @ bd.T).reshape(ad.shape), lambda: a2.T @ g2)
+            grads = ((g2 @ bd.T).reshape(ad.shape), lambda: a2.T @ g2)
+            if bias is None:
+                return grads
+            lead = tuple(range(g.ndim - 1))
+            return grads + (lambda: g.sum(axis=lead),)
 
-        return _result((a2 @ bd).reshape(ad.shape[:-1] + (n,)), (a, b), vjp)
+        inputs = (a, b) if bias is None else (a, b, bias)
+        return _result(data.reshape(ad.shape[:-1] + (n,)), inputs, vjp)
     if ad.ndim != bd.ndim:
         raise ShapeError(f"unsupported matmul arrangement: {ad.shape} @ {bd.shape}")
     if ad.shape[:-2] != bd.shape[:-2]:

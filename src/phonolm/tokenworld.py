@@ -37,6 +37,11 @@ CLEAN = "clean"
 OTHER = "other"
 SPLITS = ("train", "test_clean", "test_other")
 
+
+class CorpusError(ValueError):
+    """A corpus directory is missing a file, or a file in it is malformed."""
+
+
 _PROTO_STREAM = 0x70726F74  # rng stream tags
 _SPEAKER_STREAM = 0x73706B72
 
@@ -335,7 +340,9 @@ def _encode_matrix(m: np.ndarray) -> str:
 
 
 def _decode_matrix(s: str, rows: int, cols: int) -> np.ndarray:
-    raw = base64.b64decode(s.encode("ascii"))
+    raw = base64.b64decode(s, validate=True)  # ValueError on any non-base64 character
+    if rows < 0 or cols < 0 or len(raw) != rows * cols * 8:
+        raise CorpusError(f"frame payload of {len(raw)} bytes does not hold a ({rows}, {cols}) float64 matrix")
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(rows, cols)
 
 
@@ -376,10 +383,31 @@ def save_corpus(corpus: Corpus, out_dir) -> None:
 
 
 def load_corpus(in_dir) -> Corpus:
+    """Read a corpus written by `save_corpus`.
+
+    Raises CorpusError, naming the file (and line), for a missing file, a
+    line that is not JSON or lacks a key, a frame payload that is not base64
+    or does not match its declared shape, and a world.json that WorldSpec
+    rejects.
+    """
     src = Path(in_dir)
-    spec = WorldSpec.from_dict(json.loads((src / "world.json").read_text()))
+    path = src / "world.json"
+    try:
+        spec = WorldSpec.from_dict(json.loads(path.read_text()))
+    except (OSError, TypeError, ValueError) as exc:
+        raise CorpusError(f"{path}: {exc}") from exc
     splits = {}
     for name in SPLITS:
-        with open(src / f"{name}.jsonl") as f:
-            splits[name] = [_utterance_from_json(json.loads(line)) for line in f]
+        path = src / f"{name}.jsonl"
+        utts = []
+        try:
+            with open(path) as f:
+                for lineno, line in enumerate(f, 1):
+                    try:
+                        utts.append(_utterance_from_json(json.loads(line)))
+                    except (KeyError, TypeError, ValueError) as exc:
+                        raise CorpusError(f"{path}:{lineno}: {exc!r}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CorpusError(f"{path}: {exc}") from exc
+        splits[name] = utts
     return Corpus(world_spec=spec, **splits)

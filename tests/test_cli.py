@@ -1,4 +1,6 @@
 import json
+import resource
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +86,32 @@ def test_manifest_records_environment_outside_config_hash(tmp_path, monkeypatch)
         assert "OMP_NUM_THREADS" in env
         hashes.append(manifest["config_hash"])
     assert hashes[0] == hashes[1]
+
+
+def test_manifest_records_resources_outside_config_hash(tmp_path):
+    hashes = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["world", "--out", str(out), "--seed", "3", "--n-train", "4", "--n-test", "2"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        res = manifest["resources"]
+        assert set(res) == {"wall_s", "peak_rss_mb"}
+        assert 0.0 <= res["wall_s"] < 60.0
+        # the process peak so far, which this process can only have raised since
+        assert 0.0 < res["peak_rss_mb"] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 + 0.1
+        hashes.append(manifest["config_hash"])
+    assert hashes[0] == hashes[1]
+
+
+def test_malformed_corpus_exits_with_validation_code(tmp_path, workspace):
+    corpus = tmp_path / "world"
+    shutil.copytree(workspace / "world", corpus)
+    for name in ("train.jsonl", "test_clean.jsonl"):
+        path = corpus / name
+        path.write_text(path.read_text()[:100] + "\n")
+    assert run("quantize", "--corpus", corpus, "--out", tmp_path / "q") == 2
+    assert run("eval", "--bundle", workspace / "prop", "--corpus", corpus, "--splits", "clean",
+               "--n-prompts", 2, "--out", tmp_path / "e") == 2
 
 
 def test_quantize_rejects_k_above_frames(tmp_path, workspace):

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import sys
+import tracemalloc
 from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
@@ -410,13 +411,19 @@ def _run_inline(fn) -> Future:
     return done
 
 
-def _tiny_model_weights(steps: int) -> bytes:
-    """Train a 2-block AR decoder with dropout; return its weight bytes."""
+def _tiny_ar_case():
+    """A 2-block AR decoder with dropout and a fixed ragged batch."""
     cfg = md.ModelConfig(n_layers=2, n_heads=2, d_model=16, d_ff=32, dropout=0.1, phoneme_vocab=7,
                          phonetic_vocab=9, codec_vocab=5, n_codec_layers=2, max_sequence_len=32)
     model = md.build_ar_model(cfg, md.STREAM_PHONETIC, seed=3)
     rng = np.random.default_rng(4)
     items = [(rng.integers(0, 7, 5), rng.integers(0, 9, 3), rng.integers(0, 9, n)) for n in (4, 7, 2)]
+    return model, items
+
+
+def _tiny_model_weights(steps: int) -> bytes:
+    """Train the tiny AR case; return its weight bytes."""
+    model, items = _tiny_ar_case()
     drop = np.random.default_rng(5)
     state = AdamState(learning_rate=1e-2)
     params = model.parameters()
@@ -619,3 +626,127 @@ def test_gradients_are_writable_after_a_trivial_broadcast():
     backward(loss, tape)
     assert nm.clip_grad_norm([w.grad], 0.5) == pytest.approx(math.sqrt(6))
     np.testing.assert_allclose(w.grad, np.full((2, 1, 3), 0.5 / math.sqrt(6)))
+
+
+# ---------------------------------------------------------------------------
+# buffer ownership: bias in matmul, consumed interior gradients, leaf buffers
+# ---------------------------------------------------------------------------
+
+
+def _taped_grads(make, inputs, coeff):
+    with Tape() as tape:
+        out = make()
+        loss = nm.sum_all(nm.mul(out, Tensor(coeff)))
+    backward(loss, tape)
+    return [out.data] + [t.grad for t in inputs]
+
+
+@pytest.mark.parametrize("x_shape", [(7, 5), (3, 4, 5)])
+def test_matmul_bias_matches_matmul_then_add_bitwise(x_shape):
+    rng = np.random.default_rng(20)
+    xd, wd, bd = rng.normal(size=x_shape), rng.normal(size=(5, 6)), rng.normal(size=6)
+    coeff = rng.normal(size=x_shape[:-1] + (6,))
+    fused = [Tensor(a, requires_grad=True) for a in (xd, wd, bd)]
+    plain = [Tensor(a, requires_grad=True) for a in (xd, wd, bd)]
+    got = _taped_grads(lambda: nm.matmul(*fused), fused, coeff)
+    want = _taped_grads(lambda: nm.add(nm.matmul(plain[0], plain[1]), plain[2]), plain, coeff)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+def test_gradcheck_matmul_bias():
+    rng = np.random.default_rng(21)
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(0, 0.5, (4, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=5), requires_grad=True)
+    check_grads(lambda: nm.mean_all(nm.gelu(nm.matmul(x, w, b))), [x, w, b])
+
+
+def test_matmul_bias_shape_checked():
+    x, w = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))
+    with pytest.raises(ShapeError):
+        nm.matmul(x, w, Tensor(np.ones(3)))
+    with pytest.raises(ShapeError):
+        nm.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((2, 3, 4))), Tensor(np.ones(4)))
+
+
+def _tiny_ar_step_tape():
+    model, items = _tiny_ar_case()
+    with Tape() as tape:
+        logits, targets = md.ar_batch_logits(model, items, train=True, rng=np.random.default_rng(5))
+        loss = nm.cross_entropy(logits, targets)
+    return model, tape, loss
+
+
+def test_backward_leaves_gradients_on_leaves_only():
+    model, tape, loss = _tiny_ar_step_tape()
+    backward(loss, tape)
+    produced = {id(out) for out, _, _ in tape.records}
+    assert all(out.grad is None for out, _, _ in tape.records)
+    leaves = [t for _, inputs, _ in tape.records for t in inputs if t.requires_grad and id(t) not in produced]
+    assert leaves and all(t.grad is not None for t in leaves)
+    assert {id(t) for t in leaves} <= {id(p) for p in model.parameters()}
+
+
+def test_leaves_added_together_own_their_gradient_buffers():
+    # add's VJP hands both inputs the same array; clipping scales each
+    # leaf's buffer in place, so a shared buffer would be scaled twice
+    a = Tensor([3.0, 4.0], requires_grad=True)
+    b = Tensor([0.0, 0.0], requires_grad=True)
+    with Tape() as tape:
+        loss = nm.sum_all(nm.mul(nm.add(a, b), Tensor([1.0, 1.0])))
+    backward(loss, tape)
+    assert not np.shares_memory(a.grad, b.grad)
+    nm.clip_grad_norm([a.grad, b.grad], 1.0)
+    assert math.sqrt(float((a.grad**2).sum() + (b.grad**2).sum())) == pytest.approx(1.0)
+
+
+def test_backward_accumulates_into_the_existing_leaf_buffer():
+    # the second step adds into the buffers the first left behind, and the
+    # result is the bits of a fresh 0.0 + g
+    model, tape, loss = _tiny_ar_step_tape()
+    params = model.parameters()
+    for p in params:
+        p.grad = np.zeros_like(p.data)
+    buffers = [p.grad for p in params]
+    backward(loss, tape)
+    assert all(p.grad is buf for p, buf in zip(params, buffers))
+    model2, tape2, loss2 = _tiny_ar_step_tape()
+    backward(loss2, tape2)
+    for p, p2 in zip(params, model2.parameters()):
+        want = np.zeros_like(p2.data) if p2.grad is None else 0.0 + p2.grad
+        assert p.grad.tobytes() == want.tobytes()
+
+
+def _nar_step_tape():
+    """A fixed 2-block NAR training step, recorded but not yet swept."""
+    cfg = md.ModelConfig(n_layers=2, n_heads=2, d_model=32, d_ff=128, dropout=0.1, phoneme_vocab=10,
+                         phonetic_vocab=12, codec_vocab=8, n_codec_layers=4, max_sequence_len=128)
+    model = md.build_nar_model(cfg, md.VARIANT_PROPOSED, seed=2)
+    rng = np.random.default_rng(3)
+    items = []
+    for _ in range(4):
+        n_frames = int(rng.integers(15, 25))
+        items.append((rng.integers(0, 10, int(rng.integers(6, 10))), rng.integers(0, 12, n_frames),
+                      rng.integers(0, 8, (int(rng.integers(8, 14)), 4)), rng.integers(0, 8, (n_frames, 1)), 2))
+    labels = rng.integers(0, 8, sum(item[3].shape[0] for item in items))
+    with Tape() as tape:
+        logits = md.nar_batch_logits(model, items, train=True, rng=np.random.default_rng(5))
+        loss = nm.cross_entropy(logits, labels)
+    return tape, loss
+
+
+def test_backward_frees_interior_gradients_as_it_goes():
+    # kept until the tape died, the interior gradients took as many bytes
+    # as the activations (a rise of ~0.7 of them); consumed, ~0.2
+    tape, loss = _nar_step_tape()
+    held = sum(out.data.nbytes for out, _, _ in tape.records)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        backward(loss, tape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < held / 3, f"backward's peak rose {peak - base} bytes over {held} held by the tape"

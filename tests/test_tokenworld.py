@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,61 @@ def test_corpus_round_trip(tmp_path):
             np.testing.assert_array_equal(a.phonetic_frames, b.phonetic_frames)
             np.testing.assert_array_equal(a.acoustic_frames, b.acoustic_frames)
             np.testing.assert_array_equal(a.alignment, b.alignment)
+
+
+def _saved_corpus(path):
+    tw.save_corpus(tw.build_corpus(tw.WorldSpec(seed=13), 4, 4, np.random.default_rng(13)), path)
+    return path
+
+
+def _edit_first_line(path, edit):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[0] = edit(lines[0])
+    path.write_text("".join(lines))
+
+
+def _edit_first_record(path, edit):
+    def rewrite(line):
+        d = json.loads(line)
+        edit(d)
+        return json.dumps(d) + "\n"
+    _edit_first_line(path, rewrite)
+
+
+def _drop_key(d):
+    del d["speaker"]
+
+
+def _not_base64(d):
+    # a lenient decoder would drop the stray character and read the payload
+    d["acoustic"] = "!" + d["acoustic"]
+
+
+def _short_payload(d):
+    d["phonetic_shape"][0] += 1
+
+
+def _edit_spec(root, **fields):
+    path = root / "world.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda root: (root / "test_other.jsonl").unlink(),
+    lambda root: _edit_first_line(root / "train.jsonl", lambda line: line[: len(line) // 2] + "\n"),
+    lambda root: _edit_first_record(root / "test_clean.jsonl", _drop_key),
+    lambda root: _edit_first_record(root / "train.jsonl", _not_base64),
+    lambda root: _edit_first_record(root / "train.jsonl", _short_payload),
+    lambda root: _edit_spec(root, acoustic_rate_per_slot=4),
+    lambda root: _edit_spec(root, no_such_field=1),
+], ids=["missing_split", "bad_json_line", "missing_key", "not_base64", "payload_shape_mismatch",
+        "spec_rejected", "spec_unknown_field"])
+def test_load_corpus_rejects_malformed_files(tmp_path, corrupt):
+    root = _saved_corpus(tmp_path)
+    tw.load_corpus(root)
+    corrupt(root)
+    with pytest.raises(tw.CorpusError):
+        tw.load_corpus(root)
 
 
 def test_utterance_prefix_alignment():
