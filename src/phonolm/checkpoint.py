@@ -32,32 +32,44 @@ class CheckpointError(ValueError):
     """Corrupt or incompatible checkpoint file."""
 
 
-def save_tensors(path, tensors: dict) -> None:
-    """Write {name: array} to `path`. Order follows dict insertion order.
+def write_atomic(path, data) -> None:
+    """Write `data` to `path`: bytes, a str (as UTF-8), or an iterable of
+    bytes chunks, written as they come.
 
     The bytes go to a temporary file in the same directory, which then
     replaces `path` in one step: a reader sees the old file or the new one,
-    never part of one, and a write that fails leaves `path` as it was.
+    never part of one, and a write that fails (the chunks' producer
+    included) leaves `path` as it was and no temporary file behind.
     """
     path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    if isinstance(data, bytes):
+        data = (data,)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<I", VERSION))
-            for name, arr in tensors.items():
-                arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
-                nb = name.encode("utf-8")
-                f.write(struct.pack("<I", len(nb)))
-                f.write(nb)
-                f.write(struct.pack("<Q", arr.ndim))
-                for dim in arr.shape:
-                    f.write(struct.pack("<Q", dim))
-                f.write(arr.astype("<f8", copy=False).tobytes())
+            f.writelines(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_tensors(path, tensors: dict) -> None:
+    """Write {name: array} to `path` atomically (`write_atomic`). Order
+    follows dict insertion order."""
+    write_atomic(path, _records(tensors))
+
+
+def _records(tensors: dict):
+    yield MAGIC
+    yield struct.pack("<I", VERSION)
+    for name, arr in tensors.items():
+        arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
+        nb = name.encode("utf-8")
+        yield struct.pack("<I", len(nb)) + nb + struct.pack(f"<Q{arr.ndim}Q", arr.ndim, *arr.shape)
+        yield arr.astype("<f8", copy=False).tobytes()
 
 
 def load_tensors(path) -> dict:

@@ -12,6 +12,7 @@ corpus), 3 runtime/training failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import checkpoint
 from . import evaluation as ev
 from . import model as md
 from . import pipeline as pl
@@ -103,7 +105,7 @@ def _write_manifest(out: Path, subcommand: str, params: dict, seeds: dict,
     }
     if diagnostics:
         manifest["diagnostics"] = diagnostics
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    checkpoint.write_atomic(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 def _parse_overrides(pairs) -> dict:
@@ -125,6 +127,15 @@ def _load_json_config(path, overrides) -> dict:
     return data
 
 
+def _build_config(cls, values: dict):
+    """cls(**values) from command-line input: a key the config does not
+    have, or a value of the wrong type, is a bad argument."""
+    try:
+        return cls(**values)
+    except TypeError as exc:
+        raise ValidationError(f"bad {cls.__name__}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -135,7 +146,7 @@ def cmd_world(args) -> int:
     overrides = _parse_overrides(args.set)
     spec_dict = _load_json_config(args.spec, overrides)
     spec_dict["seed"] = seed
-    spec = tw.WorldSpec.from_dict(spec_dict)
+    spec = _build_config(tw.WorldSpec, spec_dict)
     if args.n_train <= 0:
         raise ValidationError("--n-train must be positive")
     out = _prepare_out(args.out, args.force)
@@ -209,12 +220,7 @@ def cmd_quantize(args) -> int:
     return EXIT_OK
 
 
-_MODE_FILES = {
-    pl.MODE_PROPOSED_AR: "ar.ckpt",
-    pl.MODE_NAR: "nar.ckpt",
-    pl.MODE_BASELINE_AR: "baseline_ar.ckpt",
-    pl.MODE_BASELINE_NAR: "baseline_nar.ckpt",
-}
+_MODE_FILES = {name: mode.checkpoint for name, mode in pl.MODES.items()}  # read by perfbench
 
 
 def cmd_train(args) -> int:
@@ -232,7 +238,7 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg_dict["seed"] = int(args.seed)
     cfg_dict["mode"] = args.mode
-    config = pl.TrainingConfig.from_dict(cfg_dict)
+    config = _build_config(pl.TrainingConfig, cfg_dict)
 
     corpus = tw.load_corpus(corpus_dir)
     quant = qz.load_quantizers(quant_path)
@@ -240,34 +246,26 @@ def cmd_train(args) -> int:
     if args.model_config:
         base = pl.default_model_config(corpus.world_spec, quant).to_dict()
         base.update(json.loads(Path(args.model_config).read_text()))
-        model_config = md.ModelConfig.from_dict(base)
+        model_config = _build_config(md.ModelConfig, base)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ckpt_name = _MODE_FILES[args.mode]
+    mode = pl.MODES[args.mode]
+    ckpt_name = mode.checkpoint
     if (out / ckpt_name).exists() and not args.force:
         raise ValidationError(f"{out / ckpt_name} exists (use --force to overwrite)")
 
     model, losses = pl.train_mode(args.mode, corpus, quant, config, model_config)
     model.save(out / ckpt_name)
     losses_name = f"losses_{args.mode}.csv"
-    with open(out / losses_name, "w") as f:
-        f.write("step,loss\n")
-        for i, l in enumerate(losses):
-            f.write(f"{i},{l!r}\n")
+    rows = "".join(f"{i},{l!r}\n" for i, l in enumerate(losses))
+    checkpoint.write_atomic(out / losses_name, "step,loss\n" + rows)
     # keep the bundle dir self-contained for later evaluation
-    (out / "quantizers.ckpt").write_bytes(quant_path.read_bytes())
-    meta_src = quant_path.with_suffix(".json")
-    if meta_src.exists():
-        (out / "quantizers.json").write_bytes(meta_src.read_bytes())
-    kind = pl.KIND_PROPOSED if args.mode in (pl.MODE_PROPOSED_AR, pl.MODE_NAR) else pl.KIND_BASELINE
-    bundle_meta = {
-        "kind": kind,
-        "world_spec": corpus.world_spec.to_dict(),
-        "provenance": {"training": config.to_dict()},
-    }
-    (out / f"{kind}_bundle.json").write_text(json.dumps(bundle_meta, indent=2) + "\n")
-    (out / "config.json").write_text(json.dumps(config.to_dict(), indent=2) + "\n")
+    for src, name in ((quant_path, "quantizers.ckpt"), (quant_path.with_suffix(".json"), "quantizers.json")):
+        if src.exists():
+            checkpoint.write_atomic(out / name, src.read_bytes())
+    pl.write_bundle_meta(out, mode.system, corpus.world_spec, {"training": config.to_dict()})
+    checkpoint.write_atomic(out / "config.json", json.dumps(config.to_dict(), indent=2) + "\n")
 
     print(f"{args.mode}: {config.steps} steps, loss {losses[0]:.4f} -> {losses[-1]:.4f}; "
           f"saved {out / ckpt_name}")
@@ -311,7 +309,7 @@ def cmd_eval(args) -> int:
     for bundle_dir in args.bundle:
         kinds = pl.available_bundle_kinds(bundle_dir)
         if not kinds:
-            missing = {k: pl.missing_bundle_files(bundle_dir, k) for k in pl._BUNDLE_FILES}
+            missing = {k: pl.missing_bundle_files(bundle_dir, k) for k in pl.SYSTEMS}
             raise ValidationError(f"no complete bundle in {bundle_dir}; missing {missing}")
         systems.extend((bundle_dir, k) for k in kinds)
 
@@ -324,22 +322,12 @@ def cmd_eval(args) -> int:
     out = _prepare_out(args.out, args.force)
     results = {}
     crashed = []
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            futures = {ex.submit(_eval_task, task): task for task in tasks}
-            for future, task in futures.items():
-                try:
-                    key, metrics = future.result()
-                    results[key] = metrics
-                except tw.CorpusError:
-                    raise
-                except Exception as exc:  # noqa: BLE001 - report and flag via exit code
-                    crashed.append((task, repr(exc)))
-                    print(f"synthesis crashed for {task}: {exc}", file=sys.stderr)
-    else:
-        for task in tasks:
+    with contextlib.ExitStack() as stack:
+        # --jobs 1 runs the tasks in this process, where the benchmark captures their results
+        pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs)) if args.jobs > 1 else None
+        for task, future in [(t, pool.submit(_eval_task, t) if pool else None) for t in tasks]:
             try:
-                key, metrics = _eval_task(task)
+                key, metrics = future.result() if future else _eval_task(task)
                 results[key] = metrics
             except tw.CorpusError:
                 raise
@@ -373,8 +361,8 @@ def cmd_eval(args) -> int:
     elif aggregates:
         payload = {"systems": [aggregates[0]["system"]], "aggregate": aggregates[0],
                    "per_seed": [r.to_dict() for r in reports]}
-        (out / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        (out / "report.txt").write_text(json.dumps(aggregates[0], indent=2, sort_keys=True) + "\n")
+        checkpoint.write_atomic(out / "report.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        checkpoint.write_atomic(out / "report.txt", json.dumps(aggregates[0], indent=2, sort_keys=True) + "\n")
         print(f"single system {aggregates[0]['system']}: report written (no comparison)")
 
     input_files = [corpus_dir / "world.json"] + [corpus_dir / f"{s}.jsonl" for s in splits]
@@ -420,7 +408,7 @@ def cmd_synth(args) -> int:
         phonemes=target.phonemes, prompt=prompt,
         temperature=args.temperature, top_k=args.top_k,
     )
-    result = pl.synthesize(bundle, request, np.random.default_rng(seed))
+    (result,) = pl.synthesize_many(bundle, [request], [seed])
     record = {
         "system": kind,
         "split": split,
@@ -499,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("synth", help="synthesize one utterance from a bundle")
     s.add_argument("--bundle", required=True)
     s.add_argument("--corpus", required=True)
-    s.add_argument("--system", choices=(pl.KIND_PROPOSED, pl.KIND_BASELINE))
+    s.add_argument("--system", choices=pl.SYSTEMS)
     s.add_argument("--split", default="clean")
     s.add_argument("--index", type=int, required=True)
     s.add_argument("--prompt-index", type=int, required=True)
@@ -518,7 +506,7 @@ def main(argv=None) -> int:
     args.started = time.perf_counter()
     try:
         return args.func(args)
-    except (ValidationError, ContractError, tw.CorpusError) as exc:
+    except (ValidationError, ContractError, tw.CorpusError, checkpoint.CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except pl.TrainingError as exc:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import checkpoint
 from . import pipeline as pl
 from . import quantizer as qz
 from . import tokenworld as tw
@@ -164,16 +165,9 @@ def evaluate_system(
     split: str,
     n_prompts: int,
     seed: int,
-    temperature: float = 1.0,
-    top_k: int = 8,
-    max_length_factor: float = 2.0,
-    chunk_size: int = 8,
-    with_details: bool = False,
 ) -> SplitMetrics:
     """Synthesize each evaluation utterance from a same-speaker prompt and
-    score it against the oracle. Prompts must come from held-out speakers.
-
-    With `with_details`, also returns the per-utterance rows."""
+    score it against the oracle. Prompts must come from held-out speakers."""
     if split not in ("test_clean", "test_other"):
         raise ContractError(f"evaluation split must be a test split, got {split!r}")
     utts = corpus.split(split)
@@ -187,18 +181,10 @@ def evaluate_system(
         target, prompt = utts[target_i], utts[prompt_i]
         if prompt.speaker_id in train_speakers:
             raise ContractError("zero-shot protocol violation: prompt speaker seen in training")
-        requests.append(
-            pl.SynthesisRequest(
-                phonemes=target.phonemes,
-                prompt=prompt,
-                temperature=temperature,
-                top_k=top_k,
-                max_length_factor=max_length_factor,
-            )
-        )
+        requests.append(pl.SynthesisRequest(phonemes=target.phonemes, prompt=prompt))
         sampler_seeds.append(int(seed_rng.integers(0, 2**63 - 1)))
         refs.append(target)
-    results = pl.synthesize_many(bundle, requests, sampler_seeds, chunk_size=chunk_size)
+    results = pl.synthesize_many(bundle, requests, sampler_seeds)
     evals = []
     for target, res in zip(refs, results):
         frames = qz.rvq_decode(res.codes, bundle.quantizers.rvq)
@@ -213,8 +199,6 @@ def evaluate_system(
                 speaker_ok=bool(speaker_ok), runaway=res.runaway,
             )
         )
-    if with_details:
-        return _aggregate(evals, skipped), evals
     return _aggregate(evals, skipped)
 
 
@@ -337,18 +321,5 @@ def write_report(comparison: dict, out_dir, per_seed_reports=None) -> None:
     payload = {k: comparison[k] for k in ("systems", "splits", "rows", "winners")}
     if per_seed_reports is not None:
         payload["per_seed"] = [r.to_dict() for r in per_seed_reports]
-    (out / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    (out / "report.txt").write_text(comparison["text"] + "\n")
-
-
-def write_per_utterance_csv(rows: list, path) -> None:
-    """CSV export of per-utterance evaluation rows for external analysis."""
-    import csv
-
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            ["system", "split", "seed", "index", "per", "substitutions", "deletions",
-             "insertions", "ref_len", "speaker_ok", "runaway"]
-        )
-        writer.writerows(rows)
+    checkpoint.write_atomic(out / "report.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    checkpoint.write_atomic(out / "report.txt", comparison["text"] + "\n")

@@ -70,34 +70,6 @@ class ModelConfig:
         return cls(**d)
 
 
-def desk_model_config(phoneme_vocab, phonetic_vocab, codec_vocab, n_codec_layers=8, **kw):
-    return ModelConfig(
-        phoneme_vocab=phoneme_vocab,
-        phonetic_vocab=phonetic_vocab,
-        codec_vocab=codec_vocab,
-        n_codec_layers=n_codec_layers,
-        **kw,
-    )
-
-
-def paper_scale_config(phoneme_vocab, phonetic_vocab, codec_vocab) -> ModelConfig:
-    """The full-size configuration (12 layers / 16 heads / 1024 / 4096).
-
-    Constructible for scale-up runs; the desk tests never train it.
-    """
-    return ModelConfig(
-        n_layers=12,
-        n_heads=16,
-        d_model=1024,
-        d_ff=4096,
-        dropout=0.1,
-        phoneme_vocab=phoneme_vocab,
-        phonetic_vocab=phonetic_vocab,
-        codec_vocab=codec_vocab,
-        max_sequence_len=1024,
-    )
-
-
 class DecoderModel:
     """Config + named parameter set; the forward functions live below."""
 
@@ -136,18 +108,14 @@ class DecoderModel:
     def parameters(self) -> list:
         return list(self.params.values())
 
-    def named_parameters(self) -> dict:
-        return self.params
-
     def parameter_count(self) -> int:
         return sum(p.size for p in self.params.values())
 
-    def save(self, path, meta_path=None) -> None:
+    def save(self, path) -> None:
+        """Write the weights to `path` and the config to its .json sidecar."""
         checkpoint.save_tensors(path, {k: v.data for k, v in self.params.items()})
         meta = {"kind": self.kind, "role": self.role, "config": self.config.to_dict()}
-        if meta_path is None:
-            meta_path = Path(path).with_suffix(".json")
-        Path(meta_path).write_text(json.dumps(meta, indent=2) + "\n")
+        checkpoint.write_atomic(Path(path).with_suffix(".json"), json.dumps(meta, indent=2) + "\n")
 
 
 def _init_params(entries, rng: np.random.Generator) -> dict:
@@ -237,13 +205,11 @@ def build_nar_model(config: ModelConfig, variant: str, seed: int) -> DecoderMode
     return DecoderModel(config, NAR, variant, _init_params(entries, rng))
 
 
-def load_model(path, meta_path=None) -> DecoderModel:
+def load_model(path) -> DecoderModel:
     """Read a model saved by `DecoderModel.save`. The checkpoint must hold
     exactly the tensors, by name and shape, that its config and role imply;
     anything else raises CheckpointError."""
-    if meta_path is None:
-        meta_path = Path(path).with_suffix(".json")
-    meta = json.loads(Path(meta_path).read_text())
+    meta = json.loads(Path(path).with_suffix(".json").read_text())
     config = ModelConfig.from_dict(meta["config"])
     kind, role = (AR if meta["kind"] == AR else NAR), meta["role"]
     entries = _ar_entries(config, role) if kind == AR else _nar_entries(config, role)
@@ -362,6 +328,39 @@ def _check_len(model: DecoderModel, n: int):
         )
 
 
+def _run_batch(model: DecoderModel, pieces, lengths, rows, causal: bool, train: bool, rng,
+               cache=None) -> Tensor:
+    """The tail both batched forwards share.
+
+    `pieces` are the items' input embeddings in order, item b spanning
+    `lengths[b]` rows; position embeddings are added, the items are padded
+    into one (B, T, d) batch and run through the trunk (and into `cache`, if
+    given), and each item's `rows[b]` = (start, count) positions are
+    projected through the head, concatenated in item order.
+    """
+    cfg = model.config
+    if train and cfg.dropout > 0 and rng is None:
+        raise ContractError("training forward needs an rng for dropout")
+    e_pos = nm.embedding(model.params["emb/pos"], np.concatenate([np.arange(n) for n in lengths]))
+    flat = nm.add(nm.concat(pieces), e_pos)
+    embeds, off = [], 0
+    for n in lengths:
+        embeds.append(nm.narrow(flat, 0, off, n))
+        off += n
+    T = max(lengths)
+    x = nm.pad_stack(embeds, T)
+    if train and cfg.dropout > 0:
+        x = nm.dropout(x, cfg.dropout, rng)
+    h = _trunk_forward(model, x, _attention_mask(lengths, T, T, causal), train, rng, cache)
+    if cache is not None:
+        cache.lengths = np.asarray(lengths, dtype=np.int64)
+    flat = nm.reshape(h, (len(lengths) * T, cfg.d_model))
+    indices = np.concatenate(
+        [b * T + start + np.arange(count) for b, (start, count) in enumerate(rows)]
+    )
+    return nm.matmul(nm.gather_rows(flat, indices), model.params["head/w"])
+
+
 # ---------------------------------------------------------------------------
 # AR forward
 # ---------------------------------------------------------------------------
@@ -383,8 +382,6 @@ def ar_batch_logits(model: DecoderModel, items, train: bool = False, rng=None, c
     """
     if model.kind != AR:
         raise ContractError("ar_batch_logits needs an AR model")
-    if train and model.config.dropout > 0 and rng is None:
-        raise ContractError("training forward needs an rng for dropout")
     if cache is not None and (train or cache.lengths.shape != (len(items),) or cache.lengths.any()):
         raise ContractError("a cache is filled by an inference forward, one empty entry per item")
     p = model.params
@@ -402,31 +399,13 @@ def ar_batch_logits(model: DecoderModel, items, train: bool = False, rng=None, c
         flat_targets.append(np.concatenate([target, [model.stop_id]]))
     e_ph = nm.embedding(p["emb/phoneme"], np.concatenate(ph_list))
     e_tok = nm.embedding(p["emb/token"], np.concatenate(tok_list))
-    e_pos = nm.embedding(p["emb/pos"], np.concatenate([np.arange(n) for n in lengths]))
     pieces, ph_off, tok_off = [], 0, 0
     for ph, tok in zip(ph_list, tok_list):
         pieces.append(nm.narrow(e_ph, 0, ph_off, len(ph)))
         pieces.append(nm.narrow(e_tok, 0, tok_off, len(tok)))
         ph_off += len(ph)
         tok_off += len(tok)
-    flat = nm.add(nm.concat(pieces), e_pos)
-    embeds, off = [], 0
-    for n in lengths:
-        embeds.append(nm.narrow(flat, 0, off, n))
-        off += n
-    T = max(lengths)
-    x = nm.pad_stack(embeds, T)
-    if train and model.config.dropout > 0:
-        x = nm.dropout(x, model.config.dropout, rng)
-    mask = _attention_mask(lengths, T, T, causal=True)
-    h = _trunk_forward(model, x, mask, train, rng, cache)
-    if cache is not None:
-        cache.lengths = np.asarray(lengths, dtype=np.int64)
-    flat = nm.reshape(h, (len(items) * T, model.config.d_model))
-    indices = np.concatenate(
-        [b * T + start + np.arange(count) for b, (start, count) in enumerate(rows)]
-    )
-    logits = nm.matmul(nm.gather_rows(flat, indices), model.params["head/w"])
+    logits = _run_batch(model, pieces, lengths, rows, causal=True, train=train, rng=rng, cache=cache)
     return logits, np.concatenate(flat_targets)
 
 
@@ -530,8 +509,6 @@ def nar_batch_logits(model: DecoderModel, items, train: bool = False, rng=None) 
     ids, one embedding op per step."""
     if model.kind != NAR:
         raise ContractError("nar_batch_logits needs a NAR model")
-    if train and model.config.dropout > 0 and rng is None:
-        raise ContractError("training forward needs an rng for dropout")
     cfg = model.config
     p = model.params
     K, L, d = cfg.codec_vocab, cfg.n_codec_layers, cfg.d_model
@@ -559,7 +536,6 @@ def nar_batch_logits(model: DecoderModel, items, train: bool = False, rng=None) 
     ]
     below_flat = np.concatenate(below_ids) if below_ids else np.zeros(0, dtype=np.int64)
     e_below = nm.embedding(p["emb/codec"], below_flat) if below_flat.size else None
-    e_pos = nm.embedding(p["emb/pos"], np.concatenate([np.arange(n) for n in lengths]))
 
     pieces = []
     ph_off = pr_off = tg_off = bl_off = 0
@@ -577,22 +553,7 @@ def nar_batch_logits(model: DecoderModel, items, train: bool = False, rng=None) 
         pr_off += pc.shape[0]
         tg_off += n
         bl_off += ids.size
-    flat = nm.add(nm.concat(pieces), e_pos)
-    embeds, off = [], 0
-    for n in lengths:
-        embeds.append(nm.narrow(flat, 0, off, n))
-        off += n
-    T = max(lengths)
-    x = nm.pad_stack(embeds, T)
-    if train and model.config.dropout > 0:
-        x = nm.dropout(x, model.config.dropout, rng)
-    mask = _attention_mask(lengths, T, T, causal=False)
-    h = _trunk_forward(model, x, mask, train, rng)
-    flat = nm.reshape(h, (len(items) * T, model.config.d_model))
-    indices = np.concatenate(
-        [b * T + start + np.arange(count) for b, (start, count) in enumerate(rows)]
-    )
-    return nm.matmul(nm.gather_rows(flat, indices), model.params["head/w"])
+    return _run_batch(model, pieces, lengths, rows, causal=False, train=train, rng=rng)
 
 
 def nar_forward(model, phonemes, phonetic_upsampled, prompt_codes, target_codes_below, layer_index) -> Tensor:

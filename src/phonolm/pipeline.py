@@ -3,6 +3,11 @@
 baseline (AR over layer-1 codec ids + NAR over the remaining layers), and
 synthesize via acoustic prompting.
 
+`MODES` is the one table of the 2 x 2 trained models: each training mode
+names its system, model kind (AR or NAR), role (AR token stream or NAR
+conditioning variant) and checkpoint file. `train_mode`, the bundle file
+layout and the bundle checks all read it.
+
 Training prompts are a random prefix of the same utterance, cut at a duration
 slot boundary so the 2:3 phonetic/acoustic alignment stays exact: a prefix of
 k slots is 2k phonetic tokens and 3k acoustic frames. The phoneme input
@@ -23,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import checkpoint
 from . import model as md
 from . import numerics as nm
 from . import quantizer as qz
@@ -30,14 +36,30 @@ from . import tokenworld as tw
 from .numerics import AdamState, ContractError, Tape, adam_step, backward, clip_grad_norm, fill_missing_grads
 from .quantizer import Quantizers
 
+KIND_PROPOSED = "proposed"
+KIND_BASELINE = "baseline"
+
 MODE_PROPOSED_AR = "proposed_ar"
 MODE_NAR = "nar"
 MODE_BASELINE_AR = "baseline_ar"
 MODE_BASELINE_NAR = "baseline_nar"
-MODES = (MODE_PROPOSED_AR, MODE_NAR, MODE_BASELINE_AR, MODE_BASELINE_NAR)
 
-KIND_PROPOSED = "proposed"
-KIND_BASELINE = "baseline"
+
+@dataclass(frozen=True)
+class Mode:
+    system: str      # KIND_PROPOSED | KIND_BASELINE
+    kind: str        # md.AR | md.NAR
+    role: str        # AR: token stream; NAR: conditioning variant
+    checkpoint: str  # file name in a bundle directory
+
+
+MODES = {
+    MODE_PROPOSED_AR: Mode(KIND_PROPOSED, md.AR, md.STREAM_PHONETIC, "ar.ckpt"),
+    MODE_NAR: Mode(KIND_PROPOSED, md.NAR, md.VARIANT_PROPOSED, "nar.ckpt"),
+    MODE_BASELINE_AR: Mode(KIND_BASELINE, md.AR, md.STREAM_CODEC, "baseline_ar.ckpt"),
+    MODE_BASELINE_NAR: Mode(KIND_BASELINE, md.NAR, md.VARIANT_BASELINE, "baseline_nar.ckpt"),
+}
+SYSTEMS = tuple(dict.fromkeys(m.system for m in MODES.values()))
 
 PROMPT_FRACTION = (0.2, 0.5)
 
@@ -60,7 +82,6 @@ class TrainingConfig:
     learning_rate: float = 1e-3
     seed: int = 0
     grad_clip: float = 1.0
-    checkpoint_interval: int = 0
     mode: str = ""
 
     def __post_init__(self):
@@ -68,13 +89,12 @@ class TrainingConfig:
             raise ContractError("steps must be positive")
         if self.batch_size < 1:
             raise ContractError("batch_size must be >= 1")
+        # a negative clip norm flips every gradient, and 0 zeroes them
+        if not (self.learning_rate > 0 and self.grad_clip > 0):
+            raise ContractError("learning_rate and grad_clip must be positive")
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainingConfig":
-        return cls(**d)
 
 
 @dataclass
@@ -165,7 +185,7 @@ def nar_training_items(tokenized, idxs, fracs, layers, variant: str) -> tuple:
     return items, np.concatenate(labels)
 
 
-def _run_training(model, step_forward, config: TrainingConfig, snapshot=None) -> list:
+def _run_training(model, step_forward, config: TrainingConfig) -> list:
     """Shared loop: step_forward(step, tape_active_rng) -> scalar loss Tensor."""
     params = model.parameters()
     adam = AdamState(learning_rate=config.learning_rate)
@@ -184,80 +204,43 @@ def _run_training(model, step_forward, config: TrainingConfig, snapshot=None) ->
             raise TrainingError(f"non-finite gradient norm {norm} at step {step}")
         adam_step(params, grads, adam)
         losses.append(value)
-        if snapshot and config.checkpoint_interval > 0 and (step + 1) % config.checkpoint_interval == 0:
-            snapshot(step + 1, model)
     return losses
 
 
-def _train_ar_stream(corpus, quantizers, config, stream, model_config):
-    tokenized = tokenize_utterances(corpus.train, quantizers)
-    if model_config is None:
-        model_config = default_model_config(corpus.world_spec, quantizers)
-    _check_vocab(model_config, quantizers)
-    model = md.build_ar_model(model_config, stream, seed=config.seed)
-    idxs, fracs = batch_schedule(len(tokenized), config)
+def train_mode(mode: str, corpus, quantizers, config, model_config=None) -> tuple:
+    """Train the model of one `MODES` entry from its seeded init on the
+    corpus's train split; returns (model, per-step losses).
 
-    def step_forward(step, drop_rng):
-        items = ar_training_items(tokenized, idxs[step], fracs[step], stream)
-        logits, targets = md.ar_batch_logits(model, items, train=True, rng=drop_rng)
-        return nm.cross_entropy(logits, targets)
-
-    losses = _run_training(model, step_forward, config)
-    return model, losses
-
-
-def _train_nar_variant(corpus, quantizers, config, variant, model_config):
-    tokenized = tokenize_utterances(corpus.train, quantizers)
-    if model_config is None:
-        model_config = default_model_config(corpus.world_spec, quantizers)
-    _check_vocab(model_config, quantizers)
-    model = md.build_nar_model(model_config, variant, seed=config.seed)
-    idxs, fracs = batch_schedule(len(tokenized), config)
-    layers = layer_schedule(config, model.min_layer, model_config.n_codec_layers)
-
-    def step_forward(step, drop_rng):
-        items, labels = nar_training_items(tokenized, idxs[step], fracs[step], layers[step], variant)
-        logits = md.nar_batch_logits(model, items, train=True, rng=drop_rng)
-        return nm.cross_entropy(logits, labels)
-
-    losses = _run_training(model, step_forward, config)
-    return model, losses
-
-
-def train_ar(corpus, quantizers, config, model_config=None):
-    """Phoneme -> phonetic-token AR decoder (stage one of the two-stage system)."""
-    return _train_ar_stream(corpus, quantizers, config, md.STREAM_PHONETIC, model_config)
-
-
-def train_baseline_ar(corpus, quantizers, config, model_config=None):
-    """Phoneme -> layer-1-codec AR decoder (the single-stage baseline's stage one).
-
-    Identical to train_ar except for the target alphabet, which by world
-    construction entangles content, speaker and recording noise.
+    The proposed and baseline AR decoders differ only in the target stream
+    (phonetic tokens, or layer-1 codec ids, which by world construction
+    entangle content, speaker and recording noise). The proposed NAR
+    conditions on phonetic tokens and predicts layers 1..L, the baseline
+    NAR on layer 1 and predicts layers 2..L.
     """
-    return _train_ar_stream(corpus, quantizers, config, md.STREAM_CODEC, model_config)
+    if mode not in MODES:
+        raise ContractError(f"unknown training mode {mode!r}; expected one of {tuple(MODES)}")
+    kind, role = MODES[mode].kind, MODES[mode].role
+    tokenized = tokenize_utterances(corpus.train, quantizers)
+    if model_config is None:
+        model_config = default_model_config(corpus.world_spec, quantizers)
+    _check_vocab(model_config, quantizers)
+    idxs, fracs = batch_schedule(len(tokenized), config)
+    if kind == md.AR:
+        model = md.build_ar_model(model_config, role, seed=config.seed)
 
+        def step_forward(step, drop_rng):
+            items = ar_training_items(tokenized, idxs[step], fracs[step], role)
+            logits, targets = md.ar_batch_logits(model, items, train=True, rng=drop_rng)
+            return nm.cross_entropy(logits, targets)
+    else:
+        model = md.build_nar_model(model_config, role, seed=config.seed)
+        layers = layer_schedule(config, model.min_layer, model_config.n_codec_layers)
 
-def train_nar(corpus, quantizers, config, model_config=None):
-    """Phonetic-token-conditioned NAR codec decoder (layers 1..L)."""
-    return _train_nar_variant(corpus, quantizers, config, md.VARIANT_PROPOSED, model_config)
+        def step_forward(step, drop_rng):
+            items, labels = nar_training_items(tokenized, idxs[step], fracs[step], layers[step], role)
+            return nm.cross_entropy(md.nar_batch_logits(model, items, train=True, rng=drop_rng), labels)
 
-
-def train_baseline_nar(corpus, quantizers, config, model_config=None):
-    """Layer-1-conditioned NAR codec decoder (layers 2..L) for the baseline."""
-    return _train_nar_variant(corpus, quantizers, config, md.VARIANT_BASELINE, model_config)
-
-
-def train_mode(mode: str, corpus, quantizers, config, model_config=None):
-    fns = {
-        MODE_PROPOSED_AR: train_ar,
-        MODE_NAR: train_nar,
-        MODE_BASELINE_AR: train_baseline_ar,
-        MODE_BASELINE_NAR: train_baseline_nar,
-    }
-    if mode not in fns:
-        raise ContractError(f"unknown training mode {mode!r}; expected one of {MODES}")
-    return fns[mode](corpus, quantizers, config, model_config)
+    return model, _run_training(model, step_forward, config)
 
 
 def fit_corpus_quantizers(
@@ -278,7 +261,7 @@ def fit_corpus_quantizers(
 
 
 def default_model_config(world_spec: tw.WorldSpec, quantizers: Quantizers) -> md.ModelConfig:
-    return md.desk_model_config(
+    return md.ModelConfig(
         phoneme_vocab=world_spec.phoneme_vocab_size,
         phonetic_vocab=quantizers.phonetic.k,
         codec_vocab=quantizers.rvq.vocab,
@@ -376,14 +359,11 @@ class SystemBundle:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in (KIND_PROPOSED, KIND_BASELINE):
+        if self.kind not in SYSTEMS:
             raise ContractError(f"unknown bundle kind {self.kind!r}")
-        want_stream = md.STREAM_PHONETIC if self.kind == KIND_PROPOSED else md.STREAM_CODEC
-        want_variant = md.VARIANT_PROPOSED if self.kind == KIND_PROPOSED else md.VARIANT_BASELINE
-        if self.ar.kind != md.AR or self.ar.role != want_stream:
-            raise ContractError(f"{self.kind} bundle needs an AR model over {want_stream} tokens")
-        if self.nar.kind != md.NAR or self.nar.role != want_variant:
-            raise ContractError(f"{self.kind} bundle needs a {want_variant} NAR model")
+        for model, mode in zip((self.ar, self.nar), _system_modes(self.kind)):
+            if (model.kind, model.role) != (mode.kind, mode.role):
+                raise ContractError(f"{self.kind} bundle needs a {mode.kind} model with role {mode.role!r}")
         _check_vocab(self.ar.config, self.quantizers)
         _check_vocab(self.nar.config, self.quantizers)
         if self.world_spec.phoneme_vocab_size != self.ar.config.phoneme_vocab:
@@ -481,16 +461,10 @@ def _predict_codes(bundle: SystemBundle, entries: list) -> list:
     frames = []
     for e in entries:
         gen = np.asarray(e.generated, dtype=np.int64)
-        if bundle.kind == KIND_PROPOSED:
-            cond = qz.upsample_tokens(gen)
-            n = cond.shape[0]
-            codes = np.zeros((n, n_layers), dtype=np.int64)
-        else:
-            cond = None
-            n = gen.shape[0]
-            codes = np.zeros((n, n_layers), dtype=np.int64)
-            if n:
-                codes[:, 0] = gen
+        cond = qz.upsample_tokens(gen) if bundle.kind == KIND_PROPOSED else None
+        codes = np.zeros((len(gen) if cond is None else len(cond), n_layers), dtype=np.int64)
+        if cond is None:
+            codes[:, 0] = gen  # the baseline's AR stream is codec layer 1
         frames.append((cond, codes))
     for j in range(nar.min_layer, n_layers + 1):
         items, live = [], []
@@ -540,55 +514,43 @@ def synthesize_many(bundle: SystemBundle, requests, seeds, chunk_size: int = 8) 
     return out
 
 
-def synthesize(bundle: SystemBundle, request: SynthesisRequest, rng: np.random.Generator) -> SynthesisResult:
-    """Single-request synthesis: AR-sample tokens, upsample, NAR argmax decode."""
-    entry = _prepare_entry(bundle, request, rng)
-    _generate_tokens(bundle.ar, [entry])
-    return _predict_codes(bundle, [entry])[0]
-
-
 # ---------------------------------------------------------------------------
 # bundle persistence (run directory layout)
 # ---------------------------------------------------------------------------
 
-_BUNDLE_FILES = {
-    KIND_PROPOSED: ("ar.ckpt", "nar.ckpt"),
-    KIND_BASELINE: ("baseline_ar.ckpt", "baseline_nar.ckpt"),
-}
+def _system_modes(kind: str) -> tuple:
+    """(AR mode, NAR mode) of a system, in table order."""
+    return tuple(m for m in MODES.values() if m.system == kind)
 
 
 def bundle_file_names(kind: str) -> tuple:
-    return _BUNDLE_FILES[kind]
+    """(AR checkpoint, NAR checkpoint) file names of a system's bundle."""
+    ar, nar = _system_modes(kind)
+    return ar.checkpoint, nar.checkpoint
 
 
 def save_bundle(bundle: SystemBundle, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ar_name, nar_name = _BUNDLE_FILES[bundle.kind]
+    ar_name, nar_name = bundle_file_names(bundle.kind)
     bundle.ar.save(out / ar_name)
     bundle.nar.save(out / nar_name)
     qz.save_quantizers(bundle.quantizers, out / "quantizers.ckpt")
-    meta = {
-        "kind": bundle.kind,
-        "world_spec": bundle.world_spec.to_dict(),
-        "provenance": bundle.provenance,
-    }
-    (out / f"{bundle.kind}_bundle.json").write_text(json.dumps(meta, indent=2) + "\n")
+    write_bundle_meta(out, bundle.kind, bundle.world_spec, bundle.provenance)
 
 
-def available_bundle_kinds(in_dir) -> list:
-    src = Path(in_dir)
-    kinds = []
-    for kind, (ar_name, nar_name) in _BUNDLE_FILES.items():
-        if (src / ar_name).exists() and (src / nar_name).exists() and (src / "quantizers.ckpt").exists():
-            kinds.append(kind)
-    return kinds
+def write_bundle_meta(out: Path, kind: str, world_spec: tw.WorldSpec, provenance: dict) -> None:
+    meta = {"kind": kind, "world_spec": world_spec.to_dict(), "provenance": provenance}
+    checkpoint.write_atomic(out / f"{kind}_bundle.json", json.dumps(meta, indent=2) + "\n")
 
 
 def missing_bundle_files(in_dir, kind: str) -> list:
     src = Path(in_dir)
-    ar_name, nar_name = _BUNDLE_FILES[kind]
-    return [n for n in (ar_name, nar_name, "quantizers.ckpt") if not (src / n).exists()]
+    return [n for n in (*bundle_file_names(kind), "quantizers.ckpt") if not (src / n).exists()]
+
+
+def available_bundle_kinds(in_dir) -> list:
+    return [kind for kind in SYSTEMS if not missing_bundle_files(in_dir, kind)]
 
 
 def load_bundle(in_dir, kind: str) -> SystemBundle:
@@ -596,9 +558,8 @@ def load_bundle(in_dir, kind: str) -> SystemBundle:
     missing = missing_bundle_files(in_dir, kind)
     if missing:
         raise ContractError(f"incomplete {kind} bundle in {src}: missing {missing}")
-    ar_name, nar_name = _BUNDLE_FILES[kind]
-    meta_path = src / f"{kind}_bundle.json"
-    meta = json.loads(meta_path.read_text())
+    ar_name, nar_name = bundle_file_names(kind)
+    meta = json.loads((src / f"{kind}_bundle.json").read_text())
     return SystemBundle(
         world_spec=tw.WorldSpec.from_dict(meta["world_spec"]),
         quantizers=qz.load_quantizers(src / "quantizers.ckpt"),

@@ -285,7 +285,9 @@ def upsample_tokens(seq) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def save_quantizers(q: Quantizers, path, meta_path=None) -> None:
+def save_quantizers(q: Quantizers, path) -> None:
+    """Write the codebooks to `path` and their fit statistics to its .json
+    sidecar."""
     tensors = {"phonetic/centroids": q.phonetic.centroids}
     for j, book in enumerate(q.rvq.layers):
         tensors[f"rvq/layer{j}/centroids"] = book.centroids
@@ -303,25 +305,35 @@ def save_quantizers(q: Quantizers, path, meta_path=None) -> None:
             "layer_distortions": [b.final_distortion for b in q.rvq.layers],
         },
     }
-    if meta_path is None:
-        meta_path = Path(path).with_suffix(".json")
-    Path(meta_path).write_text(json.dumps(meta, indent=2) + "\n")
+    checkpoint.write_atomic(Path(path).with_suffix(".json"), json.dumps(meta, indent=2) + "\n")
 
 
-def load_quantizers(path, meta_path=None) -> Quantizers:
+def load_quantizers(path) -> Quantizers:
+    """Read quantizers written by `save_quantizers`; the .json sidecar, if
+    present, restores the fit statistics. A container that is not a
+    quantizer set raises CheckpointError: one without a phonetic codebook or
+    a first RVQ layer, with tensors of other names, or whose codebooks are
+    not (K, d) matrices with one shape for every RVQ layer."""
     tensors = checkpoint.load_tensors(path)
-    if meta_path is None:
-        meta_path = Path(path).with_suffix(".json")
-    meta = json.loads(Path(meta_path).read_text()) if Path(meta_path).exists() else {}
+    n_layers = 0
+    while f"rvq/layer{n_layers}/centroids" in tensors:
+        n_layers += 1
+    names = ["phonetic/centroids"] + [f"rvq/layer{j}/centroids" for j in range(n_layers)]
+    if n_layers == 0 or set(tensors) != set(names):
+        raise checkpoint.CheckpointError(
+            f"{path}: not a quantizer set: want phonetic/centroids and rvq/layer0..N/centroids, "
+            f"got {sorted(tensors)[:4]}{' ...' if len(tensors) > 4 else ''}"
+        )
+    shapes = [tensors[n].shape for n in names]
+    if any(len(s) != 2 or 0 in s for s in shapes) or len(set(shapes[1:])) != 1:
+        raise checkpoint.CheckpointError(f"{path}: codebook shapes {shapes} are not one (K, d) per RVQ layer")
+    meta_path = Path(path).with_suffix(".json")
+    meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
     phonetic = Codebook(centroids=tensors["phonetic/centroids"])
     if meta:
         phonetic.iterations_run = meta["phonetic"]["iterations_run"]
         phonetic.final_distortion = meta["phonetic"]["final_distortion"]
-    books = []
-    j = 0
-    while f"rvq/layer{j}/centroids" in tensors:
-        books.append(Codebook(centroids=tensors[f"rvq/layer{j}/centroids"]))
-        j += 1
+    books = [Codebook(centroids=tensors[n]) for n in names[1:]]
     rvq = RvqModel(layers=books)
     if meta:
         rvq.residual_energy = meta["rvq"]["residual_energy"]

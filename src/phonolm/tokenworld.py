@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import checkpoint
 from .numerics import ContractError, ShapeError
 
 CLEAN = "clean"
@@ -375,11 +376,10 @@ def _utterance_from_json(d: dict) -> Utterance:
 def save_corpus(corpus: Corpus, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "world.json").write_text(json.dumps(corpus.world_spec.to_dict(), indent=2) + "\n")
+    checkpoint.write_atomic(out / "world.json", json.dumps(corpus.world_spec.to_dict(), indent=2) + "\n")
     for name in SPLITS:
-        with open(out / f"{name}.jsonl", "w") as f:
-            for u in corpus.split(name):
-                f.write(json.dumps(_utterance_to_json(u)) + "\n")
+        lines = ((json.dumps(_utterance_to_json(u)) + "\n").encode("utf-8") for u in corpus.split(name))
+        checkpoint.write_atomic(out / f"{name}.jsonl", lines)
 
 
 def load_corpus(in_dir) -> Corpus:

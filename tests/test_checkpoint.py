@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phonolm.checkpoint import MAGIC, CheckpointError, load_tensors, save_tensors
+from phonolm.checkpoint import MAGIC, CheckpointError, load_tensors, save_tensors, write_atomic
 
 
 def test_round_trip_preserves_values_and_order(tmp_path):
@@ -108,6 +108,19 @@ def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path):
         save_tensors(path, {"w": np.zeros(1000), "bad": ragged})
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ckpt"]
+
+    # a JSON/CSV sidecar whose producer fails after its first chunk
+    sidecar = tmp_path / "c.json"
+    write_atomic(sidecar, '{"steps": 1}\n')
+
+    def chunks():
+        yield b'{"steps": '
+        raise OSError("disk full")
+
+    with pytest.raises(OSError):
+        write_atomic(sidecar, chunks())
+    assert sidecar.read_text() == '{"steps": 1}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ckpt", "c.json"]
 
 
 def test_save_replaces_existing_file(tmp_path):

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from phonolm import checkpoint, cli
+from phonolm import pipeline as pl
 from phonolm.cli import main
 
 
@@ -167,6 +169,78 @@ def test_train_set_override(tmp_path, workspace):
     assert len(lines) == 4
 
 
+def _train_argv(workspace, out):
+    return ["train", "--mode", "proposed_ar", "--corpus", workspace / "world",
+            "--quantizers", workspace / "quant" / "quantizers.ckpt",
+            "--model-config", workspace / "model.json", "--out", out]
+
+
+@pytest.mark.parametrize("case, extra, named", [
+    ("world_key", ["--set", "bogus=1"], "bogus"),
+    ("train_key", ["--set", "bogus=3"], "bogus"),
+    ("train_type", ["--set", "steps=abc"], "TrainingConfig"),
+    ("model_config_key", [], "bogus_width"),
+    ("old_config", [], "checkpoint_interval"),
+    ("learning_rate", ["--set", "learning_rate=0"], "must be positive"),
+    ("grad_clip", ["--set", "grad_clip=-1"], "must be positive"),
+    ("quantizers_is_a_model", [], "not a quantizer set"),
+    ("quantizers_garbage", [], "bad magic"),
+])
+def test_bad_config_values_exit_with_validation_code(tmp_path, workspace, capsys, case, extra, named):
+    argv = _train_argv(workspace, tmp_path / "t") + extra
+    if case == "world_key":
+        argv = ["world", "--out", tmp_path / "w", "--n-train", 4, "--n-test", 2] + extra
+    elif case in ("model_config_key", "old_config"):
+        bad = tmp_path / "bad.json"
+        if case == "old_config":  # a config.json as written before checkpoint_interval was removed
+            bad.write_text(json.dumps({"steps": 3, "checkpoint_interval": 0}))
+            argv += ["--config", bad]
+        else:
+            bad.write_text(json.dumps({"n_layers": 1, "bogus_width": 4}))
+            argv[argv.index("--model-config") + 1] = bad
+    elif case.startswith("quantizers"):
+        bad = workspace / "prop" / "ar.ckpt"
+        if case == "quantizers_garbage":
+            bad = tmp_path / "garbage.ckpt"
+            bad.write_bytes(b"not a checkpoint at all")
+        argv[argv.index("--quantizers") + 1] = bad
+    assert run(*argv) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "t" / "ar.ckpt").exists()
+
+
+def test_file_names_come_from_the_mode_table(workspace):
+    assert cli._MODE_FILES == {name: m.checkpoint for name, m in pl.MODES.items()}
+    assert set(pl.SYSTEMS) == {m.system for m in pl.MODES.values()}
+    for kind in pl.SYSTEMS:
+        assert pl.bundle_file_names(kind) == tuple(m.checkpoint for m in pl.MODES.values() if m.system == kind)
+    for d in ("prop", "base"):
+        kind = next((workspace / d).glob("*_bundle.json")).name.removesuffix("_bundle.json")
+        written = {p.name for p in (workspace / d).glob("*.ckpt")} - {"quantizers.ckpt"}
+        assert written == set(pl.bundle_file_names(kind))
+
+
+def test_every_output_file_is_written_atomically(tmp_path, workspace, monkeypatch):
+    written = set()
+    write_atomic = checkpoint.write_atomic
+
+    def recording(path, data):
+        written.add(Path(path))
+        write_atomic(path, data)
+
+    monkeypatch.setattr(checkpoint, "write_atomic", recording)
+    assert run("world", "--spec", workspace / "world_spec.json", "--out", tmp_path / "w",
+               "--n-train", 8, "--n-test", 4, "--seed", 3) == 0
+    assert run("quantize", "--corpus", tmp_path / "w", "--k-phonetic", 8, "--k-codec", 4,
+               "--layers", 2, "--iters", 1, "--out", tmp_path / "q") == 0
+    assert run(*_train_argv(workspace, tmp_path / "t"), "--set", "steps=1") == 0
+    assert run("eval", "--bundle", workspace / "prop", "--corpus", workspace / "world",
+               "--splits", "clean", "--n-prompts", 1, "--out", tmp_path / "e") == 0
+    outputs = {p for d in ("w", "q", "t", "e") for p in (tmp_path / d).iterdir()}
+    assert len(outputs) == 19  # 5 corpus, 3 quantizer, 8 bundle and 3 report files
+    assert outputs <= written
+
+
 def test_eval_compares_two_systems(tmp_path, workspace):
     out = tmp_path / "report"
     rc = run("eval", "--bundle", workspace / "prop", "--bundle", workspace / "base",
@@ -206,6 +280,27 @@ def test_eval_jobs_matches_serial(tmp_path, workspace):
     a = json.loads((tmp_path / "serial" / "report.json").read_text())
     b = json.loads((tmp_path / "parallel" / "report.json").read_text())
     assert a["aggregate"] == b["aggregate"]
+
+
+def test_eval_reports_crashed_tasks_and_scores_the_rest(tmp_path, workspace, capsys):
+    broken = tmp_path / "broken"
+    shutil.copytree(workspace / "base", broken)
+    ckpt = broken / "baseline_nar.ckpt"
+    ckpt.write_bytes(ckpt.read_bytes()[:100])
+    reports = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        rc = run("eval", "--bundle", workspace / "prop", "--bundle", broken, "--corpus", workspace / "world",
+                 "--splits", "clean,other", "--n-prompts", 2, "--seed", 5, "--jobs", jobs, "--out", out)
+        assert rc == 3
+        err = capsys.readouterr().err
+        crashed = [line for line in err.splitlines() if line.startswith("synthesis crashed for")]
+        assert len(crashed) == 2 and "2 synthesis task(s) crashed" in err
+        for line, split in zip(crashed, ("test_clean", "test_other")):
+            assert f"('{broken}', 'baseline', " in line and f"'{split}'" in line
+        reports.append((out / "report.json").read_bytes())
+        assert json.loads(reports[-1])["systems"] == ["proposed"]
+    assert reports[0] == reports[1]
 
 
 def test_synth_writes_jsonl(tmp_path, workspace):

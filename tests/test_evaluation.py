@@ -83,8 +83,8 @@ def test_per_can_exceed_one():
 @pytest.fixture(scope="module")
 def eval_bundles(tiny_corpus, tiny_quantizers, tiny_model_config):
     cfg = pl.TrainingConfig(steps=40, batch_size=4, learning_rate=1e-3, seed=13)
-    ar, _ = pl.train_ar(tiny_corpus, tiny_quantizers, cfg, tiny_model_config)
-    nar, _ = pl.train_nar(tiny_corpus, tiny_quantizers, cfg, tiny_model_config)
+    ar, _ = pl.train_mode(pl.MODE_PROPOSED_AR, tiny_corpus, tiny_quantizers, cfg, tiny_model_config)
+    nar, _ = pl.train_mode(pl.MODE_NAR, tiny_corpus, tiny_quantizers, cfg, tiny_model_config)
     prop = pl.SystemBundle(
         world_spec=tiny_corpus.world_spec, quantizers=tiny_quantizers,
         ar=ar, nar=nar, kind=pl.KIND_PROPOSED,

@@ -31,15 +31,6 @@ def test_parameter_count_pure_function_of_config():
     assert n1.parameter_count() == n2.parameter_count()
 
 
-def test_paper_scale_config_constructible():
-    cfg = md.paper_scale_config(phoneme_vocab=64, phonetic_vocab=1024, codec_vocab=1024)
-    assert cfg.n_layers == 12 and cfg.n_heads == 16
-    assert cfg.d_model == 1024 and cfg.d_ff == 4096
-    # constructible without training it
-    m = md.build_ar_model(cfg, md.STREAM_PHONETIC, seed=0)
-    assert m.parameter_count() > 10**8 // 2
-
-
 def test_ar_empty_prefix_gives_single_logit_row():
     m = md.build_ar_model(tiny_config(), md.STREAM_PHONETIC, seed=0)
     logits = md.ar_forward(m, [1, 2, 3], [4, 5], [])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from phonolm import checkpoint
 from phonolm import model as md
 from phonolm import numerics as nm
 from phonolm import pipeline as pl
@@ -23,6 +24,14 @@ def test_training_config_validation():
         pl.TrainingConfig(steps=0)
     with pytest.raises(ContractError):
         pl.TrainingConfig(batch_size=0)
+
+
+@pytest.mark.parametrize("bad", [{"learning_rate": 0.0}, {"learning_rate": -1e-3}, {"grad_clip": 0.0},
+                                 {"grad_clip": -1.0}, {"learning_rate": float("nan")}])
+def test_training_config_rejects_non_positive_step_sizes(bad):
+    # grad_clip -1 would flip every gradient and 0 would zero it
+    with pytest.raises(ContractError, match="must be positive"):
+        pl.TrainingConfig(**bad)
 
 
 def test_split_slots_bounds():
@@ -57,36 +66,38 @@ def test_proposed_and_baseline_ar_batches_differ_only_in_target_stream(
 
 
 def test_ar_initial_loss_near_uniform(tiny_corpus, tiny_quantizers, tiny_model_config):
-    model, losses = pl.train_ar(tiny_corpus, tiny_quantizers, quick_config(steps=1), tiny_model_config)
+    model, losses = pl.train_mode(
+        pl.MODE_PROPOSED_AR, tiny_corpus, tiny_quantizers, quick_config(steps=1), tiny_model_config
+    )
     want = math.log(model.output_vocab)
     assert abs(losses[0] - want) / want < 0.10
 
 
 def test_baseline_ar_initial_loss_near_uniform(tiny_corpus, tiny_quantizers, tiny_model_config):
-    model, losses = pl.train_baseline_ar(
-        tiny_corpus, tiny_quantizers, quick_config(steps=1), tiny_model_config
+    model, losses = pl.train_mode(
+        pl.MODE_BASELINE_AR, tiny_corpus, tiny_quantizers, quick_config(steps=1), tiny_model_config
     )
     want = math.log(model.output_vocab)
     assert abs(losses[0] - want) / want < 0.10
 
 
 def test_nar_initial_loss_near_uniform(tiny_corpus, tiny_quantizers, tiny_model_config):
-    model, losses = pl.train_nar(tiny_corpus, tiny_quantizers, quick_config(steps=1), tiny_model_config)
+    model, losses = pl.train_mode(pl.MODE_NAR, tiny_corpus, tiny_quantizers, quick_config(steps=1), tiny_model_config)
     want = math.log(tiny_model_config.codec_vocab)
     assert abs(losses[0] - want) / want < 0.10
 
 
 def test_ar_training_descends_and_stays_finite(tiny_corpus, tiny_quantizers, tiny_model_config):
-    model, losses = pl.train_ar(
-        tiny_corpus, tiny_quantizers, quick_config(steps=60, seed=4), tiny_model_config
+    model, losses = pl.train_mode(
+        pl.MODE_PROPOSED_AR, tiny_corpus, tiny_quantizers, quick_config(steps=60, seed=4), tiny_model_config
     )
     assert all(np.isfinite(l) for l in losses)
     assert np.mean(losses[-10:]) < losses[0]
 
 
 def test_nar_training_descends(tiny_corpus, tiny_quantizers, tiny_model_config):
-    model, losses = pl.train_nar(
-        tiny_corpus, tiny_quantizers, quick_config(steps=60, seed=4), tiny_model_config
+    model, losses = pl.train_mode(
+        pl.MODE_NAR, tiny_corpus, tiny_quantizers, quick_config(steps=60, seed=4), tiny_model_config
     )
     assert all(np.isfinite(l) for l in losses)
     assert np.mean(losses[-10:]) < losses[0]
@@ -99,23 +110,33 @@ def test_baseline_nar_layer_range(tiny_corpus, tiny_quantizers, tiny_model_confi
     layers = pl.layer_schedule(cfg, 2, tiny_model_config.n_codec_layers)
     assert layers.min() >= 2
     assert layers.max() <= tiny_model_config.n_codec_layers
-    model, losses = pl.train_baseline_nar(tiny_corpus, tiny_quantizers, cfg, tiny_model_config)
+    model, losses = pl.train_mode(pl.MODE_BASELINE_NAR, tiny_corpus, tiny_quantizers, cfg, tiny_model_config)
     assert model.min_layer == 2
 
 
 def test_training_determinism(tiny_corpus, tiny_quantizers, tiny_model_config):
     cfg = quick_config(steps=10, seed=21)
-    m1, l1 = pl.train_ar(tiny_corpus, tiny_quantizers, cfg, tiny_model_config)
-    m2, l2 = pl.train_ar(tiny_corpus, tiny_quantizers, cfg, tiny_model_config)
+    m1, l1 = pl.train_mode(pl.MODE_PROPOSED_AR, tiny_corpus, tiny_quantizers, cfg, tiny_model_config)
+    m2, l2 = pl.train_mode(pl.MODE_PROPOSED_AR, tiny_corpus, tiny_quantizers, cfg, tiny_model_config)
     assert l1 == l2
     for a, b in zip(m1.parameters(), m2.parameters()):
         np.testing.assert_array_equal(a.data, b.data)
 
 
+@pytest.mark.parametrize("mode", list(pl.MODES))
+def test_train_mode_builds_the_model_its_table_entry_names(tiny_corpus, tiny_quantizers, tiny_model_config, mode):
+    model, losses = pl.train_mode(mode, tiny_corpus, tiny_quantizers, quick_config(steps=1), tiny_model_config)
+    entry = pl.MODES[mode]
+    assert (model.kind, model.role) == (entry.kind, entry.role)
+    assert len(losses) == 1
+    with pytest.raises(ContractError, match="unknown training mode"):
+        pl.train_mode(mode + "_x", tiny_corpus, tiny_quantizers, quick_config(steps=1), tiny_model_config)
+
+
 def test_vocab_mismatch_rejected(tiny_corpus, tiny_quantizers, tiny_model_config):
     bad = md.ModelConfig(**{**tiny_model_config.to_dict(), "phonetic_vocab": 99})
     with pytest.raises(ContractError):
-        pl.train_ar(tiny_corpus, tiny_quantizers, quick_config(steps=1), bad)
+        pl.train_mode(pl.MODE_PROPOSED_AR, tiny_corpus, tiny_quantizers, quick_config(steps=1), bad)
 
 
 def test_training_stops_at_non_finite_gradient():
@@ -141,10 +162,10 @@ def test_training_stops_at_non_finite_gradient():
 
 def _make_bundles(tiny_corpus, tiny_quantizers, tiny_model_config, steps=30, seed=5):
     cfg = quick_config(steps=steps, seed=seed)
-    ar, _ = pl.train_ar(tiny_corpus, tiny_quantizers, cfg, tiny_model_config)
-    nar, _ = pl.train_nar(tiny_corpus, tiny_quantizers, cfg, tiny_model_config)
-    bar, _ = pl.train_baseline_ar(tiny_corpus, tiny_quantizers, cfg, tiny_model_config)
-    bnar, _ = pl.train_baseline_nar(tiny_corpus, tiny_quantizers, cfg, tiny_model_config)
+    ar, _ = pl.train_mode(pl.MODE_PROPOSED_AR, tiny_corpus, tiny_quantizers, cfg, tiny_model_config)
+    nar, _ = pl.train_mode(pl.MODE_NAR, tiny_corpus, tiny_quantizers, cfg, tiny_model_config)
+    bar, _ = pl.train_mode(pl.MODE_BASELINE_AR, tiny_corpus, tiny_quantizers, cfg, tiny_model_config)
+    bnar, _ = pl.train_mode(pl.MODE_BASELINE_NAR, tiny_corpus, tiny_quantizers, cfg, tiny_model_config)
     prop = pl.SystemBundle(
         world_spec=tiny_corpus.world_spec, quantizers=tiny_quantizers,
         ar=ar, nar=nar, kind=pl.KIND_PROPOSED,
@@ -175,7 +196,7 @@ def test_synthesize_length_law_proposed(tiny_bundles, tiny_corpus):
     utt = tiny_corpus.test_clean[0]
     prompt = tiny_corpus.test_clean[1]
     req = pl.SynthesisRequest(phonemes=utt.phonemes, prompt=prompt)
-    res = pl.synthesize(prop, req, np.random.default_rng(0))
+    res = pl.synthesize_many(prop, [req], [0])[0]
     assert res.codes.shape[0] == -(-3 * res.generated_length // 2)
     assert res.codes.shape[1] == prop.quantizers.rvq.n_layers
     assert res.phonetic_tokens.shape[0] == res.generated_length
@@ -185,7 +206,7 @@ def test_synthesize_baseline_layer1_is_generated_stream(tiny_bundles, tiny_corpu
     _, base = tiny_bundles
     utt = tiny_corpus.test_clean[0]
     req = pl.SynthesisRequest(phonemes=utt.phonemes, prompt=tiny_corpus.test_clean[1])
-    res = pl.synthesize(base, req, np.random.default_rng(1))
+    res = pl.synthesize_many(base, [req], [1])[0]
     assert res.codes.shape[0] == res.generated_length
     assert res.phonetic_tokens is None
 
@@ -195,8 +216,8 @@ def test_synthesize_determinism(tiny_bundles, tiny_corpus):
     req = pl.SynthesisRequest(
         phonemes=tiny_corpus.test_clean[2].phonemes, prompt=tiny_corpus.test_clean[3]
     )
-    a = pl.synthesize(prop, req, np.random.default_rng(42))
-    b = pl.synthesize(prop, req, np.random.default_rng(42))
+    a = pl.synthesize_many(prop, [req], [42])[0]
+    b = pl.synthesize_many(prop, [req], [42])[0]
     np.testing.assert_array_equal(a.codes, b.codes)
     assert a.runaway == b.runaway
 
@@ -229,7 +250,7 @@ def test_synthesize_runaway_definition(tiny_bundles, tiny_corpus):
         max_length_factor=1.1,
         top_k=1,
     )
-    res = pl.synthesize(fresh, req, np.random.default_rng(3))
+    res = pl.synthesize_many(fresh, [req], [3])[0]
     if res.runaway:
         assert res.generated_length >= 1
     else:
@@ -254,8 +275,8 @@ def test_bundle_save_load_round_trip(tiny_bundles, tiny_corpus, tmp_path):
     req = pl.SynthesisRequest(
         phonemes=tiny_corpus.test_clean[0].phonemes, prompt=tiny_corpus.test_clean[1]
     )
-    a = pl.synthesize(prop, req, np.random.default_rng(7))
-    b = pl.synthesize(loaded, req, np.random.default_rng(7))
+    a = pl.synthesize_many(prop, [req], [7])[0]
+    b = pl.synthesize_many(loaded, [req], [7])[0]
     np.testing.assert_array_equal(a.codes, b.codes)
 
 
@@ -264,6 +285,29 @@ def test_incomplete_bundle_reports_missing(tmp_path):
     assert "ar.ckpt" in missing and "quantizers.ckpt" in missing
     with pytest.raises(ContractError):
         pl.load_bundle(tmp_path, pl.KIND_PROPOSED)
+
+
+@pytest.mark.parametrize("case", ["model", "no_phonetic", "no_rvq", "extra", "unequal_dims", "not_a_matrix"])
+def test_load_quantizers_rejects_containers_that_are_not_a_quantizer_set(tmp_path, tiny_quantizers, case):
+    qz.save_quantizers(tiny_quantizers, tmp_path / "q.ckpt")
+    good = checkpoint.load_tensors(tmp_path / "q.ckpt")
+    phonetic, rvq1 = good["phonetic/centroids"], good["rvq/layer1/centroids"]
+    bad = {
+        "no_phonetic": {k: v for k, v in good.items() if k != "phonetic/centroids"},
+        "no_rvq": {"phonetic/centroids": phonetic},
+        "extra": {**good, "rvq/layer9/centroids": rvq1},
+        "unequal_dims": {**good, "rvq/layer1/centroids": rvq1[:, :-1]},
+        "not_a_matrix": {**good, "phonetic/centroids": phonetic.reshape(-1)},
+    }
+    if case == "model":
+        cfg = md.ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=8)
+        md.build_ar_model(cfg, md.STREAM_PHONETIC, seed=0).save(tmp_path / "bad.ckpt")
+    else:
+        checkpoint.save_tensors(tmp_path / "bad.ckpt", bad[case])
+    with pytest.raises(checkpoint.CheckpointError):
+        qz.load_quantizers(tmp_path / "bad.ckpt")
+    loaded = qz.load_quantizers(tmp_path / "q.ckpt")
+    assert (loaded.phonetic.k, loaded.rvq.n_layers) == (tiny_quantizers.phonetic.k, tiny_quantizers.rvq.n_layers)
 
 
 def test_overfit_single_utterance_smoke(tiny_world_spec):
@@ -279,7 +323,7 @@ def test_overfit_single_utterance_smoke(tiny_world_spec):
         phoneme_vocab=spec.phoneme_vocab_size, phonetic_vocab=8, codec_vocab=4,
         n_codec_layers=3, max_sequence_len=128,
     )
-    model, losses = pl.train_ar(corpus, quant, cfg, mc)
+    model, losses = pl.train_mode(pl.MODE_PROPOSED_AR, corpus, quant, cfg, mc)
     tokenized = pl.tokenize_utterances(corpus.train, quant)
     acc = pl.ar_teacher_forced_accuracy(model, tokenized)
     assert acc > 0.95
