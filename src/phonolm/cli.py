@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -180,8 +181,6 @@ def cmd_world(args) -> int:
 def cmd_quantize(args) -> int:
     seed = _resolve_seed(args.seed)
     corpus_dir = Path(args.corpus)
-    if not (corpus_dir / "world.json").exists():
-        raise ValidationError(f"no corpus at {corpus_dir}")
     corpus = tw.load_corpus(corpus_dir)
     n_phonetic = sum(u.phonetic_frames.shape[0] for u in corpus.train)
     n_acoustic = sum(u.acoustic_frames.shape[0] for u in corpus.train)
@@ -230,8 +229,6 @@ def cmd_train(args) -> int:
     quant_path = Path(args.quantizers)
     if not quant_path.exists():
         raise ValidationError(f"missing quantizers checkpoint: {quant_path}")
-    if not (corpus_dir / "world.json").exists():
-        raise ValidationError(f"no corpus at {corpus_dir}")
     overrides = _parse_overrides(args.set)
     cfg_dict = _load_json_config(args.config, overrides)
     cfg_dict.setdefault("seed", _resolve_seed(args.seed))
@@ -284,25 +281,30 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _eval_task(task) -> tuple:
-    """Worker for --jobs: loads everything from paths so tasks are independent."""
-    bundle_dir, kind, corpus_dir, split, n_prompts, seed = task
-    corpus = tw.load_corpus(corpus_dir)
+def _eval_task(corpus, splits, n_prompts, bundle_dir, kind, seed) -> ev.EvalReport:
+    """Score one (bundle dir, kind, seed) on every split in `splits`.
+
+    Loads the bundle once; the corpus is the one `cmd_eval` loaded, handed
+    over in-process at --jobs 1 and pickled with the task at --jobs > 1.
+    """
     bundle = pl.load_bundle(bundle_dir, kind)
-    metrics = ev.evaluate_system(bundle, corpus, split, n_prompts, seed)
-    return (bundle_dir, kind, split, seed), metrics
+    report = ev.EvalReport(system=kind, seed=seed)
+    for split in splits:
+        report.splits[split] = ev.evaluate_system(bundle, corpus, split, n_prompts, seed)
+    return report
 
 
 def cmd_eval(args) -> int:
     corpus_dir = Path(args.corpus)
-    if not (corpus_dir / "world.json").exists():
-        raise ValidationError(f"no corpus at {corpus_dir}")
     splits = []
     for flag in args.splits.split(","):
         flag = flag.strip()
         if flag not in _SPLIT_FLAGS:
             raise ValidationError(f"unknown split {flag!r}; expected clean,other")
         splits.append(_SPLIT_FLAGS[flag])
+    for flag in ("n_prompts", "seeds", "jobs"):
+        if getattr(args, flag) < 1:
+            raise ValidationError(f"--{flag.replace('_', '-')} must be >= 1")
     base_seed = _resolve_seed(args.seed)
 
     systems = []  # (bundle_dir, kind)
@@ -313,46 +315,24 @@ def cmd_eval(args) -> int:
             raise ValidationError(f"no complete bundle in {bundle_dir}; missing {missing}")
         systems.extend((bundle_dir, k) for k in kinds)
 
-    tasks = [
-        (bundle_dir, kind, str(corpus_dir), split, args.n_prompts, base_seed + rep)
-        for bundle_dir, kind in systems
-        for rep in range(args.seeds)
-        for split in splits
-    ]
+    corpus = tw.load_corpus(corpus_dir)
     out = _prepare_out(args.out, args.force)
-    results = {}
-    crashed = []
+    run_task = functools.partial(_eval_task, corpus, splits, args.n_prompts)
+    tasks = [(bundle_dir, kind, base_seed + rep) for bundle_dir, kind in systems for rep in range(args.seeds)]
+    reports, crashed = [], []
     with contextlib.ExitStack() as stack:
         # --jobs 1 runs the tasks in this process, where the benchmark captures their results
         pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs)) if args.jobs > 1 else None
-        for task, future in [(t, pool.submit(_eval_task, t) if pool else None) for t in tasks]:
+        for task, future in [(t, pool.submit(run_task, *t) if pool else None) for t in tasks]:
             try:
-                key, metrics = future.result() if future else _eval_task(task)
-                results[key] = metrics
-            except tw.CorpusError:
-                raise
+                reports.append(future.result() if future else run_task(*task))
             except Exception as exc:  # noqa: BLE001 - report and flag via exit code
-                crashed.append((task, repr(exc)))
+                crashed.append(task)
                 print(f"synthesis crashed for {task}: {exc}", file=sys.stderr)
 
-    # fold per-(bundle, rep) reports into per-kind aggregates
     by_kind = {}
-    reports = []
-    for bundle_dir, kind in systems:
-        for rep in range(args.seeds):
-            seed = base_seed + rep
-            report = ev.EvalReport(system=kind, seed=seed)
-            complete = True
-            for split in splits:
-                key = (bundle_dir, kind, split, seed)
-                if key not in results:
-                    complete = False
-                    break
-                report.splits[split] = results[key]
-            if complete:
-                reports.append(report)
-                by_kind.setdefault(kind, []).append(report)
-
+    for report in reports:
+        by_kind.setdefault(report.system, []).append(report)
     aggregates = [ev.aggregate_seed_reports(reps) for kind, reps in sorted(by_kind.items())]
     if len(aggregates) >= 2:
         comparison = ev.compare_systems(aggregates)

@@ -137,6 +137,15 @@ def _aggregate(evals: list, skipped: int) -> SplitMetrics:
     )
 
 
+def _score(target, codes, runaway: bool, quantizers, spec) -> UtteranceEval:
+    """Decode `codes` through the RVQ and score the frames against `target`:
+    oracle transcript against its phonemes, oracle speaker against its speaker."""
+    frames = qz.rvq_decode(codes, quantizers.rvq)
+    breakdown = levenshtein(target.phonemes, tw.oracle_transcribe(frames, spec))
+    speaker_ok = frames.shape[0] > 0 and tw.oracle_speaker(frames, spec) == target.speaker_id
+    return UtteranceEval(per=breakdown.rate, breakdown=breakdown, speaker_ok=bool(speaker_ok), runaway=runaway)
+
+
 def _pick_eval_utterances(utts, n_prompts, rng):
     """Deterministic subset with a same-speaker prompt partner per utterance.
 
@@ -172,10 +181,9 @@ def evaluate_system(
         raise ContractError(f"evaluation split must be a test split, got {split!r}")
     utts = corpus.split(split)
     train_speakers = corpus.train_speakers
-    spec = bundle.world_spec
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _PROMPT_STREAM])))
     pairs, skipped = _pick_eval_utterances(utts, n_prompts, rng)
-    requests, sampler_seeds, refs = [], [], []
+    requests, sampler_seeds = [], []
     seed_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _SAMPLER_STREAM])))
     for target_i, prompt_i in pairs:
         target, prompt = utts[target_i], utts[prompt_i]
@@ -183,22 +191,11 @@ def evaluate_system(
             raise ContractError("zero-shot protocol violation: prompt speaker seen in training")
         requests.append(pl.SynthesisRequest(phonemes=target.phonemes, prompt=prompt))
         sampler_seeds.append(int(seed_rng.integers(0, 2**63 - 1)))
-        refs.append(target)
     results = pl.synthesize_many(bundle, requests, sampler_seeds)
-    evals = []
-    for target, res in zip(refs, results):
-        frames = qz.rvq_decode(res.codes, bundle.quantizers.rvq)
-        hyp = tw.oracle_transcribe(frames, spec)
-        breakdown = levenshtein(target.phonemes, hyp)
-        speaker_ok = False
-        if frames.shape[0] > 0:
-            speaker_ok = tw.oracle_speaker(frames, spec) == target.speaker_id
-        evals.append(
-            UtteranceEval(
-                per=breakdown.rate, breakdown=breakdown,
-                speaker_ok=bool(speaker_ok), runaway=res.runaway,
-            )
-        )
+    evals = [
+        _score(utts[i], res.codes, res.runaway, bundle.quantizers, bundle.world_spec)
+        for (i, _), res in zip(pairs, results)
+    ]
     return _aggregate(evals, skipped)
 
 
@@ -208,36 +205,16 @@ def evaluate_passthrough(corpus: tw.Corpus, quantizers, split: str, n_prompts: i
     utts = corpus.split(split)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _PROMPT_STREAM])))
     pairs, skipped = _pick_eval_utterances(utts, n_prompts, rng)
-    spec = corpus.world_spec
-    evals = []
-    for target_i, _ in pairs:
-        target = utts[target_i]
-        frames = qz.rvq_decode(qz.rvq_encode(target.acoustic_frames, quantizers.rvq), quantizers.rvq)
-        breakdown = levenshtein(target.phonemes, tw.oracle_transcribe(frames, spec))
-        evals.append(
-            UtteranceEval(
-                per=breakdown.rate,
-                breakdown=breakdown,
-                speaker_ok=tw.oracle_speaker(frames, spec) == target.speaker_id,
-                runaway=False,
-            )
-        )
+    evals = [
+        _score(utts[i], qz.rvq_encode(utts[i].acoustic_frames, quantizers.rvq), False, quantizers, corpus.world_spec)
+        for i, _ in pairs
+    ]
     return _aggregate(evals, skipped)
 
 
 # ---------------------------------------------------------------------------
 # seed aggregation and comparison tables
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class AggregateMetrics:
-    mean: dict
-    std: dict
-    n_seeds: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def aggregate_seed_reports(reports: list) -> dict:
@@ -256,7 +233,7 @@ def aggregate_seed_reports(reports: list) -> dict:
             vals = np.array([getattr(r.splits[split], metric) for r in reports])
             mean[metric] = float(vals.mean())
             std[metric] = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
-        out["splits"][split] = AggregateMetrics(mean=mean, std=std, n_seeds=len(reports)).to_dict()
+        out["splits"][split] = {"mean": mean, "std": std, "n_seeds": len(reports)}
     return out
 
 

@@ -409,13 +409,6 @@ def ar_batch_logits(model: DecoderModel, items, train: bool = False, rng=None, c
     return logits, np.concatenate(flat_targets)
 
 
-def ar_forward(model: DecoderModel, phonemes, prompt_tokens, target_prefix) -> Tensor:
-    """Single-sequence AR logits: one row per target position, starting with
-    the row that predicts the first target token. Inference mode (no dropout)."""
-    logits, _ = ar_batch_logits(model, [(phonemes, prompt_tokens, target_prefix)])
-    return logits
-
-
 def ar_prefill(model: DecoderModel, items, capacity: int) -> tuple:
     """Start incremental decoding of (phonemes, prompt_ids) items.
 
@@ -554,10 +547,3 @@ def nar_batch_logits(model: DecoderModel, items, train: bool = False, rng=None) 
         tg_off += n
         bl_off += ids.size
     return _run_batch(model, pieces, lengths, rows, causal=False, train=train, rng=rng)
-
-
-def nar_forward(model, phonemes, phonetic_upsampled, prompt_codes, target_codes_below, layer_index) -> Tensor:
-    """Single-sequence NAR logits, one row per target frame. Inference mode."""
-    return nar_batch_logits(
-        model, [(phonemes, phonetic_upsampled, prompt_codes, target_codes_below, layer_index)]
-    )

@@ -85,10 +85,11 @@ class TrainingConfig:
     mode: str = ""
 
     def __post_init__(self):
-        if self.steps <= 0:
-            raise ContractError("steps must be positive")
-        if self.batch_size < 1:
-            raise ContractError("batch_size must be >= 1")
+        for key in ("steps", "batch_size"):
+            value = getattr(self, key)
+            # a float or bool count would pass the range check and fail only once training starts
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ContractError(f"TrainingConfig.{key} must be a positive int, got {value!r}")
         # a negative clip norm flips every gradient, and 0 zeroes them
         if not (self.learning_rate > 0 and self.grad_clip > 0):
             raise ContractError("learning_rate and grad_clip must be positive")

@@ -228,22 +228,6 @@ def sample_utterance(
     )
 
 
-def utterance_prefix(utt: Utterance, n_phonemes: int, spec: WorldSpec) -> Utterance:
-    """The sub-utterance covering the first `n_phonemes` phonemes."""
-    if not 0 < n_phonemes < len(utt.phonemes):
-        raise ContractError("prefix must keep a nonempty head and tail")
-    cut = int(np.searchsorted(utt.alignment, n_phonemes))
-    slots = cut // spec.phonetic_rate_per_slot
-    return Utterance(
-        phonemes=utt.phonemes[:n_phonemes],
-        phonetic_frames=utt.phonetic_frames[:cut].copy(),
-        acoustic_frames=utt.acoustic_frames[: slots * spec.acoustic_rate_per_slot].copy(),
-        speaker_id=utt.speaker_id,
-        condition=utt.condition,
-        alignment=utt.alignment[:cut].copy(),
-    )
-
-
 def held_out_speakers(spec: WorldSpec) -> list:
     """Last ceil(S/4) speaker ids, reserved for the test splits."""
     n_test = -(-spec.num_speakers // 4)

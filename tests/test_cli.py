@@ -8,6 +8,7 @@ import pytest
 
 from phonolm import checkpoint, cli
 from phonolm import pipeline as pl
+from phonolm import tokenworld as tw
 from phonolm.cli import main
 
 
@@ -116,6 +117,20 @@ def test_malformed_corpus_exits_with_validation_code(tmp_path, workspace):
                "--n-prompts", 2, "--out", tmp_path / "e") == 2
 
 
+def test_missing_corpus_exits_with_validation_code_naming_world_json(tmp_path, workspace, capsys):
+    nowhere = tmp_path / "no_corpus"
+    argvs = {
+        "q": ["quantize", "--corpus", nowhere],
+        "t": ["train", "--mode", "proposed_ar", "--corpus", nowhere,
+              "--quantizers", workspace / "quant" / "quantizers.ckpt"],
+        "e": ["eval", "--bundle", workspace / "prop", "--corpus", nowhere],
+    }
+    for out, argv in argvs.items():
+        assert run(*argv, "--out", tmp_path / out) == 2
+        assert "world.json" in capsys.readouterr().err
+        assert not (tmp_path / out).exists()
+
+
 def test_quantize_rejects_k_above_frames(tmp_path, workspace):
     assert run("quantize", "--corpus", workspace / "world", "--k-phonetic", 10**6,
                "--out", tmp_path / "q") == 2
@@ -185,6 +200,9 @@ def _train_argv(workspace, out):
     ("grad_clip", ["--set", "grad_clip=-1"], "must be positive"),
     ("quantizers_is_a_model", [], "not a quantizer set"),
     ("quantizers_garbage", [], "bad magic"),
+    ("steps_float", ["--set", "steps=1.5"], "steps"),
+    ("batch_size_float", ["--set", "batch_size=2.5"], "batch_size"),
+    ("steps_bool", ["--set", "steps=true"], "steps"),
 ])
 def test_bad_config_values_exit_with_validation_code(tmp_path, workspace, capsys, case, extra, named):
     argv = _train_argv(workspace, tmp_path / "t") + extra
@@ -263,6 +281,44 @@ def test_eval_single_split_flag(tmp_path, workspace):
     assert list(report["aggregate"]["splits"]) == ["test_other"]
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--n-prompts", 0), ("--n-prompts", -1), ("--seeds", 0), ("--seeds", -2), ("--jobs", 0),
+])
+def test_eval_rejects_counts_below_one(tmp_path, workspace, capsys, flag, value):
+    out = tmp_path / "r"
+    rc = run("eval", "--bundle", workspace / "prop", "--corpus", workspace / "world",
+             "--splits", "clean", flag, value, "--out", out)
+    assert rc == 2
+    assert f"{flag} must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_loads_corpus_once_and_each_bundle_once_per_seed(tmp_path, workspace, monkeypatch):
+    corpus_loads, bundle_loads = [], []
+    load_corpus, load_bundle = tw.load_corpus, pl.load_bundle
+
+    def counting_corpus(path):
+        corpus_loads.append(Path(path))
+        return load_corpus(path)
+
+    def counting_bundle(bundle_dir, kind):
+        bundle_loads.append((Path(bundle_dir), kind))
+        return load_bundle(bundle_dir, kind)
+
+    monkeypatch.setattr(tw, "load_corpus", counting_corpus)
+    monkeypatch.setattr(pl, "load_bundle", counting_bundle)
+    rc = run("eval", "--bundle", workspace / "prop", "--bundle", workspace / "base",
+             "--corpus", workspace / "world", "--splits", "clean,other", "--n-prompts", 2,
+             "--seeds", 2, "--seed", 3, "--jobs", 1, "--out", tmp_path / "r")
+    assert rc == 0
+    assert corpus_loads == [workspace / "world"]
+    assert bundle_loads == [(workspace / "prop", "proposed")] * 2 + [(workspace / "base", "baseline")] * 2
+    report = json.loads((tmp_path / "r" / "report.json").read_text())
+    assert [(r["system"], r["seed"]) for r in report["per_seed"]] == [
+        ("proposed", 3), ("proposed", 4), ("baseline", 3), ("baseline", 4)]
+    assert all(list(r["splits"]) == ["test_clean", "test_other"] for r in report["per_seed"])
+
+
 def test_eval_incomplete_bundle_lists_missing(tmp_path, workspace, capsys):
     empty = tmp_path / "empty_bundle"
     empty.mkdir()
@@ -295,9 +351,8 @@ def test_eval_reports_crashed_tasks_and_scores_the_rest(tmp_path, workspace, cap
         assert rc == 3
         err = capsys.readouterr().err
         crashed = [line for line in err.splitlines() if line.startswith("synthesis crashed for")]
-        assert len(crashed) == 2 and "2 synthesis task(s) crashed" in err
-        for line, split in zip(crashed, ("test_clean", "test_other")):
-            assert f"('{broken}', 'baseline', " in line and f"'{split}'" in line
+        assert len(crashed) == 1 and "1 synthesis task(s) crashed" in err
+        assert f"('{broken}', 'baseline', 5)" in crashed[0]
         reports.append((out / "report.json").read_bytes())
         assert json.loads(reports[-1])["systems"] == ["proposed"]
     assert reports[0] == reports[1]

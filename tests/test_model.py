@@ -33,30 +33,30 @@ def test_parameter_count_pure_function_of_config():
 
 def test_ar_empty_prefix_gives_single_logit_row():
     m = md.build_ar_model(tiny_config(), md.STREAM_PHONETIC, seed=0)
-    logits = md.ar_forward(m, [1, 2, 3], [4, 5], [])
+    logits = md.ar_batch_logits(m, [([1, 2, 3], [4, 5], [])])[0]
     assert logits.shape == (1, m.output_vocab)
 
 
 def test_ar_logit_rows_cover_targets_plus_stop():
     m = md.build_ar_model(tiny_config(), md.STREAM_PHONETIC, seed=0)
-    logits = md.ar_forward(m, [1, 2], [4], [7, 8, 9])
+    logits = md.ar_batch_logits(m, [([1, 2], [4], [7, 8, 9])])[0]
     assert logits.shape == (4, m.output_vocab)
 
 
 def test_ar_position_embeddings_active():
     m = md.build_ar_model(tiny_config(), md.STREAM_PHONETIC, seed=0)
-    a = md.ar_forward(m, [1, 2], [3], [5, 6]).data
-    b = md.ar_forward(m, [1, 2], [3], [6, 5]).data
+    a = md.ar_batch_logits(m, [([1, 2], [3], [5, 6])])[0].data
+    b = md.ar_batch_logits(m, [([1, 2], [3], [6, 5])])[0].data
     assert np.abs(a - b).max() > 1e-8
 
 
 def test_ar_causality_exact():
     m = md.build_ar_model(tiny_config(), md.STREAM_PHONETIC, seed=3)
-    base = md.ar_forward(m, [1, 2, 3], [4, 5], [6, 7, 8, 9]).data
+    base = md.ar_batch_logits(m, [([1, 2, 3], [4, 5], [6, 7, 8, 9])])[0].data
     for t in range(4):
         prefix = [6, 7, 8, 9]
         prefix[t] = (prefix[t] + 1) % 12
-        pert = md.ar_forward(m, [1, 2, 3], [4, 5], prefix).data
+        pert = md.ar_batch_logits(m, [([1, 2, 3], [4, 5], prefix)])[0].data
         # rows <= t predict tokens at positions <= t: unchanged bit-for-bit
         np.testing.assert_array_equal(base[: t + 1], pert[: t + 1])
         assert np.abs(base[t + 1 :] - pert[t + 1 :]).max() > 0
@@ -77,7 +77,7 @@ def test_ar_batched_matches_single():
     np.testing.assert_array_equal(batched.data, again.data)
     offset = 0
     for ph, pr, tg in items:
-        single = md.ar_forward(m, ph, pr, tg)
+        single = md.ar_batch_logits(m, [(ph, pr, tg)])[0]
         rows = len(tg) + 1
         np.testing.assert_allclose(
             batched.data[offset : offset + rows], single.data, rtol=1e-12, atol=1e-14
@@ -91,7 +91,7 @@ def test_ar_batched_matches_single():
 def test_ar_sequence_length_guard():
     m = md.build_ar_model(tiny_config(max_sequence_len=8), md.STREAM_PHONETIC, seed=0)
     with pytest.raises(md.SequenceLengthError):
-        md.ar_forward(m, [1, 2, 3, 4], [5, 6], [7, 8, 9])
+        md.ar_batch_logits(m, [([1, 2, 3, 4], [5, 6], [7, 8, 9])])[0]
 
 
 def test_ar_loss_consistency_and_perplexity():
@@ -111,8 +111,8 @@ def test_nar_layer1_takes_no_below_codes():
     cfg = tiny_config()
     m = md.build_nar_model(cfg, md.VARIANT_PROPOSED, seed=0)
     prompt = np.zeros((3, 4), dtype=np.int64)
-    logits = md.nar_forward(m, [1, 2], np.array([3, 4, 5]), prompt,
-                            np.zeros((3, 0), dtype=np.int64), 1)
+    logits = md.nar_batch_logits(m, [([1, 2], np.array([3, 4, 5]), prompt,
+                                      np.zeros((3, 0), dtype=np.int64), 1)])
     assert logits.shape == (3, cfg.codec_vocab)
 
 
@@ -120,7 +120,7 @@ def test_nar_frame_count_mismatch_rejected():
     m = md.build_nar_model(tiny_config(), md.VARIANT_PROPOSED, seed=0)
     prompt = np.zeros((2, 4), dtype=np.int64)
     with pytest.raises(ContractError):
-        md.nar_forward(m, [1], np.array([3, 4]), prompt, np.zeros((3, 0), dtype=np.int64), 1)
+        md.nar_batch_logits(m, [([1], np.array([3, 4]), prompt, np.zeros((3, 0), dtype=np.int64), 1)])
 
 
 def test_nar_layer_index_range():
@@ -128,20 +128,20 @@ def test_nar_layer_index_range():
     prompt = np.zeros((2, 4), dtype=np.int64)
     below = np.zeros((2, 4), dtype=np.int64)
     with pytest.raises(ContractError):
-        md.nar_forward(m, [1], np.array([3, 4]), prompt, below, 5)
+        md.nar_batch_logits(m, [([1], np.array([3, 4]), prompt, below, 5)])
     with pytest.raises(ContractError):
-        md.nar_forward(m, [1], np.array([3, 4]), prompt, np.zeros((2, 0), dtype=np.int64), 0)
+        md.nar_batch_logits(m, [([1], np.array([3, 4]), prompt, np.zeros((2, 0), dtype=np.int64), 0)])
 
 
 def test_nar_baseline_variant_predicts_layers_2_up():
     m = md.build_nar_model(tiny_config(), md.VARIANT_BASELINE, seed=0)
     prompt = np.zeros((2, 4), dtype=np.int64)
     with pytest.raises(ContractError):
-        md.nar_forward(m, [1], None, prompt, np.zeros((2, 0), dtype=np.int64), 1)
-    logits = md.nar_forward(m, [1], None, prompt, np.zeros((2, 1), dtype=np.int64), 2)
+        md.nar_batch_logits(m, [([1], None, prompt, np.zeros((2, 0), dtype=np.int64), 1)])
+    logits = md.nar_batch_logits(m, [([1], None, prompt, np.zeros((2, 1), dtype=np.int64), 2)])
     assert logits.shape == (2, 6)
     with pytest.raises(ContractError):  # baseline takes no phonetic conditioning
-        md.nar_forward(m, [1], np.array([1, 2]), prompt, np.zeros((2, 1), dtype=np.int64), 2)
+        md.nar_batch_logits(m, [([1], np.array([1, 2]), prompt, np.zeros((2, 1), dtype=np.int64), 2)])
 
 
 def test_nar_attention_is_noncausal():
@@ -149,10 +149,10 @@ def test_nar_attention_is_noncausal():
     prompt = np.ones((2, 4), dtype=np.int64)
     cond = np.array([1, 2, 3, 4])
     below = np.zeros((4, 1), dtype=np.int64)
-    base = md.nar_forward(m, [1, 2], cond, prompt, below, 2).data
+    base = md.nar_batch_logits(m, [([1, 2], cond, prompt, below, 2)]).data
     pert_below = below.copy()
     pert_below[1, 0] = 3  # perturb frame t+1
-    pert = md.nar_forward(m, [1, 2], cond, prompt, pert_below, 2).data
+    pert = md.nar_batch_logits(m, [([1, 2], cond, prompt, pert_below, 2)]).data
     assert np.abs(pert[0] - base[0]).max() > 0  # frame t sees the future
 
 
@@ -171,7 +171,7 @@ def test_nar_batched_matches_single():
     batched = md.nar_batch_logits(m, items)
     offset = 0
     for ph, cond, prompt, below, j in items:
-        single = md.nar_forward(m, ph, cond, prompt, below, j)
+        single = md.nar_batch_logits(m, [(ph, cond, prompt, below, j)])
         n = below.shape[0]
         np.testing.assert_allclose(
             batched.data[offset : offset + n], single.data, rtol=1e-12, atol=1e-14
@@ -186,8 +186,8 @@ def test_checkpoint_round_trip_bit_identical_logits(tmp_path):
     m.save(path)
     loaded = md.load_model(path)
     assert loaded.kind == md.AR and loaded.role == md.STREAM_PHONETIC
-    a = md.ar_forward(m, [1, 2, 3], [4], [5, 6]).data
-    b = md.ar_forward(loaded, [1, 2, 3], [4], [5, 6]).data
+    a = md.ar_batch_logits(m, [([1, 2, 3], [4], [5, 6])])[0].data
+    b = md.ar_batch_logits(loaded, [([1, 2, 3], [4], [5, 6])])[0].data
     np.testing.assert_array_equal(a, b)
 
     n = md.build_nar_model(cfg, md.VARIANT_BASELINE, seed=9)
@@ -195,8 +195,8 @@ def test_checkpoint_round_trip_bit_identical_logits(tmp_path):
     n.save(npath)
     nl = md.load_model(npath)
     prompt = np.ones((2, 4), dtype=np.int64)
-    x = md.nar_forward(n, [1], None, prompt, np.zeros((2, 1), dtype=np.int64), 2).data
-    y = md.nar_forward(nl, [1], None, prompt, np.zeros((2, 1), dtype=np.int64), 2).data
+    x = md.nar_batch_logits(n, [([1], None, prompt, np.zeros((2, 1), dtype=np.int64), 2)]).data
+    y = md.nar_batch_logits(nl, [([1], None, prompt, np.zeros((2, 1), dtype=np.int64), 2)]).data
     np.testing.assert_array_equal(x, y)
 
 

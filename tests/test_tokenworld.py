@@ -261,13 +261,3 @@ def test_load_corpus_rejects_malformed_files(tmp_path, corrupt):
     with pytest.raises(tw.CorpusError):
         tw.load_corpus(root)
 
-
-def test_utterance_prefix_alignment():
-    spec = tw.WorldSpec(seed=12)
-    utt = tw.sample_utterance(spec, 1, tw.CLEAN, np.random.default_rng(12),
-                              phonemes=[4, 9, 2, 30, 7])
-    pre = tw.utterance_prefix(utt, 2, spec)
-    assert pre.phonemes == [4, 9]
-    assert 2 * pre.acoustic_frames.shape[0] == 3 * pre.phonetic_frames.shape[0]
-    np.testing.assert_array_equal(pre.phonetic_frames, utt.phonetic_frames[: len(pre.alignment)])
-    assert pre.alignment.max() == 1
