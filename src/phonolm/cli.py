@@ -179,6 +179,9 @@ def cmd_world(args) -> int:
 
 
 def cmd_quantize(args) -> int:
+    for flag, least in (("k_phonetic", 1), ("k_codec", 1), ("layers", 1), ("iters", 0)):
+        if getattr(args, flag) < least:
+            raise ValidationError(f"--{flag.replace('_', '-')} must be >= {least}")
     seed = _resolve_seed(args.seed)
     corpus_dir = Path(args.corpus)
     corpus = tw.load_corpus(corpus_dir)
@@ -301,12 +304,17 @@ def cmd_eval(args) -> int:
         flag = flag.strip()
         if flag not in _SPLIT_FLAGS:
             raise ValidationError(f"unknown split {flag!r}; expected clean,other")
+        if _SPLIT_FLAGS[flag] in splits:
+            raise ValidationError(f"--splits names {flag!r} twice")
         splits.append(_SPLIT_FLAGS[flag])
     for flag in ("n_prompts", "seeds", "jobs"):
         if getattr(args, flag) < 1:
             raise ValidationError(f"--{flag.replace('_', '-')} must be >= 1")
     base_seed = _resolve_seed(args.seed)
 
+    resolved = [Path(b).resolve() for b in args.bundle]
+    if len(set(resolved)) < len(resolved):
+        raise ValidationError(f"--bundle names one directory twice: {', '.join(args.bundle)}")
     systems = []  # (bundle_dir, kind)
     for bundle_dir in args.bundle:
         kinds = pl.available_bundle_kinds(bundle_dir)

@@ -221,11 +221,12 @@ def train_mode(mode: str, corpus, quantizers, config, model_config=None) -> tupl
     if mode not in MODES:
         raise ContractError(f"unknown training mode {mode!r}; expected one of {tuple(MODES)}")
     kind, role = MODES[mode].kind, MODES[mode].role
-    tokenized = tokenize_utterances(corpus.train, quantizers)
     if model_config is None:
         model_config = default_model_config(corpus.world_spec, quantizers)
     _check_vocab(model_config, quantizers)
-    idxs, fracs = batch_schedule(len(tokenized), config)
+    idxs, fracs = batch_schedule(len(corpus.train), config)
+    drawn = np.unique(idxs)  # tokenize only what the schedule draws, keyed by train index
+    tokenized = dict(zip(drawn.tolist(), tokenize_utterances([corpus.train[i] for i in drawn], quantizers)))
     if kind == md.AR:
         model = md.build_ar_model(model_config, role, seed=config.seed)
 

@@ -66,6 +66,17 @@ class Quantizers:
     rvq: RvqModel
 
 
+def _screen(g: np.ndarray, tol: np.ndarray) -> tuple:
+    """(first argmin, rows to recheck) of a screened block g, as `_nearest`
+    describes; overwrites each row's minimum with inf."""
+    r = np.arange(g.shape[0])
+    best = g.argmin(axis=1)
+    bound = g[r, best] + 2.0 * tol
+    g[r, best] = np.inf
+    second = g[r, g.argmin(axis=1)]
+    return best, (second <= bound) | ~np.isfinite(bound)
+
+
 def _nearest(vectors: np.ndarray, centroids: np.ndarray) -> tuple:
     """(ids, squared distances) of the nearest centroid per vector.
 
@@ -87,28 +98,35 @@ def _nearest(vectors: np.ndarray, centroids: np.ndarray) -> tuple:
     the screened one, so it is the explicit argmin. Rows where a second
     centroid is within 2 tol, or where tol is not finite, are rechecked with
     the explicit form.
+
+    `_screen` reads min(g) at the row's argmin (the first NaN on a NaN row,
+    so the bound is NaN there) and the second best as the argmin of the row
+    with that entry set to inf: a row is rechecked when the second best is
+    <= min(g) + 2 tol or that bound is not finite, which is exactly when
+    more than one entry is <= a finite bound.
     """
     n, d = vectors.shape
     ids = np.empty(n, dtype=np.int64)
     dists = np.empty(n, dtype=np.float64)
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
     c_max = float(np.sqrt(c_sq.max())) if c_sq.size else 0.0
+    neg2c = -2.0 * centroids.T  # scaling by -2 is exact: chunk @ neg2c equals (chunk @ c.T) * -2
     for start in range(0, n, _ASSIGN_CHUNK):
         chunk = vectors[start : start + _ASSIGN_CHUNK]
+        rows = slice(start, start + chunk.shape[0])
         x_sq = np.einsum("ij,ij->i", chunk, chunk)
-        g = chunk @ centroids.T
-        g *= -2.0
+        g = chunk @ neg2c
         g += x_sq[:, None]
         g += c_sq[None, :]
-        best = g.argmin(axis=1)
         tol = (d + 4) * np.finfo(np.float64).eps * (np.sqrt(x_sq) + c_max) ** 2
-        bound = g.min(axis=1) + 2.0 * tol
-        near = (np.count_nonzero(g <= bound[:, None], axis=1) > 1) | ~np.isfinite(bound)
+        best, near = _screen(g, tol)
         if near.any():
             sub = chunk[near]
             best[near] = ((sub[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
-        ids[start : start + chunk.shape[0]] = best
-        dists[start : start + chunk.shape[0]] = ((chunk - centroids[best]) ** 2).sum(axis=1)
+        ids[rows] = best
+        diff = np.subtract(chunk, centroids.take(best, axis=0))
+        np.square(diff, out=diff)
+        np.sum(diff, axis=1, out=dists[rows])
     return ids, dists
 
 

@@ -136,6 +136,16 @@ def test_quantize_rejects_k_above_frames(tmp_path, workspace):
                "--out", tmp_path / "q") == 2
 
 
+@pytest.mark.parametrize("flag, value, least", [
+    ("--k-phonetic", 0, 1), ("--k-codec", 0, 1), ("--k-codec", -3, 1), ("--layers", 0, 1), ("--iters", -1, 0),
+])
+def test_quantize_rejects_counts_below_their_least(tmp_path, workspace, capsys, flag, value, least):
+    out = tmp_path / "q"
+    assert run("quantize", "--corpus", workspace / "world", flag, value, "--out", out) == 2
+    assert f"{flag} must be >= {least}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_quantize_determinism(tmp_path, workspace):
     for name in ("q1", "q2"):
         assert run("quantize", "--corpus", workspace / "world", "--k-phonetic", 16,
@@ -290,6 +300,25 @@ def test_eval_rejects_counts_below_one(tmp_path, workspace, capsys, flag, value)
              "--splits", "clean", flag, value, "--out", out)
     assert rc == 2
     assert f"{flag} must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_rejects_a_repeated_bundle(tmp_path, workspace, capsys):
+    out = tmp_path / "r"
+    # the second spelling resolves to the same directory
+    rc = run("eval", "--bundle", workspace / "prop", "--bundle", workspace / "base" / ".." / "prop",
+             "--corpus", workspace / "world", "--splits", "clean", "--n-prompts", 1, "--out", out)
+    assert rc == 2
+    assert "--bundle names one directory twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_rejects_a_repeated_split(tmp_path, workspace, capsys):
+    out = tmp_path / "r"
+    rc = run("eval", "--bundle", workspace / "prop", "--corpus", workspace / "world",
+             "--splits", "clean,other, clean", "--n-prompts", 1, "--out", out)
+    assert rc == 2
+    assert "--splits names 'clean' twice" in capsys.readouterr().err
     assert not out.exists()
 
 

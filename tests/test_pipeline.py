@@ -356,6 +356,33 @@ def test_synthesize_caps_generation_to_fit_nar_input():
         assert base + res.codes.shape[0] <= cfg.max_sequence_len
 
 
+@pytest.mark.parametrize("mode", list(pl.MODES))
+def test_train_mode_tokenizes_only_the_drawn_utterances(tiny_corpus, tiny_quantizers, tiny_model_config,
+                                                        monkeypatch, mode):
+    cfg = quick_config(steps=3, seed=31)
+    drawn = np.unique(pl.batch_schedule(len(tiny_corpus.train), cfg)[0])
+    assert 0 < drawn.size < len(tiny_corpus.train)
+    tokenize = pl.tokenize_utterances
+    received = []
+
+    def recording(utts, quantizers):
+        received.append(list(utts))
+        return tokenize(utts, quantizers)
+
+    monkeypatch.setattr(pl, "tokenize_utterances", recording)
+    model, losses = pl.train_mode(mode, tiny_corpus, tiny_quantizers, cfg, tiny_model_config)
+    assert len(received) == 1
+    assert [id(u) for u in received[0]] == [id(tiny_corpus.train[i]) for i in drawn]
+
+    # the same training from tokens of the whole split
+    whole = dict(zip(map(id, tiny_corpus.train), tokenize(tiny_corpus.train, tiny_quantizers)))
+    monkeypatch.setattr(pl, "tokenize_utterances", lambda utts, quantizers: [whole[id(u)] for u in utts])
+    ref_model, ref_losses = pl.train_mode(mode, tiny_corpus, tiny_quantizers, cfg, tiny_model_config)
+    assert losses == ref_losses
+    for a, b in zip(model.parameters(), ref_model.parameters()):
+        assert a.data.tobytes() == b.data.tobytes()
+
+
 def test_tokenize_utterances_matches_per_utterance_encoding(tiny_corpus, tiny_quantizers):
     utts = tiny_corpus.train[:7] + tiny_corpus.test_other
     for batch in (utts, utts[:1], []):

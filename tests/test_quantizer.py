@@ -310,6 +310,68 @@ def test_nearest_non_finite_inputs_match_explicit():
         _assert_same_as_explicit(vectors, np.concatenate([huge, centroids]))
 
 
+def _counting_screen(g, tol):
+    """The screen as a count: rows with a second entry within 2 tol of the
+    minimum, or with a bound that is not finite."""
+    bound = g.min(axis=1) + 2.0 * tol
+    return g.argmin(axis=1), (np.count_nonzero(g <= bound[:, None], axis=1) > 1) | ~np.isfinite(bound)
+
+
+def _assert_screen_matches_count(g, tol):
+    want_best, want_near = _counting_screen(g, tol)
+    best, near = qz._screen(g.copy(), tol)
+    np.testing.assert_array_equal(best, want_best)
+    np.testing.assert_array_equal(near, want_near)
+
+
+def test_screen_matches_the_counting_screen_on_adversarial_rows():
+    inf, nan = np.inf, np.nan
+    above = np.nextafter(2.0, 3.0)
+    rows = [  # (row, tol)
+        ([1.0, 1.0, 3.0], 0.0),            # exact tie at the minimum
+        ([3.0, 1.0, 1.0, 1.0], 0.0),       # three-way tie after the first entry
+        ([0.0, 2.0, 5.0], 1.0),            # second entry exactly at the bound
+        ([0.0, above, 5.0], 1.0),          # ... and one ulp above it
+        ([2.0, 5.0, 0.0], 1.0),
+        ([nan, 1.0, 2.0], 0.5),            # NaN first, NaN later, all NaN
+        ([1.0, 9.0, nan], 0.5),
+        ([nan, nan], 0.5),
+        ([inf, 1.0, inf], 0.5),            # +inf around a finite minimum, all +inf
+        ([inf, inf, inf], 0.5),
+        ([1.0, -inf, -inf], 0.5),          # -inf minimum, tied and alone
+        ([-inf, 4.0], 0.5),
+        ([1.0, 8.0, 9.0], inf),            # tol not finite
+        ([1.0, 1.0], inf),
+        ([3.0], 0.0),                      # K = 1
+        ([nan], 1.0),
+        ([inf], 1.0),
+        ([-inf], 1.0),
+        ([1.0, 2.0], 0.5),                 # K = 2 at, below and above the bound
+        ([2.0, 1.0], 0.4),
+        ([1.0, 2.0], 0.6),
+    ]
+    with np.errstate(invalid="ignore"):
+        for row, tol in rows:
+            _assert_screen_matches_count(np.array([row]), np.array([tol]))
+        # random blocks drawn from the same values
+        rng = np.random.default_rng(28)
+        pool = np.array([0.0, 1.0, 1.0, 2.0, above, -1.0, nan, inf, -inf])
+        for k in (1, 2, 3, 5, 8):
+            g = rng.choice(pool, size=(400, k))
+            tol = rng.choice(np.array([0.0, 0.5, 1.0, inf]), size=400)
+            _assert_screen_matches_count(g, tol)
+
+
+def test_nearest_single_centroid_matches_explicit():
+    rng = np.random.default_rng(29)
+    vectors = rng.normal(size=(qz._ASSIGN_CHUNK + 5, 4))
+    vectors[3] = np.nan
+    vectors[7] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_same_as_explicit(vectors, rng.normal(size=(1, 4)))
+        _assert_same_as_explicit(vectors, np.full((1, 4), 1e200))
+
+
 def test_fits_byte_identical_to_explicit_search(monkeypatch):
     from phonolm import tokenworld as tw
 
