@@ -17,6 +17,8 @@ one container; configs travel in JSON sidecars.
 
 from __future__ import annotations
 
+import contextlib
+import json
 import math
 import os
 import struct
@@ -30,6 +32,17 @@ VERSION = 1
 
 class CheckpointError(ValueError):
     """Corrupt or incompatible checkpoint file."""
+
+
+@contextlib.contextmanager
+def sidecar(path):
+    """Yield the JSON value in the sidecar `path`. A missing or unreadable
+    file, bad JSON, or a KeyError, TypeError or ValueError that the block
+    raises while it reads the value raises CheckpointError naming `path`."""
+    try:
+        yield json.loads(Path(path).read_text())
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def write_atomic(path, data) -> None:

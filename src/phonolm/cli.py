@@ -150,6 +150,8 @@ def cmd_world(args) -> int:
     spec = _build_config(tw.WorldSpec, spec_dict)
     if args.n_train <= 0:
         raise ValidationError("--n-train must be positive")
+    if args.n_test < 0:
+        raise ValidationError("--n-test must be >= 0")
     out = _prepare_out(args.out, args.force)
     corpus = tw.build_corpus(spec, args.n_train, args.n_test, np.random.default_rng(seed))
     tw.save_corpus(corpus, out)

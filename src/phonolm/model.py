@@ -59,6 +59,12 @@ class ModelConfig:
     max_sequence_len: int = 256
 
     def __post_init__(self):
+        for name, value in asdict(self).items():  # every field but dropout is a count
+            least = 0 if name == "n_layers" else 1
+            if name != "dropout" and value < least:
+                raise ContractError(f"ModelConfig.{name} must be >= {least}, got {value!r}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ContractError(f"ModelConfig.dropout must be in [0, 1), got {self.dropout!r}")
         if self.d_model % self.n_heads != 0:
             raise ContractError("d_model must be divisible by n_heads")
 
@@ -208,11 +214,12 @@ def build_nar_model(config: ModelConfig, variant: str, seed: int) -> DecoderMode
 def load_model(path) -> DecoderModel:
     """Read a model saved by `DecoderModel.save`. The checkpoint must hold
     exactly the tensors, by name and shape, that its config and role imply;
-    anything else raises CheckpointError."""
-    meta = json.loads(Path(path).with_suffix(".json").read_text())
-    config = ModelConfig.from_dict(meta["config"])
-    kind, role = (AR if meta["kind"] == AR else NAR), meta["role"]
-    entries = _ar_entries(config, role) if kind == AR else _nar_entries(config, role)
+    anything else, or a missing or malformed .json sidecar (a config that
+    ModelConfig rejects included), raises CheckpointError."""
+    with checkpoint.sidecar(Path(path).with_suffix(".json")) as meta:
+        config = ModelConfig.from_dict(meta["config"])
+        kind, role = (AR if meta["kind"] == AR else NAR), meta["role"]
+        entries = _ar_entries(config, role) if kind == AR else _nar_entries(config, role)
     tensors = checkpoint.load_tensors(path)
     expected = {name: shape for name, shape, _ in entries}
     if set(tensors) != set(expected):
@@ -328,37 +335,35 @@ def _check_len(model: DecoderModel, n: int):
         )
 
 
-def _run_batch(model: DecoderModel, pieces, lengths, rows, causal: bool, train: bool, rng,
+def _run_batch(model: DecoderModel, x: Tensor, lengths, rows, causal: bool, train: bool, rng,
                cache=None) -> Tensor:
     """The tail both batched forwards share.
 
-    `pieces` are the items' input embeddings in order, item b spanning
-    `lengths[b]` rows; position embeddings are added, the items are padded
-    into one (B, T, d) batch and run through the trunk (and into `cache`, if
-    given), and each item's `rows[b]` = (start, count) positions are
-    projected through the head, concatenated in item order.
+    `x` holds the items' input embeddings, (sum(lengths), d), item b's
+    `lengths[b]` rows right after those of item b - 1. Position embeddings
+    are added, one gather pads the items into a (B, T, d) batch (padding
+    slots read an appended zero row), which runs through the trunk (and into
+    `cache`, if given), and each item's `rows[b]` = (start, count) positions
+    are projected through the head, concatenated in item order.
     """
     cfg = model.config
     if train and cfg.dropout > 0 and rng is None:
         raise ContractError("training forward needs an rng for dropout")
-    e_pos = nm.embedding(model.params["emb/pos"], np.concatenate([np.arange(n) for n in lengths]))
-    flat = nm.add(nm.concat(pieces), e_pos)
-    embeds, off = [], 0
-    for n in lengths:
-        embeds.append(nm.narrow(flat, 0, off, n))
-        off += n
-    T = max(lengths)
-    x = nm.pad_stack(embeds, T)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    B, T = len(lengths), int(lengths.max())
+    pos = np.arange(T)
+    real = pos < lengths[:, None]  # (B, T); row-major order is item order
+    x = nm.add(x, nm.embedding(model.params["emb/pos"], np.broadcast_to(pos, (B, T))[real]))
+    slots = np.where(real, np.cumsum(lengths)[:, None] - lengths[:, None] + pos, x.shape[0])
+    x = nm.gather_rows(nm.concat([x, Tensor(np.zeros((1, cfg.d_model)))]), slots)
     if train and cfg.dropout > 0:
         x = nm.dropout(x, cfg.dropout, rng)
     h = _trunk_forward(model, x, _attention_mask(lengths, T, T, causal), train, rng, cache)
     if cache is not None:
-        cache.lengths = np.asarray(lengths, dtype=np.int64)
-    flat = nm.reshape(h, (len(lengths) * T, cfg.d_model))
-    indices = np.concatenate(
-        [b * T + start + np.arange(count) for b, (start, count) in enumerate(rows)]
-    )
-    return nm.matmul(nm.gather_rows(flat, indices), model.params["head/w"])
+        cache.lengths = lengths
+    starts, counts = np.asarray(rows, dtype=np.int64).T
+    heads = np.flatnonzero((pos >= starts[:, None]) & (pos < (starts + counts)[:, None]))
+    return nm.matmul(nm.gather_rows(nm.reshape(h, (B * T, cfg.d_model)), heads), model.params["head/w"])
 
 
 # ---------------------------------------------------------------------------
@@ -375,37 +380,33 @@ def ar_batch_logits(model: DecoderModel, items, train: bool = False, rng=None, c
 
     Returns (logits Tensor (M, V), target ids (M,) with STOP appended).
 
-    Lookups are batched: one embedding op per table over all items' ids, then
-    per-item slices are reassembled for padding. An empty KVCache with one
-    entry per item, if given, is filled with the items' keys and values
-    (inference only).
+    The phoneme and token tables are looked up as one stacked table, token
+    ids offset by phoneme_vocab, in one embedding op over every item's ids
+    in item order. An empty KVCache with one entry per item, if given, is
+    filled with the items' keys and values (inference only).
     """
     if model.kind != AR:
         raise ContractError("ar_batch_logits needs an AR model")
     if cache is not None and (train or cache.lengths.shape != (len(items),) or cache.lengths.any()):
         raise ContractError("a cache is filled by an inference forward, one empty entry per item")
-    p = model.params
-    ph_list, tok_list, lengths, rows, flat_targets = [], [], [], [], []
+    n_ph = model.config.phoneme_vocab
+    ids, lengths, rows, flat_targets = [], [], [], []
     for phonemes, prompt, target in items:
         phonemes = np.asarray(phonemes, dtype=np.int64)
         prompt = np.asarray(prompt, dtype=np.int64)
         target = np.asarray(target, dtype=np.int64)
         T = len(phonemes) + 1 + len(prompt) + len(target)
         _check_len(model, T)
-        ph_list.append(phonemes)
-        tok_list.append(np.concatenate([[model.sep_id], prompt, target]))
+        tokens = np.concatenate([[model.sep_id], prompt, target])
+        if phonemes.min(initial=0) < 0 or phonemes.max(initial=0) >= n_ph or tokens.min() < 0:
+            raise IndexError("AR input id out of range")  # it would read the other table's rows
+        ids += [phonemes, tokens + n_ph]
         lengths.append(T)
         rows.append((len(phonemes) + 1 + len(prompt) - 1, len(target) + 1))
         flat_targets.append(np.concatenate([target, [model.stop_id]]))
-    e_ph = nm.embedding(p["emb/phoneme"], np.concatenate(ph_list))
-    e_tok = nm.embedding(p["emb/token"], np.concatenate(tok_list))
-    pieces, ph_off, tok_off = [], 0, 0
-    for ph, tok in zip(ph_list, tok_list):
-        pieces.append(nm.narrow(e_ph, 0, ph_off, len(ph)))
-        pieces.append(nm.narrow(e_tok, 0, tok_off, len(tok)))
-        ph_off += len(ph)
-        tok_off += len(tok)
-    logits = _run_batch(model, pieces, lengths, rows, causal=True, train=train, rng=rng, cache=cache)
+    table = nm.concat([model.params["emb/phoneme"], model.params["emb/token"]])
+    x = nm.embedding(table, np.concatenate(ids))
+    logits = _run_batch(model, x, lengths, rows, causal=True, train=train, rng=rng, cache=cache)
     return logits, np.concatenate(flat_targets)
 
 
@@ -469,9 +470,7 @@ def _validate_nar_item(model, phonemes, cond_tokens, prompt_codes, target_below,
     target_below = np.asarray(target_below, dtype=np.int64)
     j = int(layer_index)
     if not model.min_layer <= j <= cfg.n_codec_layers:
-        raise ContractError(
-            f"layer index {j} outside [{model.min_layer}, {cfg.n_codec_layers}]"
-        )
+        raise ContractError(f"layer index {j} outside [{model.min_layer}, {cfg.n_codec_layers}]")
     if prompt_codes.ndim != 2 or prompt_codes.shape[1] != cfg.n_codec_layers:
         raise ContractError(f"prompt codes must be (T, {cfg.n_codec_layers})")
     if target_below.ndim != 2 or target_below.shape[1] != j - 1:
@@ -482,15 +481,12 @@ def _validate_nar_item(model, phonemes, cond_tokens, prompt_codes, target_below,
             raise ContractError("this variant conditions on phonetic tokens")
         cond_tokens = np.asarray(cond_tokens, dtype=np.int64)
         if cond_tokens.shape[0] != n_frames:
-            raise ContractError(
-                f"frame count mismatch: {cond_tokens.shape[0]} conditioning tokens "
-                f"vs {n_frames} target frames"
-            )
+            raise ContractError(f"frame count mismatch: {cond_tokens.shape[0]} conditioning tokens "
+                                f"vs {n_frames} target frames")
     elif cond_tokens is not None:
         raise ContractError("the layer-1-conditioned variant takes no phonetic tokens")
-    T = len(phonemes) + 1 + prompt_codes.shape[0] + n_frames
-    _check_len(model, T)
-    return phonemes, cond_tokens, prompt_codes, target_below, j, T
+    _check_len(model, len(phonemes) + 1 + prompt_codes.shape[0] + n_frames)
+    return phonemes, cond_tokens, prompt_codes, target_below, j
 
 
 def nar_batch_logits(model: DecoderModel, items, train: bool = False, rng=None) -> Tensor:
@@ -498,52 +494,37 @@ def nar_batch_logits(model: DecoderModel, items, train: bool = False, rng=None) 
     target_below, layer_index). Returns logits (sum of frame counts, K_c),
     concatenated in item order.
 
-    Codec-token lookups go through the stacked per-layer table with offset
-    ids, one embedding op per step."""
+    Every lookup covers the whole batch. Codec ids go through the stacked
+    per-layer table with offset ids: a prompt frame sums its L codes, and a
+    target frame is (layer + cond) + the sum of its codes below its layer,
+    padded to the batch's widest with the id of a zero row appended to the
+    table. One gather then puts each item's phoneme, SEP, prompt and target
+    rows in item order."""
     if model.kind != NAR:
         raise ContractError("nar_batch_logits needs a NAR model")
-    cfg = model.config
-    p = model.params
-    K, L, d = cfg.codec_vocab, cfg.n_codec_layers, cfg.d_model
+    cfg, p = model.config, model.params
+    K, L = cfg.codec_vocab, cfg.n_codec_layers
     layer_offset = np.arange(L, dtype=np.int64) * K
     clean = [_validate_nar_item(model, *item) for item in items]
-    lengths = [T for *_, T in clean]
-    rows = [(len(ph) + 1 + pc.shape[0], tb.shape[0]) for ph, _, pc, tb, _, _ in clean]
+    phonemes, cond, prompts, below, layers = zip(*clean)
+    # rows per item of each source: phonemes, SEP, prompt frames, target frames
+    counts = np.array([(len(ph), 1, len(pc), len(tb)) for ph, pc, tb in zip(phonemes, prompts, below)])
 
-    e_ph = nm.embedding(p["emb/phoneme"], np.concatenate([c[0] for c in clean]))
-    prompt_flat = np.concatenate([c[2] for c in clean])  # (sum Tp, L)
-    e_prompt = nm.sum_axis(
-        nm.reshape(
-            nm.embedding(p["emb/codec"], (prompt_flat + layer_offset).reshape(-1)),
-            (prompt_flat.shape[0], L, d),
-        ),
-        1,
-    )
-    e_target = nm.embedding(
-        p["emb/layer"], np.concatenate([np.full(tb.shape[0], j - 1) for _, _, _, tb, j, _ in clean])
-    )
+    e_ph = nm.embedding(p["emb/phoneme"], np.concatenate(phonemes))
+    e_sep = nm.embedding(p["emb/sep"], np.zeros(len(clean), dtype=np.int64))
+    e_prompt = nm.sum_axis(nm.embedding(p["emb/codec"], np.concatenate(prompts) + layer_offset), 1)
+    e_target = nm.embedding(p["emb/layer"], np.repeat(np.array(layers) - 1, counts[:, 3]))
     if model.role == VARIANT_PROPOSED:
-        e_target = nm.add(e_target, nm.embedding(p["emb/cond"], np.concatenate([c[1] for c in clean])))
-    below_ids = [
-        (tb + layer_offset[: j - 1]).reshape(-1) for _, _, _, tb, j, _ in clean
-    ]
-    below_flat = np.concatenate(below_ids) if below_ids else np.zeros(0, dtype=np.int64)
-    e_below = nm.embedding(p["emb/codec"], below_flat) if below_flat.size else None
+        e_target = nm.add(e_target, nm.embedding(p["emb/cond"], np.concatenate(cond)))
+    top = max(layers)  # pad every item's codes below its layer to the batch's widest
+    below_ids = np.concatenate([
+        np.hstack([tb + layer_offset[: j - 1], np.full((len(tb), top - j), L * K)]) for tb, j in zip(below, layers)
+    ])
+    codec_and_zero = nm.concat([p["emb/codec"], Tensor(np.zeros((1, cfg.d_model)))])
+    e_target = nm.add(e_target, nm.sum_axis(nm.embedding(codec_and_zero, below_ids), 1))
 
-    pieces = []
-    ph_off = pr_off = tg_off = bl_off = 0
-    for (ph, _, pc, tb, j, _), ids in zip(clean, below_ids):
-        pieces.append(nm.narrow(e_ph, 0, ph_off, len(ph)))
-        pieces.append(p["emb/sep"])
-        pieces.append(nm.narrow(e_prompt, 0, pr_off, pc.shape[0]))
-        n = tb.shape[0]
-        target_k = nm.narrow(e_target, 0, tg_off, n)
-        if ids.size:
-            below_k = nm.reshape(nm.narrow(e_below, 0, bl_off, ids.size), (n, j - 1, d))
-            target_k = nm.add(target_k, nm.sum_axis(below_k, 1))
-        pieces.append(target_k)
-        ph_off += len(ph)
-        pr_off += pc.shape[0]
-        tg_off += n
-        bl_off += ids.size
-    return _run_batch(model, pieces, lengths, rows, causal=False, train=train, rng=rng)
+    # the item each row of the concat belongs to; a stable sort puts the rows in item order
+    owner = np.repeat(np.tile(np.arange(len(clean)), 4), counts.T.ravel())
+    x = nm.gather_rows(nm.concat([e_ph, e_sep, e_prompt, e_target]), np.argsort(owner, kind="stable"))
+    rows = np.stack([counts[:, :3].sum(axis=1), counts[:, 3]], axis=1)
+    return _run_batch(model, x, counts.sum(axis=1), rows, causal=False, train=train, rng=rng)

@@ -561,12 +561,13 @@ def load_bundle(in_dir, kind: str) -> SystemBundle:
     if missing:
         raise ContractError(f"incomplete {kind} bundle in {src}: missing {missing}")
     ar_name, nar_name = bundle_file_names(kind)
-    meta = json.loads((src / f"{kind}_bundle.json").read_text())
+    with checkpoint.sidecar(src / f"{kind}_bundle.json") as meta:
+        world_spec, provenance = tw.WorldSpec.from_dict(meta["world_spec"]), meta.get("provenance", {})
     return SystemBundle(
-        world_spec=tw.WorldSpec.from_dict(meta["world_spec"]),
+        world_spec=world_spec,
         quantizers=qz.load_quantizers(src / "quantizers.ckpt"),
         ar=md.load_model(src / ar_name),
         nar=md.load_model(src / nar_name),
         kind=kind,
-        provenance=meta.get("provenance", {}),
+        provenance=provenance,
     )

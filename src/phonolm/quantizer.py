@@ -328,7 +328,8 @@ def save_quantizers(q: Quantizers, path) -> None:
 
 def load_quantizers(path) -> Quantizers:
     """Read quantizers written by `save_quantizers`; the .json sidecar, if
-    present, restores the fit statistics. A container that is not a
+    present, restores the fit statistics, and a malformed one raises
+    CheckpointError naming it. A container that is not a
     quantizer set raises CheckpointError: one without a phonetic codebook or
     a first RVQ layer, with tensors of other names, or whose codebooks are
     not (K, d) matrices with one shape for every RVQ layer."""
@@ -345,16 +346,15 @@ def load_quantizers(path) -> Quantizers:
     shapes = [tensors[n].shape for n in names]
     if any(len(s) != 2 or 0 in s for s in shapes) or len(set(shapes[1:])) != 1:
         raise checkpoint.CheckpointError(f"{path}: codebook shapes {shapes} are not one (K, d) per RVQ layer")
-    meta_path = Path(path).with_suffix(".json")
-    meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
     phonetic = Codebook(centroids=tensors["phonetic/centroids"])
-    if meta:
-        phonetic.iterations_run = meta["phonetic"]["iterations_run"]
-        phonetic.final_distortion = meta["phonetic"]["final_distortion"]
     books = [Codebook(centroids=tensors[n]) for n in names[1:]]
     rvq = RvqModel(layers=books)
-    if meta:
-        rvq.residual_energy = meta["rvq"]["residual_energy"]
-        for book, d in zip(books, meta["rvq"]["layer_distortions"]):
-            book.final_distortion = d
+    meta_path = Path(path).with_suffix(".json")
+    if meta_path.exists():
+        with checkpoint.sidecar(meta_path) as meta:
+            phonetic.iterations_run = meta["phonetic"]["iterations_run"]
+            phonetic.final_distortion = meta["phonetic"]["final_distortion"]
+            rvq.residual_energy = meta["rvq"]["residual_energy"]
+            for book, d in zip(books, meta["rvq"]["layer_distortions"], strict=True):
+                book.final_distortion = d
     return Quantizers(phonetic=phonetic, rvq=rvq)

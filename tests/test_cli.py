@@ -58,6 +58,13 @@ def test_world_rejects_zero_train(tmp_path, workspace):
     assert run("world", "--out", tmp_path / "w", "--n-train", 0, "--n-test", 2) == 2
 
 
+def test_world_rejects_negative_test_count(tmp_path, workspace, capsys):
+    out = tmp_path / "w"
+    assert run("world", "--out", out, "--n-train", 4, "--n-test", -1) == 2
+    assert "--n-test must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_world_refuses_nonempty_dir_without_force(tmp_path, workspace):
     target = tmp_path / "w"
     target.mkdir()
@@ -213,9 +220,27 @@ def _train_argv(workspace, out):
     ("steps_float", ["--set", "steps=1.5"], "steps"),
     ("batch_size_float", ["--set", "batch_size=2.5"], "batch_size"),
     ("steps_bool", ["--set", "steps=true"], "steps"),
+    # a dict is a --model-config file, checked before the corpus is tokenized
+    ("model_value", {"n_heads": 0}, "n_heads must be >= 1"),
+    ("model_value", {"d_model": 0}, "d_model must be >= 1"),
+    ("model_value", {"d_ff": 0}, "d_ff must be >= 1"),
+    ("model_value", {"phoneme_vocab": 0}, "phoneme_vocab must be >= 1"),
+    ("model_value", {"phonetic_vocab": -1}, "phonetic_vocab must be >= 1"),
+    ("model_value", {"codec_vocab": 0}, "codec_vocab must be >= 1"),
+    ("model_value", {"n_codec_layers": 0}, "n_codec_layers must be >= 1"),
+    ("model_value", {"max_sequence_len": 0}, "max_sequence_len must be >= 1"),
+    ("model_value", {"n_layers": -1}, "n_layers must be >= 0"),
+    ("model_value", {"dropout": 1.0}, "dropout must be in [0, 1)"),
+    ("model_value", {"dropout": -0.1}, "dropout must be in [0, 1)"),
 ])
 def test_bad_config_values_exit_with_validation_code(tmp_path, workspace, capsys, case, extra, named):
-    argv = _train_argv(workspace, tmp_path / "t") + extra
+    argv = _train_argv(workspace, tmp_path / "t")
+    if case == "model_value":
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(extra))
+        argv[argv.index("--model-config") + 1] = bad
+    else:
+        argv += extra
     if case == "world_key":
         argv = ["world", "--out", tmp_path / "w", "--n-train", 4, "--n-test", 2] + extra
     elif case in ("model_config_key", "old_config"):
@@ -385,6 +410,32 @@ def test_eval_reports_crashed_tasks_and_scores_the_rest(tmp_path, workspace, cap
         reports.append((out / "report.json").read_bytes())
         assert json.loads(reports[-1])["systems"] == ["proposed"]
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("name, damage", [
+    ("ar.json", "not json {"),
+    ("nar.json", None),
+    ("nar.json", json.dumps({"kind": "nar", "role": "proposed", "config": {"n_heads": 0}})),
+    ("quantizers.json", json.dumps({"phonetic": {}})),
+    ("proposed_bundle.json", None),
+    ("proposed_bundle.json", json.dumps({"kind": "proposed"})),
+])
+def test_malformed_or_missing_sidecar_is_a_checkpoint_error_naming_it(tmp_path, workspace, capsys, name, damage):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(workspace / "prop", bundle)
+    if damage is None:
+        (bundle / name).unlink()
+    else:
+        (bundle / name).write_text(damage)
+    rc = run("synth", "--bundle", bundle, "--corpus", workspace / "world", "--index", 0,
+             "--prompt-index", 1, "--out", tmp_path / "s.jsonl")
+    assert rc == 2
+    assert str(bundle / name) in capsys.readouterr().err
+    rc = run("eval", "--bundle", bundle, "--corpus", workspace / "world", "--splits", "clean",
+             "--n-prompts", 1, "--out", tmp_path / "e")
+    assert rc == 3
+    crashed = [line for line in capsys.readouterr().err.splitlines() if line.startswith("synthesis crashed for")]
+    assert len(crashed) == 1 and str(bundle / name) in crashed[0]
 
 
 def test_synth_writes_jsonl(tmp_path, workspace):

@@ -94,6 +94,15 @@ def test_ar_sequence_length_guard():
         md.ar_batch_logits(m, [([1, 2, 3, 4], [5, 6], [7, 8, 9])])[0]
 
 
+def test_ar_rejects_ids_outside_their_table():
+    # phonemes and tokens share one stacked table, so an id past either
+    # table's end would otherwise read a row of the other
+    m = md.build_ar_model(tiny_config(), md.STREAM_PHONETIC, seed=0)
+    for item in (([10], [1], [2]), ([-1], [1], [2]), ([1], [-1], [2]), ([1], [1], [-1]), ([1], [1], [14])):
+        with pytest.raises(IndexError):
+            md.ar_batch_logits(m, [([1], [2], [3]), item])
+
+
 def test_ar_loss_consistency_and_perplexity():
     m = md.build_ar_model(tiny_config(), md.STREAM_PHONETIC, seed=5)
     items = [([1, 2], np.array([3]), np.array([4, 5, 6]))]
@@ -292,29 +301,12 @@ def test_attention_mask_matches_per_item_loop():
         np.testing.assert_array_equal(np.broadcast_to(got, want.shape), want)
 
 
-def test_nar_batch_embedding_grads_match_finite_differences():
-    # emb/sep enters one concat once per item, next to the emb/pos sum
-    cfg = md.ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16, dropout=0.0,
-                         phoneme_vocab=6, phonetic_vocab=5, codec_vocab=4,
-                         n_codec_layers=3, max_sequence_len=16)
-    m = md.build_nar_model(cfg, md.VARIANT_PROPOSED, seed=4)
-    for p in m.parameters():  # larger weights, so every gradient is well above noise
-        p.data *= 10.0
-    rng = np.random.default_rng(1)
-    items = [
-        ([1, 2, 3], [0, 1, 2, 3], rng.integers(0, 4, (2, 3)), rng.integers(0, 4, (4, 1)), 2),
-        ([5, 0], [4, 4, 1], rng.integers(0, 4, (3, 3)), rng.integers(0, 4, (3, 2)), 3),
-    ]
-    labels = rng.integers(0, 4, 7)
-
-    def loss():
-        return nm.cross_entropy(md.nar_batch_logits(m, items), labels)
-
+def _embedding_grads_match_finite_differences(m, loss, names):
     with Tape() as tape:
         out = loss()
     backward(out, tape)
     h = 1e-5
-    for name in ("emb/pos", "emb/sep", "emb/phoneme"):
+    for name in names:
         param = m.params[name]
         fd = np.zeros_like(param.data)
         flat = param.data.reshape(-1)
@@ -329,6 +321,67 @@ def test_nar_batch_embedding_grads_match_finite_differences():
         scale = np.abs(fd).max()
         assert scale > 1e-3, name
         assert np.abs(param.grad - fd).max() <= 1e-6 * scale, name
+
+
+def _gradcheck_config():
+    return md.ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16, dropout=0.0,
+                          phoneme_vocab=6, phonetic_vocab=5, codec_vocab=4,
+                          n_codec_layers=3, max_sequence_len=16)
+
+
+def test_nar_batch_embedding_grads_match_finite_differences():
+    # every item looks up the one emb/sep row, and the batch's single gather orders them;
+    # the layer-1 item's below-codes are all padding ids of the zero row
+    m = md.build_nar_model(_gradcheck_config(), md.VARIANT_PROPOSED, seed=4)
+    for p in m.parameters():  # larger weights, so every gradient is well above noise
+        p.data *= 10.0
+    rng = np.random.default_rng(1)
+    items = [
+        ([1, 2, 3], [0, 1, 2, 3], rng.integers(0, 4, (2, 3)), rng.integers(0, 4, (4, 1)), 2),
+        ([5, 0], [4, 4, 1], rng.integers(0, 4, (3, 3)), rng.integers(0, 4, (3, 2)), 3),
+        ([4], [2, 3], rng.integers(0, 4, (1, 3)), np.zeros((2, 0), dtype=np.int64), 1),
+    ]
+    labels = rng.integers(0, 4, 9)
+
+    def loss():
+        return nm.cross_entropy(md.nar_batch_logits(m, items), labels)
+
+    _embedding_grads_match_finite_differences(
+        m, loss, ("emb/pos", "emb/sep", "emb/phoneme", "emb/codec", "emb/layer", "emb/cond"))
+
+
+def test_ar_batch_embedding_grads_match_finite_differences():
+    # phoneme and token rows come from one stacked table; positions repeat across items
+    m = md.build_ar_model(_gradcheck_config(), md.STREAM_PHONETIC, seed=5)
+    for p in m.parameters():
+        p.data *= 10.0
+    items = [([1, 2, 3], [0, 4], [2, 1, 3]), ([5], [], [4, 0]), ([0, 0], [3], [])]
+
+    def loss():
+        logits, targets = md.ar_batch_logits(m, items)
+        return nm.cross_entropy(logits, targets)
+
+    _embedding_grads_match_finite_differences(m, loss, ("emb/phoneme", "emb/token", "emb/pos"))
+
+
+def test_batch_forwards_record_as_many_tape_records_for_one_item_as_for_five():
+    cfg = _gradcheck_config()
+    rng = np.random.default_rng(3)
+    sizes = [(3, 2, 4, 2), (1, 0, 1, 1), (5, 4, 2, 3), (2, 6, 3, 1), (4, 1, 5, 2)]
+    ar_items = [(rng.integers(0, 6, a), rng.integers(0, 5, b), rng.integers(0, 5, c)) for a, b, c, _ in sizes]
+    nar_items = [(rng.integers(0, 6, a), rng.integers(0, 5, c), rng.integers(0, 4, (b, 3)),
+                  rng.integers(0, 4, (c, j - 1)), j) for a, b, c, j in sizes]
+    ar = md.build_ar_model(cfg, md.STREAM_PHONETIC, seed=1)
+    nar = md.build_nar_model(cfg, md.VARIANT_PROPOSED, seed=1)
+
+    def records(forward, items):
+        with Tape() as tape:
+            forward(items)
+        return len(tape)
+
+    for forward, items in ((lambda it: md.ar_batch_logits(ar, it), ar_items),
+                           (lambda it: md.nar_batch_logits(nar, it), nar_items)):
+        assert records(forward, items[:1]) == records(forward, items)
 
 
 def _ragged_decode_case():
