@@ -4,7 +4,8 @@ synthesize, and render comparison reports.
 Every subcommand writes a manifest.json into its output directory that
 enumerates the files it consumed (with hashes), the seeds in play, and a
 config hash covering everything that affects results, and, outside that
-hash, the subcommand's wall time and the process's peak resident set so far.
+hash, the subcommand's wall time and minor page faults, the process's peak
+resident set so far, and the allocator thresholds `main` applied.
 Exit codes: 0 success, 2 validation error (bad arguments or a malformed
 corpus), 3 runtime/training failure.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import functools
 import hashlib
 import json
@@ -40,8 +42,45 @@ EXIT_RUNTIME = 3
 _SPLIT_FLAGS = {"clean": "test_clean", "other": "test_other"}
 
 
+# mallopt parameter numbers (malloc.h) and their values: glibc's largest mmap
+# threshold on 64-bit (mallopt rejects more), and a trim threshold above what
+# one training step's tape frees at once (56-96 MB)
+_MALLOC_POLICY = (("M_MMAP_THRESHOLD", -3, 32 << 20), ("M_TRIM_THRESHOLD", -1, 256 << 20))
+
+
 class ValidationError(ValueError):
     pass
+
+
+def keep_freed_pages() -> dict | None:
+    """Make glibc's malloc keep freed memory in the process; return the
+    thresholds applied ({name: bytes}), or None where nothing was applied.
+
+    By default glibc serves each block above a dynamic threshold (from
+    128 KiB) with its own mmap and trims the heap top once its free space
+    passes twice that, so the activations a training step frees go back to
+    the kernel and the next step faults fresh pages in. Both thresholds are
+    set: setting either one stops the dynamic adjustment, which would leave
+    the other at its start value. The policy is process-wide and applying it
+    again changes nothing; elsewhere than glibc this does nothing. Results
+    do not depend on it.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return None
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        return None
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    applied = {}
+    for name, param, value in _MALLOC_POLICY:
+        if mallopt(param, value) != 1:
+            break
+        applied[name] = value
+    return applied or None
 
 
 def _resolve_seed(value) -> int:
@@ -77,12 +116,14 @@ def _parent_hashes(input_dirs) -> list:
 
 
 def _write_manifest(out: Path, subcommand: str, params: dict, seeds: dict,
-                    input_files, output_files, started: float, input_dirs=(), diagnostics=None) -> None:
+                    input_files, output_files, args, input_dirs=(), diagnostics=None) -> None:
+    """args: the parsed arguments, with main's snapshot taken before dispatch."""
     inputs = {str(p): _sha256(Path(p)) for p in sorted(str(x) for x in input_files)}
     payload = {"subcommand": subcommand, "params": params, "inputs": inputs}
     config_hash = hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode("utf-8")
     ).hexdigest()
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     manifest = {
         "subcommand": subcommand,
         "params": params,
@@ -96,12 +137,14 @@ def _write_manifest(out: Path, subcommand: str, params: dict, seeds: dict,
         "environment": {
             "numpy": np.__version__,
             **{v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            "malloc": args.malloc,
         },
         # ru_maxrss is the process's peak so far, which in a process that ran
         # other work before this subcommand may come from that work
         "resources": {
-            "wall_s": round(time.perf_counter() - started, 3),
-            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+            "wall_s": round(time.perf_counter() - args.started, 3),
+            "minor_faults": usage.ru_minflt - args.minor_faults_at_start,
+            "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
         },
     }
     if diagnostics:
@@ -174,7 +217,7 @@ def cmd_world(args) -> int:
         seeds={"seed": seed},
         input_files=[args.spec] if args.spec else [],
         output_files=outputs,
-        started=args.started,
+        args=args,
         diagnostics={"raw_frame_oracle_per": floor},
     )
     return EXIT_OK
@@ -214,7 +257,7 @@ def cmd_quantize(args) -> int:
         seeds={"seed": seed},
         input_files=[corpus_dir / "world.json", corpus_dir / "train.jsonl"],
         output_files=["quantizers.ckpt", "quantizers.json"],
-        started=args.started,
+        args=args,
         input_dirs=[corpus_dir],
         diagnostics={
             "phonetic_distortion": quant.phonetic.final_distortion,
@@ -279,7 +322,7 @@ def cmd_train(args) -> int:
         seeds={"seed": config.seed},
         input_files=[corpus_dir / "world.json", corpus_dir / "train.jsonl", quant_path],
         output_files=[ckpt_name, losses_name, "config.json"],
-        started=args.started,
+        args=args,
         input_dirs=[corpus_dir, quant_path.parent],
         diagnostics={"final_loss": losses[-1]},
     )
@@ -368,7 +411,7 @@ def cmd_eval(args) -> int:
         seeds={"base_seed": base_seed},
         input_files=input_files,
         output_files=[p.name for p in out.iterdir() if p.name != "manifest.json"],
-        started=args.started,
+        args=args,
         input_dirs=[corpus_dir] + [b for b, _ in systems],
     )
     if crashed:
@@ -493,7 +536,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.malloc = keep_freed_pages()
     args.started = time.perf_counter()
+    args.minor_faults_at_start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     try:
         return args.func(args)
     except (ValidationError, ContractError, tw.CorpusError, checkpoint.CheckpointError) as exc:

@@ -475,6 +475,12 @@ def _validate_nar_item(model, phonemes, cond_tokens, prompt_codes, target_below,
         raise ContractError(f"prompt codes must be (T, {cfg.n_codec_layers})")
     if target_below.ndim != 2 or target_below.shape[1] != j - 1:
         raise ContractError(f"target codes must have {j - 1} columns for layer {j}")
+    for name, codes in (("prompt", prompt_codes), ("below-layer", target_below)):
+        # an id past its layer's range would read a neighbouring layer's rows of emb/codec
+        bad = ((codes < 0) | (codes >= cfg.codec_vocab)).any(axis=0)
+        if bad.any():
+            raise IndexError(f"{name} codec id out of range [0, {cfg.codec_vocab}) "
+                             f"at layer {int(np.argmax(bad)) + 1}")
     n_frames = target_below.shape[0]
     if model.role == VARIANT_PROPOSED:
         if cond_tokens is None:

@@ -30,6 +30,9 @@ contribution is copied into a new array and later ones are added into it in
 place, so no two leaves share memory and `clip_grad_norm`/`adam_step` may
 scale each in place. `matmul` takes the bias, so a projection is one record
 with no pre-bias array, and `gelu` saves only its tanh term for the VJP.
+The `phonolm` CLI has glibc's malloc keep freed memory in the process
+(`cli.keep_freed_pages`), so what one step frees serves the next step's
+allocations without faulting in fresh pages.
 """
 
 from __future__ import annotations

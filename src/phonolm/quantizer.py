@@ -160,6 +160,11 @@ def kmeans_fit(
     Distortion (mean squared distance) is recorded after every assignment and
     is non-increasing by construction.
     """
+    return _kmeans(vectors, k, max_iters, seed, init_centroids)[0]
+
+
+def _kmeans(vectors, k, max_iters, seed, init_centroids=None) -> tuple:
+    """kmeans_fit's (Codebook, nearest-centroid ids of `vectors` under it)."""
     vectors = np.ascontiguousarray(np.asarray(vectors, dtype=np.float64))
     if vectors.ndim != 2:
         raise ShapeError(f"expected (n, d) vectors, got {vectors.shape}")
@@ -206,7 +211,7 @@ def kmeans_fit(
         iterations_run=iters,
         final_distortion=final,
         distortion_history=history,
-    )
+    ), ids
 
 
 def kmeans_assign(vectors: np.ndarray, codebook: Codebook) -> np.ndarray:
@@ -241,8 +246,7 @@ def rvq_fit(
     books = []
     energy = []
     for j in range(layers):
-        book = kmeans_fit(residual, k, max_iters=max_iters, seed=seed + j)
-        ids, _ = _nearest(residual, book.centroids)
+        book, ids = _kmeans(residual, k, max_iters, seed + j)
         residual = residual - book.centroids[ids]
         books.append(book)
         energy.append(float((residual**2).sum(axis=1).mean()))

@@ -1,6 +1,9 @@
 import json
+import os
 import resource
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -105,12 +108,76 @@ def test_manifest_records_resources_outside_config_hash(tmp_path):
         assert main(["world", "--out", str(out), "--seed", "3", "--n-train", "4", "--n-test", "2"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         res = manifest["resources"]
-        assert set(res) == {"wall_s", "peak_rss_mb"}
+        assert set(res) == {"wall_s", "minor_faults", "peak_rss_mb"}
         assert 0.0 <= res["wall_s"] < 60.0
         # the process peak so far, which this process can only have raised since
         assert 0.0 < res["peak_rss_mb"] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 + 0.1
         hashes.append(manifest["config_hash"])
     assert hashes[0] == hashes[1]
+
+
+def test_manifest_records_minor_faults_and_malloc_policy_outside_config_hash(tmp_path):
+    manifests = []
+    for name in ("a", "b"):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert main(["world", "--out", str(tmp_path / name), "--seed", "3", "--n-train", "4", "--n-test", "2"]) == 0
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        manifests.append(json.loads((tmp_path / name / "manifest.json").read_text()))
+        # the subcommand's own faults, not the process's since it started
+        assert 0 <= manifests[-1]["resources"]["minor_faults"] <= faults
+    assert manifests[0]["config_hash"] == manifests[1]["config_hash"]
+    assert manifests[0]["environment"]["malloc"] == cli.keep_freed_pages()
+
+
+_GLIBC = bool(getattr(os, "confstr", None) and "CS_GNU_LIBC_VERSION" in os.confstr_names
+              and os.confstr("CS_GNU_LIBC_VERSION"))
+
+
+@pytest.mark.skipif(not _GLIBC, reason="the malloc policy applies to glibc only")
+def test_keep_freed_pages_applies_both_thresholds_and_can_be_repeated():
+    want = {"M_MMAP_THRESHOLD": 32 << 20, "M_TRIM_THRESHOLD": 256 << 20}
+    assert cli.keep_freed_pages() == want
+    assert cli.keep_freed_pages() == want
+
+
+def test_without_mallopt_the_policy_is_skipped_and_commands_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())  # a C library with no mallopt
+    assert cli.keep_freed_pages() is None
+    assert main(["world", "--out", str(tmp_path / "w"), "--seed", "3", "--n-train", "4", "--n-test", "2"]) == 0
+    assert json.loads((tmp_path / "w" / "manifest.json").read_text())["environment"]["malloc"] is None
+
+
+_TRAIN_WITHOUT_THE_CLI = """
+import json, sys
+from pathlib import Path
+from phonolm import model as md, pipeline as pl, quantizer as qz, tokenworld as tw
+ws, out = Path(sys.argv[1]), Path(sys.argv[2])
+corpus = tw.load_corpus(ws / "world")
+quant = qz.load_quantizers(ws / "quant" / "quantizers.ckpt")
+base = pl.default_model_config(corpus.world_spec, quant).to_dict()
+base.update(json.loads((ws / "model.json").read_text()))
+config = pl.TrainingConfig(**json.loads((ws / "train.json").read_text()), seed=5, mode="nar")
+model, _ = pl.train_mode("nar", corpus, quant, config, md.ModelConfig(**base))
+model.save(out / pl.MODES["nar"].checkpoint)
+"""
+
+
+def test_train_writes_the_same_checkpoint_with_and_without_the_malloc_policy(tmp_path, workspace):
+    # both in fresh interpreters: allocator state left by other tests cannot reach either side
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PHONOLM_SEED"}
+    env["PYTHONPATH"] = str(src)
+    on, off = tmp_path / "on", tmp_path / "off"
+    off.mkdir()
+    subprocess.run([sys.executable, "-m", "phonolm.cli", *map(str, _train_argv(workspace, on, "nar")),
+                    "--config", str(workspace / "train.json"), "--seed", "5"],
+                   env=env, check=True, capture_output=True, timeout=300)
+    subprocess.run([sys.executable, "-c", _TRAIN_WITHOUT_THE_CLI, str(workspace), str(off)],
+                   env=env, check=True, capture_output=True, timeout=300)
+    name = pl.MODES["nar"].checkpoint
+    assert (on / name).read_bytes() == (off / name).read_bytes()
+    if _GLIBC:
+        assert json.loads((on / "manifest.json").read_text())["environment"]["malloc"] is not None
 
 
 def test_malformed_corpus_exits_with_validation_code(tmp_path, workspace):
@@ -201,8 +268,8 @@ def test_train_set_override(tmp_path, workspace):
     assert len(lines) == 4
 
 
-def _train_argv(workspace, out):
-    return ["train", "--mode", "proposed_ar", "--corpus", workspace / "world",
+def _train_argv(workspace, out, mode="proposed_ar"):
+    return ["train", "--mode", mode, "--corpus", workspace / "world",
             "--quantizers", workspace / "quant" / "quantizers.ckpt",
             "--model-config", workspace / "model.json", "--out", out]
 

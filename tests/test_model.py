@@ -142,6 +142,22 @@ def test_nar_layer_index_range():
         md.nar_batch_logits(m, [([1], np.array([3, 4]), prompt, np.zeros((2, 0), dtype=np.int64), 0)])
 
 
+@pytest.mark.parametrize("prompt, below, named", [
+    ([[4, 0, 0]], [[0]], "prompt codec id out of range [0, 4) at layer 1"),  # would read layer 2's id 0
+    ([[0, 0, 0]], [[4]], "below-layer codec id out of range [0, 4) at layer 1"),
+    ([[0, -1, 0]], [[0]], "prompt codec id out of range [0, 4) at layer 2"),  # would read layer 1's id 3
+    ([[0, 0, 0]], [[0, -1]], "below-layer codec id out of range [0, 4) at layer 2"),
+], ids=["prompt_past_end", "below_past_end", "prompt_negative", "below_negative"])
+def test_nar_rejects_codec_ids_outside_their_layer(prompt, below, named):
+    # the codec tables of all layers are one stacked table, looked up with per-layer offsets
+    m = md.build_nar_model(tiny_config(codec_vocab=4, n_codec_layers=3), md.VARIANT_BASELINE, seed=0)
+    below = np.array(below, dtype=np.int64)
+    item = ([1], None, np.array(prompt, dtype=np.int64), below, below.shape[1] + 1)
+    with pytest.raises(IndexError) as exc:
+        md.nar_batch_logits(m, [([1], None, np.zeros((1, 3), dtype=np.int64), np.zeros((1, 1), dtype=np.int64), 2), item])
+    assert named in str(exc.value)
+
+
 def test_nar_baseline_variant_predicts_layers_2_up():
     m = md.build_nar_model(tiny_config(), md.VARIANT_BASELINE, seed=0)
     prompt = np.zeros((2, 4), dtype=np.int64)

@@ -122,6 +122,25 @@ def test_rvq_residual_energy_non_increasing():
     assert len(e) == 8
 
 
+@pytest.mark.parametrize("max_iters", [2, 50])  # stops at max_iters / at a fixpoint
+def test_rvq_fit_searches_only_inside_its_kmeans_fits(monkeypatch, max_iters):
+    rng = np.random.default_rng(12)
+    vecs = rng.normal(size=(300, 4))
+    nearest, searches = qz._nearest, []
+    monkeypatch.setattr(qz, "_nearest", lambda v, c: searches.append(len(c)) or nearest(v, c))
+    model = qz.rvq_fit(vecs, layers=3, k=6, max_iters=max_iters, seed=12)
+    in_rvq = len(searches)
+    # the same fits on their own, with the residuals made from unrecorded searches
+    searches.clear()
+    residual = vecs
+    for j, book in enumerate(model.layers):
+        alone = qz.kmeans_fit(residual, 6, max_iters=max_iters, seed=12 + j)
+        np.testing.assert_array_equal(alone.centroids, book.centroids)
+        residual = residual - book.centroids[nearest(residual, book.centroids)[0]]
+        assert model.residual_energy[j] == float((residual**2).sum(axis=1).mean())
+    assert in_rvq == len(searches)
+
+
 def test_rvq_more_layers_reconstruct_better_held_out():
     rng = np.random.default_rng(8)
     train = rng.normal(size=(600, 6))

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print the sha256 of every file a small end-to-end phonolm run writes.
 
-    python3 tools/output_digests.py <src dir> <work dir>
+    python3 tools/output_digests.py <src dir> [<other src dir>] <work dir>
 
 <src dir> is the directory that holds the `phonolm` package (a checkout's
 `src`); <work dir> is where a temporary run directory is made and removed
@@ -17,6 +17,10 @@ and prints one `<sha256>  <path>` line per output file except the
 give the same lines at one BLAS thread count (`OPENBLAS_NUM_THREADS`, read
 from the environment) wrote the same bytes: corpus, quantizers,
 checkpoints, `losses_*.csv` and the eval report.
+
+Given a second src dir, the script runs the recipe on both, prints the
+paths whose digests differ (or that only one run wrote) and exits 1 if
+there is any, 0 if every file is the same.
 """
 
 from __future__ import annotations
@@ -57,19 +61,30 @@ def digests(root: Path) -> list:
 
 
 def main(argv) -> int:
-    if len(argv) != 2:
+    if len(argv) not in (2, 3):
         print(__doc__, file=sys.stderr)
         return 2
-    src, work = Path(argv[0]).resolve(), Path(argv[1]).resolve()
-    if not (src / "phonolm" / "cli.py").is_file():
-        print(f"no phonolm package in {src}", file=sys.stderr)
-        return 2
+    *srcs, work = [Path(a).resolve() for a in argv]
+    for src in srcs:
+        if not (src / "phonolm" / "cli.py").is_file():
+            print(f"no phonolm package in {src}", file=sys.stderr)
+            return 2
     work.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=work) as tmp:
-        run_recipe(src, Path(tmp))
-        for digest, name in digests(Path(tmp)):
+    listings = []
+    for src in srcs:
+        with tempfile.TemporaryDirectory(dir=work) as tmp:
+            run_recipe(src, Path(tmp))
+            listings.append(digests(Path(tmp)))
+    if len(listings) == 1:
+        for digest, name in listings[0]:
             print(f"{digest}  {name}")
-    return 0
+        return 0
+    first, second = ({name: digest for digest, name in listing} for listing in listings)
+    differ = sorted(name for name in first.keys() | second.keys() if first.get(name) != second.get(name))
+    for name in differ:
+        print(name)
+    print(f"{len(differ)} of {len(first.keys() | second.keys())} files differ", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
