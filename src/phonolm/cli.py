@@ -83,13 +83,6 @@ def keep_freed_pages() -> dict | None:
     return applied or None
 
 
-def _resolve_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("PHONOLM_SEED")
-    return int(env) if env else 0
-
-
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -186,17 +179,16 @@ def _build_config(cls, values: dict):
 
 
 def cmd_world(args) -> int:
-    seed = _resolve_seed(args.seed)
     overrides = _parse_overrides(args.set)
     spec_dict = _load_json_config(args.spec, overrides)
-    spec_dict["seed"] = seed
+    spec_dict["seed"] = args.seed
     spec = _build_config(tw.WorldSpec, spec_dict)
     if args.n_train <= 0:
         raise ValidationError("--n-train must be positive")
     if args.n_test < 0:
         raise ValidationError("--n-test must be >= 0")
     out = _prepare_out(args.out, args.force)
-    corpus = tw.build_corpus(spec, args.n_train, args.n_test, np.random.default_rng(seed))
+    corpus = tw.build_corpus(spec, args.n_train, args.n_test, np.random.default_rng(args.seed))
     tw.save_corpus(corpus, out)
 
     # self-check: raw-frame oracle floor on a sample of the train split
@@ -214,7 +206,7 @@ def cmd_world(args) -> int:
         out, "world",
         params={"spec": args.spec, "n_train": args.n_train, "n_test": args.n_test,
                 "overrides": overrides, "world_spec": spec.to_dict()},
-        seeds={"seed": seed},
+        seeds={"seed": args.seed},
         input_files=[args.spec] if args.spec else [],
         output_files=outputs,
         args=args,
@@ -227,7 +219,6 @@ def cmd_quantize(args) -> int:
     for flag, least in (("k_phonetic", 1), ("k_codec", 1), ("layers", 1), ("iters", 0)):
         if getattr(args, flag) < least:
             raise ValidationError(f"--{flag.replace('_', '-')} must be >= {least}")
-    seed = _resolve_seed(args.seed)
     corpus_dir = Path(args.corpus)
     corpus = tw.load_corpus(corpus_dir)
     n_phonetic = sum(u.phonetic_frames.shape[0] for u in corpus.train)
@@ -243,7 +234,7 @@ def cmd_quantize(args) -> int:
     out = _prepare_out(args.out, args.force)
     quant = pl.fit_corpus_quantizers(
         corpus, k_phonetic=args.k_phonetic, k_codec=args.k_codec,
-        n_layers=args.layers, max_iters=args.iters, seed=seed,
+        n_layers=args.layers, max_iters=args.iters, seed=args.seed,
     )
     qz.save_quantizers(quant, out / "quantizers.ckpt")
     print(f"quantizers written to {out}: K={args.k_phonetic} phonetic "
@@ -254,7 +245,7 @@ def cmd_quantize(args) -> int:
         out, "quantize",
         params={"corpus": str(corpus_dir), "k_phonetic": args.k_phonetic,
                 "k_codec": args.k_codec, "layers": args.layers, "iters": args.iters},
-        seeds={"seed": seed},
+        seeds={"seed": args.seed},
         input_files=[corpus_dir / "world.json", corpus_dir / "train.jsonl"],
         output_files=["quantizers.ckpt", "quantizers.json"],
         args=args,
@@ -279,10 +270,8 @@ def cmd_train(args) -> int:
         raise ValidationError(f"missing quantizers checkpoint: {quant_path}")
     overrides = _parse_overrides(args.set)
     cfg_dict = _load_json_config(args.config, overrides)
-    cfg_dict.setdefault("seed", _resolve_seed(args.seed))
-    if args.seed is not None:
-        cfg_dict["seed"] = int(args.seed)
-    cfg_dict["mode"] = args.mode
+    if args.seed is not None:  # --seed, then the config's seed, then TrainingConfig's 0
+        cfg_dict["seed"] = args.seed
     config = _build_config(pl.TrainingConfig, cfg_dict)
 
     corpus = tw.load_corpus(corpus_dir)
@@ -355,7 +344,6 @@ def cmd_eval(args) -> int:
     for flag in ("n_prompts", "seeds", "jobs"):
         if getattr(args, flag) < 1:
             raise ValidationError(f"--{flag.replace('_', '-')} must be >= 1")
-    base_seed = _resolve_seed(args.seed)
 
     resolved = [Path(b).resolve() for b in args.bundle]
     if len(set(resolved)) < len(resolved):
@@ -371,7 +359,7 @@ def cmd_eval(args) -> int:
     corpus = tw.load_corpus(corpus_dir)
     out = _prepare_out(args.out, args.force)
     run_task = functools.partial(_eval_task, corpus, splits, args.n_prompts)
-    tasks = [(bundle_dir, kind, base_seed + rep) for bundle_dir, kind in systems for rep in range(args.seeds)]
+    tasks = [(bundle_dir, kind, args.seed + rep) for bundle_dir, kind in systems for rep in range(args.seeds)]
     reports, crashed = [], []
     with contextlib.ExitStack() as stack:
         # --jobs 1 runs the tasks in this process, where the benchmark captures their results
@@ -408,7 +396,7 @@ def cmd_eval(args) -> int:
         params={"bundles": list(args.bundle), "corpus": str(corpus_dir),
                 "splits": args.splits, "seeds": args.seeds, "n_prompts": args.n_prompts,
                 "jobs": args.jobs},
-        seeds={"base_seed": base_seed},
+        seeds={"base_seed": args.seed},
         input_files=input_files,
         output_files=[p.name for p in out.iterdir() if p.name != "manifest.json"],
         args=args,
@@ -435,19 +423,18 @@ def cmd_synth(args) -> int:
         raise ValidationError(f"utterance index out of range for split of {len(utts)}")
     if args.index == args.prompt_index:
         raise ValidationError("prompt must be a different utterance than the target")
-    seed = _resolve_seed(args.seed)
     target, prompt = utts[args.index], utts[args.prompt_index]
     request = pl.SynthesisRequest(
         phonemes=target.phonemes, prompt=prompt,
         temperature=args.temperature, top_k=args.top_k,
     )
-    (result,) = pl.synthesize_many(bundle, [request], [seed])
+    (result,) = pl.synthesize_many(bundle, [request], [args.seed])
     record = {
         "system": kind,
         "split": split,
         "index": args.index,
         "prompt_index": args.prompt_index,
-        "seed": seed,
+        "seed": args.seed,
         "runaway": result.runaway,
         "generated_length": result.generated_length,
         "codes": result.codes.tolist(),
@@ -477,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--out", required=True)
     w.add_argument("--n-train", type=int, default=500)
     w.add_argument("--n-test", type=int, default=40)
-    w.add_argument("--seed", type=int)
+    w.add_argument("--seed", type=int, default=0)
     w.add_argument("--force", action="store_true")
     w.add_argument("--set", action="append", metavar="KEY=VALUE")
     w.set_defaults(func=cmd_world)
@@ -488,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--k-codec", type=int, default=32)
     q.add_argument("--layers", type=int, default=8)
     q.add_argument("--iters", type=int, default=30)
-    q.add_argument("--seed", type=int)
+    q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", required=True)
     q.add_argument("--force", action="store_true")
     q.set_defaults(func=cmd_quantize)
@@ -499,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--quantizers", required=True, help="path to quantizers.ckpt")
     t.add_argument("--config", help="TrainingConfig JSON")
     t.add_argument("--model-config", help="ModelConfig JSON overrides")
-    t.add_argument("--seed", type=int)
+    t.add_argument("--seed", type=int, help="overrides the config's seed (default 0)")
     t.add_argument("--out", required=True)
     t.add_argument("--force", action="store_true")
     t.add_argument("--set", action="append", metavar="KEY=VALUE")
@@ -511,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--splits", default="clean,other")
     e.add_argument("--seeds", type=int, default=1, help="evaluation seed replicates per bundle")
     e.add_argument("--n-prompts", type=int, default=20)
-    e.add_argument("--seed", type=int)
+    e.add_argument("--seed", type=int, default=0)
     e.add_argument("--jobs", type=int, default=1)
     e.add_argument("--out", required=True)
     e.add_argument("--force", action="store_true")
@@ -526,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--prompt-index", type=int, required=True)
     s.add_argument("--temperature", type=float, default=1.0)
     s.add_argument("--top-k", type=int, default=8)
-    s.add_argument("--seed", type=int)
+    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True, help="JSONL file to append the codes to")
     s.set_defaults(func=cmd_synth)
 

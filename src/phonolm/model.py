@@ -262,7 +262,8 @@ class KVCache:
 
     Block i keeps (B, H, capacity, hd) arrays; entry b has its first
     `lengths[b]` rows filled. Rows past that may hold leftovers of padding,
-    which the length mask hides.
+    which the length mask hides. A forward given the cache places entry b's
+    new rows at positions lengths[b] onward and then advances `lengths`.
     """
 
     def __init__(self, model: DecoderModel, batch: int, capacity: int):
@@ -328,41 +329,45 @@ def _trunk_forward(model: DecoderModel, x: Tensor, mask: Tensor, train: bool, rn
     return nm.layer_norm(x, p["final_ln/gain"], p["final_ln/bias"])
 
 
-def _check_len(model: DecoderModel, n: int):
-    if n > model.config.max_sequence_len:
-        raise SequenceLengthError(
-            f"sequence length {n} exceeds max_sequence_len {model.config.max_sequence_len}"
-        )
-
-
 def _run_batch(model: DecoderModel, x: Tensor, lengths, rows, causal: bool, train: bool, rng,
                cache=None) -> Tensor:
-    """The tail both batched forwards share.
+    """The one forward tail: training, NAR passes, AR prefill and cached
+    decode steps all end here.
 
     `x` holds the items' input embeddings, (sum(lengths), d), item b's
-    `lengths[b]` rows right after those of item b - 1. Position embeddings
-    are added, one gather pads the items into a (B, T, d) batch (padding
-    slots read an appended zero row), which runs through the trunk (and into
-    `cache`, if given), and each item's `rows[b]` = (start, count) positions
-    are projected through the head, concatenated in item order.
+    `lengths[b]` rows right after those of item b - 1. Item b's rows sit at
+    positions starts[b] + [0, lengths[b]), where starts is `cache.lengths`
+    given a KVCache (the cached rows come first) and 0 without one; a
+    sequence that would end past max_sequence_len raises
+    SequenceLengthError before anything is looked up or cached. Position
+    embeddings are added, one gather pads the items into a (B, T, d) batch
+    (padding slots read an appended zero row), which runs through the trunk
+    (and into `cache`, whose lengths then grow by `lengths`), and each
+    item's `rows[b]` = (start, count) of its new rows are projected through
+    the head, concatenated in item order.
     """
     cfg = model.config
     if train and cfg.dropout > 0 and rng is None:
         raise ContractError("training forward needs an rng for dropout")
     lengths = np.asarray(lengths, dtype=np.int64)
+    starts = np.zeros_like(lengths) if cache is None else cache.lengths
+    ends = starts + lengths
+    if ends.max() > cfg.max_sequence_len:
+        raise SequenceLengthError(f"sequence length {ends.max()} exceeds max_sequence_len {cfg.max_sequence_len}")
     B, T = len(lengths), int(lengths.max())
     pos = np.arange(T)
     real = pos < lengths[:, None]  # (B, T); row-major order is item order
-    x = nm.add(x, nm.embedding(model.params["emb/pos"], np.broadcast_to(pos, (B, T))[real]))
+    x = nm.add(x, nm.embedding(model.params["emb/pos"], (starts[:, None] + pos)[real]))
     slots = np.where(real, np.cumsum(lengths)[:, None] - lengths[:, None] + pos, x.shape[0])
     x = nm.gather_rows(nm.concat([x, Tensor(np.zeros((1, cfg.d_model)))]), slots)
     if train and cfg.dropout > 0:
         x = nm.dropout(x, cfg.dropout, rng)
-    h = _trunk_forward(model, x, _attention_mask(lengths, T, T, causal), train, rng, cache)
+    mask = _attention_mask(ends, T, int(starts.max()) + T, causal, starts)
+    h = _trunk_forward(model, x, mask, train, rng, cache)
     if cache is not None:
-        cache.lengths = lengths
-    starts, counts = np.asarray(rows, dtype=np.int64).T
-    heads = np.flatnonzero((pos >= starts[:, None]) & (pos < (starts + counts)[:, None]))
+        cache.lengths = ends
+    first, counts = np.asarray(rows, dtype=np.int64).T
+    heads = np.flatnonzero((pos >= first[:, None]) & (pos < (first + counts)[:, None]))
     return nm.matmul(nm.gather_rows(nm.reshape(h, (B * T, cfg.d_model)), heads), model.params["head/w"])
 
 
@@ -383,7 +388,9 @@ def ar_batch_logits(model: DecoderModel, items, train: bool = False, rng=None, c
     The phoneme and token tables are looked up as one stacked table, token
     ids offset by phoneme_vocab, in one embedding op over every item's ids
     in item order. An empty KVCache with one entry per item, if given, is
-    filled with the items' keys and values (inference only).
+    filled with the items' keys and values (inference only): that is how
+    decoding starts, with empty targets, before `ar_step` feeds each
+    sampled token.
     """
     if model.kind != AR:
         raise ContractError("ar_batch_logits needs an AR model")
@@ -396,7 +403,6 @@ def ar_batch_logits(model: DecoderModel, items, train: bool = False, rng=None, c
         prompt = np.asarray(prompt, dtype=np.int64)
         target = np.asarray(target, dtype=np.int64)
         T = len(phonemes) + 1 + len(prompt) + len(target)
-        _check_len(model, T)
         tokens = np.concatenate([[model.sep_id], prompt, target])
         if phonemes.min(initial=0) < 0 or phonemes.max(initial=0) >= n_ph or tokens.min() < 0:
             raise IndexError("AR input id out of range")  # it would read the other table's rows
@@ -410,34 +416,16 @@ def ar_batch_logits(model: DecoderModel, items, train: bool = False, rng=None, c
     return logits, np.concatenate(flat_targets)
 
 
-def ar_prefill(model: DecoderModel, items, capacity: int) -> tuple:
-    """Start incremental decoding of (phonemes, prompt_ids) items.
-
-    Runs [phonemes][SEP][prompt] once per item and returns (logits (B, V) of
-    the first token to generate, a KVCache with room for `capacity`
-    positions per entry).
-    """
-    cache = KVCache(model, len(items), capacity)
-    logits, _ = ar_batch_logits(model, [(ph, prompt, ()) for ph, prompt in items], cache=cache)
-    return logits, cache
-
-
 def ar_step(model: DecoderModel, cache: KVCache, tokens) -> Tensor:
     """Feed one token per cache entry at the entry's next position.
 
     Returns logits (B, V) of the token that follows; equal, up to rounding,
     to the last row a full ar_batch_logits pass over the same prefix gives.
+    The step is `_run_batch` over one-position items.
     """
-    p = model.params
-    pos = cache.lengths
-    n_keys = int(pos.max()) + 1
-    _check_len(model, n_keys)
-    x = nm.add(nm.embedding(p["emb/token"], tokens), nm.embedding(p["emb/pos"], pos))
-    B, d = x.shape
-    mask = _attention_mask(pos + 1, 1, n_keys, causal=True, offsets=pos)
-    h = _trunk_forward(model, nm.reshape(x, (B, 1, d)), mask, False, None, cache)
-    cache.lengths = pos + 1
-    return nm.matmul(nm.reshape(h, (B, d)), p["head/w"])
+    B = len(cache.lengths)
+    x = nm.embedding(model.params["emb/token"], tokens)
+    return _run_batch(model, x, [1] * B, [(0, 1)] * B, causal=True, train=False, rng=None, cache=cache)
 
 
 def ar_sample_next(logits_row, temperature: float, top_k: int, rng: np.random.Generator) -> int:
@@ -491,7 +479,6 @@ def _validate_nar_item(model, phonemes, cond_tokens, prompt_codes, target_below,
                                 f"vs {n_frames} target frames")
     elif cond_tokens is not None:
         raise ContractError("the layer-1-conditioned variant takes no phonetic tokens")
-    _check_len(model, len(phonemes) + 1 + prompt_codes.shape[0] + n_frames)
     return phonemes, cond_tokens, prompt_codes, target_below, j
 
 

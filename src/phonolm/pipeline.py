@@ -82,7 +82,6 @@ class TrainingConfig:
     learning_rate: float = 1e-3
     seed: int = 0
     grad_clip: float = 1.0
-    mode: str = ""
 
     def __post_init__(self):
         for key in ("steps", "batch_size"):
@@ -382,7 +381,6 @@ class _GenEntry:
     phonemes: np.ndarray
     prompt_stream: np.ndarray
     prompt_codes: np.ndarray
-    prompt_cond: np.ndarray | None
     cap: int
     temperature: float
     top_k: int
@@ -416,7 +414,6 @@ def _prepare_entry(bundle: SystemBundle, request: SynthesisRequest, rng) -> _Gen
         phonemes=phonemes,
         prompt_stream=prompt_stream,
         prompt_codes=prompt_codes,
-        prompt_cond=prompt_tokens if bundle.kind == KIND_PROPOSED else None,
         cap=min(cap, headroom),
         temperature=request.temperature,
         top_k=request.top_k,
@@ -435,7 +432,8 @@ def _generate_tokens(model: md.DecoderModel, entries: list) -> None:
         return
     # base length + cap - 1 positions: the last sampled token is never fed back
     capacity = max(len(e.phonemes) + len(e.prompt_stream) + e.cap for e in active)
-    logits, cache = md.ar_prefill(model, [(e.phonemes, e.prompt_stream) for e in active], capacity)
+    cache = md.KVCache(model, len(active), capacity)
+    logits, _ = md.ar_batch_logits(model, [(e.phonemes, e.prompt_stream, ()) for e in active], cache=cache)
     while True:
         for e, row in zip(active, logits.data):
             token = md.ar_sample_next(row, e.temperature, e.top_k, e.rng)

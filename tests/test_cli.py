@@ -156,7 +156,7 @@ corpus = tw.load_corpus(ws / "world")
 quant = qz.load_quantizers(ws / "quant" / "quantizers.ckpt")
 base = pl.default_model_config(corpus.world_spec, quant).to_dict()
 base.update(json.loads((ws / "model.json").read_text()))
-config = pl.TrainingConfig(**json.loads((ws / "train.json").read_text()), seed=5, mode="nar")
+config = pl.TrainingConfig(**json.loads((ws / "train.json").read_text()), seed=5)
 model, _ = pl.train_mode("nar", corpus, quant, config, md.ModelConfig(**base))
 model.save(out / pl.MODES["nar"].checkpoint)
 """
@@ -165,8 +165,7 @@ model.save(out / pl.MODES["nar"].checkpoint)
 def test_train_writes_the_same_checkpoint_with_and_without_the_malloc_policy(tmp_path, workspace):
     # both in fresh interpreters: allocator state left by other tests cannot reach either side
     src = Path(cli.__file__).resolve().parents[1]
-    env = {k: v for k, v in os.environ.items() if k != "PHONOLM_SEED"}
-    env["PYTHONPATH"] = str(src)
+    env = {**os.environ, "PYTHONPATH": str(src)}
     on, off = tmp_path / "on", tmp_path / "off"
     off.mkdir()
     subprocess.run([sys.executable, "-m", "phonolm.cli", *map(str, _train_argv(workspace, on, "nar")),
@@ -268,6 +267,24 @@ def test_train_set_override(tmp_path, workspace):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("config_seed, flag, want", [(None, None, 0), (7, None, 7), (7, 2, 2)])
+def test_train_seed_is_the_flag_then_the_config_seed_then_zero(tmp_path, workspace, config_seed, flag, want):
+    config = {"steps": 1, "batch_size": 2} | ({} if config_seed is None else {"seed": config_seed})
+    (tmp_path / "train.json").write_text(json.dumps(config))
+    argv = _train_argv(workspace, tmp_path / "t") + ["--config", tmp_path / "train.json"]
+    assert run(*argv, *([] if flag is None else ["--seed", flag])) == 0
+    assert json.loads((tmp_path / "t" / "config.json").read_text())["seed"] == want
+    assert json.loads((tmp_path / "t" / "manifest.json").read_text())["seeds"]["seed"] == want
+
+
+def test_seed_defaults_to_zero_for_every_other_subcommand():
+    parser = cli.build_parser()
+    for argv in (["world", "--out", "w"], ["quantize", "--corpus", "c", "--out", "q"],
+                 ["eval", "--bundle", "b", "--corpus", "c", "--out", "e"],
+                 ["synth", "--bundle", "b", "--corpus", "c", "--index", "0", "--prompt-index", "1", "--out", "s"]):
+        assert parser.parse_args(argv).seed == 0
+
+
 def _train_argv(workspace, out, mode="proposed_ar"):
     return ["train", "--mode", mode, "--corpus", workspace / "world",
             "--quantizers", workspace / "quant" / "quantizers.ckpt",
@@ -279,7 +296,8 @@ def _train_argv(workspace, out, mode="proposed_ar"):
     ("train_key", ["--set", "bogus=3"], "bogus"),
     ("train_type", ["--set", "steps=abc"], "TrainingConfig"),
     ("model_config_key", [], "bogus_width"),
-    ("old_config", [], "checkpoint_interval"),
+    # a config.json as written before checkpoint_interval was removed
+    ("old_config", {"steps": 3, "checkpoint_interval": 0}, "checkpoint_interval"),
     ("learning_rate", ["--set", "learning_rate=0"], "must be positive"),
     ("grad_clip", ["--set", "grad_clip=-1"], "must be positive"),
     ("quantizers_is_a_model", [], "not a quantizer set"),
@@ -299,25 +317,26 @@ def _train_argv(workspace, out, mode="proposed_ar"):
     ("model_value", {"n_layers": -1}, "n_layers must be >= 0"),
     ("model_value", {"dropout": 1.0}, "dropout must be in [0, 1)"),
     ("model_value", {"dropout": -0.1}, "dropout must be in [0, 1)"),
+    # a config.json as written while TrainingConfig had a mode field, which --mode overwrote
+    ("old_config", {"steps": 3, "seed": 0, "mode": "proposed_ar"}, "'mode'"),
+    ("train_key", ["--set", "mode=proposed_ar"], "'mode'"),
 ])
 def test_bad_config_values_exit_with_validation_code(tmp_path, workspace, capsys, case, extra, named):
     argv = _train_argv(workspace, tmp_path / "t")
+    bad = tmp_path / "bad.json"
     if case == "model_value":
-        bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(extra))
         argv[argv.index("--model-config") + 1] = bad
+    elif case == "old_config":  # a dict is a --config file
+        bad.write_text(json.dumps(extra))
+        argv += ["--config", bad]
     else:
         argv += extra
     if case == "world_key":
         argv = ["world", "--out", tmp_path / "w", "--n-train", 4, "--n-test", 2] + extra
-    elif case in ("model_config_key", "old_config"):
-        bad = tmp_path / "bad.json"
-        if case == "old_config":  # a config.json as written before checkpoint_interval was removed
-            bad.write_text(json.dumps({"steps": 3, "checkpoint_interval": 0}))
-            argv += ["--config", bad]
-        else:
-            bad.write_text(json.dumps({"n_layers": 1, "bogus_width": 4}))
-            argv[argv.index("--model-config") + 1] = bad
+    elif case == "model_config_key":
+        bad.write_text(json.dumps({"n_layers": 1, "bogus_width": 4}))
+        argv[argv.index("--model-config") + 1] = bad
     elif case.startswith("quantizers"):
         bad = workspace / "prop" / "ar.ckpt"
         if case == "quantizers_garbage":
@@ -521,12 +540,3 @@ def test_synth_rejects_same_prompt_and_target(tmp_path, workspace):
     rc = run("synth", "--bundle", workspace / "prop", "--corpus", workspace / "world",
              "--index", 0, "--prompt-index", 0, "--out", tmp_path / "x.jsonl")
     assert rc == 2
-
-
-def test_env_seed_fallback(tmp_path, workspace, monkeypatch):
-    monkeypatch.setenv("PHONOLM_SEED", "9")
-    spec = workspace / "world_spec.json"
-    assert run("world", "--spec", spec, "--out", tmp_path / "we",
-               "--n-train", 6, "--n-test", 4) == 0
-    manifest = json.loads((tmp_path / "we" / "manifest.json").read_text())
-    assert manifest["seeds"]["seed"] == 9

@@ -415,7 +415,8 @@ def _ragged_decode_case():
 def test_cached_steps_match_full_recompute():
     m, items, steps, tokens = _ragged_decode_case()
     capacity = max(len(ph) + 1 + len(pr) + n for (ph, pr), n in zip(items, steps))
-    logits, cache = md.ar_prefill(m, items, capacity)
+    cache = md.KVCache(m, len(items), capacity)
+    logits, _ = md.ar_batch_logits(m, [(ph, pr, []) for ph, pr in items], cache=cache)
     full, _ = md.ar_batch_logits(m, [(ph, pr, []) for ph, pr in items])
     np.testing.assert_array_equal(logits.data, full.data)  # the prefill is that very pass
     active, fed, worst = list(range(len(items))), 0, 0.0
@@ -437,10 +438,42 @@ def test_cached_steps_match_full_recompute():
 
 def test_cached_step_length_guard():
     m = md.build_ar_model(tiny_config(max_sequence_len=8), md.STREAM_PHONETIC, seed=0)
-    _, cache = md.ar_prefill(m, [([1, 2, 3], [4, 5, 6]), ([1], [2])], capacity=9)
+    cache = md.KVCache(m, 2, 9)
+    md.ar_batch_logits(m, [([1, 2, 3], [4, 5, 6], []), ([1], [2], [])], cache=cache)
     md.ar_step(m, cache, [7, 7])  # the first entry now fills all 8 positions
     with pytest.raises(md.SequenceLengthError):
         md.ar_step(m, cache, [7, 7])
+
+
+@pytest.mark.parametrize("forward", ["ar", "nar", "cached_step"])
+def test_sequences_of_exactly_max_sequence_len_pass_and_one_more_raises(forward):
+    cfg = tiny_config(max_sequence_len=8)
+    ar = md.build_ar_model(cfg, md.STREAM_PHONETIC, seed=0)
+    nar = md.build_nar_model(cfg, md.VARIANT_PROPOSED, seed=0)
+    prompt = np.zeros((2, cfg.n_codec_layers), dtype=np.int64)
+    cache = md.KVCache(ar, 2, 9)
+    if forward == "cached_step":
+        md.ar_batch_logits(ar, [([1, 2], [3, 4, 5], []), ([1], [2], [])], cache=cache)  # 6 and 3 positions
+        md.ar_step(ar, cache, [6, 6])
+
+    def run(n):  # a batch whose longer item ends at position n; a short item rides along
+        if forward == "ar":
+            return md.ar_batch_logits(ar, [([1, 2], [3], [4] * (n - 4)), ([1], [], [2])])
+        if forward == "nar":
+            below = np.zeros((n - 5, 1), dtype=np.int64)
+            return md.nar_batch_logits(nar, [([1, 2], np.ones(n - 5, dtype=np.int64), prompt, below, 2),
+                                             ([1], np.ones(1, dtype=np.int64), prompt[:1], below[:1], 2)])
+        assert cache.lengths.max() == n - 1
+        return md.ar_step(ar, cache, [6, 6])
+
+    run(8)
+    lengths, keys = cache.lengths.copy(), [k.copy() for k in cache.keys]
+    with pytest.raises(md.SequenceLengthError):
+        run(9)
+    # the failing step wrote nothing into the cache
+    np.testing.assert_array_equal(cache.lengths, lengths)
+    for k, before in zip(cache.keys, keys):
+        np.testing.assert_array_equal(k, before)
 
 
 def test_cache_filled_only_by_inference_forward():

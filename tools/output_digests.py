@@ -11,12 +11,13 @@ again. In it the script runs, through `python -m phonolm.cli`:
     quantize --iters 4
     train --mode <m> --set steps=20 --seed 101     (all four modes, one bundle dir)
     eval --n-prompts 6 --seeds 2
+    synth --index 0 --prompt-index 4 --seed 3     (the proposed system, split clean)
 
 and prints one `<sha256>  <path>` line per output file except the
 `manifest.json` files, which hold paths and wall times. Two checkouts that
 give the same lines at one BLAS thread count (`OPENBLAS_NUM_THREADS`, read
 from the environment) wrote the same bytes: corpus, quantizers,
-checkpoints, `losses_*.csv` and the eval report.
+checkpoints, `losses_*.csv`, the eval report and the synth JSONL.
 
 Given a second src dir, the script runs the recipe on both, prints the
 paths whose digests differ (or that only one run wrote) and exits 1 if
@@ -36,8 +37,7 @@ TRAIN_MODES = ("proposed_ar", "nar", "baseline_ar", "baseline_nar")
 
 
 def run_recipe(src: Path, root: Path) -> None:
-    env = {k: v for k, v in os.environ.items() if k != "PHONOLM_SEED"}
-    env["PYTHONPATH"] = str(src)
+    env = {**os.environ, "PYTHONPATH": str(src)}
 
     def phonolm(*args):
         subprocess.run([sys.executable, "-m", "phonolm.cli", *args], cwd=root, env=env,
@@ -50,6 +50,8 @@ def run_recipe(src: Path, root: Path) -> None:
                 "--out", "bundle", "--set", "steps=20", "--seed", "101")
     phonolm("eval", "--bundle", "bundle", "--corpus", "world", "--out", "eval",
             "--n-prompts", "6", "--seeds", "2")
+    phonolm("synth", "--bundle", "bundle", "--corpus", "world", "--index", "0", "--prompt-index", "4",
+            "--seed", "3", "--out", "synth/codes.jsonl")
 
 
 def digests(root: Path) -> list:
