@@ -417,6 +417,7 @@ def cmd_synth(args) -> int:
     if kind not in kinds:
         raise ValidationError(f"bundle {args.bundle} has no {kind} system")
     bundle = pl.load_bundle(args.bundle, kind)
+    pl.check_corpus_world(bundle, corpus)
     split = _SPLIT_FLAGS.get(args.split, args.split)
     utts = corpus.split(split)
     if not (0 <= args.index < len(utts)) or not (0 <= args.prompt_index < len(utts)):

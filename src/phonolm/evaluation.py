@@ -176,9 +176,11 @@ def evaluate_system(
     seed: int,
 ) -> SplitMetrics:
     """Synthesize each evaluation utterance from a same-speaker prompt and
-    score it against the oracle. Prompts must come from held-out speakers."""
+    score it against the oracle. Prompts must come from held-out speakers,
+    and the corpus from the bundle's world."""
     if split not in ("test_clean", "test_other"):
         raise ContractError(f"evaluation split must be a test split, got {split!r}")
+    pl.check_corpus_world(bundle, corpus)
     utts = corpus.split(split)
     train_speakers = corpus.train_speakers
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _PROMPT_STREAM])))
@@ -205,9 +207,9 @@ def evaluate_passthrough(corpus: tw.Corpus, quantizers, split: str, n_prompts: i
     utts = corpus.split(split)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _PROMPT_STREAM])))
     pairs, skipped = _pick_eval_utterances(utts, n_prompts, rng)
+    tokenized = pl.tokenize_utterances([utts[i] for i, _ in pairs], quantizers)
     evals = [
-        _score(utts[i], qz.rvq_encode(utts[i].acoustic_frames, quantizers.rvq), False, quantizers, corpus.world_spec)
-        for i, _ in pairs
+        _score(utts[i], tu.codes, False, quantizers, corpus.world_spec) for (i, _), tu in zip(pairs, tokenized)
     ]
     return _aggregate(evals, skipped)
 

@@ -419,7 +419,10 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+_LN_EPS = 1e-5  # added to the variance before the square root
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     The variance is np.var's own arithmetic (mean, subtract, square, sum,
@@ -431,7 +434,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     data = np.square(xhat)
     inv = data.sum(axis=-1, keepdims=True)
     inv /= d
-    inv += eps
+    inv += _LN_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
@@ -565,8 +568,8 @@ def transpose(x: Tensor, axes) -> Tensor:
     return _result(data, (x,), vjp)
 
 
-def pad_stack(tensors, length: int | None = None) -> Tensor:
-    """Stack 2-D (T_i, d) tensors into (B, L, d), zero-padding rows to L."""
+def pad_stack(tensors) -> Tensor:
+    """Stack 2-D (T_i, d) tensors into (B, max T_i, d), zero-padding rows."""
     tensors = list(tensors)
     if not tensors:
         raise ContractError("pad_stack of zero tensors")
@@ -574,10 +577,7 @@ def pad_stack(tensors, length: int | None = None) -> Tensor:
     lens = [t.data.shape[0] for t in tensors]
     if any(t.data.ndim != 2 or t.data.shape[1] != d for t in tensors):
         raise ShapeError("pad_stack expects 2-D tensors with a common last dim")
-    L = max(lens) if length is None else length
-    if L < max(lens):
-        raise ShapeError(f"pad length {L} shorter than longest input {max(lens)}")
-    data = np.zeros((len(tensors), L, d))
+    data = np.zeros((len(tensors), max(lens), d))
     for i, t in enumerate(tensors):
         data[i, : lens[i]] = t.data
 

@@ -69,6 +69,7 @@ _LAYER_STREAM = 0x33
 _DROP_STREAM = 0x44
 
 _EVAL_SPLIT_FRACS = (0.25, 0.35, 0.45)  # fixed prompt splits for accuracy probes
+_SYNTH_CHUNK = 8  # requests tokenized and decoded as one batch
 
 
 class TrainingError(RuntimeError):
@@ -378,45 +379,38 @@ def _expected_generation(request: SynthesisRequest, spec: tw.WorldSpec, stream: 
 
 @dataclass
 class _GenEntry:
+    request: SynthesisRequest
     phonemes: np.ndarray
     prompt_stream: np.ndarray
     prompt_codes: np.ndarray
     cap: int
-    temperature: float
-    top_k: int
     rng: np.random.Generator
     generated: list = field(default_factory=list)
-    done: bool = False
     runaway: bool = False
 
 
-def _prepare_entry(bundle: SystemBundle, request: SynthesisRequest, rng) -> _GenEntry:
-    q = bundle.quantizers
-    prompt_tokens = qz.kmeans_assign(request.prompt.phonetic_frames, q.phonetic)
-    prompt_codes = qz.rvq_encode(request.prompt.acoustic_frames, q.rvq)
-    phonemes = np.concatenate(
-        [np.asarray(request.prompt.phonemes, dtype=np.int64), np.asarray(request.phonemes, dtype=np.int64)]
-    )
+def _prepare_entry(bundle: SystemBundle, request: SynthesisRequest, prompt: TokenizedUtterance, rng) -> _GenEntry:
+    """`prompt`: the request's prompt utterance as `tokenize_utterances` encodes it."""
+    phonemes = np.concatenate([prompt.phonemes, np.asarray(request.phonemes, dtype=np.int64)])
     if phonemes.max() >= bundle.world_spec.phoneme_vocab_size or phonemes.min() < 0:
         raise ContractError("phoneme id out of range for this world")
     stream = bundle.ar.role
-    prompt_stream = prompt_tokens if stream == md.STREAM_PHONETIC else prompt_codes[:, 0]
+    prompt_stream = prompt.phonetic if stream == md.STREAM_PHONETIC else prompt.codes[:, 0]
     cap = int(np.ceil(request.max_length_factor * _expected_generation(request, bundle.world_spec, stream)))
     base_len = len(phonemes) + 1 + len(prompt_stream)
     headroom = bundle.ar.config.max_sequence_len - base_len - 1
     # the NAR input is [phonemes][SEP][prompt frames][generated frames], and a
     # proposed system turns `cap` tokens into ceil(3 cap / 2) frames
-    nar_room = bundle.nar.config.max_sequence_len - (len(phonemes) + 1 + prompt_codes.shape[0])
+    nar_room = bundle.nar.config.max_sequence_len - (len(phonemes) + 1 + prompt.codes.shape[0])
     headroom = min(headroom, 2 * nar_room // 3 if bundle.kind == KIND_PROPOSED else nar_room)
     if headroom < 1:
         raise ContractError("prompt leaves no room for generation under max_sequence_len")
     return _GenEntry(
+        request=request,
         phonemes=phonemes,
         prompt_stream=prompt_stream,
-        prompt_codes=prompt_codes,
+        prompt_codes=prompt.codes,
         cap=min(cap, headroom),
-        temperature=request.temperature,
-        top_k=request.top_k,
         rng=rng,
     )
 
@@ -427,24 +421,22 @@ def _generate_tokens(model: md.DecoderModel, entries: list) -> None:
     One prefill over each entry's [phonemes][SEP][prompt], then one cached
     step per sampled token; finished entries leave the cache.
     """
-    active = [e for e in entries if not e.done]
-    if not active:
-        return
+    active = list(entries)
     # base length + cap - 1 positions: the last sampled token is never fed back
     capacity = max(len(e.phonemes) + len(e.prompt_stream) + e.cap for e in active)
     cache = md.KVCache(model, len(active), capacity)
     logits, _ = md.ar_batch_logits(model, [(e.phonemes, e.prompt_stream, ()) for e in active], cache=cache)
     while True:
-        for e, row in zip(active, logits.data):
-            token = md.ar_sample_next(row, e.temperature, e.top_k, e.rng)
+        live = []
+        for i, (e, row) in enumerate(zip(active, logits.data)):
+            token = md.ar_sample_next(row, e.request.temperature, e.request.top_k, e.rng)
             if token == model.stop_id:
-                e.done = True
+                continue
+            e.generated.append(token)
+            if len(e.generated) >= e.cap:
+                e.runaway = True
             else:
-                e.generated.append(token)
-                if len(e.generated) >= e.cap:
-                    e.done = True
-                    e.runaway = True
-        live = [i for i, e in enumerate(active) if not e.done]
+                live.append(i)
         if not live:
             return
         if len(live) < len(active):
@@ -454,64 +446,59 @@ def _generate_tokens(model: md.DecoderModel, entries: list) -> None:
 
 
 def _predict_codes(bundle: SystemBundle, entries: list) -> list:
-    """Greedy argmax NAR decode per layer, batched over entries."""
+    """Greedy argmax NAR decode per layer, batched over the entries that
+    generated at least one token."""
     nar = bundle.nar
     n_layers = nar.config.n_codec_layers
-    results = []
-    frames = []
-    for e in entries:
-        gen = np.asarray(e.generated, dtype=np.int64)
-        cond = qz.upsample_tokens(gen) if bundle.kind == KIND_PROPOSED else None
-        codes = np.zeros((len(gen) if cond is None else len(cond), n_layers), dtype=np.int64)
-        if cond is None:
-            codes[:, 0] = gen  # the baseline's AR stream is codec layer 1
-        frames.append((cond, codes))
-    for j in range(nar.min_layer, n_layers + 1):
-        items, live = [], []
-        for e, (cond, codes) in zip(entries, frames):
-            if codes.shape[0] == 0:
-                continue
-            items.append((e.phonemes, cond, e.prompt_codes, codes[:, : j - 1], j))
-            live.append(codes)
-        if not items:
-            break
-        logits = md.nar_batch_logits(bundle.nar, items)
-        offset = 0
-        for codes in live:
-            n = codes.shape[0]
-            codes[:, j - 1] = logits.data[offset : offset + n].argmax(axis=1)
-            offset += n
-    for e, (cond, codes) in zip(entries, frames):
-        results.append(
-            SynthesisResult(
-                codes=codes,
-                phonetic_tokens=np.asarray(e.generated, dtype=np.int64)
-                if bundle.kind == KIND_PROPOSED
-                else None,
-                runaway=e.runaway,
-                generated_length=len(e.generated),
-            )
-        )
-    return results
+    proposed = bundle.kind == KIND_PROPOSED
+    tokens = [np.asarray(e.generated, dtype=np.int64) for e in entries]
+    conds = [qz.upsample_tokens(t) if proposed else None for t in tokens]
+    codes = [np.zeros((len(t) if c is None else len(c), n_layers), dtype=np.int64) for t, c in zip(tokens, conds)]
+    if not proposed:
+        for t, c in zip(tokens, codes):
+            c[:, 0] = t  # the baseline's AR stream is codec layer 1
+    live = [i for i, t in enumerate(tokens) if t.size]
+    bounds = np.cumsum([len(codes[i]) for i in live])[:-1]
+    for j in range(nar.min_layer, n_layers + 1) if live else ():
+        items = [(entries[i].phonemes, conds[i], entries[i].prompt_codes, codes[i][:, : j - 1], j) for i in live]
+        ids = md.nar_batch_logits(nar, items).data.argmax(axis=1)
+        for i, layer in zip(live, np.split(ids, bounds)):
+            codes[i][:, j - 1] = layer
+    return [
+        SynthesisResult(codes=c, phonetic_tokens=t if proposed else None, runaway=e.runaway, generated_length=len(t))
+        for e, t, c in zip(entries, tokens, codes)
+    ]
 
 
-def synthesize_many(bundle: SystemBundle, requests, seeds, chunk_size: int = 8) -> list:
+def synthesize_many(bundle: SystemBundle, requests, seeds) -> list:
     """Synthesize a list of requests with per-request sampling seeds.
 
-    Requests are processed in fixed chunks of `chunk_size`, so results do not
-    depend on how callers distribute chunks over workers.
+    Requests are processed in fixed chunks of `_SYNTH_CHUNK` (8): one
+    `tokenize_utterances` call encodes a chunk's prompts and one batch
+    decodes it, so results do not depend on how callers distribute requests
+    over workers.
     """
     if len(seeds) != len(requests):
         raise ContractError("one seed per request")
     out = []
-    for start in range(0, len(requests), chunk_size):
+    for start in range(0, len(requests), _SYNTH_CHUNK):
+        chunk = requests[start : start + _SYNTH_CHUNK]
+        prompts = tokenize_utterances([r.prompt for r in chunk], bundle.quantizers)
         entries = [
-            _prepare_entry(bundle, r, np.random.Generator(np.random.PCG64(int(s))))
-            for r, s in zip(requests[start : start + chunk_size], seeds[start : start + chunk_size])
+            _prepare_entry(bundle, r, p, np.random.Generator(np.random.PCG64(int(s))))
+            for r, p, s in zip(chunk, prompts, seeds[start : start + _SYNTH_CHUNK])
         ]
         _generate_tokens(bundle.ar, entries)
         out.extend(_predict_codes(bundle, entries))
     return out
+
+
+def check_corpus_world(bundle: SystemBundle, corpus: tw.Corpus) -> None:
+    """Raise ContractError unless `corpus` comes from the world the bundle was trained in."""
+    if corpus.world_spec != bundle.world_spec:
+        raise ContractError(
+            f"corpus world (seed {corpus.world_spec.seed}) is not the bundle's world (seed {bundle.world_spec.seed})"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ ties) and distances are therefore exactly those of a brute-force search over
 explicit squared differences. Empty clusters are repaired by moving their
 centroid onto the point farthest from its current centroid, which keeps
 Lloyd's distortion monotone.
+
+The same exact search (`_nearest`) also serves the world's oracle
+(`tokenworld._classify_frames`), which labels frames with their nearest
+(content, speaker) pair.
 """
 
 from __future__ import annotations
@@ -147,23 +151,17 @@ def _kmeans_pp_init(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np
     return centroids
 
 
-def kmeans_fit(
-    vectors: np.ndarray,
-    k: int,
-    max_iters: int = 50,
-    seed: int = 0,
-    init_centroids: np.ndarray | None = None,
-) -> Codebook:
-    """Lloyd's algorithm from a k-means++ seeding (or a warm start).
+def kmeans_fit(vectors: np.ndarray, k: int, max_iters: int = 50, seed: int = 0) -> Codebook:
+    """Lloyd's algorithm from a k-means++ seeding.
 
     Stops at assignment fixpoint or after `max_iters` assign/update rounds.
     Distortion (mean squared distance) is recorded after every assignment and
     is non-increasing by construction.
     """
-    return _kmeans(vectors, k, max_iters, seed, init_centroids)[0]
+    return _kmeans(vectors, k, max_iters, seed)[0]
 
 
-def _kmeans(vectors, k, max_iters, seed, init_centroids=None) -> tuple:
+def _kmeans(vectors, k, max_iters, seed) -> tuple:
     """kmeans_fit's (Codebook, nearest-centroid ids of `vectors` under it)."""
     vectors = np.ascontiguousarray(np.asarray(vectors, dtype=np.float64))
     if vectors.ndim != 2:
@@ -172,12 +170,7 @@ def _kmeans(vectors, k, max_iters, seed, init_centroids=None) -> tuple:
     if n < k:
         raise ContractError(f"need at least k={k} vectors, got {n}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x6B6D])))
-    if init_centroids is not None:
-        centroids = np.array(init_centroids, dtype=np.float64)
-        if centroids.shape != (k, vectors.shape[1]):
-            raise ShapeError("init_centroids shape mismatch")
-    else:
-        centroids = _kmeans_pp_init(vectors, k, rng)
+    centroids = _kmeans_pp_init(vectors, k, rng)
     columns = np.ascontiguousarray(vectors.T)
     assignments = None
     history = []

@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint
+from . import quantizer as qz
 from .numerics import ContractError, ShapeError
 
 CLEAN = "clean"
@@ -278,16 +279,14 @@ def _pair_bank(spec: WorldSpec) -> np.ndarray:
 
 
 def _classify_frames(frames: np.ndarray, spec: WorldSpec) -> tuple:
-    """Nearest (content, speaker) pair per frame, squared-Euclidean, first-min ties."""
+    """(content, speaker) labels of the nearest pair per frame.
+
+    The search is the quantizer's `_nearest` over the pair bank, whose ids are
+    exactly the first minimum of explicit squared differences."""
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[1] != spec.feature_dim:
         raise ShapeError(f"frames must be (n, {spec.feature_dim}), got {frames.shape}")
-    pairs = _pair_bank(spec)
-    idx = np.empty(frames.shape[0], dtype=np.int64)
-    for start in range(0, frames.shape[0], 1024):
-        chunk = frames[start : start + 1024]
-        d2 = ((chunk[:, None, :] - pairs[None, :, :]) ** 2).sum(axis=2)
-        idx[start : start + 1024] = d2.argmin(axis=1)
+    idx, _ = qz._nearest(frames, _pair_bank(spec))
     return idx // spec.num_speakers, idx % spec.num_speakers
 
 

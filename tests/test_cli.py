@@ -524,6 +524,34 @@ def test_malformed_or_missing_sidecar_is_a_checkpoint_error_naming_it(tmp_path, 
     assert len(crashed) == 1 and str(bundle / name) in crashed[0]
 
 
+def _world_of_seed_4(workspace, tmp_path):
+    assert run("world", "--spec", workspace / "world_spec.json", "--out", tmp_path / "world4",
+               "--n-train", 16, "--n-test", 6, "--seed", 4) == 0
+    return tmp_path / "world4"
+
+
+_WORLD_MISMATCH = "corpus world (seed 4) is not the bundle's world (seed 3)"
+
+
+def test_eval_reports_a_corpus_from_another_world_as_crashed(tmp_path, workspace, capsys):
+    corpus = _world_of_seed_4(workspace, tmp_path)
+    rc = run("eval", "--bundle", workspace / "prop", "--corpus", corpus, "--splits", "clean",
+             "--n-prompts", 2, "--out", tmp_path / "e")
+    assert rc == 3
+    crashed = [line for line in capsys.readouterr().err.splitlines() if line.startswith("synthesis crashed for")]
+    assert len(crashed) == 1 and _WORLD_MISMATCH in crashed[0]
+    assert not (tmp_path / "e" / "report.json").exists()
+
+
+def test_synth_rejects_a_corpus_from_another_world(tmp_path, workspace, capsys):
+    corpus = _world_of_seed_4(workspace, tmp_path)
+    rc = run("synth", "--bundle", workspace / "prop", "--corpus", corpus, "--index", 0,
+             "--prompt-index", 1, "--out", tmp_path / "s.jsonl")
+    assert rc == 2
+    assert _WORLD_MISMATCH in capsys.readouterr().err
+    assert not (tmp_path / "s.jsonl").exists()
+
+
 def test_synth_writes_jsonl(tmp_path, workspace):
     out_file = tmp_path / "synth.jsonl"
     rc = run("synth", "--bundle", workspace / "prop", "--corpus", workspace / "world",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -124,6 +125,13 @@ def test_evaluate_system_structure_and_determinism(eval_bundles, tiny_corpus):
 def test_evaluate_system_rejects_train_split(eval_bundles, tiny_corpus):
     with pytest.raises(ContractError):
         ev.evaluate_system(eval_bundles, tiny_corpus, "train", 2, seed=0)
+
+
+def test_evaluate_system_rejects_a_corpus_from_another_world(eval_bundles, tiny_corpus):
+    spec = dataclasses.replace(tiny_corpus.world_spec, seed=99)
+    other = dataclasses.replace(tiny_corpus, world_spec=spec)
+    with pytest.raises(ContractError, match=r"corpus world \(seed 99\) is not the bundle's world \(seed 1234\)"):
+        ev.evaluate_system(eval_bundles, other, "test_clean", 2, seed=0)
 
 
 def test_evaluate_skips_single_utterance_speakers(eval_bundles, tiny_corpus, caplog):

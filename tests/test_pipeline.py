@@ -222,18 +222,37 @@ def test_synthesize_determinism(tiny_bundles, tiny_corpus):
     assert a.runaway == b.runaway
 
 
+def _ten_requests(corpus):
+    utts = corpus.test_clean + corpus.test_other
+    reqs = [pl.SynthesisRequest(phonemes=utts[i].phonemes, prompt=utts[-1 - i]) for i in range(10)]
+    return reqs, list(range(100, 110))
+
+
 def test_synthesize_many_matches_chunked_order(tiny_bundles, tiny_corpus):
-    prop, _ = tiny_bundles
-    reqs = [
-        pl.SynthesisRequest(phonemes=u.phonemes, prompt=tiny_corpus.test_clean[0])
-        for u in tiny_corpus.test_clean[1:5]
-    ]
-    seeds = [100, 101, 102, 103]
-    batch = pl.synthesize_many(prop, reqs, seeds, chunk_size=2)
-    assert len(batch) == 4
-    again = pl.synthesize_many(prop, reqs, seeds, chunk_size=2)
-    for x, y in zip(batch, again):
-        np.testing.assert_array_equal(x.codes, y.codes)
+    # 10 requests are the fixed chunks [0, 8) and [8, 10), each decoded as one batch
+    for bundle in tiny_bundles:
+        reqs, seeds = _ten_requests(tiny_corpus)
+        got = pl.synthesize_many(bundle, reqs, seeds)
+        want = pl.synthesize_many(bundle, reqs[:8], seeds[:8]) + pl.synthesize_many(bundle, reqs[8:], seeds[8:])
+        assert len(got) == len(want) == 10
+        for g, w in zip(got, want):
+            assert (g.generated_length, g.runaway) == (w.generated_length, w.runaway)
+            np.testing.assert_array_equal(g.codes, w.codes)
+            np.testing.assert_array_equal(g.phonetic_tokens, w.phonetic_tokens)
+
+
+def test_synthesize_many_tokenizes_each_chunks_prompts_in_one_call(tiny_bundles, tiny_corpus, monkeypatch):
+    calls = []
+    tokenize = pl.tokenize_utterances
+
+    def counting(utts, quantizers):
+        calls.append(len(utts))
+        return tokenize(utts, quantizers)
+
+    monkeypatch.setattr(pl, "tokenize_utterances", counting)
+    reqs, seeds = _ten_requests(tiny_corpus)
+    pl.synthesize_many(tiny_bundles[0], reqs, seeds)
+    assert calls == [8, 2]
 
 
 def test_synthesize_runaway_definition(tiny_bundles, tiny_corpus):
@@ -400,21 +419,30 @@ def test_tokenize_utterances_matches_per_utterance_encoding(tiny_corpus, tiny_qu
 def _full_recompute_tokens(model, entries):
     """Decoding without a cache: one full ar_batch_logits pass over every
     entry's whole prefix per sampled token."""
-    active = [e for e in entries if not e.done]
+    active = list(entries)
     while active:
         items = [(e.phonemes, e.prompt_stream, np.asarray(e.generated, dtype=np.int64)) for e in active]
         logits, _ = md.ar_batch_logits(model, items)
         offset = 0
+        live = []
         for e in active:
             offset += len(e.generated) + 1
-            token = md.ar_sample_next(logits.data[offset - 1], e.temperature, e.top_k, e.rng)
-            if token == model.stop_id:
-                e.done = True
-            else:
+            token = md.ar_sample_next(logits.data[offset - 1], e.request.temperature, e.request.top_k, e.rng)
+            if token != model.stop_id:
                 e.generated.append(token)
                 if len(e.generated) >= e.cap:
-                    e.done = e.runaway = True
-        active = [e for e in active if not e.done]
+                    e.runaway = True
+                else:
+                    live.append(e)
+        active = live
+
+
+def _entries(bundle, reqs, seeds):
+    prompts = pl.tokenize_utterances([r.prompt for r in reqs], bundle.quantizers)
+    return [
+        pl._prepare_entry(bundle, r, p, np.random.Generator(np.random.PCG64(s)))
+        for r, p, s in zip(reqs, prompts, seeds)
+    ]
 
 
 def _never_stopping(bundle):
@@ -442,9 +470,7 @@ def test_cached_decoding_matches_full_recompute(tiny_bundles, tiny_corpus, kind)
     stops = at_limit = 0
     for bundle in (trained, _never_stopping(trained)):
         got = pl.synthesize_many(bundle, reqs, seeds)
-        entries = [
-            pl._prepare_entry(bundle, r, np.random.Generator(np.random.PCG64(s))) for r, s in zip(reqs, seeds)
-        ]
+        entries = _entries(bundle, reqs, seeds)
         _full_recompute_tokens(bundle.ar, entries)
         want = pl._predict_codes(bundle, entries)
         for g, w, r, e in zip(got, want, reqs, entries):
@@ -464,7 +490,7 @@ def test_cached_decoding_fills_max_sequence_len_exactly(tiny_bundles, tiny_corpu
     req = pl.SynthesisRequest(phonemes=tiny_corpus.test_clean[0].phonemes, prompt=tiny_corpus.test_clean[1], top_k=1)
 
     def entry(extra):
-        e = pl._prepare_entry(bundle, req, np.random.default_rng(0))
+        (e,) = _entries(bundle, [req], [0])
         base = len(e.phonemes) + 1 + len(e.prompt_stream)
         # the last token fed sits at position base + cap - 2
         e.cap = ar.config.max_sequence_len - base + 1 + extra

@@ -10,14 +10,17 @@ again. In it the script runs, through `python -m phonolm.cli`:
     world --n-train 60 --n-test 12 --seed 7
     quantize --iters 4
     train --mode <m> --set steps=20 --seed 101     (all four modes, one bundle dir)
-    eval --n-prompts 6 --seeds 2
+    eval --n-prompts 6 --seeds 2                  (serial, into eval/)
+    eval --n-prompts 6 --seeds 2 --jobs 2         (worker processes, into eval_jobs2/)
     synth --index 0 --prompt-index 4 --seed 3     (the proposed system, split clean)
 
 and prints one `<sha256>  <path>` line per output file except the
 `manifest.json` files, which hold paths and wall times. Two checkouts that
 give the same lines at one BLAS thread count (`OPENBLAS_NUM_THREADS`, read
 from the environment) wrote the same bytes: corpus, quantizers,
-checkpoints, `losses_*.csv`, the eval report and the synth JSONL.
+checkpoints, `losses_*.csv`, the serial and the `--jobs 2` eval reports
+and the synth JSONL, so the digests cover synthesis in worker processes
+as well as in the calling one.
 
 Given a second src dir, the script runs the recipe on both, prints the
 paths whose digests differ (or that only one run wrote) and exits 1 if
@@ -48,8 +51,9 @@ def run_recipe(src: Path, root: Path) -> None:
     for mode in TRAIN_MODES:
         phonolm("train", "--mode", mode, "--corpus", "world", "--quantizers", "quant/quantizers.ckpt",
                 "--out", "bundle", "--set", "steps=20", "--seed", "101")
-    phonolm("eval", "--bundle", "bundle", "--corpus", "world", "--out", "eval",
-            "--n-prompts", "6", "--seeds", "2")
+    for out, jobs in (("eval", "1"), ("eval_jobs2", "2")):
+        phonolm("eval", "--bundle", "bundle", "--corpus", "world", "--out", out,
+                "--n-prompts", "6", "--seeds", "2", "--jobs", jobs)
     phonolm("synth", "--bundle", "bundle", "--corpus", "world", "--index", "0", "--prompt-index", "4",
             "--seed", "3", "--out", "synth/codes.jsonl")
 
