@@ -6,6 +6,10 @@ enumerates the files it consumed (with hashes), the seeds in play, and a
 config hash covering everything that affects results, and, outside that
 hash, the subcommand's wall time and minor page faults, the process's peak
 resident set so far, and the allocator thresholds `main` applied.
+`train --mode M --out DIR` writes, as `pipeline.save_bundle` does, M's
+checkpoint and its .json sidecar (model config and TrainingConfig), the
+quantizers and `{system}_bundle.json`, then `losses_M.csv`: a system's two
+stages train into one DIR apart, and each keeps its own training record.
 Exit codes: 0 success, 2 validation error (bad arguments or a malformed
 corpus), 3 runtime/training failure.
 """
@@ -236,7 +240,7 @@ def cmd_quantize(args) -> int:
         corpus, k_phonetic=args.k_phonetic, k_codec=args.k_codec,
         n_layers=args.layers, max_iters=args.iters, seed=args.seed,
     )
-    qz.save_quantizers(quant, out / "quantizers.ckpt")
+    qz.save_quantizers(quant, out / pl.QUANTIZERS)
     print(f"quantizers written to {out}: K={args.k_phonetic} phonetic "
           f"(distortion {quant.phonetic.final_distortion:.5f}), "
           f"{args.layers}x{args.k_codec} RVQ "
@@ -247,7 +251,7 @@ def cmd_quantize(args) -> int:
                 "k_codec": args.k_codec, "layers": args.layers, "iters": args.iters},
         seeds={"seed": args.seed},
         input_files=[corpus_dir / "world.json", corpus_dir / "train.jsonl"],
-        output_files=["quantizers.ckpt", "quantizers.json"],
+        output_files=pl.with_sidecars([pl.QUANTIZERS]),
         args=args,
         input_dirs=[corpus_dir],
         diagnostics={
@@ -276,41 +280,31 @@ def cmd_train(args) -> int:
 
     corpus = tw.load_corpus(corpus_dir)
     quant = qz.load_quantizers(quant_path)
-    model_config = None
-    if args.model_config:
-        base = pl.default_model_config(corpus.world_spec, quant).to_dict()
-        base.update(json.loads(Path(args.model_config).read_text()))
-        model_config = _build_config(md.ModelConfig, base)
+    base = pl.default_model_config(corpus.world_spec, quant).to_dict()
+    model_config = _build_config(md.ModelConfig, base | _load_json_config(args.model_config, {}))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     mode = pl.MODES[args.mode]
-    ckpt_name = mode.checkpoint
-    if (out / ckpt_name).exists() and not args.force:
-        raise ValidationError(f"{out / ckpt_name} exists (use --force to overwrite)")
+    if (out / mode.checkpoint).exists() and not args.force:
+        raise ValidationError(f"{out / mode.checkpoint} exists (use --force to overwrite)")
 
     model, losses = pl.train_mode(args.mode, corpus, quant, config, model_config)
-    model.save(out / ckpt_name)
+    written = pl.save_stages(out, corpus.world_spec, quant, {mode: model})
     losses_name = f"losses_{args.mode}.csv"
     rows = "".join(f"{i},{l!r}\n" for i, l in enumerate(losses))
     checkpoint.write_atomic(out / losses_name, "step,loss\n" + rows)
-    # keep the bundle dir self-contained for later evaluation
-    for src, name in ((quant_path, "quantizers.ckpt"), (quant_path.with_suffix(".json"), "quantizers.json")):
-        if src.exists():
-            checkpoint.write_atomic(out / name, src.read_bytes())
-    pl.write_bundle_meta(out, mode.system, corpus.world_spec, {"training": config.to_dict()})
-    checkpoint.write_atomic(out / "config.json", json.dumps(config.to_dict(), indent=2) + "\n")
 
     print(f"{args.mode}: {config.steps} steps, loss {losses[0]:.4f} -> {losses[-1]:.4f}; "
-          f"saved {out / ckpt_name}")
+          f"saved {out / mode.checkpoint}")
     _write_manifest(
         out, "train",
         params={"mode": args.mode, "corpus": str(corpus_dir),
                 "quantizers": str(quant_path), "training": config.to_dict(),
-                "model_config": args.model_config, "overrides": overrides},
+                "model_config": model_config.to_dict(), "overrides": overrides},
         seeds={"seed": config.seed},
         input_files=[corpus_dir / "world.json", corpus_dir / "train.jsonl", quant_path],
-        output_files=[ckpt_name, losses_name, "config.json"],
+        output_files=written + [losses_name],
         args=args,
         input_dirs=[corpus_dir, quant_path.parent],
         diagnostics={"final_loss": losses[-1]},
@@ -387,10 +381,8 @@ def cmd_eval(args) -> int:
         print(f"single system {aggregates[0]['system']}: report written (no comparison)")
 
     input_files = [corpus_dir / "world.json"] + [corpus_dir / f"{s}.jsonl" for s in splits]
-    for bundle_dir, kind in systems:
-        ar_name, nar_name = pl.bundle_file_names(kind)
-        input_files += [Path(bundle_dir) / ar_name, Path(bundle_dir) / nar_name,
-                        Path(bundle_dir) / "quantizers.ckpt"]
+    for bundle_dir, kind in systems:  # a file a crashed task missed is left out
+        input_files += [p for p in (Path(bundle_dir) / n for n in pl.bundle_files(kind)) if p.exists()]
     _write_manifest(
         out, "eval",
         params={"bundles": list(args.bundle), "corpus": str(corpus_dir),
@@ -484,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train one model stage")
     t.add_argument("--mode", required=True, choices=pl.MODES)
     t.add_argument("--corpus", required=True)
-    t.add_argument("--quantizers", required=True, help="path to quantizers.ckpt")
+    t.add_argument("--quantizers", required=True, help=f"path to a quantize run's {pl.QUANTIZERS}")
     t.add_argument("--config", help="TrainingConfig JSON")
     t.add_argument("--model-config", help="ModelConfig JSON overrides")
     t.add_argument("--seed", type=int, help="overrides the config's seed (default 0)")

@@ -79,11 +79,12 @@ class ModelConfig:
 class DecoderModel:
     """Config + named parameter set; the forward functions live below."""
 
-    def __init__(self, config: ModelConfig, kind: str, role: str, params: dict):
+    def __init__(self, config: ModelConfig, kind: str, role: str, params: dict, training: dict | None):
         self.config = config
         self.kind = kind      # "ar" | "nar"
         self.role = role      # ar: token stream; nar: conditioning variant
         self.params = params  # name -> Tensor, insertion-ordered
+        self.training = training  # the TrainingConfig dict `pipeline.train_mode` used, or None
 
     # AR vocabulary layout
     @property
@@ -118,9 +119,9 @@ class DecoderModel:
         return sum(p.size for p in self.params.values())
 
     def save(self, path) -> None:
-        """Write the weights to `path` and the config to its .json sidecar."""
+        """Write the weights to `path`; config and training record go to its .json sidecar."""
         checkpoint.save_tensors(path, {k: v.data for k, v in self.params.items()})
-        meta = {"kind": self.kind, "role": self.role, "config": self.config.to_dict()}
+        meta = {"kind": self.kind, "role": self.role, "config": self.config.to_dict(), "training": self.training}
         checkpoint.write_atomic(Path(path).with_suffix(".json"), json.dumps(meta, indent=2) + "\n")
 
 
@@ -202,13 +203,13 @@ def _nar_entries(config: ModelConfig, variant: str) -> list:
 def build_ar_model(config: ModelConfig, stream: str, seed: int) -> DecoderModel:
     entries = _ar_entries(config, stream)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xA12])))
-    return DecoderModel(config, AR, stream, _init_params(entries, rng))
+    return DecoderModel(config, AR, stream, _init_params(entries, rng), None)
 
 
 def build_nar_model(config: ModelConfig, variant: str, seed: int) -> DecoderModel:
     entries = _nar_entries(config, variant)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xB34])))
-    return DecoderModel(config, NAR, variant, _init_params(entries, rng))
+    return DecoderModel(config, NAR, variant, _init_params(entries, rng), None)
 
 
 def load_model(path) -> DecoderModel:
@@ -218,7 +219,7 @@ def load_model(path) -> DecoderModel:
     ModelConfig rejects included), raises CheckpointError."""
     with checkpoint.sidecar(Path(path).with_suffix(".json")) as meta:
         config = ModelConfig.from_dict(meta["config"])
-        kind, role = (AR if meta["kind"] == AR else NAR), meta["role"]
+        kind, role, training = (AR if meta["kind"] == AR else NAR), meta["role"], meta.get("training")
         entries = _ar_entries(config, role) if kind == AR else _nar_entries(config, role)
     tensors = checkpoint.load_tensors(path)
     expected = {name: shape for name, shape, _ in entries}
@@ -230,7 +231,7 @@ def load_model(path) -> DecoderModel:
         if tensors[name].shape != shape:
             raise checkpoint.CheckpointError(f"shape mismatch for {name}: {tensors[name].shape} != {shape}")
     params = {name: Tensor(tensors[name], requires_grad=True) for name in expected}
-    return DecoderModel(config, kind, role, params)
+    return DecoderModel(config, kind, role, params, training)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ synthesize via acoustic prompting.
 `MODES` is the one table of the 2 x 2 trained models: each training mode
 names its system, model kind (AR or NAR), role (AR token stream or NAR
 conditioning variant) and checkpoint file. `train_mode`, the bundle file
-layout and the bundle checks all read it.
+layout and the bundle checks all read it. `bundle_files` names every file a
+bundle is read from, and `save_stages` is the one writer of bundle files.
 
 Training prompts are a random prefix of the same utterance, cut at a duration
 slot boundary so the 2:3 phonetic/acoustic alignment stays exact: a prefix of
@@ -70,6 +71,7 @@ _DROP_STREAM = 0x44
 
 _EVAL_SPLIT_FRACS = (0.25, 0.35, 0.45)  # fixed prompt splits for accuracy probes
 _SYNTH_CHUNK = 8  # requests tokenized and decoded as one batch
+QUANTIZERS = "quantizers.ckpt"  # a quantize run's output and every bundle's copy
 
 
 class TrainingError(RuntimeError):
@@ -242,7 +244,9 @@ def train_mode(mode: str, corpus, quantizers, config, model_config=None) -> tupl
             items, labels = nar_training_items(tokenized, idxs[step], fracs[step], layers[step], role)
             return nm.cross_entropy(md.nar_batch_logits(model, items, train=True, rng=drop_rng), labels)
 
-    return model, _run_training(model, step_forward, config)
+    losses = _run_training(model, step_forward, config)
+    model.training = config.to_dict()  # saved in the model's own checkpoint sidecar
+    return model, losses
 
 
 def fit_corpus_quantizers(
@@ -358,7 +362,6 @@ class SystemBundle:
     ar: md.DecoderModel
     nar: md.DecoderModel
     kind: str
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in SYSTEMS:
@@ -510,30 +513,42 @@ def _system_modes(kind: str) -> tuple:
     return tuple(m for m in MODES.values() if m.system == kind)
 
 
-def bundle_file_names(kind: str) -> tuple:
-    """(AR checkpoint, NAR checkpoint) file names of a system's bundle."""
-    ar, nar = _system_modes(kind)
-    return ar.checkpoint, nar.checkpoint
+def with_sidecars(names) -> list:
+    """Each checkpoint name followed by the name of its .json sidecar."""
+    return [n for c in names for n in (c, str(Path(c).with_suffix(".json")))]
+
+
+def bundle_files(kind: str) -> list:
+    """Every file a `kind` bundle is read from: the AR, NAR and quantizer
+    checkpoints, each followed by its sidecar, then `{kind}_bundle.json`."""
+    return with_sidecars([m.checkpoint for m in _system_modes(kind)] + [QUANTIZERS]) + [f"{kind}_bundle.json"]
+
+
+def save_stages(out_dir, world_spec: tw.WorldSpec, quantizers: Quantizers, stages: dict) -> list:
+    """Write the models of `stages` ({Mode: model}, one system), the
+    quantizers and the bundle JSON into `out_dir`; return the names written.
+    A stage's checkpoint and sidecar (its training record) are its own, so
+    the stages of one bundle can be written apart, in any order."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (kind,) = {mode.system for mode in stages}
+    for mode, model in stages.items():
+        model.save(out / mode.checkpoint)
+    qz.save_quantizers(quantizers, out / QUANTIZERS)
+    meta_name = bundle_files(kind)[-1]
+    meta = {"kind": kind, "world_spec": world_spec.to_dict()}
+    checkpoint.write_atomic(out / meta_name, json.dumps(meta, indent=2) + "\n")
+    return with_sidecars([mode.checkpoint for mode in stages] + [QUANTIZERS]) + [meta_name]
 
 
 def save_bundle(bundle: SystemBundle, out_dir) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ar_name, nar_name = bundle_file_names(bundle.kind)
-    bundle.ar.save(out / ar_name)
-    bundle.nar.save(out / nar_name)
-    qz.save_quantizers(bundle.quantizers, out / "quantizers.ckpt")
-    write_bundle_meta(out, bundle.kind, bundle.world_spec, bundle.provenance)
-
-
-def write_bundle_meta(out: Path, kind: str, world_spec: tw.WorldSpec, provenance: dict) -> None:
-    meta = {"kind": kind, "world_spec": world_spec.to_dict(), "provenance": provenance}
-    checkpoint.write_atomic(out / f"{kind}_bundle.json", json.dumps(meta, indent=2) + "\n")
+    stages = dict(zip(_system_modes(bundle.kind), (bundle.ar, bundle.nar)))
+    save_stages(out_dir, bundle.world_spec, bundle.quantizers, stages)
 
 
 def missing_bundle_files(in_dir, kind: str) -> list:
-    src = Path(in_dir)
-    return [n for n in (*bundle_file_names(kind), "quantizers.ckpt") if not (src / n).exists()]
+    """The checkpoints in `bundle_files(kind)` that `in_dir` lacks (`load_bundle` names a lacking sidecar)."""
+    return [n for n in bundle_files(kind) if n.endswith(".ckpt") and not (Path(in_dir) / n).exists()]
 
 
 def available_bundle_kinds(in_dir) -> list:
@@ -545,14 +560,8 @@ def load_bundle(in_dir, kind: str) -> SystemBundle:
     missing = missing_bundle_files(in_dir, kind)
     if missing:
         raise ContractError(f"incomplete {kind} bundle in {src}: missing {missing}")
-    ar_name, nar_name = bundle_file_names(kind)
-    with checkpoint.sidecar(src / f"{kind}_bundle.json") as meta:
-        world_spec, provenance = tw.WorldSpec.from_dict(meta["world_spec"]), meta.get("provenance", {})
-    return SystemBundle(
-        world_spec=world_spec,
-        quantizers=qz.load_quantizers(src / "quantizers.ckpt"),
-        ar=md.load_model(src / ar_name),
-        nar=md.load_model(src / nar_name),
-        kind=kind,
-        provenance=provenance,
-    )
+    ar_name, _, nar_name, _, quant_name, _, meta_name = bundle_files(kind)
+    with checkpoint.sidecar(src / meta_name) as meta:
+        world_spec = tw.WorldSpec.from_dict(meta["world_spec"])
+    return SystemBundle(world_spec=world_spec, quantizers=qz.load_quantizers(src / quant_name),
+                        ar=md.load_model(src / ar_name), nar=md.load_model(src / nar_name), kind=kind)

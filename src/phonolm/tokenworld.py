@@ -110,10 +110,6 @@ class Utterance:
     condition: str
     alignment: np.ndarray          # per phonetic frame: index into `phonemes`
 
-    @property
-    def n_slots(self) -> int:
-        return self.phonetic_frames.shape[0] // 2
-
 
 @dataclass
 class Corpus:

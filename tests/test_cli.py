@@ -254,7 +254,72 @@ def test_train_writes_losses_and_bundle_files(workspace):
     assert len(lines) == 13
     meta = json.loads((prop / "proposed_bundle.json").read_text())
     assert meta["kind"] == "proposed"
-    assert meta["provenance"]["training"]["steps"] == 12
+    assert json.loads((prop / "ar.json").read_text())["training"]["steps"] == 12
+
+
+def test_each_stage_keeps_its_own_training_record(tmp_path, workspace):
+    out = tmp_path / "bundle"
+    for mode, steps in (("proposed_ar", 3), ("nar", 1)):
+        assert run(*_train_argv(workspace, out, mode), "--set", f"steps={steps}") == 0
+    assert json.loads((out / "ar.json").read_text())["training"]["steps"] == 3
+    assert json.loads((out / "nar.json").read_text())["training"]["steps"] == 1
+    assert not (out / "config.json").exists()
+    assert set(json.loads((out / "proposed_bundle.json").read_text())) == {"kind", "world_spec"}
+
+
+def test_a_bundle_in_the_older_format_loads_and_scores_the_same(tmp_path, workspace):
+    """Older bundles kept the training record in `provenance` and config.json, not in the sidecars."""
+    old = tmp_path / "old"
+    shutil.copytree(workspace / "prop", old)
+    for name in ("ar.json", "nar.json"):
+        meta = json.loads((old / name).read_text())
+        training = meta.pop("training")
+        (old / name).write_text(json.dumps(meta, indent=2) + "\n")
+    meta = json.loads((old / "proposed_bundle.json").read_text()) | {"provenance": {"training": training}}
+    (old / "proposed_bundle.json").write_text(json.dumps(meta, indent=2) + "\n")
+    (old / "config.json").write_text(json.dumps(training, indent=2) + "\n")
+    assert pl.load_bundle(old, pl.KIND_PROPOSED).ar.training is None
+    reports = []
+    for bundle in (workspace / "prop", old):
+        out = tmp_path / f"eval_{bundle.name}"
+        assert run("eval", "--bundle", bundle, "--corpus", workspace / "world", "--splits", "clean,other",
+                   "--n-prompts", 2, "--seed", 3, "--out", out) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_train_config_hash_covers_the_model_config(tmp_path, workspace):
+    model_config = json.loads((workspace / "model.json").read_text())
+    manifests = []
+    for n_heads in (2, 4):  # one --model-config path, two model configs
+        (tmp_path / "model.json").write_text(json.dumps(model_config | {"n_heads": n_heads}))
+        argv = _train_argv(workspace, tmp_path / f"t{n_heads}", "nar")
+        argv[argv.index("--model-config") + 1] = tmp_path / "model.json"
+        assert run(*argv, "--set", "steps=1") == 0
+        manifests.append(json.loads((tmp_path / f"t{n_heads}" / "manifest.json").read_text()))
+    assert manifests[0]["config_hash"] != manifests[1]["config_hash"]
+    assert [m["params"]["model_config"]["n_heads"] for m in manifests] == [2, 4]
+
+
+def test_eval_manifest_hashes_every_bundle_file(tmp_path, workspace, capsys):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(workspace / "prop", bundle)
+    meta = json.loads((bundle / "ar.json").read_text())
+    manifests = []
+    for n_heads in (2, 4):  # the sidecar sets the model's heads, and so the report
+        (bundle / "ar.json").write_text(json.dumps(meta | {"config": meta["config"] | {"n_heads": n_heads}}))
+        out = tmp_path / f"e{n_heads}"
+        assert run("eval", "--bundle", bundle, "--corpus", workspace / "world", "--splits", "clean",
+                   "--n-prompts", 1, "--out", out) == 0
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    assert manifests[0]["config_hash"] != manifests[1]["config_hash"]
+    assert {str(bundle / n) for n in pl.bundle_files(pl.KIND_PROPOSED)} <= set(manifests[0]["inputs"])
+    (bundle / "nar.json").unlink()  # the task crashes, and the manifest is still written
+    assert run("eval", "--bundle", bundle, "--corpus", workspace / "world", "--splits", "clean",
+               "--n-prompts", 1, "--out", tmp_path / "crashed") == 3
+    inputs = json.loads((tmp_path / "crashed" / "manifest.json").read_text())["inputs"]
+    assert str(bundle / "ar.json") in inputs and str(bundle / "nar.json") not in inputs
+    assert "nar.json" in capsys.readouterr().err
 
 
 def test_train_set_override(tmp_path, workspace):
@@ -273,7 +338,7 @@ def test_train_seed_is_the_flag_then_the_config_seed_then_zero(tmp_path, workspa
     (tmp_path / "train.json").write_text(json.dumps(config))
     argv = _train_argv(workspace, tmp_path / "t") + ["--config", tmp_path / "train.json"]
     assert run(*argv, *([] if flag is None else ["--seed", flag])) == 0
-    assert json.loads((tmp_path / "t" / "config.json").read_text())["seed"] == want
+    assert json.loads((tmp_path / "t" / "ar.json").read_text())["training"]["seed"] == want
     assert json.loads((tmp_path / "t" / "manifest.json").read_text())["seeds"]["seed"] == want
 
 
@@ -352,11 +417,13 @@ def test_file_names_come_from_the_mode_table(workspace):
     assert cli._MODE_FILES == {name: m.checkpoint for name, m in pl.MODES.items()}
     assert set(pl.SYSTEMS) == {m.system for m in pl.MODES.values()}
     for kind in pl.SYSTEMS:
-        assert pl.bundle_file_names(kind) == tuple(m.checkpoint for m in pl.MODES.values() if m.system == kind)
+        ckpts = [m.checkpoint for m in pl.MODES.values() if m.system == kind] + [pl.QUANTIZERS]
+        assert [n for n in pl.bundle_files(kind) if n.endswith(".ckpt")] == ckpts
     for d in ("prop", "base"):
         kind = next((workspace / d).glob("*_bundle.json")).name.removesuffix("_bundle.json")
-        written = {p.name for p in (workspace / d).glob("*.ckpt")} - {"quantizers.ckpt"}
-        assert written == set(pl.bundle_file_names(kind))
+        written = {p.name for p in (workspace / d).iterdir()} - {"manifest.json"}
+        losses = {f"losses_{m}.csv" for m, v in pl.MODES.items() if v.system == kind}
+        assert written == set(pl.bundle_files(kind)) | losses
 
 
 def test_every_output_file_is_written_atomically(tmp_path, workspace, monkeypatch):
@@ -376,7 +443,7 @@ def test_every_output_file_is_written_atomically(tmp_path, workspace, monkeypatc
     assert run("eval", "--bundle", workspace / "prop", "--corpus", workspace / "world",
                "--splits", "clean", "--n-prompts", 1, "--out", tmp_path / "e") == 0
     outputs = {p for d in ("w", "q", "t", "e") for p in (tmp_path / d).iterdir()}
-    assert len(outputs) == 19  # 5 corpus, 3 quantizer, 8 bundle and 3 report files
+    assert len(outputs) == 18  # 5 corpus, 3 quantizer, 7 bundle and 3 report files
     assert outputs <= written
 
 

@@ -297,6 +297,21 @@ def test_bundle_save_load_round_trip(tiny_bundles, tiny_corpus, tmp_path):
     a = pl.synthesize_many(prop, [req], [7])[0]
     b = pl.synthesize_many(loaded, [req], [7])[0]
     np.testing.assert_array_equal(a.codes, b.codes)
+    assert loaded.ar.training == loaded.nar.training == quick_config(steps=30, seed=5).to_dict()
+
+
+def test_stages_saved_apart_write_the_bundle_save_bundle_writes(tiny_bundles, tmp_path):
+    prop, _ = tiny_bundles
+    pl.save_bundle(prop, tmp_path / "whole")
+    written = [
+        pl.save_stages(tmp_path / "apart", prop.world_spec, prop.quantizers, {pl.MODES[mode]: model})
+        for mode, model in ((pl.MODE_NAR, prop.nar), (pl.MODE_PROPOSED_AR, prop.ar))
+    ]
+    assert written[0] == ["nar.ckpt", "nar.json", "quantizers.ckpt", "quantizers.json", "proposed_bundle.json"]
+    names = sorted(p.name for p in (tmp_path / "whole").iterdir())
+    assert names == sorted(pl.bundle_files(pl.KIND_PROPOSED)) == sorted(set(written[0]) | set(written[1]))
+    for name in names:
+        assert (tmp_path / "apart" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
 
 
 def test_incomplete_bundle_reports_missing(tmp_path):

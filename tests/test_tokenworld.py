@@ -44,7 +44,7 @@ def test_zero_noise_acoustic_minus_speaker_is_prototype():
     protos = tw.content_prototypes(spec)
     spk = tw.speaker_vectors(spec)[3]
     # every slot has 2 phonetic / 3 acoustic frames of the same phoneme
-    slots = utt.n_slots
+    slots = len(utt.phonetic_frames) // spec.phonetic_rate_per_slot
     slot_phonemes = np.asarray(utt.phonemes)[utt.alignment[::2]]
     want = np.repeat(protos[slot_phonemes], 3, axis=0)
     np.testing.assert_array_equal(utt.acoustic_frames, want + spk)

@@ -9,7 +9,8 @@ again. In it the script runs, through `python -m phonolm.cli`:
 
     world --n-train 60 --n-test 12 --seed 7
     quantize --iters 4
-    train --mode <m> --set steps=20 --seed 101     (all four modes, one bundle dir)
+    train --mode <m> --set steps=<n> --seed 101   (all four modes, one bundle dir;
+                                                  n = 20 for AR stages, 12 for NAR)
     eval --n-prompts 6 --seeds 2                  (serial, into eval/)
     eval --n-prompts 6 --seeds 2 --jobs 2         (worker processes, into eval_jobs2/)
     synth --index 0 --prompt-index 4 --seed 3     (the proposed system, split clean)
@@ -20,7 +21,9 @@ give the same lines at one BLAS thread count (`OPENBLAS_NUM_THREADS`, read
 from the environment) wrote the same bytes: corpus, quantizers,
 checkpoints, `losses_*.csv`, the serial and the `--jobs 2` eval reports
 and the synth JSONL, so the digests cover synthesis in worker processes
-as well as in the calling one.
+as well as in the calling one. The AR and NAR stages train with different
+budgets, as the stages of one bundle may, so the digests also show where
+each stage's training record is kept.
 
 Given a second src dir, the script runs the recipe on both, prints the
 paths whose digests differ (or that only one run wrote) and exits 1 if
@@ -36,7 +39,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-TRAIN_MODES = ("proposed_ar", "nar", "baseline_ar", "baseline_nar")
+TRAIN_STEPS = {"proposed_ar": 20, "nar": 12, "baseline_ar": 20, "baseline_nar": 12}
 
 
 def run_recipe(src: Path, root: Path) -> None:
@@ -48,9 +51,9 @@ def run_recipe(src: Path, root: Path) -> None:
 
     phonolm("world", "--out", "world", "--n-train", "60", "--n-test", "12", "--seed", "7")
     phonolm("quantize", "--corpus", "world", "--out", "quant", "--iters", "4")
-    for mode in TRAIN_MODES:
+    for mode, steps in TRAIN_STEPS.items():
         phonolm("train", "--mode", mode, "--corpus", "world", "--quantizers", "quant/quantizers.ckpt",
-                "--out", "bundle", "--set", "steps=20", "--seed", "101")
+                "--out", "bundle", "--set", f"steps={steps}", "--seed", "101")
     for out, jobs in (("eval", "1"), ("eval_jobs2", "2")):
         phonolm("eval", "--bundle", "bundle", "--corpus", "world", "--out", out,
                 "--n-prompts", "6", "--seeds", "2", "--jobs", jobs)
