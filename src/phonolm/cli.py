@@ -1,15 +1,20 @@
 """Operator surface: generate corpora, fit quantizers, train systems,
 synthesize, and render comparison reports.
 
-Every subcommand writes a manifest.json into its output directory that
-enumerates the files it consumed (with hashes), the seeds in play, and a
-config hash covering everything that affects results, and, outside that
-hash, the subcommand's wall time and minor page faults, the process's peak
-resident set so far, and the allocator thresholds `main` applied.
+`world`, `quantize` and `eval` write manifest.json into their output
+directory; `train --mode M` writes manifest_M.json, so the stages trained
+into one DIR keep one record each. A manifest holds the run's `params`
+(seeds included), the sha256 of every file it read (`inputs`) and wrote
+(`outputs`), and a `config_hash` over the subcommand, params and inputs;
+a file's writer is the run whose `outputs` list the same hash. Outside that
+hash it holds the environment (numpy, BLAS threads, the allocator
+thresholds `main` applied), the subcommand's wall time and minor page
+faults, and the process's peak resident set so far. `synth` writes no
+manifest: it appends one JSON line per run to its --out file.
 `train --mode M --out DIR` writes, as `pipeline.save_bundle` does, M's
 checkpoint and its .json sidecar (model config and TrainingConfig), the
-quantizers and `{system}_bundle.json`, then `losses_M.csv`: a system's two
-stages train into one DIR apart, and each keeps its own training record.
+quantizers and `{system}_bundle.json`, then `losses_M.csv` and
+`manifest_M.json`: a system's two stages train into one DIR apart.
 Exit codes: 0 success, 2 validation error (bad arguments or a malformed
 corpus), 3 runtime/training failure.
 """
@@ -103,18 +108,11 @@ def _prepare_out(path: str, force: bool) -> Path:
     return out
 
 
-def _parent_hashes(input_dirs) -> list:
-    parents = []
-    for d in input_dirs:
-        m = Path(d) / "manifest.json"
-        if m.exists():
-            parents.append(json.loads(m.read_text()).get("config_hash"))
-    return parents
+def _write_manifest(path: Path, subcommand: str, params: dict, input_files, output_files, args,
+                    diagnostics=None) -> None:
+    """Write the run's record to `path`; `output_files` are names in its directory.
 
-
-def _write_manifest(out: Path, subcommand: str, params: dict, seeds: dict,
-                    input_files, output_files, args, input_dirs=(), diagnostics=None) -> None:
-    """args: the parsed arguments, with main's snapshot taken before dispatch."""
+    args: the parsed arguments, with main's snapshot taken before dispatch."""
     inputs = {str(p): _sha256(Path(p)) for p in sorted(str(x) for x in input_files)}
     payload = {"subcommand": subcommand, "params": params, "inputs": inputs}
     config_hash = hashlib.sha256(
@@ -124,11 +122,9 @@ def _write_manifest(out: Path, subcommand: str, params: dict, seeds: dict,
     manifest = {
         "subcommand": subcommand,
         "params": params,
-        "seeds": seeds,
         "inputs": inputs,
-        "outputs": {str(Path(p).name): _sha256(out / Path(p).name) for p in output_files},
+        "outputs": {str(Path(p).name): _sha256(path.parent / Path(p).name) for p in output_files},
         "config_hash": config_hash,
-        "parents": _parent_hashes(input_dirs),
         "created_unix": int(time.time()),
         # trained weights can differ in their last bits with the BLAS thread count
         "environment": {
@@ -146,7 +142,7 @@ def _write_manifest(out: Path, subcommand: str, params: dict, seeds: dict,
     }
     if diagnostics:
         manifest["diagnostics"] = diagnostics
-    checkpoint.write_atomic(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    checkpoint.write_atomic(path, json.dumps(manifest, indent=2) + "\n")
 
 
 def _parse_overrides(pairs) -> dict:
@@ -207,10 +203,9 @@ def cmd_world(args) -> int:
 
     outputs = ["world.json"] + [f"{s}.jsonl" for s in tw.SPLITS]
     _write_manifest(
-        out, "world",
+        out / "manifest.json", "world",
         params={"spec": args.spec, "n_train": args.n_train, "n_test": args.n_test,
                 "overrides": overrides, "world_spec": spec.to_dict()},
-        seeds={"seed": args.seed},
         input_files=[args.spec] if args.spec else [],
         output_files=outputs,
         args=args,
@@ -246,14 +241,13 @@ def cmd_quantize(args) -> int:
           f"{args.layers}x{args.k_codec} RVQ "
           f"(residual energy {quant.rvq.residual_energy[-1]:.5f})")
     _write_manifest(
-        out, "quantize",
+        out / "manifest.json", "quantize",
         params={"corpus": str(corpus_dir), "k_phonetic": args.k_phonetic,
-                "k_codec": args.k_codec, "layers": args.layers, "iters": args.iters},
-        seeds={"seed": args.seed},
+                "k_codec": args.k_codec, "layers": args.layers, "iters": args.iters,
+                "seed": args.seed},
         input_files=[corpus_dir / "world.json", corpus_dir / "train.jsonl"],
         output_files=pl.with_sidecars([pl.QUANTIZERS]),
         args=args,
-        input_dirs=[corpus_dir],
         diagnostics={
             "phonetic_distortion": quant.phonetic.final_distortion,
             "rvq_residual_energy": quant.rvq.residual_energy,
@@ -266,8 +260,6 @@ _MODE_FILES = {name: mode.checkpoint for name, mode in pl.MODES.items()}  # read
 
 
 def cmd_train(args) -> int:
-    if args.mode not in pl.MODES:
-        raise ValidationError(f"--mode must be one of {', '.join(pl.MODES)}")
     corpus_dir = Path(args.corpus)
     quant_path = Path(args.quantizers)
     if not quant_path.exists():
@@ -298,15 +290,13 @@ def cmd_train(args) -> int:
     print(f"{args.mode}: {config.steps} steps, loss {losses[0]:.4f} -> {losses[-1]:.4f}; "
           f"saved {out / mode.checkpoint}")
     _write_manifest(
-        out, "train",
+        out / f"manifest_{args.mode}.json", "train",
         params={"mode": args.mode, "corpus": str(corpus_dir),
                 "quantizers": str(quant_path), "training": config.to_dict(),
                 "model_config": model_config.to_dict(), "overrides": overrides},
-        seeds={"seed": config.seed},
         input_files=[corpus_dir / "world.json", corpus_dir / "train.jsonl", quant_path],
         output_files=written + [losses_name],
         args=args,
-        input_dirs=[corpus_dir, quant_path.parent],
         diagnostics={"final_loss": losses[-1]},
     )
     return EXIT_OK
@@ -369,30 +359,22 @@ def cmd_eval(args) -> int:
     for report in reports:
         by_kind.setdefault(report.system, []).append(report)
     aggregates = [ev.aggregate_seed_reports(reps) for kind, reps in sorted(by_kind.items())]
-    if len(aggregates) >= 2:
+    if aggregates:
         comparison = ev.compare_systems(aggregates)
         ev.write_report(comparison, out, per_seed_reports=reports)
         print(comparison["text"])
-    elif aggregates:
-        payload = {"systems": [aggregates[0]["system"]], "aggregate": aggregates[0],
-                   "per_seed": [r.to_dict() for r in reports]}
-        checkpoint.write_atomic(out / "report.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        checkpoint.write_atomic(out / "report.txt", json.dumps(aggregates[0], indent=2, sort_keys=True) + "\n")
-        print(f"single system {aggregates[0]['system']}: report written (no comparison)")
 
     input_files = [corpus_dir / "world.json"] + [corpus_dir / f"{s}.jsonl" for s in splits]
     for bundle_dir, kind in systems:  # a file a crashed task missed is left out
         input_files += [p for p in (Path(bundle_dir) / n for n in pl.bundle_files(kind)) if p.exists()]
     _write_manifest(
-        out, "eval",
+        out / "manifest.json", "eval",
         params={"bundles": list(args.bundle), "corpus": str(corpus_dir),
-                "splits": args.splits, "seeds": args.seeds, "n_prompts": args.n_prompts,
-                "jobs": args.jobs},
-        seeds={"base_seed": args.seed},
+                "splits": args.splits, "seeds": args.seeds, "seed": args.seed,
+                "n_prompts": args.n_prompts, "jobs": args.jobs},
         input_files=input_files,
         output_files=[p.name for p in out.iterdir() if p.name != "manifest.json"],
         args=args,
-        input_dirs=[corpus_dir] + [b for b, _ in systems],
     )
     if crashed:
         print(f"{len(crashed)} synthesis task(s) crashed", file=sys.stderr)

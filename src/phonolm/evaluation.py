@@ -240,13 +240,14 @@ def aggregate_seed_reports(reports: list) -> dict:
 
 
 def compare_systems(aggregates: list) -> dict:
-    """Table comparing >= 2 systems over identical splits.
+    """Table of one or more systems over identical splits.
 
     Returns {"systems", "splits", "rows", "winners", "text"}; winners mark
-    the better seed-mean per metric and split (None on exact ties).
+    the better seed-mean per metric and split (None on exact ties, and for
+    a lone system, which has nothing to beat).
     """
-    if len(aggregates) < 2:
-        raise ContractError("compare_systems needs at least two systems")
+    if not aggregates:
+        raise ContractError("compare_systems needs at least one system")
     splits = list(aggregates[0]["splits"])
     if any(list(a["splits"]) != splits for a in aggregates):
         raise ContractError("systems were evaluated on different splits")
@@ -258,7 +259,7 @@ def compare_systems(aggregates: list) -> dict:
             vals = [a["splits"][split]["mean"][metric] for a in aggregates]
             best = min(vals) if _LOWER_BETTER[metric] else max(vals)
             idxs = [i for i, v in enumerate(vals) if v == best]
-            winners[split][metric] = systems[idxs[0]] if len(idxs) == 1 else None
+            winners[split][metric] = systems[idxs[0]] if len(idxs) == 1 and len(systems) > 1 else None
     rows = []
     for a in aggregates:
         for split in splits:

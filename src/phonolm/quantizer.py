@@ -324,8 +324,8 @@ def save_quantizers(q: Quantizers, path) -> None:
 
 
 def load_quantizers(path) -> Quantizers:
-    """Read quantizers written by `save_quantizers`; the .json sidecar, if
-    present, restores the fit statistics, and a malformed one raises
+    """Read quantizers written by `save_quantizers`; the .json sidecar
+    restores the fit statistics, and a missing or malformed one raises
     CheckpointError naming it. A container that is not a
     quantizer set raises CheckpointError: one without a phonetic codebook or
     a first RVQ layer, with tensors of other names, or whose codebooks are
@@ -346,12 +346,10 @@ def load_quantizers(path) -> Quantizers:
     phonetic = Codebook(centroids=tensors["phonetic/centroids"])
     books = [Codebook(centroids=tensors[n]) for n in names[1:]]
     rvq = RvqModel(layers=books)
-    meta_path = Path(path).with_suffix(".json")
-    if meta_path.exists():
-        with checkpoint.sidecar(meta_path) as meta:
-            phonetic.iterations_run = meta["phonetic"]["iterations_run"]
-            phonetic.final_distortion = meta["phonetic"]["final_distortion"]
-            rvq.residual_energy = meta["rvq"]["residual_energy"]
-            for book, d in zip(books, meta["rvq"]["layer_distortions"], strict=True):
-                book.final_distortion = d
+    with checkpoint.sidecar(Path(path).with_suffix(".json")) as meta:
+        phonetic.iterations_run = meta["phonetic"]["iterations_run"]
+        phonetic.final_distortion = meta["phonetic"]["final_distortion"]
+        rvq.residual_energy = meta["rvq"]["residual_energy"]
+        for book, d in zip(books, meta["rvq"]["layer_distortions"], strict=True):
+            book.final_distortion = d
     return Quantizers(phonetic=phonetic, rvq=rvq)

@@ -79,7 +79,7 @@ def test_world_refuses_nonempty_dir_without_force(tmp_path, workspace):
 def test_world_manifest_written(workspace):
     manifest = json.loads((workspace / "world" / "manifest.json").read_text())
     assert manifest["subcommand"] == "world"
-    assert manifest["seeds"]["seed"] == 3
+    assert manifest["params"]["world_spec"]["seed"] == 3
     assert "train.jsonl" in manifest["outputs"]
     assert manifest["diagnostics"]["raw_frame_oracle_per"] < 0.01
 
@@ -176,7 +176,7 @@ def test_train_writes_the_same_checkpoint_with_and_without_the_malloc_policy(tmp
     name = pl.MODES["nar"].checkpoint
     assert (on / name).read_bytes() == (off / name).read_bytes()
     if _GLIBC:
-        assert json.loads((on / "manifest.json").read_text())["environment"]["malloc"] is not None
+        assert json.loads((on / "manifest_nar.json").read_text())["environment"]["malloc"] is not None
 
 
 def test_malformed_corpus_exits_with_validation_code(tmp_path, workspace):
@@ -296,7 +296,7 @@ def test_train_config_hash_covers_the_model_config(tmp_path, workspace):
         argv = _train_argv(workspace, tmp_path / f"t{n_heads}", "nar")
         argv[argv.index("--model-config") + 1] = tmp_path / "model.json"
         assert run(*argv, "--set", "steps=1") == 0
-        manifests.append(json.loads((tmp_path / f"t{n_heads}" / "manifest.json").read_text()))
+        manifests.append(json.loads((tmp_path / f"t{n_heads}" / "manifest_nar.json").read_text()))
     assert manifests[0]["config_hash"] != manifests[1]["config_hash"]
     assert [m["params"]["model_config"]["n_heads"] for m in manifests] == [2, 4]
 
@@ -339,7 +339,47 @@ def test_train_seed_is_the_flag_then_the_config_seed_then_zero(tmp_path, workspa
     argv = _train_argv(workspace, tmp_path / "t") + ["--config", tmp_path / "train.json"]
     assert run(*argv, *([] if flag is None else ["--seed", flag])) == 0
     assert json.loads((tmp_path / "t" / "ar.json").read_text())["training"]["seed"] == want
-    assert json.loads((tmp_path / "t" / "manifest.json").read_text())["seeds"]["seed"] == want
+    manifest = json.loads((tmp_path / "t" / "manifest_proposed_ar.json").read_text())
+    assert manifest["params"]["training"]["seed"] == want
+
+
+def test_config_hash_covers_the_quantize_and_eval_seeds(tmp_path, workspace):
+    argvs = {
+        "quantize": ["quantize", "--corpus", workspace / "world", "--k-phonetic", 16, "--k-codec", 8,
+                     "--layers", 2, "--iters", 2],
+        "eval": ["eval", "--bundle", workspace / "prop", "--corpus", workspace / "world",
+                 "--splits", "clean", "--n-prompts", 1],
+    }
+    for (name, argv), seeds in zip(argvs.items(), ((1, 2), (0, 5))):
+        manifests = []
+        for seed in seeds:
+            out = tmp_path / f"{name}{seed}"
+            assert run(*argv, "--seed", seed, "--out", out) == 0
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+        assert [m["params"]["seed"] for m in manifests] == list(seeds)
+        assert manifests[0]["config_hash"] != manifests[1]["config_hash"]
+
+
+def test_a_malformed_input_manifest_does_not_fail_the_run(tmp_path, workspace):
+    corpus = tmp_path / "world"
+    shutil.copytree(workspace / "world", corpus)
+    (corpus / "manifest.json").write_text("not json {")
+    out = tmp_path / "q"
+    assert run("quantize", "--corpus", corpus, "--k-phonetic", 16, "--k-codec", 8, "--layers", 2,
+               "--iters", 2, "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["subcommand"] == "quantize" and "parents" not in manifest
+
+
+def test_each_train_stage_writes_its_own_manifest(tmp_path, workspace):
+    out = tmp_path / "bundle"
+    for mode in pl.MODES:
+        assert run(*_train_argv(workspace, out, mode), "--set", "steps=1") == 0
+    for mode, entry in pl.MODES.items():
+        manifest = json.loads((out / f"manifest_{mode}.json").read_text())
+        assert manifest["params"]["mode"] == mode
+        assert entry.checkpoint in manifest["outputs"] and f"losses_{mode}.csv" in manifest["outputs"]
+    assert not (out / "manifest.json").exists()
 
 
 def test_seed_defaults_to_zero_for_every_other_subcommand():
@@ -367,6 +407,7 @@ def _train_argv(workspace, out, mode="proposed_ar"):
     ("grad_clip", ["--set", "grad_clip=-1"], "must be positive"),
     ("quantizers_is_a_model", [], "not a quantizer set"),
     ("quantizers_garbage", [], "bad magic"),
+    ("quantizers_without_sidecar", [], "quantizers.json"),
     ("steps_float", ["--set", "steps=1.5"], "steps"),
     ("batch_size_float", ["--set", "batch_size=2.5"], "batch_size"),
     ("steps_bool", ["--set", "steps=true"], "steps"),
@@ -407,6 +448,9 @@ def test_bad_config_values_exit_with_validation_code(tmp_path, workspace, capsys
         if case == "quantizers_garbage":
             bad = tmp_path / "garbage.ckpt"
             bad.write_bytes(b"not a checkpoint at all")
+        elif case == "quantizers_without_sidecar":
+            bad = tmp_path / "quantizers.ckpt"
+            shutil.copy(workspace / "quant" / "quantizers.ckpt", bad)
         argv[argv.index("--quantizers") + 1] = bad
     assert run(*argv) == 2
     assert named in capsys.readouterr().err
@@ -421,9 +465,10 @@ def test_file_names_come_from_the_mode_table(workspace):
         assert [n for n in pl.bundle_files(kind) if n.endswith(".ckpt")] == ckpts
     for d in ("prop", "base"):
         kind = next((workspace / d).glob("*_bundle.json")).name.removesuffix("_bundle.json")
-        written = {p.name for p in (workspace / d).iterdir()} - {"manifest.json"}
-        losses = {f"losses_{m}.csv" for m, v in pl.MODES.items() if v.system == kind}
-        assert written == set(pl.bundle_files(kind)) | losses
+        written = {p.name for p in (workspace / d).iterdir()}
+        records = {f"{f}_{m}.{ext}" for m, v in pl.MODES.items() if v.system == kind
+                   for f, ext in (("losses", "csv"), ("manifest", "json"))}
+        assert written == set(pl.bundle_files(kind)) | records
 
 
 def test_every_output_file_is_written_atomically(tmp_path, workspace, monkeypatch):
@@ -466,7 +511,7 @@ def test_eval_single_split_flag(tmp_path, workspace):
              "--splits", "other", "--n-prompts", 2, "--seed", 1, "--out", out)
     assert rc == 0
     report = json.loads((out / "report.json").read_text())
-    assert list(report["aggregate"]["splits"]) == ["test_other"]
+    assert report["splits"] == ["test_other"]
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -540,9 +585,7 @@ def test_eval_jobs_matches_serial(tmp_path, workspace):
               "--splits", "clean", "--n-prompts", 3, "--seed", 21]
     assert run("eval", *kwargs, "--jobs", 1, "--out", tmp_path / "serial") == 0
     assert run("eval", *kwargs, "--jobs", 2, "--out", tmp_path / "parallel") == 0
-    a = json.loads((tmp_path / "serial" / "report.json").read_text())
-    b = json.loads((tmp_path / "parallel" / "report.json").read_text())
-    assert a["aggregate"] == b["aggregate"]
+    assert (tmp_path / "serial" / "report.json").read_bytes() == (tmp_path / "parallel" / "report.json").read_bytes()
 
 
 def test_eval_reports_crashed_tasks_and_scores_the_rest(tmp_path, workspace, capsys):
@@ -570,6 +613,7 @@ def test_eval_reports_crashed_tasks_and_scores_the_rest(tmp_path, workspace, cap
     ("nar.json", None),
     ("nar.json", json.dumps({"kind": "nar", "role": "proposed", "config": {"n_heads": 0}})),
     ("quantizers.json", json.dumps({"phonetic": {}})),
+    ("quantizers.json", None),
     ("proposed_bundle.json", None),
     ("proposed_bundle.json", json.dumps({"kind": "proposed"})),
 ])

@@ -165,10 +165,13 @@ def test_aggregate_seed_reports():
     assert agg["seeds"] == [1, 2]
 
 
-def test_compare_requires_two_systems():
-    agg = {"system": "a", "seeds": [1], "splits": {"test_clean": {"mean": {}, "std": {}, "n_seeds": 1}}}
+def test_compare_requires_a_system_and_stars_none_for_one():
     with pytest.raises(ContractError):
-        ev.compare_systems([agg])
+        ev.compare_systems([])
+    cmp = ev.compare_systems([_fake_aggregate("proposed", 0.1, 0.9, 0.0)])
+    assert cmp["systems"] == ["proposed"]
+    assert set(cmp["winners"]["test_clean"].values()) == {None}
+    assert not any("*" in row for row in cmp["text"].splitlines()[2:-1])
 
 
 def _fake_aggregate(system, per, speaker, runaway):

@@ -45,3 +45,12 @@ def test_one_src_dir_prints_every_digest_but_the_manifests(output_digests, tmp_p
     assert output_digests.main([str(a), str(tmp_path / "work")]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split("  ")[1] for line in lines] == ["bundle/ar.ckpt", "world/train.jsonl"]
+
+
+def test_stage_manifests_are_skipped_like_manifest_json(output_digests, tmp_path, capsys):
+    a = _src(tmp_path, "a", ["bundle/ar.ckpt=1", "bundle/manifest_nar.json=a"])
+    b = _src(tmp_path, "b", ["bundle/ar.ckpt=1", "bundle/manifest_nar.json=b"])
+    assert output_digests.main([str(a), str(b), str(tmp_path / "work")]) == 0
+    assert capsys.readouterr().out == ""
+    assert output_digests.main([str(a), str(tmp_path / "work")]) == 0
+    assert [line.split("  ")[1] for line in capsys.readouterr().out.splitlines()] == ["bundle/ar.ckpt"]

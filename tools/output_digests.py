@@ -16,7 +16,8 @@ again. In it the script runs, through `python -m phonolm.cli`:
     synth --index 0 --prompt-index 4 --seed 3     (the proposed system, split clean)
 
 and prints one `<sha256>  <path>` line per output file except the
-`manifest.json` files, which hold paths and wall times. Two checkouts that
+manifests (`manifest.json`, and the `manifest_<mode>.json` each train stage
+writes), which hold paths and wall times. Two checkouts that
 give the same lines at one BLAS thread count (`OPENBLAS_NUM_THREADS`, read
 from the environment) wrote the same bytes: corpus, quantizers,
 checkpoints, `losses_*.csv`, the serial and the `--jobs 2` eval reports
@@ -65,7 +66,7 @@ def digests(root: Path) -> list:
     return [
         (hashlib.sha256(p.read_bytes()).hexdigest(), p.relative_to(root).as_posix())
         for p in sorted(root.rglob("*"))
-        if p.is_file() and p.name != "manifest.json"
+        if p.is_file() and not p.match("manifest*.json")
     ]
 
 
