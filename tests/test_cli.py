@@ -407,7 +407,6 @@ def _train_argv(workspace, out, mode="proposed_ar"):
     ("grad_clip", ["--set", "grad_clip=-1"], "must be positive"),
     ("quantizers_is_a_model", [], "not a quantizer set"),
     ("quantizers_garbage", [], "bad magic"),
-    ("quantizers_without_sidecar", [], "quantizers.json"),
     ("steps_float", ["--set", "steps=1.5"], "steps"),
     ("batch_size_float", ["--set", "batch_size=2.5"], "batch_size"),
     ("steps_bool", ["--set", "steps=true"], "steps"),
@@ -426,6 +425,7 @@ def _train_argv(workspace, out, mode="proposed_ar"):
     # a config.json as written while TrainingConfig had a mode field, which --mode overwrote
     ("old_config", {"steps": 3, "seed": 0, "mode": "proposed_ar"}, "'mode'"),
     ("train_key", ["--set", "mode=proposed_ar"], "'mode'"),
+    ("quantizers_without_sidecar", [], "quantizers.json"),
 ])
 def test_bad_config_values_exit_with_validation_code(tmp_path, workspace, capsys, case, extra, named):
     argv = _train_argv(workspace, tmp_path / "t")
