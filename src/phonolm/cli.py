@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import dataclasses
 import functools
 import hashlib
 import json
@@ -306,13 +307,25 @@ def _eval_task(corpus, splits, n_prompts, bundle_dir, kind, seed) -> ev.EvalRepo
     """Score one (bundle dir, kind, seed) on every split in `splits`.
 
     Loads the bundle once; the corpus is the one `cmd_eval` loaded, handed
-    over in-process at --jobs 1 and pickled with the task at --jobs > 1.
+    over in-process at --jobs 1 and pickled with the task, cut down by
+    `_scored_part`, at --jobs > 1.
     """
     bundle = pl.load_bundle(bundle_dir, kind)
     report = ev.EvalReport(system=kind, seed=seed)
     for split in splits:
         report.splits[split] = ev.evaluate_system(bundle, corpus, split, n_prompts, seed)
     return report
+
+
+def _scored_part(corpus: tw.Corpus, splits) -> tw.Corpus:
+    """What `evaluate_system` reads of `corpus` when it scores `splits`: those
+    splits whole, the world, and of the train split only its speaker set
+    (the zero-shot check), kept as one utterance per speaker."""
+    first_of_speaker = {}
+    for u in corpus.train:
+        first_of_speaker.setdefault(u.speaker_id, u)
+    unscored = {name: [] for name in tw.SPLITS if name != "train" and name not in splits}
+    return dataclasses.replace(corpus, train=list(first_of_speaker.values()), **unscored)
 
 
 def cmd_eval(args) -> int:
@@ -342,12 +355,14 @@ def cmd_eval(args) -> int:
 
     corpus = tw.load_corpus(corpus_dir)
     out = _prepare_out(args.out, args.force)
-    run_task = functools.partial(_eval_task, corpus, splits, args.n_prompts)
     tasks = [(bundle_dir, kind, args.seed + rep) for bundle_dir, kind in systems for rep in range(args.seeds)]
     reports, crashed = [], []
     with contextlib.ExitStack() as stack:
         # --jobs 1 runs the tasks in this process, where the benchmark captures their results
         pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs)) if args.jobs > 1 else None
+        # every task sent to a worker pickles its corpus: send only what it reads
+        task_corpus = _scored_part(corpus, splits) if pool else corpus
+        run_task = functools.partial(_eval_task, task_corpus, splits, args.n_prompts)
         for task, future in [(t, pool.submit(run_task, *t) if pool else None) for t in tasks]:
             try:
                 reports.append(future.result() if future else run_task(*task))

@@ -18,19 +18,30 @@ runs that function on one worker thread per process while the chain goes on.
 Each product is the same numpy call on either thread, and `backward` adds
 each leaf's contributions in the order of the sweep, so gradients are
 bit-identical to a single-threaded pass. Work sent to the worker calls numpy
-only, never a function of this package: the benchmark's tracer
+only, never an op of this package: the benchmark's tracer
 (perfbench/tracer.py) wraps this package's functions with one stack of open
 spans, which assumes every call comes from the main thread.
 
-Backward keeps few buffers alive. It consumes interior gradients: a
-record's output gradient is dropped as soon as that record's VJP has run,
-since nothing else reads it, so run `backward` once per tape; afterwards
-every interior `.grad` is None. A leaf owns its gradient buffer: the first
-contribution is copied into a new array and later ones are added into it in
-place, so no two leaves share memory and `clip_grad_norm`/`adam_step` may
-scale each in place. `matmul` takes the bias, so a projection is one record
-with no pre-bias array, and `gelu` saves only its tanh term for the VJP.
-The `phonolm` CLI has glibc's malloc keep freed memory in the process
+Backward keeps few buffers alive. The tape holds what backward reads and
+nothing more, the saved-tensor discipline of PyTorch's autograd (Paszke et
+al., arXiv 1912.01703), with no recompute:
+- A record keeps a small node as its output's gradient slot, never the
+  output tensor, and per input either that input's node or, for a leaf,
+  the leaf tensor. So an output no VJP reads (a residual add, a matmul's
+  product, `scale`) is freed as soon as the caller drops it.
+- Each VJP captures only the arrays it reads, plus shapes and flags.
+- The sweep releases each record's VJP, and with it those arrays, once it
+  has run, and drops the record's output gradient: nothing else reads
+  either. Run `backward` once per tape; the records stay, so `len(tape)`
+  still counts them.
+- A leaf owns its gradient buffer: the first contribution is copied into a
+  new array and later ones are added into it in place, so no two leaves
+  share memory and `clip_grad_norm`/`adam_step` may scale each in place.
+  The worker adds each contribution as it arrives, so none waits for the
+  sweep to end.
+`matmul` takes the bias, so a projection is one record with no pre-bias
+array, and `gelu` saves only its tanh term for the VJP. The `phonolm` CLI
+has glibc's malloc keep freed memory in the process
 (`cli.keep_freed_pages`), so what one step frees serves the next step's
 allocations without faulting in fresh pages.
 """
@@ -58,14 +69,18 @@ class NumericError(ValueError):
 
 
 class Tensor:
-    """A dense float64 array, an optional gradient buffer, and a grad flag."""
+    """A dense float64 array, an optional gradient buffer, and a grad flag.
 
-    __slots__ = ("data", "grad", "requires_grad")
+    `node` is the gradient slot a tape recorded for this tensor, or None:
+    backward fills a leaf's own `.grad` and an interior tensor's node."""
+
+    __slots__ = ("data", "grad", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
         self.grad = None
         self.requires_grad = bool(requires_grad)
+        self.node = None
 
     @property
     def shape(self):
@@ -97,6 +112,21 @@ def _tape_stack() -> list:
     return stack
 
 
+class _Node:
+    """The gradient slot of one output recorded on a tape.
+
+    It refers to no tensor, and a leaf has none: a node that referred back
+    to its parameter would be a cycle keeping old models alive until a full
+    garbage collection."""
+
+    __slots__ = ("grad", "tape")
+    requires_grad = True  # read like a leaf tensor's flag in a record's inputs
+
+    def __init__(self, tape_key):
+        self.grad = None
+        self.tape = tape_key
+
+
 class Tape:
     """Ordered record of operations; create fresh per training step.
 
@@ -104,10 +134,13 @@ class Tape:
     sorted: a single reverse sweep is a complete backward pass.
     """
 
-    __slots__ = ("records",)
+    __slots__ = ("records", "key")
 
     def __init__(self):
-        self.records = []  # (out, inputs, vjp)
+        self.records = []  # (node, inputs, vjp); inputs hold nodes and leaf tensors
+        # what this tape's nodes carry; the tape itself would pin its records
+        # for as long as any output tensor lives
+        self.key = object()
 
     def __enter__(self):
         _tape_stack().append(self)
@@ -122,14 +155,26 @@ class Tape:
         return len(self.records)
 
 
+def _slot(t: Tensor, tape_key):
+    """Where the tape with `tape_key` keeps `t`'s gradient: `t`'s node if
+    that tape recorded `t`, else `t` itself, a leaf of that tape."""
+    node = t.node
+    return node if node is not None and node.tape is tape_key else t
+
+
 def _record(out: Tensor, inputs: tuple, vjp):
     """Attach a backward rule to the active tape, if recording is on.
 
+    The record holds a new node for `out` and, per input, its slot (see
+    `_slot`), never an interior tensor; `out.node` points at the node.
+
     `vjp(grad_out)` returns one entry per input, in order: None ("no
     gradient flows to this input"), an array, or a function of no arguments
-    that returns the array. An array may be `grad_out` itself or a view of
-    it or of another input's gradient: `backward` writes only into the
-    buffers leaves own, so VJPs must not write into a gradient either. A
+    that returns the array. It must capture only the arrays it reads, plus
+    shapes and flags, never a tensor: what it captures stays alive until
+    the sweep has run it. An array it returns may be `grad_out` itself or a
+    view of it or of another input's gradient: `backward` writes only into
+    the buffers leaves own, so VJPs must not write into a gradient either. A
     function is how a VJP hands over work that only a leaf needs (see
     `backward`); it must call numpy only, and may run on another thread.
     `grad_out` is released once the VJP returns, so nothing may keep it
@@ -137,13 +182,17 @@ def _record(out: Tensor, inputs: tuple, vjp):
     """
     stack = _tape_stack()
     if stack and out.requires_grad:
-        stack[-1].records.append((out, inputs, vjp))
+        tape = stack[-1]
+        inputs = tuple(_slot(t, tape.key) for t in inputs)
+        out.node = _Node(tape.key)
+        tape.records.append((out.node, inputs, vjp))
 
 
 def _result(data: np.ndarray, inputs: tuple, vjp) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
+    out.node = None
     out.requires_grad = any(t.requires_grad for t in inputs)
     _record(out, inputs, vjp)
     return out
@@ -174,52 +223,84 @@ def _submit(fn) -> Future:
     return pool.submit(fn)
 
 
+class _LeafPart:
+    """One contribution to a leaf's gradient, added on the worker thread
+    under the numpy error state `backward`'s caller set (which a thread does
+    not inherit).
+
+    It lets go of what it holds as it runs, so nothing the contribution
+    reads outlives the add (the executor keeps a finished task a moment
+    longer)."""
+
+    __slots__ = ("leaf", "part", "errors")
+
+    def __init__(self, leaf: Tensor, part, errors: dict):
+        self.leaf, self.part, self.errors = leaf, part, errors
+
+    def __call__(self):
+        leaf, gin = self.leaf, self.part
+        self.leaf = self.part = None
+        with np.errstate(**self.errors):
+            if callable(gin):
+                gin = gin()
+            if leaf.grad is None:
+                leaf.grad = gin.copy()  # a VJP's array may be shared with another input
+            else:
+                leaf.grad += gin
+
+
 def backward(loss: Tensor, tape: Tape) -> None:
     """Populate .grad on every requires_grad leaf reachable from `loss`.
 
-    A leaf is a tensor no record on `tape` produced. A VJP's function for a
-    leaf runs on the worker thread; for any other input it runs here, when
-    the sweep reaches it. Leaf gradients are summed after the sweep, each in
-    sweep order, into the leaf's own buffer: a copy of the first
-    contribution when .grad was None, else the existing .grad, in place.
+    A leaf is a tensor no record on `tape` produced. That includes a tensor
+    another tape recorded: fed into `tape`, it gets `.grad` here like a
+    parameter. Every contribution to a leaf goes to the worker thread as the
+    sweep reaches it, and the worker adds them in that order into the leaf's
+    own buffer: a copy of the first contribution when .grad was None, else
+    the existing .grad, in place. A VJP's function for any other input runs
+    here.
 
-    Interior gradients are consumed: each record's output .grad is set to
-    None once its VJP has run, so the sweep holds only the gradients still
-    waiting for their record. Run `backward` once per tape.
+    The sweep consumes the tape: once a record's VJP has run, the record's
+    output gradient is dropped and the record keeps no VJP, so it pins no
+    array. The records themselves stay, with their nodes and leaves, so
+    `len(tape)` is unchanged. Run `backward` once per tape.
+
+    If a VJP raises, `backward` waits for the worker to finish what the
+    sweep sent it, then re-raises. Each leaf's .grad then holds its old
+    value plus the contributions of the records swept before the failing
+    one; a failing leaf contribution (raised from the worker) likewise
+    leaves the others added.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    loss.grad = np.ones_like(loss.data)
-    produced = {id(out) for out, _, _ in tape.records}
-    leaves = {}  # id -> (leaf, [array or Future]), in order of first contribution
+    _slot(loss, tape.key).grad = np.ones_like(loss.data)
+    records = tape.records
+    errors = np.geterr()
+    adds = []  # one future per leaf contribution, in sweep order
     try:
-        for out, inputs, vjp in reversed(tape.records):
-            gout = out.grad
+        for i in reversed(range(len(records))):
+            node, inputs, vjp = records[i]
+            records[i] = (node, inputs, None)
+            gout, node.grad = node.grad, None
             if gout is None:
                 continue
             gins = vjp(gout)
-            out.grad = None
+            gout = vjp = None  # the record's arrays go now, not at the next record
             for inp, gin in zip(inputs, gins):
                 if gin is None or not inp.requires_grad:
                     continue
-                if id(inp) not in produced:
-                    leaves.setdefault(id(inp), (inp, []))[1].append(_submit(gin) if callable(gin) else gin)
+                if type(inp) is not _Node:
+                    adds.append(_submit(_LeafPart(inp, gin, errors)))
                     continue
                 if callable(gin):
                     gin = gin()
                 # out of place: a VJP may hand back `gout` itself or a view of
                 # it, which another input's gradient can share
                 inp.grad = gin if inp.grad is None else inp.grad + gin
-    except BaseException:
-        wait([part for _, parts in leaves.values() for part in parts if isinstance(part, Future)])
-        raise
-    for leaf, parts in leaves.values():
-        for part in parts:
-            gin = part.result() if isinstance(part, Future) else part
-            if leaf.grad is None:
-                leaf.grad = gin.copy()  # a VJP's array may be shared with another input
-            else:
-                leaf.grad += gin
+    finally:
+        wait(adds)
+    for done in adds:
+        done.result()
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -241,11 +322,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
+    sa = a.data.shape if a.requires_grad else None
+    sb = b.data.shape if b.requires_grad else None
 
     def vjp(g):
         return (
-            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+            None if sa is None else _unbroadcast(g, sa),
+            None if sb is None else _unbroadcast(g, sb),
         )
 
     return _result(data, (a, b), vjp)
@@ -253,11 +336,15 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
+    sa, sb = a.data.shape, b.data.shape
+    # each input's gradient reads only the other input's array
+    bd = b.data if a.requires_grad else None
+    ad = a.data if b.requires_grad else None
 
     def vjp(g):
         return (
-            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
+            None if bd is None else _unbroadcast(g * bd, sa),
+            None if ad is None else _unbroadcast(g * ad, sb),
         )
 
     return _result(data, (a, b), vjp)
@@ -333,20 +420,22 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"bias {bias.data.shape} does not fit the weight {bd.shape}")
     if bd.ndim == 2:
         k, n = bd.shape
+        a_shape = ad.shape
         a2 = ad.reshape(-1, k)
         data = a2 @ bd
-        if bias is not None:
+        has_bias = bias is not None
+        if has_bias:
             data += bias.data
 
         def vjp(g):
             g2 = g.reshape(-1, n)
-            grads = ((g2 @ bd.T).reshape(ad.shape), lambda: a2.T @ g2)
-            if bias is None:
+            grads = ((g2 @ bd.T).reshape(a_shape), lambda: a2.T @ g2)
+            if not has_bias:
                 return grads
             lead = tuple(range(g.ndim - 1))
             return grads + (lambda: g.sum(axis=lead),)
 
-        inputs = (a, b) if bias is None else (a, b, bias)
+        inputs = (a, b, bias) if has_bias else (a, b)
         return _result(data.reshape(ad.shape[:-1] + (n,)), inputs, vjp)
     if ad.ndim != bd.ndim:
         raise ShapeError(f"unsupported matmul arrangement: {ad.shape} @ {bd.shape}")
@@ -427,7 +516,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
     The variance is np.var's own arithmetic (mean, subtract, square, sum,
     divide) on the centred rows this function needs anyway."""
-    xd = x.data
+    xd, gd = x.data, gain.data
     d = xd.shape[-1]
     mu = xd.mean(axis=-1, keepdims=True)
     xhat = xd - mu
@@ -438,12 +527,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
-    np.multiply(xhat, gain.data, out=data)
+    np.multiply(xhat, gd, out=data)
     data += bias.data
 
     def vjp(g):
         lead = tuple(range(g.ndim - 1))
-        gx = g * gain.data
+        gx = g * gd
         tmp = gx * xhat
         m2 = tmp.mean(axis=-1, keepdims=True)
         np.multiply(xhat, m2, out=tmp)
@@ -463,10 +552,11 @@ def embedding(table: Tensor, ids) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexError(f"embedding id out of range [0, {n})")
     data = table.data[idx]
+    shape = table.data.shape
 
     def vjp(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx.reshape(-1), g.reshape(-1, table.data.shape[1]))
+        gt = np.zeros(shape)
+        np.add.at(gt, idx.reshape(-1), g.reshape(-1, shape[1]))
         return (gt,)
 
     return _result(np.ascontiguousarray(data), (table,), vjp)
@@ -519,9 +609,10 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     sl[axis] = slice(start, start + length)
     sl = tuple(sl)
     data = np.ascontiguousarray(x.data[sl])
+    shape = x.data.shape
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape)
         gx[sl] = g
         return (gx,)
 
@@ -537,9 +628,10 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexError(f"row index out of range [0, {n})")
     data = np.ascontiguousarray(x.data[idx])
+    shape = x.data.shape
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape)
         np.add.at(gx, idx, g)
         return (gx,)
 
@@ -582,27 +674,29 @@ def pad_stack(tensors) -> Tensor:
         data[i, : lens[i]] = t.data
 
     def vjp(g):
-        return tuple(np.ascontiguousarray(g[i, : lens[i]]) for i in range(len(tensors)))
+        return tuple(np.ascontiguousarray(g[i, :n]) for i, n in enumerate(lens))
 
     return _result(data, tuple(tensors), vjp)
 
 
 def sum_axis(x: Tensor, axis: int) -> Tensor:
     data = x.data.sum(axis=axis)
+    shape = x.data.shape
 
     def vjp(g):
         # a copy even where the broadcast is trivial: broadcast_to gives a
         # read-only view, and a gradient's owner may scale it in place
-        return (np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
     return _result(data, (x,), vjp)
 
 
 def sum_all(x: Tensor) -> Tensor:
     data = np.asarray(x.data.sum())
+    shape = x.data.shape
 
     def vjp(g):
-        return (np.full_like(x.data, float(g)),)
+        return (np.full(shape, float(g)),)
 
     return _result(data, (x,), vjp)
 
@@ -610,9 +704,10 @@ def sum_all(x: Tensor) -> Tensor:
 def mean_all(x: Tensor) -> Tensor:
     n = x.data.size
     data = np.asarray(x.data.mean())
+    shape = x.data.shape
 
     def vjp(g):
-        return (np.full_like(x.data, float(g) / n),)
+        return (np.full(shape, float(g) / n),)
 
     return _result(data, (x,), vjp)
 

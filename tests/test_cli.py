@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import resource
 import shutil
 import subprocess
@@ -586,6 +587,15 @@ def test_eval_jobs_matches_serial(tmp_path, workspace):
     assert run("eval", *kwargs, "--jobs", 1, "--out", tmp_path / "serial") == 0
     assert run("eval", *kwargs, "--jobs", 2, "--out", tmp_path / "parallel") == 0
     assert (tmp_path / "serial" / "report.json").read_bytes() == (tmp_path / "parallel" / "report.json").read_bytes()
+
+
+def test_eval_workers_receive_only_what_they_score(tiny_corpus):
+    part = cli._scored_part(tiny_corpus, ["test_clean"])
+    assert part.test_clean is tiny_corpus.test_clean and part.test_other == []
+    assert part.world_spec == tiny_corpus.world_spec
+    assert part.train_speakers == tiny_corpus.train_speakers
+    assert len(part.train) == len(part.train_speakers) < len(tiny_corpus.train)
+    assert len(pickle.dumps(part)) < len(pickle.dumps(tiny_corpus)) / 2
 
 
 def test_eval_reports_crashed_tasks_and_scores_the_rest(tmp_path, workspace, capsys):

@@ -1,7 +1,9 @@
 import math
 import multiprocessing
 import sys
+import threading
 import tracemalloc
+import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
@@ -453,13 +455,9 @@ def test_worker_and_inline_leaf_gradients_train_identical_weights(monkeypatch):
     assert _tiny_model_weights(3) == on_worker
 
 
-def test_gradcheck_interior_weight_runs_inline(monkeypatch):
+def test_gradcheck_interior_weight_runs_inline():
     # the matmul's weight operand is a reshape output, so its gradient
     # function must run on the calling thread, never on the worker
-    def no_submit(fn):
-        raise AssertionError("an interior operand's gradient went to the worker")
-
-    monkeypatch.setattr(nm, "_submit", no_submit)
     rng = np.random.default_rng(14)
     x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     w = Tensor(rng.normal(0, 0.5, (2, 10)), requires_grad=True)
@@ -468,6 +466,24 @@ def test_gradcheck_interior_weight_runs_inline(monkeypatch):
         y = nm.matmul(x, nm.reshape(w, (4, 5)))  # N-D @ 2-D, interior weight
         return nm.mean_all(nm.gelu(y))
 
+    with Tape() as tape:
+        loss = make_loss()
+    i = next(i for i, (_, inputs, _) in enumerate(tape.records) if len(inputs) == 2)  # the matmul
+    node, inputs, vjp = tape.records[i]
+    assert isinstance(inputs[1], nm._Node)
+    ran_on = []
+
+    def noting_thread(part):
+        def run():
+            ran_on.append(threading.current_thread())
+            return part()
+        return run
+
+    tape.records[i] = (node, inputs, lambda g: tuple(noting_thread(p) if callable(p) else p for p in vjp(g)))
+    backward(loss, tape)
+    assert ran_on == [threading.current_thread()], "an interior operand's gradient went to the worker"
+    for p in (x, w):
+        p.grad = None
     check_grads(make_loss, [x, w])
 
 
@@ -538,7 +554,7 @@ def test_forked_child_starts_its_own_worker():
 def _vjp_of(make, x, g):
     with Tape() as tape:
         out = make(x)
-    (_, _, vjp), = [r for r in tape.records if r[0] is out]
+    (_, _, vjp), = [r for r in tape.records if r[0] is out.node]
     return out.data, vjp(g)
 
 
@@ -682,8 +698,8 @@ def _tiny_ar_step_tape():
 def test_backward_leaves_gradients_on_leaves_only():
     model, tape, loss = _tiny_ar_step_tape()
     backward(loss, tape)
-    produced = {id(out) for out, _, _ in tape.records}
-    assert all(out.grad is None for out, _, _ in tape.records)
+    produced = {id(node) for node, _, _ in tape.records}
+    assert all(node.grad is None for node, _, _ in tape.records)
     leaves = [t for _, inputs, _ in tape.records for t in inputs if t.requires_grad and id(t) not in produced]
     assert leaves and all(t.grad is not None for t in leaves)
     assert {id(t) for t in leaves} <= {id(p) for p in model.parameters()}
@@ -737,11 +753,27 @@ def _nar_step_tape():
     return tape, loss
 
 
+def _recording(make):
+    """Run `make()`; return its result and, per output a tape recorded
+    meanwhile, a weak reference to its array and the array's size."""
+    outputs = []
+    record = nm._record
+
+    def hooked(out, inputs, vjp):
+        record(out, inputs, vjp)
+        if out.node is not None:
+            outputs.append((weakref.ref(out.data), out.data.nbytes))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nm, "_record", hooked)
+        return make(), outputs
+
+
 def test_backward_frees_interior_gradients_as_it_goes():
     # kept until the tape died, the interior gradients took as many bytes
     # as the activations (a rise of ~0.7 of them); consumed, ~0.2
-    tape, loss = _nar_step_tape()
-    held = sum(out.data.nbytes for out, _, _ in tape.records)
+    (tape, loss), outputs = _recording(_nar_step_tape)
+    held = sum(nbytes for _, nbytes in outputs)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -749,4 +781,114 @@ def test_backward_frees_interior_gradients_as_it_goes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - base < held / 3, f"backward's peak rose {peak - base} bytes over {held} held by the tape"
+    assert peak - base < held / 3, f"backward's peak rose {peak - base} bytes over {held} the tape's outputs took"
+
+
+# ---------------------------------------------------------------------------
+# what the tape keeps alive
+# ---------------------------------------------------------------------------
+
+
+def _probe(x: Tensor, when_swept) -> Tensor:
+    """An identity op whose VJP calls `when_swept()` as the sweep passes it."""
+    def vjp(g):
+        when_swept()
+        return (g,)
+
+    return nm._result(x.data, (x,), vjp)
+
+
+@pytest.mark.parametrize("consume, dx", [
+    (lambda s, x: nm.add(s, x), 3.0),  # add's VJP reads shapes only
+    (lambda s, x: nm.mul(s, Tensor(np.full((4, 4), 5.0))), 10.0),  # mul's reads only the constant
+], ids=["add", "mul_by_constant"])
+def test_an_output_no_vjp_reads_dies_with_the_callers_reference(consume, dx):
+    x = Tensor(np.ones((4, 4)), requires_grad=True)
+    with Tape() as tape:
+        s = nm.scale(x, 2.0)
+        loss = nm.sum_all(consume(s, x))
+    scaled = weakref.ref(s.data)
+    del s
+    assert scaled() is None
+    backward(loss, tape)
+    np.testing.assert_array_equal(x.grad, np.full((4, 4), dx))
+
+
+def test_an_array_a_vjp_reads_lives_until_the_sweep_runs_its_record(monkeypatch):
+    # matmul's VJP reads its interior operand for the weight's gradient,
+    # which goes to the worker as a function of that operand. The tasks
+    # are kept past their run, as an executor may keep a finished one.
+    kept = []
+
+    def keeping_submit(fn):
+        kept.append(fn)
+        return _run_inline(fn)
+
+    monkeypatch.setattr(nm, "_submit", keeping_submit)
+    rng = np.random.default_rng(22)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    seen = []
+    with Tape() as tape:
+        a = nm.scale(x, 2.0)
+        operand = weakref.ref(a.data)
+        y = _probe(nm.matmul(a, w), lambda: seen.append(operand() is not None))  # swept just before the matmul
+        loss = nm.sum_all(y)
+    del a, y
+    assert operand() is not None
+    backward(loss, tape)
+    assert seen == [True] and kept
+    assert operand() is None
+    np.testing.assert_array_equal(w.grad, (2.0 * x.data).T @ np.ones((3, 2)))
+
+
+def test_backward_leaves_the_tape_pinning_no_activation():
+    (model, tape, loss), outputs = _recording(_tiny_ar_step_tape)
+    n_records = len(tape)
+    assert any(ref() is None for ref, _ in outputs), "every output outlived its caller"
+    backward(loss, tape)
+    del loss
+    assert [ref for ref, _ in outputs if ref() is not None] == []
+    assert len(tape) == n_records
+    assert all(vjp is None for _, _, vjp in tape.records)
+
+
+def test_a_tensor_from_another_tape_is_a_leaf_of_this_one():
+    w = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as first:
+        h = nm.scale(w, 3.0)
+    with Tape() as second:
+        loss = nm.sum_all(nm.mul(h, h))
+    backward(loss, second)
+    np.testing.assert_array_equal(h.grad, [6.0, 12.0])
+    assert w.grad is None
+
+
+def test_a_vjp_raising_mid_sweep_leaves_the_earlier_leaf_parts_added():
+    # the matmul is swept before the failing record, so its part (a
+    # function, run on the worker) is in w.grad when backward re-raises
+    x = Tensor([[3.0, 4.0]])
+    w = Tensor([[1.0], [2.0]], requires_grad=True)
+    w.grad = np.array([[10.0], [20.0]])
+
+    def failing_vjp(g):
+        raise FloatingPointError("vjp failed")
+
+    with Tape() as tape:
+        early = nm._result(w.data * 1.0, (w,), failing_vjp)
+        loss = nm.add(nm.sum_all(nm.matmul(x, w)), nm.sum_all(early))
+    with pytest.raises(FloatingPointError):
+        backward(loss, tape)
+    np.testing.assert_array_equal(w.grad, [[13.0], [24.0]])
+
+
+def test_leaf_parts_are_added_under_the_callers_error_state():
+    # w's two parts, inf and -inf, meet in the worker's add; the caller
+    # asked invalid operations to raise, and a thread does not inherit that
+    w = Tensor(np.full(2, 0.25), requires_grad=True)
+    x = Tensor(np.full(2, 1e308))
+    with Tape() as tape:
+        both = nm.concat([nm.mul(w, x), nm.mul(w, nm.scale(x, -1.0))])
+        loss = nm.scale(nm.sum_all(both), 2.0)
+    with np.errstate(over="ignore", invalid="raise"), pytest.raises(FloatingPointError):
+        backward(loss, tape)
