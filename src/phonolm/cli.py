@@ -354,6 +354,7 @@ def cmd_eval(args) -> int:
         systems.extend((bundle_dir, k) for k in kinds)
 
     corpus = tw.load_corpus(corpus_dir)
+    ev.check_scorable(corpus, splits)
     out = _prepare_out(args.out, args.force)
     tasks = [(bundle_dir, kind, args.seed + rep) for bundle_dir, kind in systems for rep in range(args.seeds)]
     reports, crashed = [], []
@@ -370,14 +371,8 @@ def cmd_eval(args) -> int:
                 crashed.append(task)
                 print(f"synthesis crashed for {task}: {exc}", file=sys.stderr)
 
-    by_kind = {}
-    for report in reports:
-        by_kind.setdefault(report.system, []).append(report)
-    aggregates = [ev.aggregate_seed_reports(reps) for kind, reps in sorted(by_kind.items())]
-    if aggregates:
-        comparison = ev.compare_systems(aggregates)
-        ev.write_report(comparison, out, per_seed_reports=reports)
-        print(comparison["text"])
+    if reports:
+        print(ev.write_report(reports, out))
 
     input_files = [corpus_dir / "world.json"] + [corpus_dir / f"{s}.jsonl" for s in splits]
     for bundle_dir, kind in systems:  # a file a crashed task missed is left out

@@ -84,7 +84,6 @@ def levenshtein(ref, hyp) -> EditBreakdown:
 
 @dataclass
 class UtteranceEval:
-    per: float
     breakdown: EditBreakdown
     speaker_ok: bool
     runaway: bool
@@ -101,9 +100,6 @@ class SplitMetrics:
     runaway_rate: float
     skipped: int = 0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class EvalReport:
@@ -113,21 +109,11 @@ class EvalReport:
     seed: int
     splits: dict = field(default_factory=dict)  # split name -> SplitMetrics
 
-    def to_dict(self) -> dict:
-        return {
-            "system": self.system,
-            "seed": self.seed,
-            "splits": {k: v.to_dict() for k, v in self.splits.items()},
-        }
-
 
 def _aggregate(evals: list, skipped: int) -> SplitMetrics:
-    n = len(evals)
-    if n == 0:
-        return SplitMetrics(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, skipped=skipped)
     return SplitMetrics(
-        n=n,
-        per=float(np.mean([e.per for e in evals])),
+        n=len(evals),
+        per=float(np.mean([e.breakdown.rate for e in evals])),
         sub_rate=float(np.mean([e.breakdown.substitutions / max(1, e.breakdown.ref_len) for e in evals])),
         del_rate=float(np.mean([e.breakdown.deletions / max(1, e.breakdown.ref_len) for e in evals])),
         ins_rate=float(np.mean([e.breakdown.insertions / max(1, e.breakdown.ref_len) for e in evals])),
@@ -143,19 +129,40 @@ def _score(target, codes, runaway: bool, quantizers, spec) -> UtteranceEval:
     frames = qz.rvq_decode(codes, quantizers.rvq)
     breakdown = levenshtein(target.phonemes, tw.oracle_transcribe(frames, spec))
     speaker_ok = frames.shape[0] > 0 and tw.oracle_speaker(frames, spec) == target.speaker_id
-    return UtteranceEval(per=breakdown.rate, breakdown=breakdown, speaker_ok=bool(speaker_ok), runaway=runaway)
+    return UtteranceEval(breakdown=breakdown, speaker_ok=bool(speaker_ok), runaway=runaway)
 
 
-def _pick_eval_utterances(utts, n_prompts, rng):
-    """Deterministic subset with a same-speaker prompt partner per utterance.
-
-    Utterances whose speaker has no other utterance in the split are skipped
-    with a warning.
-    """
+def _pairable(utts, split: str) -> tuple:
+    """Each speaker's utterance indices in `utts`, and the indices of the
+    utterances whose speaker has another one to prompt with. A split with
+    no such utterance has nothing to score: ContractError."""
     by_speaker = {}
     for i, u in enumerate(utts):
         by_speaker.setdefault(u.speaker_id, []).append(i)
     usable = [i for i, u in enumerate(utts) if len(by_speaker[u.speaker_id]) > 1]
+    if not usable:
+        raise ContractError(f"nothing to score in {split}: no speaker in it has two utterances")
+    return by_speaker, usable
+
+
+def check_scorable(corpus: tw.Corpus, splits) -> None:
+    """Raise ContractError naming the first of `splits` that has nothing to score."""
+    for split in splits:
+        _pairable(corpus.split(split), split)
+
+
+def _pick_eval_utterances(corpus: tw.Corpus, split: str, n_prompts: int, seed: int) -> tuple:
+    """(utterances of `split`, (target, prompt) index pairs, skipped count):
+    a deterministic subset with a same-speaker prompt partner per utterance.
+
+    Utterances whose speaker has no other utterance in the split are skipped
+    with a warning.
+    """
+    if n_prompts < 1:
+        raise ContractError(f"n_prompts must be >= 1, got {n_prompts}")
+    utts = corpus.split(split)
+    by_speaker, usable = _pairable(utts, split)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _PROMPT_STREAM])))
     skipped = len(utts) - len(usable)
     if skipped:
         log.warning("skipping %d utterance(s) whose speaker has a single utterance", skipped)
@@ -165,7 +172,7 @@ def _pick_eval_utterances(utts, n_prompts, rng):
     for i in usable:
         candidates = [k for k in by_speaker[utts[i].speaker_id] if k != i]
         pairs.append((i, int(candidates[int(rng.integers(len(candidates)))])))
-    return pairs, skipped
+    return utts, pairs, skipped
 
 
 def evaluate_system(
@@ -181,10 +188,8 @@ def evaluate_system(
     if split not in ("test_clean", "test_other"):
         raise ContractError(f"evaluation split must be a test split, got {split!r}")
     pl.check_corpus_world(bundle, corpus)
-    utts = corpus.split(split)
+    utts, pairs, skipped = _pick_eval_utterances(corpus, split, n_prompts, seed)
     train_speakers = corpus.train_speakers
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _PROMPT_STREAM])))
-    pairs, skipped = _pick_eval_utterances(utts, n_prompts, rng)
     requests, sampler_seeds = [], []
     seed_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _SAMPLER_STREAM])))
     for target_i, prompt_i in pairs:
@@ -204,9 +209,7 @@ def evaluate_system(
 def evaluate_passthrough(corpus: tw.Corpus, quantizers, split: str, n_prompts: int, seed: int) -> SplitMetrics:
     """Score ground-truth codecs passed straight through the RVQ: the codec
     fidelity floor an ideal generator could reach. No generation, no runaway."""
-    utts = corpus.split(split)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _PROMPT_STREAM])))
-    pairs, skipped = _pick_eval_utterances(utts, n_prompts, rng)
+    utts, pairs, skipped = _pick_eval_utterances(corpus, split, n_prompts, seed)
     tokenized = pl.tokenize_utterances([utts[i] for i, _ in pairs], quantizers)
     evals = [
         _score(utts[i], tu.codes, False, quantizers, corpus.world_spec) for (i, _), tu in zip(pairs, tokenized)
@@ -215,71 +218,55 @@ def evaluate_passthrough(corpus: tw.Corpus, quantizers, split: str, n_prompts: i
 
 
 # ---------------------------------------------------------------------------
-# seed aggregation and comparison tables
+# the comparison report
 # ---------------------------------------------------------------------------
 
 
-def aggregate_seed_reports(reports: list) -> dict:
-    """Combine per-seed EvalReports of one system: mean and sample std per
-    metric per split. Reports must agree on system and splits."""
-    if not reports:
-        raise ContractError("no reports to aggregate")
-    system = reports[0].system
-    splits = list(reports[0].splits)
-    if any(r.system != system or list(r.splits) != splits for r in reports):
-        raise ContractError("reports disagree on system or splits")
-    out = {"system": system, "seeds": [r.seed for r in reports], "splits": {}}
-    for split in splits:
-        mean, std = {}, {}
-        for metric in METRICS:
-            vals = np.array([getattr(r.splits[split], metric) for r in reports])
-            mean[metric] = float(vals.mean())
-            std[metric] = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
-        out["splits"][split] = {"mean": mean, "std": std, "n_seeds": len(reports)}
-    return out
+def write_report(reports: list, out_dir) -> str:
+    """Write `report.json` and `report.txt` from per-seed EvalReports of one
+    system or more; returns the table text.
 
-
-def compare_systems(aggregates: list) -> dict:
-    """Table of one or more systems over identical splits.
-
-    Returns {"systems", "splits", "rows", "winners", "text"}; winners mark
-    the better seed-mean per metric and split (None on exact ties, and for
-    a lone system, which has nothing to beat).
+    Every report must have scored the same splits. Rows and `systems` go by
+    system name; a row holds the mean and the sample std (0 for one seed) of
+    each metric over that system's reports. Winners mark the better mean per
+    metric and split: None on an exact tie, and for a lone system, which has
+    nothing to beat. `per_seed` lists the reports in `pipeline.SYSTEMS`
+    order, then by seed, so the bytes do not depend on the order `reports`
+    come in (reports sharing a system and a seed, from two bundles of one
+    kind, keep theirs).
     """
-    if not aggregates:
-        raise ContractError("compare_systems needs at least one system")
-    splits = list(aggregates[0]["splits"])
-    if any(list(a["splits"]) != splits for a in aggregates):
-        raise ContractError("systems were evaluated on different splits")
-    systems = [a["system"] for a in aggregates]
-    winners = {}
-    for split in splits:
-        winners[split] = {}
-        for metric in METRICS:
-            vals = [a["splits"][split]["mean"][metric] for a in aggregates]
-            best = min(vals) if _LOWER_BETTER[metric] else max(vals)
-            idxs = [i for i, v in enumerate(vals) if v == best]
-            winners[split][metric] = systems[idxs[0]] if len(idxs) == 1 and len(systems) > 1 else None
+    if not reports:
+        raise ContractError("no reports to write")
+    splits = list(reports[0].splits)
+    if any(list(r.splits) != splits for r in reports):
+        raise ContractError("reports were scored on different splits")
+    reports = sorted(reports, key=lambda r: (pl.SYSTEMS.index(r.system), r.seed))
+    systems = sorted({r.system for r in reports})
     rows = []
-    for a in aggregates:
+    for system in systems:
+        own = [r for r in reports if r.system == system]
         for split in splits:
-            m, s = a["splits"][split]["mean"], a["splits"][split]["std"]
-            rows.append(
-                {
-                    "system": a["system"],
-                    "split": split,
-                    "n_seeds": a["splits"][split]["n_seeds"],
-                    **{f"{k}_mean": m[k] for k in METRICS},
-                    **{f"{k}_std": s[k] for k in METRICS},
-                }
-            )
-    return {
-        "systems": systems,
-        "splits": splits,
-        "rows": rows,
-        "winners": winners,
-        "text": _format_table(rows, winners),
-    }
+            row = {"system": system, "split": split, "n_seeds": len(own)}
+            for metric in METRICS:
+                vals = np.array([getattr(r.splits[split], metric) for r in own])
+                row[f"{metric}_mean"] = float(vals.mean())
+                row[f"{metric}_std"] = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
+            rows.append(row)
+    winners = {split: {} for split in splits}
+    for split in splits:
+        for metric in METRICS:
+            means = [row[f"{metric}_mean"] for row in rows if row["split"] == split]
+            best = min(means) if _LOWER_BETTER[metric] else max(means)
+            leaders = [s for s, m in zip(systems, means) if m == best]
+            winners[split][metric] = leaders[0] if len(leaders) == 1 and len(systems) > 1 else None
+    text = _format_table(rows, winners)
+    payload = {"systems": systems, "splits": splits, "rows": rows, "winners": winners,
+               "per_seed": [asdict(r) for r in reports]}
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    checkpoint.write_atomic(out / "report.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    checkpoint.write_atomic(out / "report.txt", text + "\n")
+    return text
 
 
 def _format_table(rows, winners) -> str:
@@ -293,13 +280,3 @@ def _format_table(rows, winners) -> str:
         lines.append(f"{r['system']:<10} {r['split']:<11} " + " ".join(f"{c:>14}" for c in cells))
     lines.append("(* marks the better seed-mean; PER and runaway lower is better)")
     return "\n".join(lines)
-
-
-def write_report(comparison: dict, out_dir, per_seed_reports=None) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = {k: comparison[k] for k in ("systems", "splits", "rows", "winners")}
-    if per_seed_reports is not None:
-        payload["per_seed"] = [r.to_dict() for r in per_seed_reports]
-    checkpoint.write_atomic(out / "report.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    checkpoint.write_atomic(out / "report.txt", comparison["text"] + "\n")

@@ -229,6 +229,9 @@ def train_mode(mode: str, corpus, quantizers, config, model_config=None) -> tupl
     idxs, fracs = batch_schedule(len(corpus.train), config)
     drawn = np.unique(idxs)  # tokenize only what the schedule draws, keyed by train index
     tokenized = dict(zip(drawn.tolist(), tokenize_utterances([corpus.train[i] for i in drawn], quantizers)))
+    for i, tu in tokenized.items():  # every step splits its utterances: fail before step 0, not at the step
+        if tu.slots < 2:
+            raise ContractError(f"train utterance {i} has {tu.slots} slot(s), too few for a prompt and a target")
     if kind == md.AR:
         model = md.build_ar_model(model_config, role, seed=config.seed)
 

@@ -546,6 +546,18 @@ def test_eval_rejects_a_repeated_split(tmp_path, workspace, capsys):
     assert not out.exists()
 
 
+def test_eval_rejects_a_split_with_nothing_to_score_before_writing(tmp_path, workspace, capsys):
+    # the held-out pool is one speaker, so a lone test utterance has no prompt partner
+    assert run("world", "--spec", workspace / "world_spec.json", "--out", tmp_path / "world1",
+               "--n-train", 16, "--n-test", 1, "--seed", 3) == 0
+    out = tmp_path / "r"
+    rc = run("eval", "--bundle", workspace / "prop", "--corpus", tmp_path / "world1", "--splits", "other",
+             "--n-prompts", 2, "--out", out)
+    assert rc == 2
+    assert "nothing to score in test_other" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_loads_corpus_once_and_each_bundle_once_per_seed(tmp_path, workspace, monkeypatch):
     corpus_loads, bundle_loads = [], []
     load_corpus, load_bundle = tw.load_corpus, pl.load_bundle

@@ -135,90 +135,108 @@ def test_evaluate_system_rejects_a_corpus_from_another_world(eval_bundles, tiny_
 
 
 def test_evaluate_skips_single_utterance_speakers(eval_bundles, tiny_corpus, caplog):
-    # craft a split where one speaker appears once
-    utts = [u for u in tiny_corpus.test_clean][:3]
+    # craft a split where one speaker appears once, next to the held-out speaker's utterances
+    # (the tiny world holds out one speaker, so the lone one is taken from the train pool)
     lone = tw.sample_utterance(
-        tiny_corpus.world_spec, tiny_corpus.test_clean[0].speaker_id, tw.CLEAN,
+        tiny_corpus.world_spec, tiny_corpus.train[0].speaker_id, tw.CLEAN,
         np.random.default_rng(0),
     )
-    crafted = tw.Corpus(
-        train=tiny_corpus.train,
-        test_clean=[lone] + [u for u in tiny_corpus.test_clean if u.speaker_id != lone.speaker_id],
-        test_other=tiny_corpus.test_other,
-        world_spec=tiny_corpus.world_spec,
-    )
+    crafted = dataclasses.replace(tiny_corpus, test_clean=[lone] + tiny_corpus.test_clean)
     with caplog.at_level("WARNING"):
         metrics = ev.evaluate_system(eval_bundles, crafted, "test_clean", 10, seed=4)
     assert metrics.skipped == 1
+    assert metrics.n == len(tiny_corpus.test_clean)
+    assert "skipping 1 utterance(s)" in caplog.text
 
 
-def test_aggregate_seed_reports():
-    def rep(seed, per):
-        r = ev.EvalReport(system="proposed", seed=seed)
-        r.splits["test_clean"] = ev.SplitMetrics(4, per, 0, 0, per, 0.5, 0.0)
-        return r
-
-    agg = ev.aggregate_seed_reports([rep(1, 0.2), rep(2, 0.4)])
-    clean = agg["splits"]["test_clean"]
-    assert abs(clean["mean"]["per"] - 0.3) < 1e-12
-    assert abs(clean["std"]["per"] - np.std([0.2, 0.4], ddof=1)) < 1e-12
-    assert agg["seeds"] == [1, 2]
+def test_evaluate_rejects_a_split_with_nothing_to_score(eval_bundles, tiny_corpus, tiny_quantizers):
+    # the held-out pool is one speaker, so a one-utterance split has no prompt partner
+    lone = dataclasses.replace(tiny_corpus, test_clean=tiny_corpus.test_clean[:1], test_other=[])
+    with pytest.raises(ContractError, match="nothing to score in test_clean"):
+        ev.evaluate_system(eval_bundles, lone, "test_clean", 4, seed=0)
+    with pytest.raises(ContractError, match="nothing to score in test_other"):
+        ev.evaluate_passthrough(lone, tiny_quantizers, "test_other", 4, seed=0)
+    with pytest.raises(ContractError, match="n_prompts must be >= 1"):
+        ev.evaluate_passthrough(tiny_corpus, tiny_quantizers, "test_clean", 0, seed=0)
 
 
-def test_compare_requires_a_system_and_stars_none_for_one():
+def _report(system, seed, per, speaker, runaway, split="test_clean"):
+    report = ev.EvalReport(system=system, seed=seed)
+    report.splits[split] = ev.SplitMetrics(4, per, 0, 0, per, speaker, runaway)
+    return report
+
+
+def _two_seeds(system, per, speaker, runaway):
+    return [_report(system, seed, per, speaker, runaway) for seed in (1, 2)]
+
+
+def _written(out_dir):
+    return json.loads((out_dir / "report.json").read_text()), (out_dir / "report.txt").read_text()
+
+
+def test_aggregate_seed_reports(tmp_path):
+    ev.write_report([_report("proposed", 1, 0.2, 0.5, 0.0), _report("proposed", 2, 0.4, 0.5, 0.0)], tmp_path)
+    report, _ = _written(tmp_path)
+    [clean] = report["rows"]
+    assert abs(clean["per_mean"] - 0.3) < 1e-12
+    assert abs(clean["per_std"] - np.std([0.2, 0.4], ddof=1)) < 1e-12
+    assert [r["seed"] for r in report["per_seed"]] == [1, 2]
+
+
+def test_compare_requires_a_system_and_stars_none_for_one(tmp_path):
     with pytest.raises(ContractError):
-        ev.compare_systems([])
-    cmp = ev.compare_systems([_fake_aggregate("proposed", 0.1, 0.9, 0.0)])
-    assert cmp["systems"] == ["proposed"]
-    assert set(cmp["winners"]["test_clean"].values()) == {None}
-    assert not any("*" in row for row in cmp["text"].splitlines()[2:-1])
+        ev.write_report([], tmp_path)
+    text = ev.write_report(_two_seeds("proposed", 0.1, 0.9, 0.0), tmp_path)
+    report, written = _written(tmp_path)
+    assert report["systems"] == ["proposed"]
+    assert set(report["winners"]["test_clean"].values()) == {None}
+    assert written == text + "\n"
+    assert not any("*" in row for row in text.splitlines()[2:-1])
 
 
-def _fake_aggregate(system, per, speaker, runaway):
-    return {
-        "system": system,
-        "seeds": [1, 2],
-        "splits": {
-            "test_clean": {
-                "mean": {"per": per, "speaker_consistency": speaker, "runaway_rate": runaway},
-                "std": {"per": 0.0, "speaker_consistency": 0.0, "runaway_rate": 0.0},
-                "n_seeds": 2,
-            }
-        },
-    }
+def test_compare_identical_reports_no_winner(tmp_path):
+    ev.write_report(_two_seeds("proposed", 0.1, 0.8, 0.0) + _two_seeds("baseline", 0.1, 0.8, 0.0), tmp_path)
+    report, _ = _written(tmp_path)
+    assert report["winners"]["test_clean"]["per"] is None
+    assert report["winners"]["test_clean"]["speaker_consistency"] is None
 
 
-def test_compare_identical_reports_no_winner():
-    a = _fake_aggregate("proposed", 0.1, 0.8, 0.0)
-    b = _fake_aggregate("baseline", 0.1, 0.8, 0.0)
-    cmp = ev.compare_systems([a, b])
-    assert cmp["winners"]["test_clean"]["per"] is None
-    assert cmp["winners"]["test_clean"]["speaker_consistency"] is None
-
-
-def test_compare_marks_better_system_per_metric():
-    a = _fake_aggregate("proposed", 0.1, 0.9, 0.0)
-    b = _fake_aggregate("baseline", 0.3, 0.4, 0.2)
-    cmp = ev.compare_systems([a, b])
-    w = cmp["winners"]["test_clean"]
+def test_compare_marks_better_system_per_metric(tmp_path):
+    text = ev.write_report(_two_seeds("proposed", 0.1, 0.9, 0.0) + _two_seeds("baseline", 0.3, 0.4, 0.2), tmp_path)
+    report, _ = _written(tmp_path)
+    w = report["winners"]["test_clean"]
     assert w == {"per": "proposed", "speaker_consistency": "proposed", "runaway_rate": "proposed"}
-    assert "proposed" in cmp["text"] and "*" in cmp["text"]
+    assert "proposed" in text and "*" in text
 
 
-def test_compare_rejects_mismatched_splits():
-    a = _fake_aggregate("proposed", 0.1, 0.9, 0.0)
-    b = _fake_aggregate("baseline", 0.3, 0.4, 0.2)
-    b["splits"] = {"test_other": b["splits"]["test_clean"]}
+def test_compare_rejects_mismatched_splits(tmp_path):
+    other = _report("baseline", 1, 0.3, 0.4, 0.2, split="test_other")
     with pytest.raises(ContractError):
-        ev.compare_systems([a, b])
+        ev.write_report(_two_seeds("proposed", 0.1, 0.9, 0.0) + [other], tmp_path)
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_write_report_deterministic_bytes(tmp_path):
-    a = _fake_aggregate("proposed", 0.1, 0.9, 0.0)
-    b = _fake_aggregate("baseline", 0.3, 0.4, 0.2)
-    cmp = ev.compare_systems([a, b])
-    ev.write_report(cmp, tmp_path / "r1")
-    ev.write_report(cmp, tmp_path / "r2")
+    reports = _two_seeds("proposed", 0.1, 0.9, 0.0) + _two_seeds("baseline", 0.3, 0.4, 0.2)
+    ev.write_report(reports, tmp_path / "r1")
+    ev.write_report(reports, tmp_path / "r2")
     assert (tmp_path / "r1" / "report.json").read_bytes() == (tmp_path / "r2" / "report.json").read_bytes()
-    parsed = json.loads((tmp_path / "r1" / "report.json").read_text())
-    assert parsed["winners"]["test_clean"]["per"] == "proposed"
+    report, _ = _written(tmp_path / "r1")
+    assert report["winners"]["test_clean"]["per"] == "proposed"
+
+
+def test_write_report_bytes_do_not_depend_on_report_order(tmp_path):
+    reports = [
+        _report(system, seed, 0.1 * seed + (system == "baseline"), 0.3 + 0.1 * seed, 0.05 * seed)
+        for system in ("proposed", "baseline") for seed in (4, 5, 6)
+    ]
+    ev.write_report(reports, tmp_path / "given")
+    shuffled = [reports[i] for i in np.random.default_rng(0).permutation(len(reports))]
+    assert shuffled != reports
+    ev.write_report(shuffled, tmp_path / "shuffled")
+    for name in ("report.json", "report.txt"):
+        assert (tmp_path / "given" / name).read_bytes() == (tmp_path / "shuffled" / name).read_bytes()
+    report, _ = _written(tmp_path / "given")
+    assert report["systems"] == ["baseline", "proposed"]
+    assert [(r["system"], r["seed"]) for r in report["per_seed"]] == [
+        ("proposed", 4), ("proposed", 5), ("proposed", 6), ("baseline", 4), ("baseline", 5), ("baseline", 6)]

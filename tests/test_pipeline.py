@@ -43,6 +43,16 @@ def test_split_slots_bounds():
         pl.split_slots(1, 0.3)
 
 
+def test_train_mode_rejects_utterances_too_short_to_split_before_step_0(monkeypatch):
+    spec = tw.WorldSpec(phoneme_vocab_size=12, num_speakers=4, feature_dim=8, utterance_len_min=1,
+                        utterance_len_max=2, duration_min=1, duration_max=1, seed=3)
+    corpus = tw.build_corpus(spec, 20, 4, np.random.default_rng(0))
+    quantizers = pl.fit_corpus_quantizers(corpus, k_phonetic=8, k_codec=4, n_layers=2, max_iters=3, seed=1)
+    monkeypatch.setattr(pl, "_run_training", lambda *a: pytest.fail("training started"))
+    with pytest.raises(ContractError, match=r"train utterance \d+ has 1 slot\(s\)"):
+        pl.train_mode("nar", corpus, quantizers, quick_config(steps=2, batch_size=2, seed=1))
+
+
 def test_batch_schedule_mode_independent(tiny_corpus, tiny_quantizers):
     cfg = quick_config(seed=11)
     a = pl.batch_schedule(24, cfg)
