@@ -440,6 +440,14 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """Type of every `--seed`: a bad seed stops the parser before any output exists."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="phonolm", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -449,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--out", required=True)
     w.add_argument("--n-train", type=int, default=500)
     w.add_argument("--n-test", type=int, default=40)
-    w.add_argument("--seed", type=int, default=0)
+    w.add_argument("--seed", type=_seed, default=0)
     w.add_argument("--force", action="store_true")
     w.add_argument("--set", action="append", metavar="KEY=VALUE")
     w.set_defaults(func=cmd_world)
@@ -460,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--k-codec", type=int, default=32)
     q.add_argument("--layers", type=int, default=8)
     q.add_argument("--iters", type=int, default=30)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_seed, default=0)
     q.add_argument("--out", required=True)
     q.add_argument("--force", action="store_true")
     q.set_defaults(func=cmd_quantize)
@@ -471,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--quantizers", required=True, help=f"path to a quantize run's {pl.QUANTIZERS}")
     t.add_argument("--config", help="TrainingConfig JSON")
     t.add_argument("--model-config", help="ModelConfig JSON overrides")
-    t.add_argument("--seed", type=int, help="overrides the config's seed (default 0)")
+    t.add_argument("--seed", type=_seed, help="overrides the config's seed (default 0)")
     t.add_argument("--out", required=True)
     t.add_argument("--force", action="store_true")
     t.add_argument("--set", action="append", metavar="KEY=VALUE")
@@ -483,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--splits", default="clean,other")
     e.add_argument("--seeds", type=int, default=1, help="evaluation seed replicates per bundle")
     e.add_argument("--n-prompts", type=int, default=20)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=_seed, default=0)
     e.add_argument("--jobs", type=int, default=1)
     e.add_argument("--out", required=True)
     e.add_argument("--force", action="store_true")
@@ -498,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--prompt-index", type=int, required=True)
     s.add_argument("--temperature", type=float, default=1.0)
     s.add_argument("--top-k", type=int, default=8)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--out", required=True, help="JSONL file to append the codes to")
     s.set_defaults(func=cmd_synth)
 

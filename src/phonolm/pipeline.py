@@ -87,11 +87,11 @@ class TrainingConfig:
     grad_clip: float = 1.0
 
     def __post_init__(self):
-        for key in ("steps", "batch_size"):
+        for key, least in (("steps", 1), ("batch_size", 1), ("seed", 0)):
             value = getattr(self, key)
-            # a float or bool count would pass the range check and fail only once training starts
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ContractError(f"TrainingConfig.{key} must be a positive int, got {value!r}")
+            # a float or bool would pass the range check and fail only once training starts, or not at all
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ContractError(f"TrainingConfig.{key} must be an int >= {least}, got {value!r}")
         # a negative clip norm flips every gradient, and 0 zeroes them
         if not (self.learning_rate > 0 and self.grad_clip > 0):
             raise ContractError("learning_rate and grad_clip must be positive")
@@ -110,6 +110,11 @@ class TokenizedUtterance:
     @property
     def slots(self) -> int:
         return self.phonetic.shape[0] // 2
+
+    def stream(self, name: str) -> np.ndarray:
+        """The AR token stream `name`: phonetic tokens (2 per slot) for the
+        proposed system, codec layer 1 (3 per slot) for the baseline."""
+        return self.phonetic if name == md.STREAM_PHONETIC else self.codes[:, 0]
 
 
 def tokenize_utterances(utts, quantizers: Quantizers) -> list:
@@ -165,11 +170,9 @@ def ar_training_items(tokenized, idxs, fracs, stream: str) -> list:
     items = []
     for i, f in zip(idxs, fracs):
         tu = tokenized[int(i)]
-        k = split_slots(tu.slots, float(f))
-        if stream == md.STREAM_PHONETIC:
-            items.append((tu.phonemes, tu.phonetic[: 2 * k], tu.phonetic[2 * k :]))
-        else:
-            items.append((tu.phonemes, tu.codes[: 3 * k, 0], tu.codes[3 * k :, 0]))
+        ids = tu.stream(stream)
+        cut = split_slots(tu.slots, float(f)) * len(ids) // tu.slots
+        items.append((tu.phonemes, ids[:cut], ids[cut:]))
     return items
 
 
@@ -186,6 +189,17 @@ def nar_training_items(tokenized, idxs, fracs, layers, variant: str) -> tuple:
         items.append((tu.phonemes, cond, prompt_codes, target_codes[:, : j - 1], j))
         labels.append(target_codes[:, j - 1])
     return items, np.concatenate(labels)
+
+
+def teacher_forced(model, tokenized, idxs, fracs, layers, train: bool = False, rng=None) -> tuple:
+    """(logits, labels) of one teacher-forced batch: `tokenized[i]` for each
+    i in `idxs`, its prompt the `fracs` prefix; a NAR model predicts the
+    `layers` layer of each target, an AR model its next tokens and ignores
+    `layers`."""
+    if model.kind == md.AR:
+        return md.ar_batch_logits(model, ar_training_items(tokenized, idxs, fracs, model.role), train, rng)
+    items, labels = nar_training_items(tokenized, idxs, fracs, layers, model.role)
+    return md.nar_batch_logits(model, items, train, rng), labels
 
 
 def _run_training(model, step_forward, config: TrainingConfig) -> list:
@@ -232,20 +246,14 @@ def train_mode(mode: str, corpus, quantizers, config, model_config=None) -> tupl
     for i, tu in tokenized.items():  # every step splits its utterances: fail before step 0, not at the step
         if tu.slots < 2:
             raise ContractError(f"train utterance {i} has {tu.slots} slot(s), too few for a prompt and a target")
-    if kind == md.AR:
-        model = md.build_ar_model(model_config, role, seed=config.seed)
+    build = md.build_ar_model if kind == md.AR else md.build_nar_model
+    model = build(model_config, role, seed=config.seed)
+    # an AR step ignores the layers, and a 1-layer codec has none above layer 1 to draw
+    layers = layer_schedule(config, model.min_layer, model_config.n_codec_layers) if kind == md.NAR else idxs
 
-        def step_forward(step, drop_rng):
-            items = ar_training_items(tokenized, idxs[step], fracs[step], role)
-            logits, targets = md.ar_batch_logits(model, items, train=True, rng=drop_rng)
-            return nm.cross_entropy(logits, targets)
-    else:
-        model = md.build_nar_model(model_config, role, seed=config.seed)
-        layers = layer_schedule(config, model.min_layer, model_config.n_codec_layers)
-
-        def step_forward(step, drop_rng):
-            items, labels = nar_training_items(tokenized, idxs[step], fracs[step], layers[step], role)
-            return nm.cross_entropy(md.nar_batch_logits(model, items, train=True, rng=drop_rng), labels)
+    def step_forward(step, drop_rng):
+        batch = teacher_forced(model, tokenized, idxs[step], fracs[step], layers[step], True, drop_rng)
+        return nm.cross_entropy(*batch)
 
     losses = _run_training(model, step_forward, config)
     model.training = config.to_dict()  # saved in the model's own checkpoint sidecar
@@ -296,33 +304,16 @@ def _check_vocab(model_config: md.ModelConfig, quantizers: Quantizers):
 # ---------------------------------------------------------------------------
 
 
-def ar_teacher_forced_accuracy(model, tokenized) -> float:
-    """Next-token accuracy over fixed prompt splits, no dropout."""
+def teacher_forced_accuracy(model, tokenized) -> float:
+    """Argmax accuracy over fixed prompt splits, no dropout: every next token
+    (STOP included) of an AR model, every predicted layer of a NAR model."""
+    n = len(tokenized)
+    # an AR batch does not depend on the layer, so it is scored once per split
+    layers = range(model.min_layer, model.config.n_codec_layers + 1) if model.kind == md.NAR else (0,)
     hits = total = 0
     for frac in _EVAL_SPLIT_FRACS:
-        items = ar_training_items(
-            tokenized, np.arange(len(tokenized)), np.full(len(tokenized), frac), model.role
-        )
-        logits, targets = md.ar_batch_logits(model, items)
-        hits += int((logits.data.argmax(axis=1) == targets).sum())
-        total += targets.size
-    return hits / total
-
-
-def nar_teacher_forced_accuracy(model, tokenized) -> float:
-    """Argmax accuracy over every predicted layer, fixed prompt splits."""
-    hits = total = 0
-    n_layers = model.config.n_codec_layers
-    for frac in _EVAL_SPLIT_FRACS:
-        for j in range(model.min_layer, n_layers + 1):
-            items, labels = nar_training_items(
-                tokenized,
-                np.arange(len(tokenized)),
-                np.full(len(tokenized), frac),
-                np.full(len(tokenized), j),
-                model.role,
-            )
-            logits = md.nar_batch_logits(model, items)
+        for j in layers:
+            logits, labels = teacher_forced(model, tokenized, np.arange(n), np.full(n, frac), np.full(n, j))
             hits += int((logits.data.argmax(axis=1) == labels).sum())
             total += labels.size
     return hits / total
@@ -401,7 +392,7 @@ def _prepare_entry(bundle: SystemBundle, request: SynthesisRequest, prompt: Toke
     if phonemes.max() >= bundle.world_spec.phoneme_vocab_size or phonemes.min() < 0:
         raise ContractError("phoneme id out of range for this world")
     stream = bundle.ar.role
-    prompt_stream = prompt.phonetic if stream == md.STREAM_PHONETIC else prompt.codes[:, 0]
+    prompt_stream = prompt.stream(stream)
     cap = int(np.ceil(request.max_length_factor * _expected_generation(request, bundle.world_spec, stream)))
     base_len = len(phonemes) + 1 + len(prompt_stream)
     headroom = bundle.ar.config.max_sequence_len - base_len - 1

@@ -81,6 +81,8 @@ class WorldSpec:
             raise ContractError("need at least 2 phonemes to avoid adjacent repeats")
         if not 1 <= self.speaker_subspace_dim <= self.feature_dim:
             raise ContractError("speaker subspace must fit inside the feature space")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ContractError(f"WorldSpec.seed must be an int >= 0, got {self.seed!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -352,6 +354,31 @@ def _utterance_from_json(d: dict) -> Utterance:
     )
 
 
+def _check_in_world(u: Utterance, spec: WorldSpec) -> Utterance:
+    """`u`, if `spec`'s world could have drawn it; CorpusError otherwise."""
+    bad_ids = [p for p in u.phonemes if isinstance(p, bool) or not isinstance(p, int)
+               or not 0 <= p < spec.phoneme_vocab_size]
+    if bad_ids:
+        raise CorpusError(f"phoneme id {bad_ids[0]!r} outside [0, {spec.phoneme_vocab_size})")
+    for name, frames in (("phonetic", u.phonetic_frames), ("acoustic", u.acoustic_frames)):
+        if frames.shape[1] != spec.feature_dim:
+            raise CorpusError(f"{name} frames {frames.shape[1]} wide in a {spec.feature_dim}-dim world")
+    n_ph, n_ac = u.phonetic_frames.shape[0], u.acoustic_frames.shape[0]
+    slots, rest = divmod(n_ph, spec.phonetic_rate_per_slot)
+    if rest or n_ac != slots * spec.acoustic_rate_per_slot:
+        raise CorpusError(f"{n_ac} acoustic frames for {n_ph} phonetic frames, not "
+                          f"{spec.acoustic_rate_per_slot} per {spec.phonetic_rate_per_slot} in whole slots")
+    if not 0 <= u.speaker_id < spec.num_speakers:
+        raise CorpusError(f"speaker {u.speaker_id} outside [0, {spec.num_speakers})")
+    if u.condition not in (CLEAN, OTHER):
+        raise CorpusError(f"condition {u.condition!r} is neither {CLEAN!r} nor {OTHER!r}")
+    a = u.alignment
+    if a.shape != (n_ph,) or not ((a >= 0) & (a < len(u.phonemes))).all():
+        raise CorpusError(f"alignment {a.shape} does not give one index into the {len(u.phonemes)} "
+                          f"phonemes per phonetic frame ({n_ph})")
+    return u
+
+
 def save_corpus(corpus: Corpus, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -367,7 +394,12 @@ def load_corpus(in_dir) -> Corpus:
     Raises CorpusError, naming the file (and line), for a missing file, a
     line that is not JSON or lacks a key, a frame payload that is not base64
     or does not match its declared shape, and a world.json that WorldSpec
-    rejects.
+    rejects; and for an utterance that contradicts world.json: a phoneme id
+    outside the vocabulary, frames not `feature_dim` wide, phonetic rows
+    that are not whole slots or acoustic rows that are not 3/2 of them, a
+    speaker outside the world's, a condition other than clean or other, or
+    an alignment that does not give one in-range phoneme index per phonetic
+    frame.
     """
     src = Path(in_dir)
     path = src / "world.json"
@@ -383,7 +415,7 @@ def load_corpus(in_dir) -> Corpus:
             with open(path) as f:
                 for lineno, line in enumerate(f, 1):
                     try:
-                        utts.append(_utterance_from_json(json.loads(line)))
+                        utts.append(_check_in_world(_utterance_from_json(json.loads(line)), spec))
                     except (KeyError, TypeError, ValueError) as exc:
                         raise CorpusError(f"{path}:{lineno}: {exc!r}") from exc
         except (OSError, UnicodeDecodeError) as exc:

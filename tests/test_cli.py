@@ -427,6 +427,9 @@ def _train_argv(workspace, out, mode="proposed_ar"):
     ("old_config", {"steps": 3, "seed": 0, "mode": "proposed_ar"}, "'mode'"),
     ("train_key", ["--set", "mode=proposed_ar"], "'mode'"),
     ("quantizers_without_sidecar", [], "quantizers.json"),
+    ("seed_negative", ["--set", "seed=-1"], "TrainingConfig.seed must be an int >= 0"),
+    ("seed_float", ["--set", "seed=1.5"], "TrainingConfig.seed"),
+    ("seed_bool", ["--set", "seed=true"], "TrainingConfig.seed"),
 ])
 def test_bad_config_values_exit_with_validation_code(tmp_path, workspace, capsys, case, extra, named):
     argv = _train_argv(workspace, tmp_path / "t")
@@ -456,6 +459,24 @@ def test_bad_config_values_exit_with_validation_code(tmp_path, workspace, capsys
     assert run(*argv) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "t" / "ar.ckpt").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["world", "quantize", "train", "eval", "synth"])
+def test_a_negative_seed_exits_before_any_output(tmp_path, workspace, capsys, subcommand):
+    out = tmp_path / "out"
+    world, bundle = workspace / "world", workspace / "prop"
+    argv = {
+        "world": ["world", "--n-train", 4, "--n-test", 2, "--out", out],
+        "quantize": ["quantize", "--corpus", world, "--out", out],
+        "train": _train_argv(workspace, out),
+        "eval": ["eval", "--bundle", bundle, "--corpus", world, "--out", out],
+        "synth": ["synth", "--bundle", bundle, "--corpus", world, "--index", 0, "--prompt-index", 1, "--out", out],
+    }[subcommand]
+    with pytest.raises(SystemExit) as exited:
+        run(*argv, "--seed", -1)
+    assert exited.value.code == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_file_names_come_from_the_mode_table(workspace):

@@ -24,6 +24,9 @@ def test_training_config_validation():
         pl.TrainingConfig(steps=0)
     with pytest.raises(ContractError):
         pl.TrainingConfig(batch_size=0)
+    for seed in (-1, 1.5, True):  # True would train as seed 1 and be recorded as true
+        with pytest.raises(ContractError, match="TrainingConfig.seed"):
+            pl.TrainingConfig(seed=seed)
 
 
 @pytest.mark.parametrize("bad", [{"learning_rate": 0.0}, {"learning_rate": -1e-3}, {"grad_clip": 0.0},
@@ -112,7 +115,7 @@ def test_nar_training_descends(tiny_corpus, tiny_quantizers, tiny_model_config):
     assert all(np.isfinite(l) for l in losses)
     assert np.mean(losses[-10:]) < losses[0]
     tokenized = pl.tokenize_utterances(tiny_corpus.train, tiny_quantizers)
-    assert pl.nar_teacher_forced_accuracy(model, tokenized) > 0.1
+    assert pl.teacher_forced_accuracy(model, tokenized) > 0.1
 
 
 def test_baseline_nar_layer_range(tiny_corpus, tiny_quantizers, tiny_model_config):
@@ -141,6 +144,34 @@ def test_train_mode_builds_the_model_its_table_entry_names(tiny_corpus, tiny_qua
     assert len(losses) == 1
     with pytest.raises(ContractError, match="unknown training mode"):
         pl.train_mode(mode + "_x", tiny_corpus, tiny_quantizers, quick_config(steps=1), tiny_model_config)
+
+
+@pytest.mark.parametrize("mode", list(pl.MODES))
+def test_training_and_the_probe_build_one_batch(tiny_corpus, tiny_quantizers, tiny_model_config, mode):
+    # step 0 rebuilt through `teacher_forced` from a fresh model, the two
+    # schedules and the dropout stream is the step `train_mode` took
+    cfg = quick_config(steps=1)
+    _, losses = pl.train_mode(mode, tiny_corpus, tiny_quantizers, cfg, tiny_model_config)
+    entry = pl.MODES[mode]
+    build = md.build_ar_model if entry.kind == md.AR else md.build_nar_model
+    model = build(tiny_model_config, entry.role, seed=cfg.seed)
+    tokenized = pl.tokenize_utterances(tiny_corpus.train, tiny_quantizers)
+    idxs, fracs = pl.batch_schedule(len(tokenized), cfg)
+    layers = pl.layer_schedule(cfg, model.min_layer, tiny_model_config.n_codec_layers)
+    drop_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, pl._DROP_STREAM])))
+    batch = pl.teacher_forced(model, tokenized, idxs[0], fracs[0], layers[0], train=True, rng=drop_rng)
+    assert nm.cross_entropy(*batch).item() == losses[0]
+    assert 0.0 <= pl.teacher_forced_accuracy(model, tokenized) <= 1.0
+
+
+@pytest.mark.parametrize("mode", [pl.MODE_PROPOSED_AR, pl.MODE_BASELINE_AR])
+def test_ar_modes_train_on_a_one_layer_codec(tiny_corpus, tiny_model_config, mode):
+    # an AR model's stream needs codec layer 1 only; there is no NAR layer to draw
+    quantizers = pl.fit_corpus_quantizers(tiny_corpus, k_phonetic=16, k_codec=8, n_layers=1, max_iters=3, seed=5)
+    mc = md.ModelConfig(**{**tiny_model_config.to_dict(), "n_codec_layers": 1})
+    model, losses = pl.train_mode(mode, tiny_corpus, quantizers, quick_config(steps=2), mc)
+    assert len(losses) == 2 and all(np.isfinite(losses))
+    assert 0.0 <= pl.teacher_forced_accuracy(model, pl.tokenize_utterances(tiny_corpus.train, quantizers)) <= 1.0
 
 
 def test_vocab_mismatch_rejected(tiny_corpus, tiny_quantizers, tiny_model_config):
@@ -369,7 +400,7 @@ def test_overfit_single_utterance_smoke(tiny_world_spec):
     )
     model, losses = pl.train_mode(pl.MODE_PROPOSED_AR, corpus, quant, cfg, mc)
     tokenized = pl.tokenize_utterances(corpus.train, quant)
-    acc = pl.ar_teacher_forced_accuracy(model, tokenized)
+    acc = pl.teacher_forced_accuracy(model, tokenized)
     assert acc > 0.95
     assert losses[-1] < 0.3
 

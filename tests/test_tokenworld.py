@@ -244,20 +244,54 @@ def _edit_spec(root, **fields):
     path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda root: (root / "test_other.jsonl").unlink(),
-    lambda root: _edit_first_line(root / "train.jsonl", lambda line: line[: len(line) // 2] + "\n"),
-    lambda root: _edit_first_record(root / "test_clean.jsonl", _drop_key),
-    lambda root: _edit_first_record(root / "train.jsonl", _not_base64),
-    lambda root: _edit_first_record(root / "train.jsonl", _short_payload),
-    lambda root: _edit_spec(root, acoustic_rate_per_slot=4),
-    lambda root: _edit_spec(root, no_such_field=1),
+def _narrow_frames(d):
+    # a consistent payload, 8 wide in the 16-dim world
+    rows, cols = d["phonetic_shape"]
+    d["phonetic"] = tw._encode_matrix(tw._decode_matrix(d["phonetic"], rows, cols)[:, :8])
+    d["phonetic_shape"] = [rows, 8]
+
+
+def _drop_acoustic_row(d):
+    rows, cols = d["acoustic_shape"]
+    d["acoustic"] = tw._encode_matrix(tw._decode_matrix(d["acoustic"], rows, cols)[:-1])
+    d["acoustic_shape"] = [rows - 1, cols]
+
+
+def _set(key, value):
+    return lambda d: d.update({key: value})
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (lambda root: (root / "test_other.jsonl").unlink(), "test_other.jsonl"),
+    (lambda root: _edit_first_line(root / "train.jsonl", lambda line: line[: len(line) // 2] + "\n"),
+     "train.jsonl:1:"),
+    (lambda root: _edit_first_record(root / "test_clean.jsonl", _drop_key), "test_clean.jsonl:1:"),
+    (lambda root: _edit_first_record(root / "train.jsonl", _not_base64), "train.jsonl:1:"),
+    (lambda root: _edit_first_record(root / "train.jsonl", _short_payload), "train.jsonl:1:"),
+    (lambda root: _edit_spec(root, acoustic_rate_per_slot=4), "world.json"),
+    (lambda root: _edit_spec(root, no_such_field=1), "world.json"),
+    (lambda root: _edit_spec(root, seed=-1), "world.json: WorldSpec.seed must be an int >= 0"),
+    (lambda root: _edit_first_record(root / "train.jsonl", lambda d: d["phonemes"].__setitem__(0, 99)),
+     r"train.jsonl:1: .*phoneme id 99 outside \[0, 32\)"),
+    (lambda root: _edit_first_record(root / "test_clean.jsonl", _narrow_frames),
+     "test_clean.jsonl:1: .*phonetic frames 8 wide in a 16-dim world"),
+    (lambda root: _edit_first_record(root / "train.jsonl", _drop_acoustic_row),
+     "train.jsonl:1: .*acoustic frames for .* phonetic frames, not 3 per 2"),
+    (lambda root: _edit_first_record(root / "train.jsonl", _set("speaker", 77)),
+     r"train.jsonl:1: .*speaker 77 outside \[0, 8\)"),
+    (lambda root: _edit_first_record(root / "test_other.jsonl", _set("condition", "noisy")),
+     "test_other.jsonl:1: .*condition 'noisy'"),
+    (lambda root: _edit_first_record(root / "train.jsonl", lambda d: d["alignment"].pop()),
+     "train.jsonl:1: .*alignment"),
+    (lambda root: _edit_first_record(root / "train.jsonl", lambda d: d["alignment"].__setitem__(-1, 50)),
+     "train.jsonl:1: .*alignment"),
 ], ids=["missing_split", "bad_json_line", "missing_key", "not_base64", "payload_shape_mismatch",
-        "spec_rejected", "spec_unknown_field"])
-def test_load_corpus_rejects_malformed_files(tmp_path, corrupt):
+        "spec_rejected", "spec_unknown_field", "spec_negative_seed", "phoneme_outside_vocab",
+        "frames_narrower_than_world", "acoustic_row_short", "speaker_outside_world", "unknown_condition",
+        "alignment_short", "alignment_index_out_of_range"])
+def test_load_corpus_rejects_malformed_files(tmp_path, corrupt, named):
     root = _saved_corpus(tmp_path)
     tw.load_corpus(root)
     corrupt(root)
-    with pytest.raises(tw.CorpusError):
+    with pytest.raises(tw.CorpusError, match=named):
         tw.load_corpus(root)
-
