@@ -182,14 +182,11 @@ def _build_config(cls, values: dict):
 def cmd_world(args) -> int:
     overrides = _parse_overrides(args.set)
     spec_dict = _load_json_config(args.spec, overrides)
-    spec_dict["seed"] = args.seed
+    if args.seed is not None:  # --seed, then the spec's seed, then WorldSpec's 0
+        spec_dict["seed"] = args.seed
     spec = _build_config(tw.WorldSpec, spec_dict)
-    if args.n_train <= 0:
-        raise ValidationError("--n-train must be positive")
-    if args.n_test < 0:
-        raise ValidationError("--n-test must be >= 0")
     out = _prepare_out(args.out, args.force)
-    corpus = tw.build_corpus(spec, args.n_train, args.n_test, np.random.default_rng(args.seed))
+    corpus = tw.build_corpus(spec, args.n_train, args.n_test, np.random.default_rng(spec.seed))
     tw.save_corpus(corpus, out)
 
     # self-check: raw-frame oracle floor on a sample of the train split
@@ -216,9 +213,6 @@ def cmd_world(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    for flag, least in (("k_phonetic", 1), ("k_codec", 1), ("layers", 1), ("iters", 0)):
-        if getattr(args, flag) < least:
-            raise ValidationError(f"--{flag.replace('_', '-')} must be >= {least}")
     corpus_dir = Path(args.corpus)
     corpus = tw.load_corpus(corpus_dir)
     n_phonetic = sum(u.phonetic_frames.shape[0] for u in corpus.train)
@@ -338,9 +332,6 @@ def cmd_eval(args) -> int:
         if _SPLIT_FLAGS[flag] in splits:
             raise ValidationError(f"--splits names {flag!r} twice")
         splits.append(_SPLIT_FLAGS[flag])
-    for flag in ("n_prompts", "seeds", "jobs"):
-        if getattr(args, flag) < 1:
-            raise ValidationError(f"--{flag.replace('_', '-')} must be >= 1")
 
     resolved = [Path(b).resolve() for b in args.bundle]
     if len(set(resolved)) < len(resolved):
@@ -440,12 +431,15 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _seed(text: str) -> int:
-    """Type of every `--seed`: a bad seed stops the parser before any output exists."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _count(least: int):
+    """Parser type of a count flag (every `--seed` among them): a value below
+    `least` stops the parser before any output exists."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -455,20 +449,20 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("world", help="generate a synthetic corpus")
     w.add_argument("--spec", help="WorldSpec JSON file (defaults used otherwise)")
     w.add_argument("--out", required=True)
-    w.add_argument("--n-train", type=int, default=500)
-    w.add_argument("--n-test", type=int, default=40)
-    w.add_argument("--seed", type=_seed, default=0)
+    w.add_argument("--n-train", type=_count(1), default=500)
+    w.add_argument("--n-test", type=_count(0), default=40)
+    w.add_argument("--seed", type=_count(0), help="overrides the spec's seed (default 0)")
     w.add_argument("--force", action="store_true")
     w.add_argument("--set", action="append", metavar="KEY=VALUE")
     w.set_defaults(func=cmd_world)
 
     q = sub.add_parser("quantize", help="fit phonetic codebook and acoustic RVQ")
     q.add_argument("--corpus", required=True)
-    q.add_argument("--k-phonetic", type=int, default=64)
-    q.add_argument("--k-codec", type=int, default=32)
-    q.add_argument("--layers", type=int, default=8)
-    q.add_argument("--iters", type=int, default=30)
-    q.add_argument("--seed", type=_seed, default=0)
+    q.add_argument("--k-phonetic", type=_count(1), default=64)
+    q.add_argument("--k-codec", type=_count(1), default=32)
+    q.add_argument("--layers", type=_count(1), default=8)
+    q.add_argument("--iters", type=_count(0), default=30)
+    q.add_argument("--seed", type=_count(0), default=0)
     q.add_argument("--out", required=True)
     q.add_argument("--force", action="store_true")
     q.set_defaults(func=cmd_quantize)
@@ -479,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--quantizers", required=True, help=f"path to a quantize run's {pl.QUANTIZERS}")
     t.add_argument("--config", help="TrainingConfig JSON")
     t.add_argument("--model-config", help="ModelConfig JSON overrides")
-    t.add_argument("--seed", type=_seed, help="overrides the config's seed (default 0)")
+    t.add_argument("--seed", type=_count(0), help="overrides the config's seed (default 0)")
     t.add_argument("--out", required=True)
     t.add_argument("--force", action="store_true")
     t.add_argument("--set", action="append", metavar="KEY=VALUE")
@@ -489,10 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--bundle", action="append", required=True)
     e.add_argument("--corpus", required=True)
     e.add_argument("--splits", default="clean,other")
-    e.add_argument("--seeds", type=int, default=1, help="evaluation seed replicates per bundle")
-    e.add_argument("--n-prompts", type=int, default=20)
-    e.add_argument("--seed", type=_seed, default=0)
-    e.add_argument("--jobs", type=int, default=1)
+    e.add_argument("--seeds", type=_count(1), default=1, help="evaluation seed replicates per bundle")
+    e.add_argument("--n-prompts", type=_count(1), default=20)
+    e.add_argument("--seed", type=_count(0), default=0)
+    e.add_argument("--jobs", type=_count(1), default=1)
     e.add_argument("--out", required=True)
     e.add_argument("--force", action="store_true")
     e.set_defaults(func=cmd_eval)
@@ -506,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--prompt-index", type=int, required=True)
     s.add_argument("--temperature", type=float, default=1.0)
     s.add_argument("--top-k", type=int, default=8)
-    s.add_argument("--seed", type=_seed, default=0)
+    s.add_argument("--seed", type=_count(0), default=0)
     s.add_argument("--out", required=True, help="JSONL file to append the codes to")
     s.set_defaults(func=cmd_synth)
 

@@ -59,10 +59,8 @@ class ModelConfig:
     max_sequence_len: int = 256
 
     def __post_init__(self):
-        for name, value in asdict(self).items():  # every field but dropout is a count
-            least = 0 if name == "n_layers" else 1
-            if name != "dropout" and value < least:
-                raise ContractError(f"ModelConfig.{name} must be >= {least}, got {value!r}")
+        counts = {name: 0 if name == "n_layers" else 1 for name in asdict(self) if name != "dropout"}
+        nm.check_counts(self, counts)  # every field but dropout is a count
         if not 0.0 <= self.dropout < 1.0:
             raise ContractError(f"ModelConfig.dropout must be in [0, 1), got {self.dropout!r}")
         if self.d_model % self.n_heads != 0:

@@ -14,7 +14,10 @@ Backward splits its work in two. The input-gradient chain runs in order on
 the calling thread. A leaf's gradient (a parameter's, say `Xᵀ·G` for a
 weight, or the sum of `G` over its rows for a bias) is read by nothing until
 backward returns, so a VJP may hand it back as a function, and `backward`
-runs that function on one worker thread per process while the chain goes on.
+runs that function on a worker thread of its own while the chain goes on.
+The worker starts with the sweep's first leaf contribution and is joined
+before `backward` returns or raises, so no thread outlives the call and a
+forked process inherits none.
 Each product is the same numpy call on either thread, and `backward` adds
 each leaf's contributions in the order of the sweep, so gradients are
 bit-identical to a single-threaded pass. Work sent to the worker calls numpy
@@ -48,9 +51,8 @@ allocations without faulting in fresh pages.
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +68,18 @@ class ShapeError(ValueError):
 
 class NumericError(ValueError):
     """Non-finite input where finite values are required."""
+
+
+def check_counts(config, least: dict) -> None:
+    """Raise ContractError unless each field of `config` named in `least` is
+    an int (not a bool) >= its least value. A float or bool would pass a range
+    check and fail only where it is used, or not at all."""
+    for key, bound in least.items():
+        value = getattr(config, key)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ContractError(f"{type(config).__name__}.{key} must be an int, got {value!r}")
+        if value < bound:
+            raise ContractError(f"{type(config).__name__}.{key} must be >= {bound}, got {value!r}")
 
 
 class Tensor:
@@ -198,29 +212,10 @@ def _result(data: np.ndarray, inputs: tuple, vjp) -> Tensor:
     return out
 
 
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool():
-    """In the child of a fork: the parent's worker thread does not exist
-    here, and a pool that still thinks it has one would hang on its first
-    submit. The next backward starts a new one."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _submit(fn) -> Future:
-    """Run `fn` on the process's one leaf-gradient thread, started on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="phonolm-leaf-grad")
-        pool = _pool
-    return pool.submit(fn)
+def _leaf_worker() -> ThreadPoolExecutor:
+    """The thread one `backward` sends its leaf contributions to (tests
+    substitute it): started on the first one, joined when the sweep ends."""
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="phonolm-leaf-grad")
 
 
 class _LeafPart:
@@ -254,11 +249,11 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
     A leaf is a tensor no record on `tape` produced. That includes a tensor
     another tape recorded: fed into `tape`, it gets `.grad` here like a
-    parameter. Every contribution to a leaf goes to the worker thread as the
-    sweep reaches it, and the worker adds them in that order into the leaf's
-    own buffer: a copy of the first contribution when .grad was None, else
-    the existing .grad, in place. A VJP's function for any other input runs
-    here.
+    parameter. Every contribution to a leaf goes to this call's worker
+    thread as the sweep reaches it, and the worker adds them in that order
+    into the leaf's own buffer: a copy of the first contribution when .grad
+    was None, else the existing .grad, in place. A VJP's function for any
+    other input runs here.
 
     The sweep consumes the tape: once a record's VJP has run, the record's
     output gradient is dropped and the record keeps no VJP, so it pins no
@@ -266,10 +261,10 @@ def backward(loss: Tensor, tape: Tape) -> None:
     `len(tape)` is unchanged. Run `backward` once per tape.
 
     If a VJP raises, `backward` waits for the worker to finish what the
-    sweep sent it, then re-raises. Each leaf's .grad then holds its old
-    value plus the contributions of the records swept before the failing
-    one; a failing leaf contribution (raised from the worker) likewise
-    leaves the others added.
+    sweep sent it and joins it, then re-raises. Each leaf's .grad then holds
+    its old value plus the contributions of the records swept before the
+    failing one; a failing leaf contribution (raised from the worker)
+    likewise leaves the others added.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -277,7 +272,8 @@ def backward(loss: Tensor, tape: Tape) -> None:
     records = tape.records
     errors = np.geterr()
     adds = []  # one future per leaf contribution, in sweep order
-    try:
+    # leaving the block waits for every contribution sent, even when a VJP raises
+    with _leaf_worker() as worker:
         for i in reversed(range(len(records))):
             node, inputs, vjp = records[i]
             records[i] = (node, inputs, None)
@@ -290,15 +286,13 @@ def backward(loss: Tensor, tape: Tape) -> None:
                 if gin is None or not inp.requires_grad:
                     continue
                 if type(inp) is not _Node:
-                    adds.append(_submit(_LeafPart(inp, gin, errors)))
+                    adds.append(worker.submit(_LeafPart(inp, gin, errors)))
                     continue
                 if callable(gin):
                     gin = gin()
                 # out of place: a VJP may hand back `gout` itself or a view of
                 # it, which another input's gradient can share
                 inp.grad = gin if inp.grad is None else inp.grad + gin
-    finally:
-        wait(adds)
     for done in adds:
         done.result()
 

@@ -87,11 +87,7 @@ class TrainingConfig:
     grad_clip: float = 1.0
 
     def __post_init__(self):
-        for key, least in (("steps", 1), ("batch_size", 1), ("seed", 0)):
-            value = getattr(self, key)
-            # a float or bool would pass the range check and fail only once training starts, or not at all
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ContractError(f"TrainingConfig.{key} must be an int >= {least}, got {value!r}")
+        nm.check_counts(self, {"steps": 1, "batch_size": 1, "seed": 0})
         # a negative clip norm flips every gradient, and 0 zeroes them
         if not (self.learning_rate > 0 and self.grad_clip > 0):
             raise ContractError("learning_rate and grad_clip must be positive")

@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint
+from . import numerics as nm
 from . import quantizer as qz
 from .numerics import ContractError, ShapeError
 
@@ -69,20 +70,21 @@ class WorldSpec:
     seed: int = 0
 
     def __post_init__(self):
+        sizes = dict.fromkeys(("num_speakers", "feature_dim", "phonetic_rate_per_slot", "acoustic_rate_per_slot",
+                               "duration_min", "duration_max", "utterance_len_min", "utterance_len_max",
+                               "speaker_subspace_dim"), 1)
+        # at least 2 phonemes, to avoid adjacent repeats
+        nm.check_counts(self, sizes | {"phoneme_vocab_size": 2, "seed": 0})
         if self.acoustic_rate_per_slot * 2 != self.phonetic_rate_per_slot * 3:
             raise ContractError("acoustic/phonetic rate ratio must be exactly 3/2")
         if self.condition_noise_sigma_other <= self.condition_noise_sigma_clean:
             raise ContractError("sigma_other must exceed sigma_clean")
-        if not (1 <= self.duration_min <= self.duration_max):
+        if self.duration_min > self.duration_max:
             raise ContractError("bad duration range")
-        if not (1 <= self.utterance_len_min <= self.utterance_len_max):
+        if self.utterance_len_min > self.utterance_len_max:
             raise ContractError("bad utterance length range")
-        if self.phoneme_vocab_size < 2:
-            raise ContractError("need at least 2 phonemes to avoid adjacent repeats")
-        if not 1 <= self.speaker_subspace_dim <= self.feature_dim:
+        if self.speaker_subspace_dim > self.feature_dim:
             raise ContractError("speaker subspace must fit inside the feature space")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ContractError(f"WorldSpec.seed must be an int >= 0, got {self.seed!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

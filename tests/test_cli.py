@@ -58,15 +58,45 @@ def test_world_determinism(tmp_path, workspace):
         assert (tmp_path / "w1" / f).read_bytes() == (tmp_path / "w2" / f).read_bytes()
 
 
-def test_world_rejects_zero_train(tmp_path, workspace):
-    assert run("world", "--out", tmp_path / "w", "--n-train", 0, "--n-test", 2) == 2
+def _exits_in_the_parser(capsys, *argv) -> str:
+    """Run argv, which the parser must reject; return what it printed."""
+    with pytest.raises(SystemExit) as exited:
+        run(*argv)
+    assert exited.value.code == 2
+    return capsys.readouterr().err
+
+
+def test_world_rejects_zero_train(tmp_path, workspace, capsys):
+    out = tmp_path / "w"
+    err = _exits_in_the_parser(capsys, "world", "--out", out, "--n-train", 0, "--n-test", 2)
+    assert "argument --n-train: must be >= 1, got 0" in err
+    assert not out.exists()
 
 
 def test_world_rejects_negative_test_count(tmp_path, workspace, capsys):
     out = tmp_path / "w"
-    assert run("world", "--out", out, "--n-train", 4, "--n-test", -1) == 2
-    assert "--n-test must be >= 0" in capsys.readouterr().err
+    err = _exits_in_the_parser(capsys, "world", "--out", out, "--n-train", 4, "--n-test", -1)
+    assert "argument --n-test: must be >= 0, got -1" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec_seed, flag, want", [(None, None, 0), (5, None, 5), (5, 2, 2)])
+def test_world_seed_is_the_flag_then_the_spec_seed_then_zero(tmp_path, spec_seed, flag, want):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({} if spec_seed is None else {"seed": spec_seed}))
+    out = tmp_path / "w"
+    assert run("world", "--spec", spec, "--out", out, "--n-train", 4, "--n-test", 4,
+               *([] if flag is None else ["--seed", flag])) == 0
+    assert json.loads((out / "world.json").read_text())["seed"] == want
+    assert json.loads((out / "manifest.json").read_text())["params"]["world_spec"]["seed"] == want
+
+
+def test_world_set_seed_draws_the_corpus_from_that_seed(tmp_path):
+    assert run("world", "--out", tmp_path / "set", "--n-train", 4, "--n-test", 4, "--set", "seed=5") == 0
+    assert run("world", "--out", tmp_path / "flag", "--n-train", 4, "--n-test", 4, "--seed", 5) == 0
+    assert json.loads((tmp_path / "set" / "world.json").read_text())["seed"] == 5
+    for f in ("world.json", *(f"{s}.jsonl" for s in tw.SPLITS)):
+        assert (tmp_path / "set" / f).read_bytes() == (tmp_path / "flag" / f).read_bytes()
 
 
 def test_world_refuses_nonempty_dir_without_force(tmp_path, workspace):
@@ -215,8 +245,8 @@ def test_quantize_rejects_k_above_frames(tmp_path, workspace):
 ])
 def test_quantize_rejects_counts_below_their_least(tmp_path, workspace, capsys, flag, value, least):
     out = tmp_path / "q"
-    assert run("quantize", "--corpus", workspace / "world", flag, value, "--out", out) == 2
-    assert f"{flag} must be >= {least}" in capsys.readouterr().err
+    err = _exits_in_the_parser(capsys, "quantize", "--corpus", workspace / "world", flag, value, "--out", out)
+    assert f"argument {flag}: must be >= {least}, got {value}" in err
     assert not out.exists()
 
 
@@ -385,7 +415,7 @@ def test_each_train_stage_writes_its_own_manifest(tmp_path, workspace):
 
 def test_seed_defaults_to_zero_for_every_other_subcommand():
     parser = cli.build_parser()
-    for argv in (["world", "--out", "w"], ["quantize", "--corpus", "c", "--out", "q"],
+    for argv in (["quantize", "--corpus", "c", "--out", "q"],
                  ["eval", "--bundle", "b", "--corpus", "c", "--out", "e"],
                  ["synth", "--bundle", "b", "--corpus", "c", "--index", "0", "--prompt-index", "1", "--out", "s"]):
         assert parser.parse_args(argv).seed == 0
@@ -427,9 +457,12 @@ def _train_argv(workspace, out, mode="proposed_ar"):
     ("old_config", {"steps": 3, "seed": 0, "mode": "proposed_ar"}, "'mode'"),
     ("train_key", ["--set", "mode=proposed_ar"], "'mode'"),
     ("quantizers_without_sidecar", [], "quantizers.json"),
-    ("seed_negative", ["--set", "seed=-1"], "TrainingConfig.seed must be an int >= 0"),
+    ("seed_negative", ["--set", "seed=-1"], "TrainingConfig.seed must be >= 0"),
     ("seed_float", ["--set", "seed=1.5"], "TrainingConfig.seed"),
     ("seed_bool", ["--set", "seed=true"], "TrainingConfig.seed"),
+    ("world_value", ["--set", "num_speakers=8.0"], "WorldSpec.num_speakers must be an int, got 8.0"),
+    ("model_value", {"d_model": 32.0}, "ModelConfig.d_model must be an int, got 32.0"),
+    ("model_value", {"n_layers": True}, "ModelConfig.n_layers must be an int, got True"),
 ])
 def test_bad_config_values_exit_with_validation_code(tmp_path, workspace, capsys, case, extra, named):
     argv = _train_argv(workspace, tmp_path / "t")
@@ -442,7 +475,7 @@ def test_bad_config_values_exit_with_validation_code(tmp_path, workspace, capsys
         argv += ["--config", bad]
     else:
         argv += extra
-    if case == "world_key":
+    if case.startswith("world"):
         argv = ["world", "--out", tmp_path / "w", "--n-train", 4, "--n-test", 2] + extra
     elif case == "model_config_key":
         bad.write_text(json.dumps({"n_layers": 1, "bogus_width": 4}))
@@ -472,10 +505,7 @@ def test_a_negative_seed_exits_before_any_output(tmp_path, workspace, capsys, su
         "eval": ["eval", "--bundle", bundle, "--corpus", world, "--out", out],
         "synth": ["synth", "--bundle", bundle, "--corpus", world, "--index", 0, "--prompt-index", 1, "--out", out],
     }[subcommand]
-    with pytest.raises(SystemExit) as exited:
-        run(*argv, "--seed", -1)
-    assert exited.value.code == 2
-    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert "argument --seed: must be >= 0, got -1" in _exits_in_the_parser(capsys, *argv, "--seed", -1)
     assert not out.exists()
 
 
@@ -541,10 +571,9 @@ def test_eval_single_split_flag(tmp_path, workspace):
 ])
 def test_eval_rejects_counts_below_one(tmp_path, workspace, capsys, flag, value):
     out = tmp_path / "r"
-    rc = run("eval", "--bundle", workspace / "prop", "--corpus", workspace / "world",
-             "--splits", "clean", flag, value, "--out", out)
-    assert rc == 2
-    assert f"{flag} must be >= 1" in capsys.readouterr().err
+    err = _exits_in_the_parser(capsys, "eval", "--bundle", workspace / "prop", "--corpus", workspace / "world",
+                               "--splits", "clean", flag, value, "--out", out)
+    assert f"argument {flag}: must be >= 1, got {value}" in err
     assert not out.exists()
 
 

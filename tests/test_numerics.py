@@ -1,10 +1,11 @@
+import contextlib
 import math
 import multiprocessing
 import sys
 import threading
 import tracemalloc
 import weakref
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -388,9 +389,9 @@ def test_backward_accumulates_without_writing_into_shared_gradients():
     np.testing.assert_array_equal(w.grad, [[4.0, 6.0]])
 
 
-def test_concurrent_backward_calls_share_the_worker_safely():
-    # several threads share the one leaf-gradient worker; a short switch
-    # interval makes them interleave inside backward
+def test_concurrent_backward_calls_train_as_if_serial():
+    # several threads run backward at once, each with its own leaf-gradient
+    # worker; a short switch interval makes them interleave inside backward
     serial = [_tiny_training_run(seed) for seed in range(6)]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -411,6 +412,13 @@ def _run_inline(fn) -> Future:
     done = Future()
     done.set_result(fn())
     return done
+
+
+class _Worker(Executor):
+    """Stands in for the worker `backward` starts: `submit` is the given function."""
+
+    def __init__(self, submit):
+        self.submit = submit
 
 
 def _tiny_ar_case():
@@ -442,16 +450,17 @@ def _tiny_model_weights(steps: int) -> bytes:
 
 def test_worker_and_inline_leaf_gradients_train_identical_weights(monkeypatch):
     submitted = []
-    real_submit = nm._submit
+    real_worker = nm._leaf_worker
 
-    def counting_submit(fn):
-        submitted.append(fn)
-        return real_submit(fn)
+    @contextlib.contextmanager
+    def counting_worker():
+        with real_worker() as worker:
+            yield _Worker(lambda fn: submitted.append(fn) or worker.submit(fn))
 
-    monkeypatch.setattr(nm, "_submit", counting_submit)
+    monkeypatch.setattr(nm, "_leaf_worker", counting_worker)
     on_worker = _tiny_model_weights(3)
     assert submitted, "no leaf gradient went to the worker"
-    monkeypatch.setattr(nm, "_submit", _run_inline)
+    monkeypatch.setattr(nm, "_leaf_worker", lambda: _Worker(_run_inline))
     assert _tiny_model_weights(3) == on_worker
 
 
@@ -519,6 +528,36 @@ def test_leaf_contributions_summed_in_sweep_order_onto_existing_grad():
     want = (old + coeff) + x.data.T @ dy
     assert want.tobytes() != ((old + x.data.T @ dy) + coeff).tobytes()  # the order shows
     assert w.grad.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("vjp_raises", [False, True], ids=["returns", "raises"])
+def test_backward_joins_its_worker_before_it_returns_or_raises(vjp_raises):
+    # w's part goes to the worker before the record swept last, whose VJP may raise
+    w = Tensor(np.ones(3), requires_grad=True)
+    ran_on = []
+
+    def noting_thread(g):
+        def leaf_grad():
+            ran_on.append(threading.current_thread())
+            return g
+        return (leaf_grad,)
+
+    def last_vjp(g):
+        if vjp_raises:
+            raise FloatingPointError("vjp failed")
+        return (None,)
+
+    with Tape() as tape:
+        last = nm._result(w.data * 1.0, (w,), last_vjp)
+        part = nm._result(w.data * 2.0, (w,), noting_thread)
+        loss = nm.add(nm.sum_all(part), nm.sum_all(last))
+    with pytest.raises(FloatingPointError) if vjp_raises else contextlib.nullcontext():
+        backward(loss, tape)
+    (worker,) = ran_on
+    assert worker.name.startswith("phonolm-leaf-grad")
+    assert not worker.is_alive()
+    assert [t for t in threading.enumerate() if t.name.startswith("phonolm-leaf-grad")] == []
+    np.testing.assert_array_equal(w.grad, np.ones(3))
 
 
 def _train_in_child(conn):
@@ -824,7 +863,7 @@ def test_an_array_a_vjp_reads_lives_until_the_sweep_runs_its_record(monkeypatch)
         kept.append(fn)
         return _run_inline(fn)
 
-    monkeypatch.setattr(nm, "_submit", keeping_submit)
+    monkeypatch.setattr(nm, "_leaf_worker", lambda: _Worker(keeping_submit))
     rng = np.random.default_rng(22)
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)

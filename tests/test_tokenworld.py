@@ -270,7 +270,7 @@ def _set(key, value):
     (lambda root: _edit_first_record(root / "train.jsonl", _short_payload), "train.jsonl:1:"),
     (lambda root: _edit_spec(root, acoustic_rate_per_slot=4), "world.json"),
     (lambda root: _edit_spec(root, no_such_field=1), "world.json"),
-    (lambda root: _edit_spec(root, seed=-1), "world.json: WorldSpec.seed must be an int >= 0"),
+    (lambda root: _edit_spec(root, seed=-1), "world.json: WorldSpec.seed must be >= 0"),
     (lambda root: _edit_first_record(root / "train.jsonl", lambda d: d["phonemes"].__setitem__(0, 99)),
      r"train.jsonl:1: .*phoneme id 99 outside \[0, 32\)"),
     (lambda root: _edit_first_record(root / "test_clean.jsonl", _narrow_frames),
