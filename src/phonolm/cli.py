@@ -343,6 +343,11 @@ def cmd_eval(args) -> int:
             missing = {k: pl.missing_bundle_files(bundle_dir, k) for k in pl.SYSTEMS}
             raise ValidationError(f"no complete bundle in {bundle_dir}; missing {missing}")
         systems.extend((bundle_dir, k) for k in kinds)
+    holder = {}
+    for bundle_dir, kind in systems:  # one kind from two dirs would pool as seed replicates
+        if kind in holder:
+            raise ValidationError(f"--bundle {holder[kind]} and {bundle_dir} both hold a {kind} system")
+        holder[kind] = bundle_dir
 
     corpus = tw.load_corpus(corpus_dir)
     ev.check_scorable(corpus, splits)
@@ -442,6 +447,14 @@ def _count(least: int):
     return count
 
 
+def _temperature(text: str) -> float:
+    """Parser type of `--temperature`: a finite number > 0."""
+    value = float(text)
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="phonolm", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -498,8 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--split", default="clean")
     s.add_argument("--index", type=int, required=True)
     s.add_argument("--prompt-index", type=int, required=True)
-    s.add_argument("--temperature", type=float, default=1.0)
-    s.add_argument("--top-k", type=int, default=8)
+    s.add_argument("--temperature", type=_temperature, default=1.0)
+    s.add_argument("--top-k", type=_count(1), default=8)
     s.add_argument("--seed", type=_count(0), default=0)
     s.add_argument("--out", required=True, help="JSONL file to append the codes to")
     s.set_defaults(func=cmd_synth)

@@ -429,8 +429,8 @@ def ar_step(model: DecoderModel, cache: KVCache, tokens) -> Tensor:
 
 def ar_sample_next(logits_row, temperature: float, top_k: int, rng: np.random.Generator) -> int:
     """Top-k / temperature sampling from one logits row."""
-    if temperature <= 0:
-        raise ContractError("temperature must be > 0")
+    if not (np.isfinite(temperature) and temperature > 0):
+        raise ContractError(f"temperature must be a finite number > 0, got {temperature}")
     if top_k < 1:
         raise ContractError("top_k must be >= 1")
     row = logits_row.data if isinstance(logits_row, Tensor) else np.asarray(logits_row)

@@ -1,13 +1,20 @@
 """Discretization layer: K-means tokens, residual vector quantization, and
 the 2:3 token-rate upsampler.
 
-Nearest-centroid assignment everywhere (chunked over rows) screens with the
-expanded form ||x||^2 - 2 x.c + ||c||^2, one matrix product per chunk, and
-rechecks near-ties with explicit squared differences. Ids (first minimum on
-ties) and distances are therefore exactly those of a brute-force search over
-explicit squared differences. Empty clusters are repaired by moving their
-centroid onto the point farthest from its current centroid, which keeps
-Lloyd's distortion monotone.
+Nearest-centroid assignment everywhere (chunked over rows) screens with one
+matrix product per chunk, [x | 1] @ [-2 c^T; ||c||^2], which is
+||x - c||^2 - ||x||^2 up to a bounded rounding error, and rechecks near-ties
+with explicit squared differences. Ids (first minimum on ties) and distances
+are therefore exactly those of a brute-force search over explicit squared
+differences. Lloyd rounds after the first search only the points whose
+nearest centroid could have changed: each point carries a lower bound on
+its distance to every other centroid (Hamerly, "Making k-means even faster",
+SDM 2010), and a point whose explicit distance to its own centroid stays
+below that bound by the screen's margin keeps its id, which is then the
+strict explicit argmin. So fits are bit-identical to Lloyd's algorithm over
+the brute-force search. Empty clusters are repaired by moving their centroid
+onto the point farthest from its current centroid, which keeps Lloyd's
+distortion monotone.
 
 The same exact search (`_nearest`) also serves the world's oracle
 (`tokenworld._classify_frames`), which labels frames with their nearest
@@ -26,6 +33,8 @@ from . import checkpoint
 from .numerics import ContractError, ShapeError
 
 _ASSIGN_CHUNK = 2048
+_EPS = np.finfo(np.float64).eps
+_ETA = np.finfo(np.float64).smallest_subnormal
 
 
 @dataclass
@@ -71,83 +80,143 @@ class Quantizers:
 
 
 def _screen(g: np.ndarray, tol: np.ndarray) -> tuple:
-    """(first argmin, rows to recheck) of a screened block g, as `_nearest`
-    describes; overwrites each row's minimum with inf."""
-    r = np.arange(g.shape[0])
+    """(first argmin, rows to recheck, runner-up value) of a C-contiguous
+    screened block g, as `_nearest` describes; overwrites each row's minimum
+    with inf."""
+    flat = g.reshape(-1)
     best = g.argmin(axis=1)
-    bound = g[r, best] + 2.0 * tol
-    g[r, best] = np.inf
-    second = g[r, g.argmin(axis=1)]
-    return best, (second <= bound) | ~np.isfinite(bound)
+    at = np.arange(0, flat.size, g.shape[1]) + best
+    bound = flat[at] + 2.0 * tol
+    flat[at] = np.inf
+    second = flat[at - best + g.argmin(axis=1)]
+    return best, (second <= bound) | ~np.isfinite(bound), second
 
 
-def _nearest(vectors: np.ndarray, centroids: np.ndarray) -> tuple:
-    """(ids, squared distances) of the nearest centroid per vector.
+def _tol(x_sq: np.ndarray, c_sq: np.ndarray, d: int) -> np.ndarray:
+    """The screen's margin tol for rows of squared norms `x_sq` against
+    centroids of squared norms `c_sq` in dimension d (see `_nearest`)."""
+    c_max = np.sqrt(c_sq.max(initial=0.0))
+    return (2 * d + 4) * (_EPS * (np.sqrt(x_sq) + c_max) ** 2 + _ETA)
 
-    Both equal the explicit search `((x - c) ** 2).sum()` + argmin, ties to
-    the lowest centroid index (argmin picks the first min).
 
-    Screening uses g = ||x||^2 - 2 x.c + ||c||^2. Let D be the exact squared
-    distance, e its explicit float value, d the dimension, u = eps / 2 and
-    gamma_n = n u / (1 - n u). Every term of e is (x_k - c_k)^2 to within a
-    relative (1 + u)^3, and summing d non-negative terms in any order adds at
-    most gamma_(d-1), so |e - D| <= gamma_(d+2) D <= gamma_(d+2) (|x| + |c|)^2.
-    In g, ||x||^2, x.c and ||c||^2 each carry at most gamma_d times
-    ||x||^2, |x||c| and ||c||^2 (Cauchy-Schwarz, any summation order, FMA or
-    not), and the two additions add 2u of (|x| + |c|)^2, so also
-    |g - D| <= gamma_(d+2) (|x| + |c|)^2. Hence |g - e| <= tol with
-    tol = (d + 4) eps (|x| + max|c|)^2, which exceeds 2 gamma_(d+2) (...)^2
-    and leaves room for rounding in tol itself. If g_j > min(g) + 2 tol for
-    every centroid j but the screened one, then e_j > min(g) + tol >= e at
-    the screened one, so it is the explicit argmin. Rows where a second
-    centroid is within 2 tol, or where tol is not finite, are rechecked with
-    the explicit form.
+def _nearest(vectors: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray | None = None) -> tuple:
+    """(ids, squared distances) of the nearest centroid per vector. Given
+    `x_sq`, the rows' squared norms, it also returns each row's lower bound
+    on its distance to every centroid but the nearest.
+
+    Ids and distances equal the explicit search `((x - c) ** 2).sum()` +
+    argmin, ties to the lowest centroid index (argmin picks the first min).
+
+    Screening uses g = [x | 1] @ [-2 c^T; ||c||^2], one matrix product per
+    chunk. Let D be the exact squared distance, so that g estimates
+    D - ||x||^2; that per-row constant moves neither the argmin nor the
+    runner-up test. Let e be D's explicit float value, d the dimension,
+    u = eps / 2, gamma_n = n u / (1 - n u) and S = (|x| + max|c|)^2.
+    - Every term of e is (x_k - c_k)^2 to within a relative (1 + u)^3, and
+      summing d non-negative terms in any order adds at most gamma_(d-1),
+      so |e - D| <= gamma_(d+2) S.
+    - The computed ||c||^2 is within gamma_d ||c||^2, and g is a (d+1)-term
+      dot product whose terms sum in absolute value to at most
+      2 |x||c| + (1 + gamma_d) ||c||^2. So, in any summation order, FMA or
+      not, g is within gamma_(2d+1) S of D - ||x||^2 (using
+      gamma_a + gamma_b + gamma_a gamma_b <= gamma_(a+b)), and g + ||x||^2
+      is within gamma_(3d+3) S of e.
+    - tol = (2d + 4)(eps S + eta) = (4d + 8) u S + (2d + 4) eta, with eta
+      the smallest subnormal. Its first term exceeds gamma_(3d+3) S by
+      (d + 5) u S, which covers rounding in tol itself (its scale comes from
+      the computed norms) and in the bound min(g) + 2 tol. Below the normal
+      range the relative model fails, and each product may be off by
+      eta / 2 absolutely; the (2d + 4) eta term covers the at most
+      (3d + 1) such products.
+    - If g_j > min(g) + 2 tol for every centroid j but the screened one,
+      then e_j > min(g) + ||x||^2 + tol >= e at the screened one, so it is
+      the explicit argmin. Rows where a second centroid is within 2 tol, or
+      where tol is not finite, are rechecked with the explicit form.
+
+    The bound of a screened row is sqrt(max(0, g2 + ||x||^2 - tol)), g2 the
+    runner-up. For every centroid j but the nearest,
+    D_j >= g_j + ||x||^2 - gamma_(3d+1) S (||x||^2 is computed within
+    gamma_d), and tol leaves (d + 7) u S for the rounding of the sum, the
+    difference and the square root, which is at most about 4 u S. A
+    rechecked row's bound is 0.
 
     `_screen` reads min(g) at the row's argmin (the first NaN on a NaN row,
     so the bound is NaN there) and the second best as the argmin of the row
     with that entry set to inf: a row is rechecked when the second best is
     <= min(g) + 2 tol or that bound is not finite, which is exactly when
-    more than one entry is <= a finite bound.
+    more than one entry is <= a finite bound. With K = 1 the runner-up is
+    inf, and so is the bound.
     """
     n, d = vectors.shape
     ids = np.empty(n, dtype=np.int64)
     dists = np.empty(n, dtype=np.float64)
+    lower = None if x_sq is None else np.empty(n, dtype=np.float64)
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
-    c_max = float(np.sqrt(c_sq.max())) if c_sq.size else 0.0
-    neg2c = -2.0 * centroids.T  # scaling by -2 is exact: chunk @ neg2c equals (chunk @ c.T) * -2
+    right = np.concatenate([-2.0 * centroids.T, c_sq[None, :]])  # scaling by -2 is exact
+    left = np.ones((min(n, _ASSIGN_CHUNK), d + 1))
     for start in range(0, n, _ASSIGN_CHUNK):
         chunk = vectors[start : start + _ASSIGN_CHUNK]
         rows = slice(start, start + chunk.shape[0])
-        x_sq = np.einsum("ij,ij->i", chunk, chunk)
-        g = chunk @ neg2c
-        g += x_sq[:, None]
-        g += c_sq[None, :]
-        tol = (d + 4) * np.finfo(np.float64).eps * (np.sqrt(x_sq) + c_max) ** 2
-        best, near = _screen(g, tol)
+        left[: chunk.shape[0], :d] = chunk
+        chunk_sq = np.einsum("ij,ij->i", chunk, chunk) if x_sq is None else x_sq[rows]
+        tol = _tol(chunk_sq, c_sq, d)
+        best, near, second = _screen(left[: chunk.shape[0]] @ right, tol)
         if near.any():
             sub = chunk[near]
             best[near] = ((sub[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
         ids[rows] = best
-        diff = np.subtract(chunk, centroids.take(best, axis=0))
+        diff = centroids.take(best, axis=0)
+        np.subtract(chunk, diff, out=diff)
         np.square(diff, out=diff)
         np.sum(diff, axis=1, out=dists[rows])
-    return ids, dists
+        if lower is not None:
+            bound = second + chunk_sq - tol
+            np.sqrt(np.maximum(bound, 0.0, out=bound), out=lower[rows])
+            lower[rows][near] = 0.0
+    return (ids, dists) if lower is None else (ids, dists, lower)
+
+
+def _draw(weights: np.ndarray, total: float, rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """The index `rng.choice(weights.size, p=weights / total)` draws, made
+    the same way (p's cumsum divided by its last element, one
+    `rng.random()`, `searchsorted(side="right")`) in the buffer `cdf`, but
+    without building and validating a new p. Raises ValueError, as choice
+    does, when `total` is not finite."""
+    if not np.isfinite(total):
+        raise ValueError(f"k-means++ weights sum to {total}")
+    np.divide(weights, total, out=cdf)
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _kmeans_pp_init(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: next centroid drawn with probability ~ D^2."""
+    """k-means++ seeding: next centroid drawn with probability ~ D^2. The
+    distance passes run over row chunks in one reused buffer."""
     n = vectors.shape[0]
     centroids = np.empty((k, vectors.shape[1]))
+    diff = np.empty((min(n, _ASSIGN_CHUNK), vectors.shape[1]))
+    d2, fresh = np.empty(n), np.empty(n)
+
+    def dist2(c, out):
+        for start in range(0, n, _ASSIGN_CHUNK):
+            chunk = vectors[start : start + _ASSIGN_CHUNK]
+            part = diff[: chunk.shape[0]]
+            np.subtract(chunk, c, out=part)
+            np.square(part, out=part)
+            np.sum(part, axis=1, out=out[start : start + _ASSIGN_CHUNK])
+        return out
+
     centroids[0] = vectors[int(rng.integers(n))]
-    d2 = ((vectors - centroids[0]) ** 2).sum(axis=1)
+    dist2(centroids[0], d2)
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
             idx = int(rng.integers(n))  # all points coincide with chosen seeds
         else:
-            idx = int(rng.choice(n, p=d2 / total))
+            idx = _draw(d2, total, rng, fresh)
         centroids[j] = vectors[idx]
-        d2 = np.minimum(d2, ((vectors - centroids[j]) ** 2).sum(axis=1))
+        np.minimum(d2, dist2(centroids[j], fresh), out=d2)
     return centroids
 
 
@@ -161,8 +230,70 @@ def kmeans_fit(vectors: np.ndarray, k: int, max_iters: int = 50, seed: int = 0) 
     return _kmeans(vectors, k, max_iters, seed)[0]
 
 
+def _assign(vectors, x_sq, centroids, ids, lower) -> tuple:
+    """One Lloyd assignment: (ids, squared distances) exactly as
+    `_nearest(vectors, centroids)` gives them, and each row's bound. Given
+    the last round's `ids` and their bounds `lower` (see `_kmeans`), only the
+    rows whose bound does not keep their id are searched, and `lower` is
+    updated in place."""
+    if ids is None:
+        return _nearest(vectors, centroids, x_sq)
+    n, d = vectors.shape
+    e = np.empty(n)
+    for start in range(0, n, _ASSIGN_CHUNK):  # chunks keep the temporaries small
+        rows = slice(start, start + _ASSIGN_CHUNK)
+        diff = centroids.take(ids[rows], axis=0)
+        np.subtract(vectors[rows], diff, out=diff)
+        np.square(diff, out=diff)
+        np.sum(diff, axis=1, out=e[rows])
+    search = np.flatnonzero(~(e + _tol(x_sq, np.einsum("ij,ij->i", centroids, centroids), d) < lower * lower))
+    ids = ids.copy()
+    for start in range(0, search.size, _ASSIGN_CHUNK):
+        part = search[start : start + _ASSIGN_CHUNK]
+        ids[part], e[part], lower[part] = _nearest(vectors.take(part, axis=0), centroids, x_sq.take(part))
+    return ids, e, lower
+
+
+def _drop_bounds(lower: np.ndarray, ids: np.ndarray, old: np.ndarray, new: np.ndarray) -> None:
+    """Lower each point's bound in place for centroids moved from `old` to
+    `new`, by the largest shift among the centroids other than its own
+    (see `_kmeans`)."""
+    step = new - old
+    shift = np.sqrt(np.einsum("ij,ij->i", step, step)) * (1.0 + (old.shape[1] + 4) * _EPS)
+    top = int(shift.argmax())
+    largest = shift[top]
+    shift[top] = 0.0
+    lower -= np.where(ids == top, shift.max(), largest)
+    lower *= 1.0 - _EPS
+    np.maximum(lower, 0.0, out=lower)
+
+
 def _kmeans(vectors, k, max_iters, seed) -> tuple:
-    """kmeans_fit's (Codebook, nearest-centroid ids of `vectors` under it)."""
+    """kmeans_fit's (Codebook, nearest-centroid ids of `vectors` under it).
+
+    Every round after the first searches only the points whose nearest
+    centroid could have changed (Hamerly, SDM 2010). A point x with id a
+    keeps a lower bound l on its exact distance to every centroid c_j,
+    j != a. With the notation of `_nearest`:
+    - A search sets l as `_nearest` describes.
+    - An update moves each c_j by s_j, and |x - c_j'| >= |x - c_j| - s_j,
+      so l falls by the largest s_j over j != a: the largest shift, or the
+      second largest (0 when K = 1) for points whose own centroid moved
+      most. The computed shift is within gamma_(d+3) of s_j, so scaling it
+      by 1 + (d + 4) eps makes it an upper bound s. l - s and the product
+      below each round up by at most u of themselves, so (l - s)(1 - eps),
+      as computed, stays below the exact l - s. A negative bound becomes 0.
+    - Each round computes e, the explicit squared distance to c_a, which the
+      distortion history needs anyway, and the screen's tol for the current
+      centroids. If e + tol < l^2, then for every j != a,
+      e_j >= D_j - gamma_(d+2) S >= l^2 - gamma_(d+2) S > e: l <= |x - c_j|
+      gives l^2 <= S, and tol exceeds gamma_(d+2) S plus the rounding of
+      e + tol and l^2 (below the normal range, their absolute errors). So a
+      is the strict explicit argmin, the id a search returns, and e is the
+      distance it returns.
+    The kept ids and distances are therefore bit-identical to searching
+    every point, and so are the histories and centroids.
+    """
     vectors = np.ascontiguousarray(np.asarray(vectors, dtype=np.float64))
     if vectors.ndim != 2:
         raise ShapeError(f"expected (n, d) vectors, got {vectors.shape}")
@@ -172,16 +303,18 @@ def _kmeans(vectors, k, max_iters, seed) -> tuple:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x6B6D])))
     centroids = _kmeans_pp_init(vectors, k, rng)
     columns = np.ascontiguousarray(vectors.T)
-    assignments = None
+    x_sq = np.einsum("ij,ij->i", vectors, vectors)
+    ids = lower = None
     history = []
     iters = 0
     for _ in range(max_iters):
-        ids, d2 = _nearest(vectors, centroids)
+        new, d2, lower = _assign(vectors, x_sq, centroids, ids, lower)
         history.append(float(d2.mean()))
-        if assignments is not None and np.array_equal(ids, assignments):
+        if ids is not None and np.array_equal(new, ids):
             break  # fixpoint: ids and d2 already belong to the final centroids
-        assignments = ids
+        ids = new
         iters += 1
+        old = centroids.copy()
         # bincount adds in index order, like np.add.at, so sums are bit-identical
         sums = np.stack([np.bincount(ids, weights=col, minlength=k) for col in columns], axis=1)
         counts = np.bincount(ids, minlength=k)
@@ -189,13 +322,14 @@ def _kmeans(vectors, k, max_iters, seed) -> tuple:
         centroids[occupied] = sums[occupied] / counts[occupied, None]
         empties = np.flatnonzero(~occupied)
         if empties.size:
-            _, dist_now = _nearest(vectors, centroids[occupied])
+            _, dist_now, _ = _nearest(vectors, centroids[occupied], x_sq)
             for e in empties:
                 far = int(dist_now.argmax())
                 centroids[e] = vectors[far]
                 dist_now[far] = 0.0
+        _drop_bounds(lower, ids, old, centroids)
     else:  # no fixpoint within max_iters: assign to the last update's centroids
-        ids, d2 = _nearest(vectors, centroids)
+        ids, d2, lower = _assign(vectors, x_sq, centroids, ids, lower)
     final = float(d2.mean())
     if not history or final != history[-1]:
         history.append(final)
@@ -240,7 +374,7 @@ def rvq_fit(
     energy = []
     for j in range(layers):
         book, ids = _kmeans(residual, k, max_iters, seed + j)
-        residual = residual - book.centroids[ids]
+        residual -= book.centroids[ids]
         books.append(book)
         energy.append(float((residual**2).sum(axis=1).mean()))
     return RvqModel(layers=books, residual_energy=energy)

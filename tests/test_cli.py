@@ -587,6 +587,19 @@ def test_eval_rejects_a_repeated_bundle(tmp_path, workspace, capsys):
     assert not out.exists()
 
 
+def test_eval_rejects_two_bundles_of_one_system(tmp_path, workspace, capsys):
+    # a second proposed bundle would be pooled with the first as seed replicates
+    second = tmp_path / "prop2"
+    shutil.copytree(workspace / "prop", second)
+    out = tmp_path / "r"
+    rc = run("eval", "--bundle", workspace / "prop", "--bundle", second, "--corpus", workspace / "world",
+             "--splits", "clean", "--n-prompts", 1, "--out", out)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"--bundle {workspace / 'prop'} and {second} both hold a proposed system" in err
+    assert not out.exists()
+
+
 def test_eval_rejects_a_repeated_split(tmp_path, workspace, capsys):
     out = tmp_path / "r"
     rc = run("eval", "--bundle", workspace / "prop", "--corpus", workspace / "world",
@@ -745,6 +758,21 @@ def test_synth_writes_jsonl(tmp_path, workspace):
     assert record["system"] == "proposed"
     assert record["index"] == 0
     assert isinstance(record["codes"], list)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--temperature", "nan", "must be a finite number > 0, got nan"),
+    ("--temperature", "inf", "must be a finite number > 0, got inf"),
+    ("--temperature", "0", "must be a finite number > 0, got 0"),
+    ("--temperature", "-1", "must be a finite number > 0, got -1"),
+    ("--top-k", "0", "must be >= 1, got 0"),
+])
+def test_synth_rejects_bad_sampling_flags_in_the_parser(tmp_path, workspace, capsys, flag, value, message):
+    out_file = tmp_path / "s.jsonl"
+    err = _exits_in_the_parser(capsys, "synth", "--bundle", workspace / "prop", "--corpus", workspace / "world",
+                               "--index", 0, "--prompt-index", 1, flag, value, "--out", out_file)
+    assert f"argument {flag}: {message}" in err
+    assert not out_file.exists()
 
 
 def test_synth_rejects_same_prompt_and_target(tmp_path, workspace):

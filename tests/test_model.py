@@ -290,6 +290,14 @@ def test_sample_next_validates_args():
         md.ar_sample_next(np.zeros(3), 1.0, 0, rng)
 
 
+@pytest.mark.parametrize("temperature", [np.nan, np.inf, -np.inf])
+def test_sample_next_rejects_a_non_finite_temperature(temperature):
+    # NaN once made every probability NaN, and each draw silently took the top candidate
+    rng = np.random.default_rng(3)
+    with pytest.raises(ContractError, match="temperature must be a finite number > 0"):
+        md.ar_sample_next(np.array([0.0, 1.0, 2.0]), temperature, 3, rng)
+
+
 def test_training_grads_flow_everywhere():
     m = md.build_ar_model(tiny_config(dropout=0.1), md.STREAM_PHONETIC, seed=10)
     rng = np.random.default_rng(4)

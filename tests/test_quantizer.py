@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -130,7 +131,7 @@ def test_rvq_fit_searches_only_inside_its_kmeans_fits(monkeypatch, max_iters):
     rng = np.random.default_rng(12)
     vecs = rng.normal(size=(300, 4))
     nearest, searches = qz._nearest, []
-    monkeypatch.setattr(qz, "_nearest", lambda v, c: searches.append(len(c)) or nearest(v, c))
+    monkeypatch.setattr(qz, "_nearest", lambda v, c, *rest: searches.append(len(c)) or nearest(v, c, *rest))
     model = qz.rvq_fit(vecs, layers=3, k=6, max_iters=max_iters, seed=12)
     in_rvq = len(searches)
     # the same fits on their own, with the residuals made from unrecorded searches
@@ -341,9 +342,13 @@ def _counting_screen(g, tol):
 
 def _assert_screen_matches_count(g, tol):
     want_best, want_near = _counting_screen(g, tol)
-    best, near = qz._screen(g.copy(), tol)
+    best, near, second = qz._screen(g.copy(), tol)
     np.testing.assert_array_equal(best, want_best)
     np.testing.assert_array_equal(near, want_near)
+    # the runner-up value: the second smallest entry (inf when K = 1) of rows without NaN
+    runner_up = np.sort(g, axis=1)[:, 1] if g.shape[1] > 1 else np.full(g.shape[0], np.inf)
+    plain = ~np.isnan(g).any(axis=1)
+    np.testing.assert_array_equal(second[plain], runner_up[plain])
 
 
 def test_screen_matches_the_counting_screen_on_adversarial_rows():
@@ -394,30 +399,6 @@ def test_nearest_single_centroid_matches_explicit():
         _assert_same_as_explicit(vectors, np.full((1, 4), 1e200))
 
 
-def test_fits_byte_identical_to_explicit_search(monkeypatch):
-    from phonolm import tokenworld as tw
-
-    spec = tw.WorldSpec(seed=25)
-    corpus = tw.build_corpus(spec, 30, 2, np.random.default_rng(25))
-    phonetic = np.concatenate([u.phonetic_frames for u in corpus.train])
-    acoustic = np.concatenate([u.acoustic_frames for u in corpus.train])
-
-    def fit():
-        book = qz.kmeans_fit(phonetic, k=32, max_iters=15, seed=25)
-        rvq = qz.rvq_fit(acoustic, layers=4, k=16, max_iters=10, seed=25)
-        codes = qz.rvq_encode(acoustic, rvq)
-        return (
-            [book.centroids.tobytes(), book.distortion_history, book.final_distortion, book.iterations_run],
-            [(b.centroids.tobytes(), b.distortion_history, b.iterations_run) for b in rvq.layers],
-            rvq.residual_energy,
-            codes.tobytes(),
-        )
-
-    screened = fit()
-    monkeypatch.setattr(qz, "_nearest", _explicit_nearest)
-    assert fit() == screened
-
-
 def test_bincount_sums_match_add_at_bit_for_bit():
     rng = np.random.default_rng(26)
     vectors = rng.normal(size=(5000, 7)) * rng.uniform(1e-3, 1e3, size=7)
@@ -434,17 +415,308 @@ def test_kmeans_fixpoint_needs_no_extra_search(monkeypatch):
     calls = []
     real = qz._nearest
 
-    def counting(v, c):
-        calls.append(c.shape[0])
-        return real(v, c)
+    def counting(v, c, *rest):
+        calls.append(c.copy())
+        return real(v, c, *rest)
+
+    def final_searches(book):
+        return [i for i, c in enumerate(calls) if np.array_equal(c, book.centroids)]
 
     monkeypatch.setattr(qz, "_nearest", counting)
     book = qz.kmeans_fit(pts, k=5, max_iters=100, seed=27)
     assert book.iterations_run < 100  # stopped at a fixpoint
-    # one search per update round plus the one that found the fixpoint
-    assert len(calls) == book.iterations_run + 1
+    # at most one search per update round plus one in the round that found
+    # the fixpoint, and none after it: only that round may see the final centroids
+    assert len(calls) <= book.iterations_run + 1
+    assert final_searches(book) in ([], [len(calls) - 1])
     assert book.final_distortion == book.distortion_history[-1]
     calls.clear()
     capped = qz.kmeans_fit(pts, k=5, max_iters=2, seed=27)
-    assert len(calls) == 3  # two rounds, then one search for the final centroids
+    # two rounds, then one assignment to the final centroids
+    assert len(calls) <= 3
+    assert final_searches(capped) == [len(calls) - 1]
     assert capped.distortion_history[-1] == capped.final_distortion
+
+
+# ---------------------------------------------------------------------------
+# bound-pruned Lloyd rounds against a reference that searches every point
+# ---------------------------------------------------------------------------
+
+
+def _reference_kmeans(vectors, k, max_iters, seed):
+    """Lloyd's algorithm as `kmeans_fit` defines it, with every point searched
+    explicitly in every round: k-means++ seeding through `rng.choice`,
+    explicit distances with first-min ties, np.add.at sums and the same
+    empty-cluster repair. Returns (centroids, history, iterations, ids,
+    whether an empty cluster was repaired)."""
+    vectors = np.ascontiguousarray(vectors, dtype=np.float64)
+    n = vectors.shape[0]
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x6B6D])))
+    centroids = np.empty((k, vectors.shape[1]))
+    centroids[0] = vectors[int(rng.integers(n))]
+    d2 = ((vectors - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        idx = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=d2 / total))
+        centroids[j] = vectors[idx]
+        d2 = np.minimum(d2, ((vectors - centroids[j]) ** 2).sum(axis=1))
+    history, ids, iters, repaired = [], None, 0, False
+    for _ in range(max_iters):
+        new, dist = _explicit_nearest(vectors, centroids)
+        history.append(float(dist.mean()))
+        if ids is not None and np.array_equal(new, ids):
+            break
+        ids = new
+        iters += 1
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, ids, vectors)
+        counts = np.bincount(ids, minlength=k)
+        occupied = counts > 0
+        centroids[occupied] = sums[occupied] / counts[occupied, None]
+        if not occupied.all():
+            repaired = True
+            _, dist_now = _explicit_nearest(vectors, centroids[occupied])
+            for empty in np.flatnonzero(~occupied):
+                far = int(dist_now.argmax())
+                centroids[empty] = vectors[far]
+                dist_now[far] = 0.0
+    else:
+        ids, dist = _explicit_nearest(vectors, centroids)
+    final = float(dist.mean())
+    if not history or final != history[-1]:
+        history.append(final)
+    return centroids, history, iters, ids, repaired
+
+
+def _assert_fit_matches_reference(vectors, k, max_iters, seed):
+    """The fit equals the reference byte for byte; returns the reference's
+    repaired flag."""
+    book, ids = qz._kmeans(vectors, k, max_iters, seed)
+    centroids, history, iters, want_ids, repaired = _reference_kmeans(vectors, k, max_iters, seed)
+    assert book.centroids.tobytes() == centroids.tobytes()
+    assert book.distortion_history == history
+    assert book.final_distortion == history[-1]
+    assert book.iterations_run == iters
+    np.testing.assert_array_equal(ids, want_ids)
+    return repaired
+
+
+def test_fits_byte_identical_to_explicit_search():
+    from phonolm import tokenworld as tw
+
+    corpus = tw.build_corpus(tw.WorldSpec(seed=25), 30, 2, np.random.default_rng(25))
+    phonetic = np.concatenate([u.phonetic_frames for u in corpus.train])
+    acoustic = np.concatenate([u.acoustic_frames for u in corpus.train])
+    # the seeding alone, capped fits, and fits run to their fixpoints
+    for max_iters in (0, 15, 100):
+        _assert_fit_matches_reference(phonetic, 32, max_iters, 25)
+        model = qz.rvq_fit(acoustic, layers=4, k=16, max_iters=max_iters, seed=25)
+        residual, codes = acoustic, []
+        for j, book in enumerate(model.layers):
+            centroids, history, iters, ids, _ = _reference_kmeans(residual, 16, max_iters, 25 + j)
+            assert (book.centroids.tobytes(), book.distortion_history, book.iterations_run) == (
+                centroids.tobytes(), history, iters)
+            residual = residual - centroids[ids]
+            assert model.residual_energy[j] == float((residual**2).sum(axis=1).mean())
+        residual = acoustic
+        for book in model.layers:  # greedy encoding by explicit search
+            ids, _ = _explicit_nearest(residual, book.centroids)
+            codes.append(ids)
+            residual = residual - book.centroids[ids]
+        np.testing.assert_array_equal(qz.rvq_encode(acoustic, model), np.stack(codes, axis=1))
+
+
+def _duplicated_points():
+    rng = np.random.default_rng(40)
+    return rng.permutation(np.repeat(rng.normal(size=(30, 3)), 6, axis=0))
+
+
+def _grid_points():
+    # dyadic coordinates: many points lie exactly midway between two centroids
+    return np.stack(np.meshgrid(*[np.arange(-4.0, 4.5, 0.5)] * 2), axis=-1).reshape(-1, 2)
+
+
+def _offset_points():
+    rng = np.random.default_rng(41)
+    return 1e6 + 1e-3 * rng.normal(size=(300, 4))
+
+
+def _tiny_points():
+    # below the normal range the screen's relative error model fails
+    rng = np.random.default_rng(42)
+    return 2.0**-520 * rng.normal(size=(300, 3))
+
+
+@pytest.mark.parametrize("points, k", [
+    (_duplicated_points, 12),
+    (_grid_points, 7),
+    (_offset_points, 8),
+    (_tiny_points, 6),
+    (_duplicated_points, 1),
+    (_grid_points, 1),
+], ids=["duplicates", "midpoints", "offset", "tiny", "duplicates_k1", "midpoints_k1"])
+def test_fits_on_adversarial_sets_match_the_reference_lloyd(points, k):
+    vectors = points()
+    for seed in range(3):
+        for max_iters in (3, 100):
+            _assert_fit_matches_reference(vectors, k, max_iters, seed)
+
+
+def test_a_fit_whose_cluster_empties_matches_the_reference_lloyd():
+    # four blobs and a far outlier: in the second round a cluster empties
+    # and the repair moves its centroid by about the data's spread
+    rng = np.random.default_rng(36)
+    centers = rng.normal(size=(4, 2)) * 5
+    blobs = [c + 0.3 * rng.normal(size=(int(rng.integers(5, 40)), 2)) for c in centers]
+    vectors = np.concatenate(blobs + [np.array([[40.0, 40.0]])])
+    assert _assert_fit_matches_reference(vectors, 6, 100, 2)
+
+
+@pytest.mark.parametrize("kind", ["random", "one_hot", "tiny"])
+def test_seeding_draw_is_generator_choice(kind):
+    rng = np.random.default_rng(43)
+    d2 = rng.random(500) ** 3
+    if kind == "one_hot":
+        d2 = np.zeros(500)
+        d2[137] = 2.5
+    elif kind == "tiny":
+        d2 *= 1e-300
+    mine, theirs = np.random.default_rng(44), np.random.default_rng(44)
+    cdf = np.empty(500)
+    for _ in range(200):
+        assert qz._draw(d2, d2.sum(), mine, cdf) == int(theirs.choice(500, p=d2 / d2.sum()))
+    assert mine.random() == theirs.random()  # both consumed the same stream
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_seeding_draw_rejects_non_finite_weights_like_choice(bad):
+    d2 = np.ones(10)
+    d2[3] = bad
+    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        np.random.default_rng(0).choice(10, p=d2 / d2.sum())
+    with pytest.raises(ValueError):
+        qz._draw(d2, d2.sum(), np.random.default_rng(0), np.empty(10))
+
+
+# ---------------------------------------------------------------------------
+# the bounds, in exact rational arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _exact_sq(x, c):
+    return sum((Fraction(float(a)) - Fraction(float(b))) ** 2 for a, b in zip(x, c))
+
+
+def _assert_bounds_hold(vectors, centroids, ids, lower):
+    """Each bound is >= 0, and its square is at most the exact squared
+    distance to every centroid but the row's own (inf only when K = 1)."""
+    for x, own, bound in zip(vectors, ids, lower):
+        assert bound >= 0.0
+        if np.isinf(bound):
+            assert centroids.shape[0] == 1
+            continue
+        square = Fraction(float(bound)) ** 2
+        assert all(square <= _exact_sq(x, c) for j, c in enumerate(centroids) if j != own)
+
+
+def _floor_sqrt(value):
+    """The largest float whose exact square is <= the rational `value`."""
+    root = float(np.sqrt(float(value)))
+    while Fraction(root) ** 2 > value:
+        root = np.nextafter(root, 0.0)
+    while Fraction(np.nextafter(root, np.inf)) ** 2 <= value:
+        root = np.nextafter(root, np.inf)
+    return root
+
+
+@pytest.mark.parametrize("points, k", [
+    (lambda: np.random.default_rng(45).normal(size=(150, 4)), 9),
+    (_duplicated_points, 12),
+    (_grid_points, 7),
+    (_offset_points, 8),
+    (_tiny_points, 6),
+    (lambda: np.random.default_rng(46).normal(size=(40, 3)), 1),
+], ids=["random", "duplicates", "midpoints", "offset", "tiny", "k1"])
+def test_screen_bounds_are_below_exact_distances(points, k):
+    vectors = points()
+    rng = np.random.default_rng(47)
+    centroids = vectors[rng.choice(vectors.shape[0], k, replace=False)]
+    for cents in (centroids, centroids + 0.25 * rng.normal(size=centroids.shape) * vectors.std()):
+        ids, dists, lower = qz._nearest(vectors, cents, np.einsum("ij,ij->i", vectors, vectors))
+        want_ids, want_dists = _explicit_nearest(vectors, cents)
+        np.testing.assert_array_equal(ids, want_ids)
+        assert dists.tobytes() == want_dists.tobytes()
+        _assert_bounds_hold(vectors, cents, ids, lower)
+
+
+def test_dropped_bounds_stay_below_exact_distances():
+    # Start from the tightest float bound and move centroids straight at the
+    # point, where the triangle inequality is exact: only the rounding slack
+    # keeps the dropped bound below the new exact distances.
+    rng = np.random.default_rng(48)
+    for trial in range(1200):
+        d = int(rng.integers(1, 6))
+        x = rng.normal(size=d) * 10.0 ** rng.integers(-3, 4)
+        old = x + rng.normal(size=(3, d)) * 10.0 ** rng.integers(-3, 4)
+        # large steps, and steps so small that the subtraction's rounding counts
+        fraction = rng.uniform(0.0, 1.0, size=(3, 1)) if trial % 2 else 10.0 ** -rng.uniform(2, 12, size=(3, 1))
+        step = fraction * (x - old)
+        case = trial % 3
+        if case == 0:    # own centroid 0 stays; the others approach
+            step[0] = 0.0
+        elif case == 1:  # own centroid 0 moves most, away from x; the others approach
+            step[0] = -(1.0 + np.abs(step[1:]).sum()) * (x - old[0]) / np.linalg.norm(x - old[0])
+        new = old + step
+        lower = np.array([_floor_sqrt(min(_exact_sq(x, c) for c in old[1:]))])
+        qz._drop_bounds(lower, np.array([0]), old, new)
+        _assert_bounds_hold(x[None, :], new, [0], lower)
+
+
+def test_points_of_the_centroid_that_moved_most_drop_by_the_runner_up_shift():
+    old = np.zeros((3, 2))
+    new = np.array([[6.0, 8.0], [0.0, 1.0], [0.0, 0.0]])  # shifts 10, 1 and 0
+    lower = np.full(3, 50.0)
+    qz._drop_bounds(lower, np.array([0, 1, 2]), old, new)
+    # own centroid moved most: the runner-up shift counts, otherwise the largest
+    np.testing.assert_allclose(lower, [49.0, 40.0, 40.0], rtol=1e-13)
+    assert lower[0] < 49.0 and lower[1] < 40.0  # the slack only lowers
+    # a single centroid has no other one to approach its points
+    one = np.array([np.inf])
+    qz._drop_bounds(one, np.array([0]), old[:1], new[:1])
+    assert one[0] == np.inf
+
+
+def test_a_bound_that_only_ties_the_margin_is_searched(monkeypatch):
+    # A point keeps its id only when e + tol < l^2 holds strictly; find a
+    # bound whose square equals e + tol in floats, and one ulp above it.
+    centroids = np.array([[3.0, 0.0], [0.0, 2.0]])
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    for shift in range(64):
+        x = np.array([[shift * 2.0**-40, 0.0]])
+        x_sq = np.einsum("ij,ij->i", x, x)
+        e = float(((x[0] - centroids[1]) ** 2).sum())
+        target = e + qz._tol(x_sq, c_sq, 2)[0]
+        ties = [r for r in (np.nextafter(np.sqrt(target), 0.0), np.sqrt(target), np.nextafter(np.sqrt(target), 3.0))
+                if r * r == target]
+        if ties:
+            break
+    tie = ties[0]
+    searched = []
+    real = qz._nearest
+    monkeypatch.setattr(qz, "_nearest", lambda v, c, *rest: searched.append(len(v)) or real(v, c, *rest))
+    above = np.nextafter(tie, np.inf)
+    assert above * above > target
+    for bound, want in ((tie, [1]), (above, [])):
+        searched.clear()
+        ids, dists, _ = qz._assign(x, x_sq, centroids, np.array([1]), np.array([bound]))
+        assert searched == want
+        assert ids[0] == 1 and dists[0] == e
+
+
+def test_nearest_below_the_normal_range_matches_explicit():
+    # (|x| + max|c|)^2 eps underflows here, so the screen's margin needs its
+    # absolute term to cover products that round in the subnormal range
+    rng = np.random.default_rng(49)
+    for _ in range(20):
+        scale = 2.0 ** float(rng.integers(-540, -515))
+        _assert_same_as_explicit(scale * rng.normal(size=(200, 3)), scale * rng.normal(size=(8, 3)))

@@ -8,7 +8,8 @@
 again. In it the script runs, through `python -m phonolm.cli`:
 
     world --n-train 60 --n-test 12 --seed 7
-    quantize --iters 4
+    quantize --iters 4                            (into quant/, which training uses)
+    quantize                                      (at its default --iters, into quant_default/)
     train --mode <m> --set steps=<n> --seed 101   (all four modes, one bundle dir;
                                                   n = 20 for AR stages, 12 for NAR)
     eval --n-prompts 6 --seeds 2                  (serial, into eval/)
@@ -22,9 +23,11 @@ give the same lines at one BLAS thread count (`OPENBLAS_NUM_THREADS`, read
 from the environment) wrote the same bytes: corpus, quantizers,
 checkpoints, `losses_*.csv`, the serial and the `--jobs 2` eval reports
 and the synth JSONL, so the digests cover synthesis in worker processes
-as well as in the calling one. The AR and NAR stages train with different
-budgets, as the stages of one bundle may, so the digests also show where
-each stage's training record is kept.
+as well as in the calling one. The second quantize runs each fit's Lloyd
+rounds to its fixpoint or the default cap, so the digests cover the
+quantizer's bound-pruned rounds well past the fourth. The AR and NAR
+stages train with different budgets, as the stages of one bundle may, so
+the digests also show where each stage's training record is kept.
 
 Given a second src dir, the script runs the recipe on both, prints the
 paths whose digests differ (or that only one run wrote) and exits 1 if
@@ -52,6 +55,7 @@ def run_recipe(src: Path, root: Path) -> None:
 
     phonolm("world", "--out", "world", "--n-train", "60", "--n-test", "12", "--seed", "7")
     phonolm("quantize", "--corpus", "world", "--out", "quant", "--iters", "4")
+    phonolm("quantize", "--corpus", "world", "--out", "quant_default")
     for mode, steps in TRAIN_STEPS.items():
         phonolm("train", "--mode", mode, "--corpus", "world", "--quantizers", "quant/quantizers.ckpt",
                 "--out", "bundle", "--set", f"steps={steps}", "--seed", "101")
