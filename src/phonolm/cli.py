@@ -270,8 +270,7 @@ def cmd_train(args) -> int:
     base = pl.default_model_config(corpus.world_spec, quant).to_dict()
     model_config = _build_config(md.ModelConfig, base | _load_json_config(args.model_config, {}))
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)  # `save_stages` makes it, so a run that fails leaves no empty dir
     mode = pl.MODES[args.mode]
     if (out / mode.checkpoint).exists() and not args.force:
         raise ValidationError(f"{out / mode.checkpoint} exists (use --force to overwrite)")

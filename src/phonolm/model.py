@@ -182,6 +182,9 @@ def _ar_entries(config: ModelConfig, stream: str) -> list:
 def _nar_entries(config: ModelConfig, variant: str) -> list:
     if variant not in (VARIANT_PROPOSED, VARIANT_BASELINE):
         raise ContractError(f"unknown NAR variant {variant!r}")
+    if variant == VARIANT_BASELINE and config.n_codec_layers < 2:
+        raise ContractError(f"the baseline NAR predicts codec layers 2..L and needs n_codec_layers >= 2, "
+                            f"got {config.n_codec_layers}")
     d = config.d_model
     entries = [
         ("emb/phoneme", (config.phoneme_vocab, d), "weight"),

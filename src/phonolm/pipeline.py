@@ -9,11 +9,14 @@ conditioning variant) and checkpoint file. `train_mode`, the bundle file
 layout and the bundle checks all read it. `bundle_files` names every file a
 bundle is read from, and `save_stages` is the one writer of bundle files.
 
-Training prompts are a random prefix of the same utterance, cut at a duration
-slot boundary so the 2:3 phonetic/acoustic alignment stays exact: a prefix of
-k slots is 2k phonetic tokens and 3k acoustic frames. The phoneme input
-always covers the whole utterance, which is the same layout inference uses
-(prompt transcript concatenated with the text to synthesize).
+Every batch item comes from one (phonemes, prompt, target) triple of
+`TokenizedUtterance` pieces. Training prompts are a random prefix of the same
+utterance, which `prompted_items` cuts at a duration slot boundary so the 2:3
+phonetic/acoustic alignment stays exact: a prefix of k slots is 2k phonetic
+tokens and 3k acoustic frames. The phoneme input always covers the whole
+utterance, which is the same layout inference uses (prompt transcript
+concatenated with the text to synthesize). `nar_items` builds every NAR item
+of such triples, in training and in synthesis.
 
 Batch selection and prompt-split draws come from rng streams that depend only
 on (seed, step), never on the system variant, so proposed and baseline
@@ -24,7 +27,7 @@ target stream.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -135,13 +138,6 @@ def tokenize_utterances(utts, quantizers: Quantizers) -> list:
     ]
 
 
-def split_slots(slots: int, frac: float) -> int:
-    """Prompt length in slots for a 20-50% prefix split."""
-    if slots < 2:
-        raise ContractError("utterance too short to split into prompt and target")
-    return min(max(int(round(frac * slots)), 1), slots - 1)
-
-
 def batch_schedule(n_items: int, config: TrainingConfig) -> tuple:
     """(idxs, fracs) arrays of shape (steps, batch): the full draw plan.
 
@@ -161,30 +157,41 @@ def layer_schedule(config: TrainingConfig, min_layer: int, n_layers: int) -> np.
     return rng.integers(min_layer, n_layers + 1, size=(config.steps, config.batch_size))
 
 
-def ar_training_items(tokenized, idxs, fracs, stream: str) -> list:
-    """(phonemes, prompt, target) triples for one AR step."""
-    items = []
+def prompted_items(tokenized, idxs, fracs) -> list:
+    """(phonemes, prompt, target) triples: each `tokenized[i]` cut after the
+    whole slot nearest its `frac` of the slots, so prompt and target keep at
+    least one slot each. The two pieces keep the utterance's phonemes."""
+    out = []
     for i, f in zip(idxs, fracs):
         tu = tokenized[int(i)]
-        ids = tu.stream(stream)
-        cut = split_slots(tu.slots, float(f)) * len(ids) // tu.slots
-        items.append((tu.phonemes, ids[:cut], ids[cut:]))
-    return items
+        if tu.slots < 2:
+            raise ContractError("utterance too short to split into prompt and target")
+        k = min(max(int(round(float(f) * tu.slots)), 1), tu.slots - 1)
+        prompt = replace(tu, phonetic=tu.phonetic[: 2 * k], codes=tu.codes[: 3 * k])
+        out.append((tu.phonemes, prompt, replace(tu, phonetic=tu.phonetic[2 * k :], codes=tu.codes[3 * k :])))
+    return out
+
+
+def ar_training_items(tokenized, idxs, fracs, stream: str) -> list:
+    """(phonemes, prompt, target) id triples of `stream` for one AR step."""
+    return [(ph, p.stream(stream), t.stream(stream)) for ph, p, t in prompted_items(tokenized, idxs, fracs)]
+
+
+def nar_items(prompted, layers, variant: str) -> tuple:
+    """(model items, label ids) of `prompted` triples, each predicting its
+    `layers` layer of the target's codes from the codes below it."""
+    items, labels = [], []
+    for (phonemes, prompt, target), j in zip(prompted, layers):
+        j = int(j)
+        cond = qz.upsample_tokens(target.phonetic) if variant == md.VARIANT_PROPOSED else None
+        items.append((phonemes, cond, prompt.codes, target.codes[:, : j - 1], j))
+        labels.append(target.codes[:, j - 1])
+    return items, np.concatenate(labels)
 
 
 def nar_training_items(tokenized, idxs, fracs, layers, variant: str) -> tuple:
     """(model items, label ids) for one NAR step."""
-    items, labels = [], []
-    for i, f, j in zip(idxs, fracs, layers):
-        tu = tokenized[int(i)]
-        k = split_slots(tu.slots, float(f))
-        j = int(j)
-        prompt_codes = tu.codes[: 3 * k]
-        target_codes = tu.codes[3 * k :]
-        cond = qz.upsample_tokens(tu.phonetic[2 * k :]) if variant == md.VARIANT_PROPOSED else None
-        items.append((tu.phonemes, cond, prompt_codes, target_codes[:, : j - 1], j))
-        labels.append(target_codes[:, j - 1])
-    return items, np.concatenate(labels)
+    return nar_items(prompted_items(tokenized, idxs, fracs), layers, variant)
 
 
 def teacher_forced(model, tokenized, idxs, fracs, layers, train: bool = False, rng=None) -> tuple:
@@ -236,14 +243,14 @@ def train_mode(mode: str, corpus, quantizers, config, model_config=None) -> tupl
     if model_config is None:
         model_config = default_model_config(corpus.world_spec, quantizers)
     _check_vocab(model_config, quantizers)
+    build = md.build_ar_model if kind == md.AR else md.build_nar_model
+    model = build(model_config, role, seed=config.seed)  # its own seeded stream: fails before tokenizing
     idxs, fracs = batch_schedule(len(corpus.train), config)
     drawn = np.unique(idxs)  # tokenize only what the schedule draws, keyed by train index
     tokenized = dict(zip(drawn.tolist(), tokenize_utterances([corpus.train[i] for i in drawn], quantizers)))
     for i, tu in tokenized.items():  # every step splits its utterances: fail before step 0, not at the step
         if tu.slots < 2:
             raise ContractError(f"train utterance {i} has {tu.slots} slot(s), too few for a prompt and a target")
-    build = md.build_ar_model if kind == md.AR else md.build_nar_model
-    model = build(model_config, role, seed=config.seed)
     # an AR step ignores the layers, and a 1-layer codec has none above layer 1 to draw
     layers = layer_schedule(config, model.min_layer, model_config.n_codec_layers) if kind == md.NAR else idxs
 
@@ -329,8 +336,8 @@ class SynthesisRequest:
     max_length_factor: float = 2.0
 
     def __post_init__(self):
-        if self.max_length_factor <= 1:
-            raise ContractError("max_length_factor must exceed 1")
+        if not (np.isfinite(self.max_length_factor) and self.max_length_factor > 1):
+            raise ContractError(f"max_length_factor must be a finite number > 1, got {self.max_length_factor}")
         if len(self.phonemes) == 0:
             raise ContractError("empty phoneme request")
         if self.prompt is None or len(self.prompt.phonemes) == 0:
@@ -374,8 +381,7 @@ def _expected_generation(request: SynthesisRequest, spec: tw.WorldSpec, stream: 
 class _GenEntry:
     request: SynthesisRequest
     phonemes: np.ndarray
-    prompt_stream: np.ndarray
-    prompt_codes: np.ndarray
+    prompt: TokenizedUtterance
     cap: int
     rng: np.random.Generator
     generated: list = field(default_factory=list)
@@ -398,14 +404,7 @@ def _prepare_entry(bundle: SystemBundle, request: SynthesisRequest, prompt: Toke
     headroom = min(headroom, 2 * nar_room // 3 if bundle.kind == KIND_PROPOSED else nar_room)
     if headroom < 1:
         raise ContractError("prompt leaves no room for generation under max_sequence_len")
-    return _GenEntry(
-        request=request,
-        phonemes=phonemes,
-        prompt_stream=prompt_stream,
-        prompt_codes=prompt.codes,
-        cap=min(cap, headroom),
-        rng=rng,
-    )
+    return _GenEntry(request=request, phonemes=phonemes, prompt=prompt, cap=min(cap, headroom), rng=rng)
 
 
 def _generate_tokens(model: md.DecoderModel, entries: list) -> None:
@@ -416,9 +415,10 @@ def _generate_tokens(model: md.DecoderModel, entries: list) -> None:
     """
     active = list(entries)
     # base length + cap - 1 positions: the last sampled token is never fed back
-    capacity = max(len(e.phonemes) + len(e.prompt_stream) + e.cap for e in active)
+    prompts = [e.prompt.stream(model.role) for e in active]
+    capacity = max(len(e.phonemes) + len(p) + e.cap for e, p in zip(active, prompts))
     cache = md.KVCache(model, len(active), capacity)
-    logits, _ = md.ar_batch_logits(model, [(e.phonemes, e.prompt_stream, ()) for e in active], cache=cache)
+    logits, _ = md.ar_batch_logits(model, [(e.phonemes, p, ()) for e, p in zip(active, prompts)], cache=cache)
     while True:
         live = []
         for i, (e, row) in enumerate(zip(active, logits.data)):
@@ -440,26 +440,30 @@ def _generate_tokens(model: md.DecoderModel, entries: list) -> None:
 
 def _predict_codes(bundle: SystemBundle, entries: list) -> list:
     """Greedy argmax NAR decode per layer, batched over the entries that
-    generated at least one token."""
+    generated at least one token, each the target of a triple."""
     nar = bundle.nar
     n_layers = nar.config.n_codec_layers
     proposed = bundle.kind == KIND_PROPOSED
-    tokens = [np.asarray(e.generated, dtype=np.int64) for e in entries]
-    conds = [qz.upsample_tokens(t) if proposed else None for t in tokens]
-    codes = [np.zeros((len(t) if c is None else len(c), n_layers), dtype=np.int64) for t, c in zip(tokens, conds)]
-    if not proposed:
-        for t, c in zip(tokens, codes):
-            c[:, 0] = t  # the baseline's AR stream is codec layer 1
-    live = [i for i, t in enumerate(tokens) if t.size]
-    bounds = np.cumsum([len(codes[i]) for i in live])[:-1]
+    targets = []
+    for e in entries:
+        t = np.asarray(e.generated, dtype=np.int64)
+        codes = np.zeros((len(qz.upsample_tokens(t)) if proposed else len(t), n_layers), dtype=np.int64)
+        if not proposed:
+            codes[:, 0] = t  # the baseline's AR stream is codec layer 1
+        phonemes = e.phonemes[len(e.prompt.phonemes) :]
+        targets.append(TokenizedUtterance(phonemes, t if proposed else t[:0], codes, e.prompt.speaker_id))
+    live = [i for i, tg in enumerate(targets) if len(tg.codes)]
+    prompted = [(entries[i].phonemes, entries[i].prompt, targets[i]) for i in live]
+    bounds = np.cumsum([len(targets[i].codes) for i in live])[:-1]
     for j in range(nar.min_layer, n_layers + 1) if live else ():
-        items = [(entries[i].phonemes, conds[i], entries[i].prompt_codes, codes[i][:, : j - 1], j) for i in live]
+        items, _ = nar_items(prompted, [j] * len(live), nar.role)
         ids = md.nar_batch_logits(nar, items).data.argmax(axis=1)
         for i, layer in zip(live, np.split(ids, bounds)):
-            codes[i][:, j - 1] = layer
+            targets[i].codes[:, j - 1] = layer
     return [
-        SynthesisResult(codes=c, phonetic_tokens=t if proposed else None, runaway=e.runaway, generated_length=len(t))
-        for e, t, c in zip(entries, tokens, codes)
+        SynthesisResult(codes=tg.codes, phonetic_tokens=tg.phonetic if proposed else None, runaway=e.runaway,
+                        generated_length=len(e.generated))
+        for e, tg in zip(entries, targets)
     ]
 
 

@@ -275,6 +275,17 @@ def test_train_missing_quantizers_names_path(tmp_path, workspace, capsys):
     assert "nope.ckpt" in capsys.readouterr().err
 
 
+def test_a_baseline_nar_on_a_one_layer_codec_exits_with_validation_code(tmp_path, workspace, capsys):
+    assert run("quantize", "--corpus", workspace / "world", "--k-phonetic", 16, "--k-codec", 8,
+               "--layers", 1, "--iters", 2, "--out", tmp_path / "q") == 0
+    out = tmp_path / "t"
+    argv = _train_argv(workspace, out, "baseline_nar")
+    argv[argv.index("--quantizers") + 1] = tmp_path / "q" / "quantizers.ckpt"
+    assert run(*argv) == 2
+    assert "n_codec_layers >= 2, got 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_writes_losses_and_bundle_files(workspace):
     prop = workspace / "prop"
     assert (prop / "ar.ckpt").exists()

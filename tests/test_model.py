@@ -240,6 +240,17 @@ def test_load_model_draws_no_random_init(tmp_path, monkeypatch):
         np.testing.assert_array_equal(loaded.params[name].data, p.data)
 
 
+def test_a_baseline_nar_needs_two_codec_layers(tmp_path):
+    # it predicts layers 2..L, so a 1-layer codec leaves it nothing to predict
+    with pytest.raises(ContractError, match="n_codec_layers >= 2, got 1"):
+        md.build_nar_model(tiny_config(n_codec_layers=1), md.VARIANT_BASELINE, seed=0)
+    md.build_nar_model(tiny_config(n_codec_layers=1), md.VARIANT_PROPOSED, seed=0).save(tmp_path / "nar.ckpt")
+    sidecar = tmp_path / "nar.json"
+    sidecar.write_text(sidecar.read_text().replace(f'"{md.VARIANT_PROPOSED}"', f'"{md.VARIANT_BASELINE}"'))
+    with pytest.raises(checkpoint.CheckpointError, match="n_codec_layers >= 2, got 1"):
+        md.load_model(tmp_path / "nar.ckpt")
+
+
 @pytest.mark.parametrize("damage", ["missing", "extra", "shape"])
 def test_load_model_rejects_mismatched_tensors(tmp_path, damage):
     m = md.build_ar_model(tiny_config(), md.STREAM_CODEC, seed=4)

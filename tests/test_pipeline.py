@@ -37,13 +37,66 @@ def test_training_config_rejects_non_positive_step_sizes(bad):
         pl.TrainingConfig(**bad)
 
 
+def _utterance(slots):
+    return pl.TokenizedUtterance(phonemes=np.arange(3), phonetic=np.arange(2 * slots),
+                                 codes=np.arange(6 * slots).reshape(3 * slots, 2), speaker_id=0)
+
+
 def test_split_slots_bounds():
-    assert pl.split_slots(10, 0.2) == 2
-    assert pl.split_slots(10, 0.5) == 5
-    assert pl.split_slots(2, 0.01) == 1   # prompt never empty
-    assert pl.split_slots(2, 0.99) == 1   # target never empty
+    # (slots, frac, prompt slots): the prompt is never empty, nor is the target
+    for slots, frac, k in [(10, 0.2, 2), (10, 0.5, 5), (2, 0.01, 1), (2, 0.99, 1)]:
+        ((_, prompt, target),) = pl.prompted_items([_utterance(slots)], [0], [frac])
+        assert (prompt.slots, target.slots) == (k, slots - k)
+        assert (len(prompt.codes), len(target.codes)) == (3 * k, 3 * (slots - k))
     with pytest.raises(ContractError):
-        pl.split_slots(1, 0.3)
+        pl.prompted_items([_utterance(1)], [0], [0.3])
+
+
+def test_training_items_are_the_prefix_cut_of_each_utterance(tiny_corpus, tiny_quantizers):
+    """Every training item, array for array, against the prefix slicing
+    written out here: k slots of prompt are ids[:k * len(ids) // slots] of
+    an AR stream, and codes[:3k] with phonetic[2k:] upsampled for a NAR."""
+    tokenized = pl.tokenize_utterances(tiny_corpus.train, tiny_quantizers)
+    # every cut k of every utterance, then one training draw
+    every_k = [(i, k / tu.slots) for i, tu in enumerate(tokenized) for k in range(1, tu.slots)]
+    drawn = pl.batch_schedule(len(tokenized), quick_config(seed=5))
+    cuts = every_k + list(zip(drawn[0][0].tolist(), drawn[1][0]))
+    idxs, fracs = (np.array(c) for c in zip(*cuts))
+    ks = [min(max(int(round(f * tokenized[i].slots)), 1), tokenized[i].slots - 1) for i, f in cuts]
+    assert ks[: len(every_k)] == [k for tu in tokenized for k in range(1, tu.slots)]
+
+    def same(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    for stream in (md.STREAM_PHONETIC, md.STREAM_CODEC):
+        items = pl.ar_training_items(tokenized, idxs, fracs, stream)
+        assert len(items) == len(cuts)
+        for (phonemes, prompt, target), i, k in zip(items, idxs, ks):
+            tu = tokenized[i]
+            ids = tu.phonetic if stream == md.STREAM_PHONETIC else tu.codes[:, 0]
+            cut = k * len(ids) // tu.slots
+            same(phonemes, tu.phonemes)
+            same(prompt, ids[:cut])
+            same(target, ids[cut:])
+    n_layers = tiny_quantizers.rvq.n_layers
+    for variant, min_layer in ((md.VARIANT_PROPOSED, 1), (md.VARIANT_BASELINE, 2)):
+        for j in range(min_layer, n_layers + 1):
+            items, labels = pl.nar_training_items(tokenized, idxs, fracs, np.full(len(cuts), j), variant)
+            assert len(items) == len(cuts)
+            want_labels = []
+            for (phonemes, cond, prompt, below, layer), i, k in zip(items, idxs, ks):
+                tu = tokenized[i]
+                same(phonemes, tu.phonemes)
+                if variant == md.VARIANT_PROPOSED:
+                    same(cond, qz.upsample_tokens(tu.phonetic[2 * k :]))
+                else:
+                    assert cond is None
+                same(prompt, tu.codes[: 3 * k])
+                same(below, tu.codes[3 * k :][:, : j - 1])
+                assert layer == j
+                want_labels.append(tu.codes[3 * k :][:, j - 1])
+            same(labels, np.concatenate(want_labels))
 
 
 def test_train_mode_rejects_utterances_too_short_to_split_before_step_0(monkeypatch):
@@ -54,6 +107,13 @@ def test_train_mode_rejects_utterances_too_short_to_split_before_step_0(monkeypa
     monkeypatch.setattr(pl, "_run_training", lambda *a: pytest.fail("training started"))
     with pytest.raises(ContractError, match=r"train utterance \d+ has 1 slot\(s\)"):
         pl.train_mode("nar", corpus, quantizers, quick_config(steps=2, batch_size=2, seed=1))
+
+
+def test_train_mode_rejects_a_baseline_nar_on_a_one_layer_codec_before_tokenizing(monkeypatch, tiny_corpus):
+    quantizers = pl.fit_corpus_quantizers(tiny_corpus, k_phonetic=8, k_codec=4, n_layers=1, max_iters=3, seed=1)
+    monkeypatch.setattr(pl, "tokenize_utterances", lambda *a: pytest.fail("tokenized"))
+    with pytest.raises(ContractError, match="n_codec_layers >= 2, got 1"):
+        pl.train_mode(pl.MODE_BASELINE_NAR, tiny_corpus, quantizers, quick_config(steps=2, batch_size=2))
 
 
 def test_batch_schedule_mode_independent(tiny_corpus, tiny_quantizers):
@@ -326,6 +386,13 @@ def test_synthesize_rejects_empty_prompt(tiny_bundles, tiny_corpus):
         pl.SynthesisRequest(phonemes=[], prompt=tiny_corpus.test_clean[0])
 
 
+@pytest.mark.parametrize("factor", [float("nan"), float("inf"), 1.0, 0.5])
+def test_synthesis_request_needs_a_finite_length_factor_above_one(tiny_corpus, factor):
+    utt = tiny_corpus.test_clean[0]
+    with pytest.raises(ContractError, match=r"max_length_factor must be a finite number > 1"):
+        pl.SynthesisRequest(phonemes=utt.phonemes, prompt=utt, max_length_factor=factor)
+
+
 def test_bundle_save_load_round_trip(tiny_bundles, tiny_corpus, tmp_path):
     prop, base = tiny_bundles
     pl.save_bundle(prop, tmp_path)
@@ -477,7 +544,7 @@ def _full_recompute_tokens(model, entries):
     entry's whole prefix per sampled token."""
     active = list(entries)
     while active:
-        items = [(e.phonemes, e.prompt_stream, np.asarray(e.generated, dtype=np.int64)) for e in active]
+        items = [(e.phonemes, e.prompt.stream(model.role), np.asarray(e.generated, dtype=np.int64)) for e in active]
         logits, _ = md.ar_batch_logits(model, items)
         offset = 0
         live = []
@@ -547,7 +614,7 @@ def test_cached_decoding_fills_max_sequence_len_exactly(tiny_bundles, tiny_corpu
 
     def entry(extra):
         (e,) = _entries(bundle, [req], [0])
-        base = len(e.phonemes) + 1 + len(e.prompt_stream)
+        base = len(e.phonemes) + 1 + len(e.prompt.stream(ar.role))
         # the last token fed sits at position base + cap - 2
         e.cap = ar.config.max_sequence_len - base + 1 + extra
         return e
@@ -557,7 +624,8 @@ def test_cached_decoding_fills_max_sequence_len_exactly(tiny_bundles, tiny_corpu
     _full_recompute_tokens(ar, [full])
     assert cached.runaway and full.runaway
     assert cached.generated == full.generated
-    assert len(cached.phonemes) + 1 + len(cached.prompt_stream) + len(cached.generated) - 1 == ar.config.max_sequence_len
+    base = len(cached.phonemes) + 1 + len(cached.prompt.stream(ar.role))
+    assert base + len(cached.generated) - 1 == ar.config.max_sequence_len
     for run in (pl._generate_tokens, _full_recompute_tokens):
         with pytest.raises(md.SequenceLengthError):
             run(ar, [entry(1)])
