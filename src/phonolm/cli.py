@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
-import dataclasses
 import functools
 import hashlib
 import json
@@ -199,13 +198,12 @@ def cmd_world(args) -> int:
     print(f"world written to {out}: {args.n_train} train / {args.n_test} per test split; "
           f"raw-frame oracle PER {floor:.4%}")
 
-    outputs = ["world.json"] + [f"{s}.jsonl" for s in tw.SPLITS]
     _write_manifest(
         out / "manifest.json", "world",
         params={"spec": args.spec, "n_train": args.n_train, "n_test": args.n_test,
                 "overrides": overrides, "world_spec": spec.to_dict()},
         input_files=[args.spec] if args.spec else [],
-        output_files=outputs,
+        output_files=list(tw.CORPUS_FILES.values()),
         args=args,
         diagnostics={"raw_frame_oracle_per": floor},
     )
@@ -240,7 +238,7 @@ def cmd_quantize(args) -> int:
         params={"corpus": str(corpus_dir), "k_phonetic": args.k_phonetic,
                 "k_codec": args.k_codec, "layers": args.layers, "iters": args.iters,
                 "seed": args.seed},
-        input_files=[corpus_dir / "world.json", corpus_dir / "train.jsonl"],
+        input_files=[corpus_dir / n for n in tw.CORPUS_FILES.values()],
         output_files=pl.with_sidecars([pl.QUANTIZERS]),
         args=args,
         diagnostics={
@@ -283,12 +281,14 @@ def cmd_train(args) -> int:
 
     print(f"{args.mode}: {config.steps} steps, loss {losses[0]:.4f} -> {losses[-1]:.4f}; "
           f"saved {out / mode.checkpoint}")
+    input_files = [corpus_dir / n for n in tw.CORPUS_FILES.values()] + pl.with_sidecars([quant_path])
+    input_files += [p for p in (args.config, args.model_config) if p]
     _write_manifest(
         out / f"manifest_{args.mode}.json", "train",
         params={"mode": args.mode, "corpus": str(corpus_dir),
                 "quantizers": str(quant_path), "training": config.to_dict(),
                 "model_config": model_config.to_dict(), "overrides": overrides},
-        input_files=[corpus_dir / "world.json", corpus_dir / "train.jsonl", quant_path],
+        input_files=input_files,
         output_files=written + [losses_name],
         args=args,
         diagnostics={"final_loss": losses[-1]},
@@ -297,28 +297,12 @@ def cmd_train(args) -> int:
 
 
 def _eval_task(corpus, splits, n_prompts, bundle_dir, kind, seed) -> ev.EvalReport:
-    """Score one (bundle dir, kind, seed) on every split in `splits`.
-
-    Loads the bundle once; the corpus is the one `cmd_eval` loaded, handed
-    over in-process at --jobs 1 and pickled with the task, cut down by
-    `_scored_part`, at --jobs > 1.
-    """
+    """Score one (bundle dir, kind, seed) on every split in `splits`, loading the bundle once."""
     bundle = pl.load_bundle(bundle_dir, kind)
     report = ev.EvalReport(system=kind, seed=seed)
     for split in splits:
         report.splits[split] = ev.evaluate_system(bundle, corpus, split, n_prompts, seed)
     return report
-
-
-def _scored_part(corpus: tw.Corpus, splits) -> tw.Corpus:
-    """What `evaluate_system` reads of `corpus` when it scores `splits`: those
-    splits whole, the world, and of the train split only its speaker set
-    (the zero-shot check), kept as one utterance per speaker."""
-    first_of_speaker = {}
-    for u in corpus.train:
-        first_of_speaker.setdefault(u.speaker_id, u)
-    unscored = {name: [] for name in tw.SPLITS if name != "train" and name not in splits}
-    return dataclasses.replace(corpus, train=list(first_of_speaker.values()), **unscored)
 
 
 def cmd_eval(args) -> int:
@@ -356,9 +340,7 @@ def cmd_eval(args) -> int:
     with contextlib.ExitStack() as stack:
         # --jobs 1 runs the tasks in this process, where the benchmark captures their results
         pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs)) if args.jobs > 1 else None
-        # every task sent to a worker pickles its corpus: send only what it reads
-        task_corpus = _scored_part(corpus, splits) if pool else corpus
-        run_task = functools.partial(_eval_task, task_corpus, splits, args.n_prompts)
+        run_task = functools.partial(_eval_task, corpus, splits, args.n_prompts)
         for task, future in [(t, pool.submit(run_task, *t) if pool else None) for t in tasks]:
             try:
                 reports.append(future.result() if future else run_task(*task))
@@ -369,7 +351,7 @@ def cmd_eval(args) -> int:
     if reports:
         print(ev.write_report(reports, out))
 
-    input_files = [corpus_dir / "world.json"] + [corpus_dir / f"{s}.jsonl" for s in splits]
+    input_files = [corpus_dir / n for n in tw.CORPUS_FILES.values()]
     for bundle_dir, kind in systems:  # a file a crashed task missed is left out
         input_files += [p for p in (Path(bundle_dir) / n for n in pl.bundle_files(kind)) if p.exists()]
     _write_manifest(
@@ -378,7 +360,7 @@ def cmd_eval(args) -> int:
                 "splits": args.splits, "seeds": args.seeds, "seed": args.seed,
                 "n_prompts": args.n_prompts, "jobs": args.jobs},
         input_files=input_files,
-        output_files=[p.name for p in out.iterdir() if p.name != "manifest.json"],
+        output_files=list(ev.REPORT_FILES) if reports else [],
         args=args,
     )
     if crashed:

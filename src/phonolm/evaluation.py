@@ -31,6 +31,7 @@ _SAMPLER_STREAM = 0x51
 
 METRICS = ("per", "speaker_consistency", "runaway_rate")
 _LOWER_BETTER = {"per": True, "speaker_consistency": False, "runaway_rate": True}
+REPORT_FILES = ("report.json", "report.txt")  # what `write_report` writes
 
 
 @dataclass
@@ -264,8 +265,9 @@ def write_report(reports: list, out_dir) -> str:
                "per_seed": [asdict(r) for r in reports]}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    checkpoint.write_atomic(out / "report.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    checkpoint.write_atomic(out / "report.txt", text + "\n")
+    json_name, text_name = REPORT_FILES
+    checkpoint.write_atomic(out / json_name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    checkpoint.write_atomic(out / text_name, text + "\n")
     return text
 
 

@@ -113,9 +113,6 @@ class DecoderModel:
     def parameters(self) -> list:
         return list(self.params.values())
 
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def save(self, path) -> None:
         """Write the weights to `path`; config and training record go to its .json sidecar."""
         checkpoint.save_tensors(path, {k: v.data for k, v in self.params.items()})
@@ -217,10 +214,13 @@ def load_model(path) -> DecoderModel:
     """Read a model saved by `DecoderModel.save`. The checkpoint must hold
     exactly the tensors, by name and shape, that its config and role imply;
     anything else, or a missing or malformed .json sidecar (a config that
-    ModelConfig rejects included), raises CheckpointError."""
+    ModelConfig rejects, or a kind other than AR and NAR, included), raises
+    CheckpointError."""
     with checkpoint.sidecar(Path(path).with_suffix(".json")) as meta:
         config = ModelConfig.from_dict(meta["config"])
-        kind, role, training = (AR if meta["kind"] == AR else NAR), meta["role"], meta.get("training")
+        kind, role, training = meta["kind"], meta["role"], meta.get("training")
+        if kind not in (AR, NAR):
+            raise ValueError(f"model kind {kind!r} is neither {AR!r} nor {NAR!r}")
         entries = _ar_entries(config, role) if kind == AR else _nar_entries(config, role)
     tensors = checkpoint.load_tensors(path)
     expected = {name: shape for name, shape, _ in entries}

@@ -711,14 +711,16 @@ def mean_all(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam with bias correction. Moment buffers are lazily shaped to params."""
 
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
@@ -746,7 +748,7 @@ def adam_step(params, grads, state: AdamState) -> None:
         raise ContractError("AdamState was initialized for a different parameter list")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
     lr = state.learning_rate / bc1
@@ -764,7 +766,7 @@ def adam_step(params, grads, state: AdamState) -> None:
         v += s
         np.sqrt(v, out=s)
         s *= inv_sqrt_bc2
-        s += state.epsilon
+        s += ADAM_EPSILON
         np.divide(m, s, out=s)
         s *= lr
         p.data -= s

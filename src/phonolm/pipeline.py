@@ -72,7 +72,6 @@ _SPLIT_STREAM = 0x22
 _LAYER_STREAM = 0x33
 _DROP_STREAM = 0x44
 
-_EVAL_SPLIT_FRACS = (0.25, 0.35, 0.45)  # fixed prompt splits for accuracy probes
 _SYNTH_CHUNK = 8  # requests tokenized and decoded as one batch
 QUANTIZERS = "quantizers.ckpt"  # a quantize run's output and every bundle's copy
 
@@ -303,26 +302,6 @@ def _check_vocab(model_config: md.ModelConfig, quantizers: Quantizers):
 
 
 # ---------------------------------------------------------------------------
-# teacher-forced accuracy probes
-# ---------------------------------------------------------------------------
-
-
-def teacher_forced_accuracy(model, tokenized) -> float:
-    """Argmax accuracy over fixed prompt splits, no dropout: every next token
-    (STOP included) of an AR model, every predicted layer of a NAR model."""
-    n = len(tokenized)
-    # an AR batch does not depend on the layer, so it is scored once per split
-    layers = range(model.min_layer, model.config.n_codec_layers + 1) if model.kind == md.NAR else (0,)
-    hits = total = 0
-    for frac in _EVAL_SPLIT_FRACS:
-        for j in layers:
-            logits, labels = teacher_forced(model, tokenized, np.arange(n), np.full(n, frac), np.full(n, j))
-            hits += int((logits.data.argmax(axis=1) == labels).sum())
-            total += labels.size
-    return hits / total
-
-
-# ---------------------------------------------------------------------------
 # synthesis via prompting
 # ---------------------------------------------------------------------------
 
@@ -550,12 +529,17 @@ def available_bundle_kinds(in_dir) -> list:
 
 
 def load_bundle(in_dir, kind: str) -> SystemBundle:
+    """The `kind` system in `in_dir`. A missing checkpoint raises
+    ContractError; a malformed file, or a `{kind}_bundle.json` that names
+    another kind, raises CheckpointError naming it."""
     src = Path(in_dir)
     missing = missing_bundle_files(in_dir, kind)
     if missing:
         raise ContractError(f"incomplete {kind} bundle in {src}: missing {missing}")
     ar_name, _, nar_name, _, quant_name, _, meta_name = bundle_files(kind)
     with checkpoint.sidecar(src / meta_name) as meta:
+        if meta["kind"] != kind:
+            raise ValueError(f"says kind {meta['kind']!r}, not {kind!r}")
         world_spec = tw.WorldSpec.from_dict(meta["world_spec"])
     return SystemBundle(world_spec=world_spec, quantizers=qz.load_quantizers(src / quant_name),
                         ar=md.load_model(src / ar_name), nar=md.load_model(src / nar_name), kind=kind)

@@ -39,6 +39,7 @@ from .numerics import ContractError, ShapeError
 CLEAN = "clean"
 OTHER = "other"
 SPLITS = ("train", "test_clean", "test_other")
+CORPUS_FILES = {"world": "world.json", **{name: f"{name}.jsonl" for name in SPLITS}}  # a corpus dir's files
 
 
 class CorpusError(ValueError):
@@ -130,12 +131,6 @@ class Corpus:
     @property
     def train_speakers(self) -> set:
         return set(u.speaker_id for u in self.train)
-
-    @property
-    def test_speakers(self) -> set:
-        return set(u.speaker_id for u in self.test_clean) | set(
-            u.speaker_id for u in self.test_other
-        )
 
 
 @lru_cache(maxsize=8)
@@ -262,7 +257,7 @@ def build_corpus(
     test_clean = gen(n_test, lambda i, r: test_spk[i % len(test_spk)], CLEAN)
     test_other = gen(n_test, lambda i, r: test_spk[i % len(test_spk)], OTHER)
     corpus = Corpus(train=train, test_clean=test_clean, test_other=test_other, world_spec=spec)
-    overlap = corpus.train_speakers & corpus.test_speakers
+    overlap = corpus.train_speakers & set(test_spk)
     assert not overlap, f"speaker leak between train and test: {overlap}"
     return corpus
 
@@ -384,10 +379,10 @@ def _check_in_world(u: Utterance, spec: WorldSpec) -> Utterance:
 def save_corpus(corpus: Corpus, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    checkpoint.write_atomic(out / "world.json", json.dumps(corpus.world_spec.to_dict(), indent=2) + "\n")
+    checkpoint.write_atomic(out / CORPUS_FILES["world"], json.dumps(corpus.world_spec.to_dict(), indent=2) + "\n")
     for name in SPLITS:
         lines = ((json.dumps(_utterance_to_json(u)) + "\n").encode("utf-8") for u in corpus.split(name))
-        checkpoint.write_atomic(out / f"{name}.jsonl", lines)
+        checkpoint.write_atomic(out / CORPUS_FILES[name], lines)
 
 
 def load_corpus(in_dir) -> Corpus:
@@ -404,14 +399,14 @@ def load_corpus(in_dir) -> Corpus:
     frame.
     """
     src = Path(in_dir)
-    path = src / "world.json"
+    path = src / CORPUS_FILES["world"]
     try:
         spec = WorldSpec.from_dict(json.loads(path.read_text()))
     except (OSError, TypeError, ValueError) as exc:
         raise CorpusError(f"{path}: {exc}") from exc
     splits = {}
     for name in SPLITS:
-        path = src / f"{name}.jsonl"
+        path = src / CORPUS_FILES[name]
         utts = []
         try:
             with open(path) as f:

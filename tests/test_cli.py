@@ -1,6 +1,7 @@
+import builtins
+import io
 import json
 import os
-import pickle
 import resource
 import shutil
 import subprocess
@@ -364,6 +365,49 @@ def test_eval_manifest_hashes_every_bundle_file(tmp_path, workspace, capsys):
     assert "nar.json" in capsys.readouterr().err
 
 
+def _run_recording_reads(monkeypatch, *argv) -> tuple:
+    """(exit code, every path the run opened for reading before it wrote its manifest)."""
+    reads, recording = set(), [True]
+    real_open, write_manifest = io.open, cli._write_manifest
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if recording and "r" in mode and isinstance(file, (str, os.PathLike)):
+            reads.add(str(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    def manifest_after_reads(*args, **kwargs):
+        recording.clear()  # the manifest reads what it hashes
+        return write_manifest(*args, **kwargs)
+
+    monkeypatch.setattr(io, "open", recording_open)  # pathlib opens through io.open
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(cli, "_write_manifest", manifest_after_reads)
+    return run(*argv), reads
+
+
+@pytest.mark.parametrize("subcommand", ["world", "quantize", "train", "eval"])
+def test_manifest_inputs_are_every_file_the_run_read(tmp_path, workspace, monkeypatch, subcommand):
+    corpus = [workspace / "world" / n for n in ("world.json", "train.jsonl", "test_clean.jsonl", "test_other.jsonl")]
+    quantizers = workspace / "quant" / "quantizers.ckpt"
+    out = tmp_path / "out"
+    argv, inputs = {
+        "world": (["world", "--spec", workspace / "world_spec.json", "--n-train", 4, "--n-test", 2],
+                  [workspace / "world_spec.json"]),
+        "quantize": (["quantize", "--corpus", workspace / "world", "--k-phonetic", 16, "--k-codec", 8,
+                      "--layers", 2, "--iters", 2], corpus),
+        "train": (_train_argv(workspace, out) + ["--config", workspace / "train.json", "--set", "steps=1"],
+                  corpus + [quantizers, quantizers.with_suffix(".json"), workspace / "train.json",
+                            workspace / "model.json"]),
+        "eval": (["eval", "--bundle", workspace / "prop", "--corpus", workspace / "world", "--splits", "clean",
+                  "--n-prompts", 1],
+                 corpus + [workspace / "prop" / n for n in pl.bundle_files(pl.KIND_PROPOSED)]),
+    }[subcommand]
+    rc, reads = _run_recording_reads(monkeypatch, *argv, *([] if subcommand == "train" else ["--out", out]))
+    assert rc == 0
+    manifest = next(out.glob("manifest*.json"))
+    assert set(json.loads(manifest.read_text())["inputs"]) == set(map(str, inputs)) == reads
+
+
 def test_train_set_override(tmp_path, workspace):
     rc = run("train", "--mode", "proposed_ar", "--corpus", workspace / "world",
              "--quantizers", workspace / "quant" / "quantizers.ckpt",
@@ -658,6 +702,20 @@ def test_eval_loads_corpus_once_and_each_bundle_once_per_seed(tmp_path, workspac
     assert all(list(r["splits"]) == ["test_clean", "test_other"] for r in report["per_seed"])
 
 
+def test_eval_manifest_lists_only_the_reports_it_wrote(tmp_path, workspace):
+    out = tmp_path / "e"
+    out.mkdir()
+    (out / "notes.txt").write_text("left by another run")
+    broken = tmp_path / "broken"
+    shutil.copytree(workspace / "prop", broken)
+    (broken / "ar.ckpt").write_bytes(b"")
+    argv = ["eval", "--corpus", workspace / "world", "--splits", "clean", "--n-prompts", 1, "--out", out, "--force"]
+    assert run(*argv, "--bundle", workspace / "prop") == 0
+    assert list(json.loads((out / "manifest.json").read_text())["outputs"]) == ["report.json", "report.txt"]
+    assert run(*argv, "--bundle", broken) == 3  # every task crashed: no report was written
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == {}
+
+
 def test_eval_incomplete_bundle_lists_missing(tmp_path, workspace, capsys):
     empty = tmp_path / "empty_bundle"
     empty.mkdir()
@@ -673,15 +731,6 @@ def test_eval_jobs_matches_serial(tmp_path, workspace):
     assert run("eval", *kwargs, "--jobs", 1, "--out", tmp_path / "serial") == 0
     assert run("eval", *kwargs, "--jobs", 2, "--out", tmp_path / "parallel") == 0
     assert (tmp_path / "serial" / "report.json").read_bytes() == (tmp_path / "parallel" / "report.json").read_bytes()
-
-
-def test_eval_workers_receive_only_what_they_score(tiny_corpus):
-    part = cli._scored_part(tiny_corpus, ["test_clean"])
-    assert part.test_clean is tiny_corpus.test_clean and part.test_other == []
-    assert part.world_spec == tiny_corpus.world_spec
-    assert part.train_speakers == tiny_corpus.train_speakers
-    assert len(part.train) == len(part.train_speakers) < len(tiny_corpus.train)
-    assert len(pickle.dumps(part)) < len(pickle.dumps(tiny_corpus)) / 2
 
 
 def test_eval_reports_crashed_tasks_and_scores_the_rest(tmp_path, workspace, capsys):
@@ -712,12 +761,16 @@ def test_eval_reports_crashed_tasks_and_scores_the_rest(tmp_path, workspace, cap
     ("quantizers.json", None),
     ("proposed_bundle.json", None),
     ("proposed_bundle.json", json.dumps({"kind": "proposed"})),
+    ("nar.json", {"kind": "bogus"}),  # a dict: fields written over the sidecar's own
+    ("proposed_bundle.json", {"kind": "baseline"}),
 ])
 def test_malformed_or_missing_sidecar_is_a_checkpoint_error_naming_it(tmp_path, workspace, capsys, name, damage):
     bundle = tmp_path / "bundle"
     shutil.copytree(workspace / "prop", bundle)
     if damage is None:
         (bundle / name).unlink()
+    elif isinstance(damage, dict):
+        (bundle / name).write_text(json.dumps(json.loads((bundle / name).read_text()) | damage))
     else:
         (bundle / name).write_text(damage)
     rc = run("synth", "--bundle", bundle, "--corpus", workspace / "world", "--index", 0,

@@ -648,11 +648,11 @@ def test_adam_step_matches_plain_update_bitwise():
         grads = [rng.normal(size=s) for s in shapes]
         plain = [gr.copy() for gr in grads]
         adam_step(params, grads, state)
-        b1, b2 = state.beta1, state.beta2
+        b1, b2 = nm.ADAM_BETA1, nm.ADAM_BETA2
         for i, gr in enumerate(plain):
             m[i] = b1 * m[i] + (1.0 - b1) * gr
             v[i] = b2 * v[i] + (1.0 - b2) * (gr * gr)
-            denom = np.sqrt(v[i]) * (1.0 / np.sqrt(1.0 - b2**t)) + state.epsilon
+            denom = np.sqrt(v[i]) * (1.0 / np.sqrt(1.0 - b2**t)) + nm.ADAM_EPSILON
             ref[i] = ref[i] - (m[i] / denom) * (state.learning_rate / (1.0 - b1**t))
         for p, r, gr in zip(params, ref, grads):
             assert p.data.tobytes() == r.tobytes()

@@ -166,7 +166,7 @@ def test_build_corpus_speaker_holdout_and_sizes():
     spec = tw.WorldSpec(seed=9)
     corpus = tw.build_corpus(spec, n_train=30, n_test=8, rng=np.random.default_rng(9))
     assert tw.held_out_speakers(spec) == [6, 7]
-    assert corpus.test_speakers == {6, 7}
+    assert {u.speaker_id for u in corpus.test_clean + corpus.test_other} == {6, 7}
     assert corpus.train_speakers.isdisjoint({6, 7})
     assert len(corpus.train) == 30
     assert len(corpus.test_clean) == 8
