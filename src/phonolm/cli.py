@@ -108,6 +108,10 @@ def _prepare_out(path: str, force: bool) -> Path:
     return out
 
 
+def _corpus_files(corpus_dir: Path) -> list:
+    return [corpus_dir / n for n in tw.CORPUS_FILES.values()]
+
+
 def _write_manifest(path: Path, subcommand: str, params: dict, input_files, output_files, args,
                     diagnostics=None) -> None:
     """Write the run's record to `path`; `output_files` are names in its directory.
@@ -238,7 +242,7 @@ def cmd_quantize(args) -> int:
         params={"corpus": str(corpus_dir), "k_phonetic": args.k_phonetic,
                 "k_codec": args.k_codec, "layers": args.layers, "iters": args.iters,
                 "seed": args.seed},
-        input_files=[corpus_dir / n for n in tw.CORPUS_FILES.values()],
+        input_files=_corpus_files(corpus_dir),
         output_files=pl.with_sidecars([pl.QUANTIZERS]),
         args=args,
         diagnostics={
@@ -281,7 +285,7 @@ def cmd_train(args) -> int:
 
     print(f"{args.mode}: {config.steps} steps, loss {losses[0]:.4f} -> {losses[-1]:.4f}; "
           f"saved {out / mode.checkpoint}")
-    input_files = [corpus_dir / n for n in tw.CORPUS_FILES.values()] + pl.with_sidecars([quant_path])
+    input_files = _corpus_files(corpus_dir) + pl.with_sidecars([quant_path])
     input_files += [p for p in (args.config, args.model_config) if p]
     _write_manifest(
         out / f"manifest_{args.mode}.json", "train",
@@ -335,6 +339,8 @@ def cmd_eval(args) -> int:
     corpus = tw.load_corpus(corpus_dir)
     ev.check_scorable(corpus, splits)
     out = _prepare_out(args.out, args.force)
+    for name in ev.REPORT_FILES:  # an earlier run's reports would pass for this one's if every task crashes
+        (out / name).unlink(missing_ok=True)
     tasks = [(bundle_dir, kind, args.seed + rep) for bundle_dir, kind in systems for rep in range(args.seeds)]
     reports, crashed = [], []
     with contextlib.ExitStack() as stack:
@@ -351,7 +357,7 @@ def cmd_eval(args) -> int:
     if reports:
         print(ev.write_report(reports, out))
 
-    input_files = [corpus_dir / n for n in tw.CORPUS_FILES.values()]
+    input_files = _corpus_files(corpus_dir)
     for bundle_dir, kind in systems:  # a file a crashed task missed is left out
         input_files += [p for p in (Path(bundle_dir) / n for n in pl.bundle_files(kind)) if p.exists()]
     _write_manifest(

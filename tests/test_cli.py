@@ -1,5 +1,4 @@
 import builtins
-import io
 import json
 import os
 import resource
@@ -368,19 +367,23 @@ def test_eval_manifest_hashes_every_bundle_file(tmp_path, workspace, capsys):
 def _run_recording_reads(monkeypatch, *argv) -> tuple:
     """(exit code, every path the run opened for reading before it wrote its manifest)."""
     reads, recording = set(), [True]
-    real_open, write_manifest = io.open, cli._write_manifest
+    write_manifest = cli._write_manifest
 
-    def recording_open(file, mode="r", *args, **kwargs):
-        if recording and "r" in mode and isinstance(file, (str, os.PathLike)):
-            reads.add(str(file))
-        return real_open(file, mode, *args, **kwargs)
+    def recorder(real_open):
+        def recording_open(file, mode="r", *args, **kwargs):
+            if recording and "r" in mode and isinstance(file, (str, os.PathLike)):
+                reads.add(str(file))
+            return real_open(file, mode, *args, **kwargs)
+        return recording_open
 
     def manifest_after_reads(*args, **kwargs):
         recording.clear()  # the manifest reads what it hashes
         return write_manifest(*args, **kwargs)
 
-    monkeypatch.setattr(io, "open", recording_open)  # pathlib opens through io.open
-    monkeypatch.setattr(builtins, "open", recording_open)
+    # read_text and read_bytes open through Path.open on every supported Python;
+    # patching io.open would miss them where pathlib bound it at import
+    monkeypatch.setattr(Path, "open", recorder(Path.open))
+    monkeypatch.setattr(builtins, "open", recorder(builtins.open))
     monkeypatch.setattr(cli, "_write_manifest", manifest_after_reads)
     return run(*argv), reads
 
@@ -714,6 +717,7 @@ def test_eval_manifest_lists_only_the_reports_it_wrote(tmp_path, workspace):
     assert list(json.loads((out / "manifest.json").read_text())["outputs"]) == ["report.json", "report.txt"]
     assert run(*argv, "--bundle", broken) == 3  # every task crashed: no report was written
     assert json.loads((out / "manifest.json").read_text())["outputs"] == {}
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "notes.txt"]
 
 
 def test_eval_incomplete_bundle_lists_missing(tmp_path, workspace, capsys):
