@@ -89,8 +89,8 @@ def load_tensors(path) -> dict:
     """Read a container back into {name: float64 array}, preserving order.
 
     Every malformed file raises CheckpointError: bad magic or version, a
-    record cut short, a name that is not UTF-8, or a rank or shape that does
-    not fit the file.
+    record cut short, a name that is not UTF-8 or that an earlier record
+    holds, or a rank or shape that does not fit the file.
     """
     path = Path(path)
     blob = path.read_bytes()
@@ -118,6 +118,8 @@ def load_tensors(path) -> dict:
             name = blob[start:off].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"{path}: tensor name at byte {start} is not UTF-8") from exc
+        if name in out:
+            raise CheckpointError(f"{path}: tensor {name!r} appears twice")
         (rank,) = struct.unpack_from("<Q", blob, take(8))
         dims = struct.unpack_from(f"<{rank}Q", blob, take(8 * rank))
         count = math.prod(dims)

@@ -104,7 +104,9 @@ class SplitMetrics:
 
 @dataclass
 class EvalReport:
-    """One system's metrics per split, for one training seed."""
+    """One system's metrics per split at one evaluation seed, which draws the
+    prompt pairs and the sampler seeds (not the bundle's training seed).
+    `phonolm eval` gives its rep-th report of a bundle `--seed` + rep."""
 
     system: str
     seed: int
@@ -163,7 +165,7 @@ def _pick_eval_utterances(corpus: tw.Corpus, split: str, n_prompts: int, seed: i
         raise ContractError(f"n_prompts must be >= 1, got {n_prompts}")
     utts = corpus.split(split)
     by_speaker, usable = _pairable(utts, split)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _PROMPT_STREAM])))
+    rng = np.random.default_rng([seed, _PROMPT_STREAM])
     skipped = len(utts) - len(usable)
     if skipped:
         log.warning("skipping %d utterance(s) whose speaker has a single utterance", skipped)
@@ -192,7 +194,7 @@ def evaluate_system(
     utts, pairs, skipped = _pick_eval_utterances(corpus, split, n_prompts, seed)
     train_speakers = corpus.train_speakers
     requests, sampler_seeds = [], []
-    seed_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _SAMPLER_STREAM])))
+    seed_rng = np.random.default_rng([seed, _SAMPLER_STREAM])
     for target_i, prompt_i in pairs:
         target, prompt = utts[target_i], utts[prompt_i]
         if prompt.speaker_id in train_speakers:

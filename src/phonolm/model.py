@@ -200,13 +200,13 @@ def _nar_entries(config: ModelConfig, variant: str) -> list:
 
 def build_ar_model(config: ModelConfig, stream: str, seed: int) -> DecoderModel:
     entries = _ar_entries(config, stream)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xA12])))
+    rng = np.random.default_rng([seed, 0xA12])
     return DecoderModel(config, AR, stream, _init_params(entries, rng), None)
 
 
 def build_nar_model(config: ModelConfig, variant: str, seed: int) -> DecoderModel:
     entries = _nar_entries(config, variant)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xB34])))
+    rng = np.random.default_rng([seed, 0xB34])
     return DecoderModel(config, NAR, variant, _init_params(entries, rng), None)
 
 

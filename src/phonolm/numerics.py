@@ -10,6 +10,10 @@ is checked against central finite differences in the test suite, so new ops
 must come with smooth derivatives (this is why the nonlinearity is gelu, not
 relu).
 
+Only a constant operand (`requires_grad` False), such as an attention mask,
+may broadcast in `add`. An operand that needs a gradient must have the sum's
+shape (a bias goes into `matmul`), so no VJP sums a gradient down to it.
+
 Backward splits its work in two. The input-gradient chain runs in order on
 the calling thread. A leaf's gradient (a parameter's, say `Xᵀ·G` for a
 weight, or the sum of `G` over its rows for a bias) is read by nothing until
@@ -51,6 +55,7 @@ allocations without faulting in fresh pages.
 
 from __future__ import annotations
 
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -80,6 +85,16 @@ def check_counts(config, least: dict) -> None:
             raise ContractError(f"{type(config).__name__}.{key} must be an int, got {value!r}")
         if value < bound:
             raise ContractError(f"{type(config).__name__}.{key} must be >= {bound}, got {value!r}")
+
+
+def check_reals(config, keys) -> None:
+    """Raise ContractError unless each field of `config` named in `keys` is
+    a finite int or float (not a bool) >= 0. NaN fails every comparison, so
+    a range check alone lets it through."""
+    for key in keys:
+        value = getattr(config, key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf:
+            raise ContractError(f"{type(config).__name__}.{key} must be a finite real >= 0, got {value!r}")
 
 
 class Tensor:
@@ -297,18 +312,6 @@ def backward(loss: Tensor, tape: Tape) -> None:
         done.result()
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    # ascontiguousarray makes a 0-d array 1-d; the reshape restores `shape`
-    return np.ascontiguousarray(grad).reshape(shape)
-
-
 # ---------------------------------------------------------------------------
 # elementwise
 # ---------------------------------------------------------------------------
@@ -316,30 +319,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
-    sa = a.data.shape if a.requires_grad else None
-    sb = b.data.shape if b.requires_grad else None
+    for t in (a, b):
+        if t.requires_grad and t.data.shape != data.shape:
+            raise ShapeError(f"an operand that needs a gradient may not broadcast: {t.data.shape} to {data.shape}")
+    ga, gb = a.requires_grad, b.requires_grad
 
     def vjp(g):
-        return (
-            None if sa is None else _unbroadcast(g, sa),
-            None if sb is None else _unbroadcast(g, sb),
-        )
-
-    return _result(data, (a, b), vjp)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
-    sa, sb = a.data.shape, b.data.shape
-    # each input's gradient reads only the other input's array
-    bd = b.data if a.requires_grad else None
-    ad = a.data if b.requires_grad else None
-
-    def vjp(g):
-        return (
-            None if bd is None else _unbroadcast(g * bd, sa),
-            None if ad is None else _unbroadcast(g * ad, sb),
-        )
+        return (g if ga else None, g if gb else None)
 
     return _result(data, (a, b), vjp)
 
@@ -403,8 +389,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     N-D x 2-D runs as one 2-D product over all leading rows; the weight's
     gradient `Xᵀ·G` is handed to `backward` as a function (see there).
     With a 2-D weight, an optional 1-D `bias` is added in place to the
-    product, which gives the bits of `add(matmul(a, b), bias)` as one record;
-    its gradient, the sum of `G` over the leading axes, is also a function."""
+    product, which gives the bits of `a @ b + bias` as one record; its
+    gradient, the sum of `G` over the leading axes, is also a function."""
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2:
         raise ShapeError(f"matmul needs >=2-D operands, got {ad.shape} @ {bd.shape}")
@@ -580,16 +566,16 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
+def concat(tensors) -> Tensor:
+    """Rows of each tensor in turn: concatenation along axis 0."""
     tensors = list(tensors)
     if not tensors:
         raise ContractError("concat of zero tensors")
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    bounds = np.cumsum(sizes)[:-1]
+    data = np.concatenate([t.data for t in tensors])
+    bounds = np.cumsum([t.data.shape[0] for t in tensors])[:-1]
 
     def vjp(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, bounds, axis=axis))
+        return tuple(np.split(g, bounds))  # row blocks of a contiguous g are contiguous
 
     return _result(data, tuple(tensors), vjp)
 
@@ -681,27 +667,6 @@ def sum_axis(x: Tensor, axis: int) -> Tensor:
         # a copy even where the broadcast is trivial: broadcast_to gives a
         # read-only view, and a gradient's owner may scale it in place
         return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
-
-    return _result(data, (x,), vjp)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    data = np.asarray(x.data.sum())
-    shape = x.data.shape
-
-    def vjp(g):
-        return (np.full(shape, float(g)),)
-
-    return _result(data, (x,), vjp)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    n = x.data.size
-    data = np.asarray(x.data.mean())
-    shape = x.data.shape
-
-    def vjp(g):
-        return (np.full(shape, float(g) / n),)
 
     return _result(data, (x,), vjp)
 

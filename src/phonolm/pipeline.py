@@ -93,6 +93,7 @@ class TrainingConfig:
         # a negative clip norm flips every gradient, and 0 zeroes them
         if not (self.learning_rate > 0 and self.grad_clip > 0):
             raise ContractError("learning_rate and grad_clip must be positive")
+        nm.check_reals(self, ("learning_rate",))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -144,15 +145,15 @@ def batch_schedule(n_items: int, config: TrainingConfig) -> tuple:
     consumes the same plan.
     """
     shape = (config.steps, config.batch_size)
-    idx_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, _IDX_STREAM])))
-    split_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, _SPLIT_STREAM])))
+    idx_rng = np.random.default_rng([config.seed, _IDX_STREAM])
+    split_rng = np.random.default_rng([config.seed, _SPLIT_STREAM])
     idxs = idx_rng.integers(0, n_items, size=shape)
     fracs = split_rng.uniform(PROMPT_FRACTION[0], PROMPT_FRACTION[1], size=shape)
     return idxs, fracs
 
 
 def layer_schedule(config: TrainingConfig, min_layer: int, n_layers: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, _LAYER_STREAM])))
+    rng = np.random.default_rng([config.seed, _LAYER_STREAM])
     return rng.integers(min_layer, n_layers + 1, size=(config.steps, config.batch_size))
 
 
@@ -208,7 +209,7 @@ def _run_training(model, step_forward, config: TrainingConfig) -> list:
     """Shared loop: step_forward(step, tape_active_rng) -> scalar loss Tensor."""
     params = model.parameters()
     adam = AdamState(learning_rate=config.learning_rate)
-    drop_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, _DROP_STREAM])))
+    drop_rng = np.random.default_rng([config.seed, _DROP_STREAM])
     losses = []
     for step in range(config.steps):
         with Tape() as tape:
@@ -461,7 +462,7 @@ def synthesize_many(bundle: SystemBundle, requests, seeds) -> list:
         chunk = requests[start : start + _SYNTH_CHUNK]
         prompts = tokenize_utterances([r.prompt for r in chunk], bundle.quantizers)
         entries = [
-            _prepare_entry(bundle, r, p, np.random.Generator(np.random.PCG64(int(s))))
+            _prepare_entry(bundle, r, p, np.random.default_rng(int(s)))
             for r, p, s in zip(chunk, prompts, seeds[start : start + _SYNTH_CHUNK])
         ]
         _generate_tokens(bundle.ar, entries)

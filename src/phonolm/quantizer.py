@@ -300,7 +300,7 @@ def _kmeans(vectors, k, max_iters, seed) -> tuple:
     n = vectors.shape[0]
     if n < k:
         raise ContractError(f"need at least k={k} vectors, got {n}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x6B6D])))
+    rng = np.random.default_rng([seed, 0x6B6D])
     centroids = _kmeans_pp_init(vectors, k, rng)
     columns = np.ascontiguousarray(vectors.T)
     x_sq = np.einsum("ij,ij->i", vectors, vectors)

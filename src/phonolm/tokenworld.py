@@ -76,6 +76,8 @@ class WorldSpec:
                                "speaker_subspace_dim"), 1)
         # at least 2 phonemes, to avoid adjacent repeats
         nm.check_counts(self, sizes | {"phoneme_vocab_size": 2, "seed": 0})
+        nm.check_reals(self, ("prosody_noise_sigma", "speaker_embedding_scale", "condition_noise_sigma_clean",
+                              "condition_noise_sigma_other"))
         if self.acoustic_rate_per_slot * 2 != self.phonetic_rate_per_slot * 3:
             raise ContractError("acoustic/phonetic rate ratio must be exactly 3/2")
         if self.condition_noise_sigma_other <= self.condition_noise_sigma_clean:
@@ -142,11 +144,11 @@ def _vector_bank(spec: WorldSpec):
     least one unit apart on the sphere (relaxing deterministically if the
     subspace is too crowded), then scaled by speaker_embedding_scale.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([spec.seed, _PROTO_STREAM])))
+    rng = np.random.default_rng([spec.seed, _PROTO_STREAM])
     m = rng.normal(size=(spec.phoneme_vocab_size, spec.feature_dim))
     content = m / np.linalg.norm(m, axis=1, keepdims=True)
 
-    srng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([spec.seed, _SPEAKER_STREAM])))
+    srng = np.random.default_rng([spec.seed, _SPEAKER_STREAM])
     basis = np.linalg.qr(srng.normal(size=(spec.feature_dim, spec.speaker_subspace_dim)))[0].T
     chosen = []
     min_sep = 1.0
@@ -249,7 +251,7 @@ def build_corpus(
         seeds = rng.integers(0, 2**63 - 1, size=n)
         out = []
         for i in range(n):
-            child = np.random.Generator(np.random.PCG64(int(seeds[i])))
+            child = np.random.default_rng(int(seeds[i]))
             out.append(sample_utterance(spec, speakers_of(i, child), condition, child))
         return out
 

@@ -2,8 +2,23 @@ import numpy as np
 import pytest
 
 from phonolm import model as md
+from phonolm import numerics as nm
 from phonolm import pipeline as pl
 from phonolm import tokenworld as tw
+
+
+@pytest.fixture(scope="session")
+def linear_head():
+    """`head(y, coeff)`: the scalar sum of coeff * y as a (1, 1) tensor, from
+    ops src keeps. `coeff` is a number or an array of y's shape, and y's
+    gradient is exactly `coeff` at that shape: 1.0 gives a plain sum's, 1/n
+    a mean's. A random `coeff` makes the gradient a gradcheck pushes back
+    non-uniform, so a VJP that permutes or transposes its entries shows."""
+
+    def head(y, coeff):
+        return nm.matmul(nm.reshape(y, (1, -1)), nm.Tensor(np.broadcast_to(coeff, y.shape).reshape(-1, 1)))
+
+    return head
 
 
 @pytest.fixture(scope="session")

@@ -69,7 +69,7 @@ def _rel_err(a, b, floor=1e-6):
     return float((np.abs(a - b) / denom).max())
 
 
-def _net_mlp(rng):
+def _net_mlp(rng, head):
     w1 = Tensor(rng.normal(0, 0.5, (4, 5)), requires_grad=True)
     b1 = Tensor(rng.normal(0, 0.2, (5,)), requires_grad=True)
     w2 = Tensor(rng.normal(0, 0.5, (5, 3)), requires_grad=True)
@@ -77,13 +77,13 @@ def _net_mlp(rng):
     t = rng.integers(0, 3, 4)
 
     def fwd():
-        h = nm.gelu(nm.add(nm.matmul(x, w1), b1))
+        h = nm.gelu(nm.matmul(x, w1, b1))
         return nm.cross_entropy(nm.matmul(h, w2), t)
 
     return [w1, b1, w2], fwd
 
 
-def _net_attention(rng):
+def _net_attention(rng, head):
     table = Tensor(rng.normal(0, 0.5, (7, 6)), requires_grad=True)
     gain = Tensor(rng.normal(1, 0.1, (6,)), requires_grad=True)
     bias = Tensor(rng.normal(0, 0.1, (6,)), requires_grad=True)
@@ -102,38 +102,41 @@ def _net_attention(rng):
     return [table, gain, bias, w], fwd
 
 
-def _net_padded_batch(rng):
+def _net_padded_batch(rng, head):
     a = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     w = Tensor(rng.normal(0, 0.5, (4, 4)), requires_grad=True)
+    mask = Tensor(np.where(np.tril(np.ones((3, 3))) > 0, 0.0, -np.inf))  # one per batch entry
+    coeff = rng.normal(size=(2, 3))
 
     def fwd():
         drop = np.random.default_rng(1234)
         x = nm.pad_stack([a, b])
         x = nm.dropout(nm.matmul(x, w), 0.2, drop)
-        y = nm.matmul(x, nm.transpose(x, (0, 2, 1)))
-        return nm.mean_all(nm.sum_axis(y, 1))
+        y = nm.softmax_rows(nm.add(nm.matmul(x, nm.transpose(x, (0, 2, 1))), mask))
+        return head(nm.sum_axis(y, 1), coeff)
 
     return [a, b, w], fwd
 
 
-def _net_shapes(rng):
+def _net_shapes(rng, head):
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
     c = Tensor(rng.normal(size=(4,)), requires_grad=True)
+    coeff = rng.normal(size=(3, 8))
 
     def fwd():
-        y = nm.mul(nm.add(a, c), b)
-        y = nm.concat([y, nm.scale(y, 0.5)], axis=0)
+        y = nm.add(nm.matmul(a, b, c), a)
+        y = nm.concat([y, nm.scale(y, 0.5)])
         y = nm.narrow(y, 0, 1, 4)
         y = nm.reshape(nm.transpose(y, (1, 0)), (2, 8))
         y = nm.gather_rows(y, [0, 1, 1])
-        return nm.sum_all(nm.gelu(y))
+        return head(nm.gelu(y), coeff)
 
     return [a, b, c], fwd
 
 
-def _net_deep_mix(rng):
+def _net_deep_mix(rng, head):
     table = Tensor(rng.normal(0, 0.5, (6, 4)), requires_grad=True)
     gain = Tensor(np.ones(4), requires_grad=True)
     bias = Tensor(np.zeros(4), requires_grad=True)
@@ -144,7 +147,7 @@ def _net_deep_mix(rng):
     def fwd():
         drop = np.random.default_rng(77)
         x = nm.embedding(table, ids)
-        x = nm.add(x, nm.mul(x, x))
+        x = nm.add(x, nm.gelu(x))
         x = nm.layer_norm(x, gain, bias)
         x = nm.dropout(x, 0.15, drop)
         x = nm.gather_rows(x, [0, 2, 4])
@@ -154,14 +157,15 @@ def _net_deep_mix(rng):
     return [table, gain, bias, w], fwd
 
 
-def test_criterion_1_gradient_correctness():
+def test_criterion_1_gradient_correctness(linear_head):
     t0 = time.perf_counter()
+    # a builder that ends in cross_entropy has its scalar and leaves the head unused
     builders = [_net_mlp, _net_attention, _net_padded_batch, _net_shapes, _net_deep_mix]
     worst = 0.0
     count = 0
     for i in range(20):
         rng = np.random.default_rng(1000 + i)
-        params, fwd = builders[i % len(builders)](rng)
+        params, fwd = builders[i % len(builders)](rng, linear_head)
         assert sum(p.size for p in params) <= 10**4
         with Tape() as tape:
             loss = fwd()

@@ -79,6 +79,17 @@ def test_non_utf8_name_rejected(tmp_path):
         load_tensors(path)
 
 
+def test_repeated_name_rejected(tmp_path):
+    # two records named "a": the last one used to win silently
+    path = tmp_path / "r.ckpt"
+    save_tensors(path, {"a": np.array([1.0]), "b": np.array([2.0])})
+    blob = path.read_bytes()
+    assert blob.count(b"b") == 1  # the name; neither payload holds the byte
+    path.write_bytes(blob.replace(b"b", b"a"))
+    with pytest.raises(CheckpointError, match="tensor 'a' appears twice"):
+        load_tensors(path)
+
+
 @pytest.mark.parametrize("dims", [[2**40], [2**63, 2**63], [0, 2**63]])
 def test_absurd_shapes_rejected(tmp_path, dims):
     path = tmp_path / "r.ckpt"

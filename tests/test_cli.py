@@ -521,6 +521,13 @@ def _train_argv(workspace, out, mode="proposed_ar"):
     ("world_value", ["--set", "num_speakers=8.0"], "WorldSpec.num_speakers must be an int, got 8.0"),
     ("model_value", {"d_model": 32.0}, "ModelConfig.d_model must be an int, got 32.0"),
     ("model_value", {"n_layers": True}, "ModelConfig.n_layers must be an int, got True"),
+    # a float field that is not a finite real
+    ("world_value", ["--set", "prosody_noise_sigma=NaN"], "prosody_noise_sigma must be a finite real >= 0, got nan"),
+    ("world_value", ["--set", 'prosody_noise_sigma="x"'], "prosody_noise_sigma must be a finite real >= 0, got 'x'"),
+    ("world_value", ["--set", "condition_noise_sigma_other=Infinity"], "WorldSpec.condition_noise_sigma_other must be"),
+    ("world_value", ["--set", "speaker_embedding_scale=true"], "WorldSpec.speaker_embedding_scale must be"),
+    ("learning_rate", ["--set", "learning_rate=true"], "learning_rate must be a finite real >= 0, got True"),
+    ("config_value", {"learning_rate": float("inf")}, "learning_rate must be a finite real >= 0, got inf"),
 ])
 def test_bad_config_values_exit_with_validation_code(tmp_path, workspace, capsys, case, extra, named):
     argv = _train_argv(workspace, tmp_path / "t")
@@ -528,7 +535,7 @@ def test_bad_config_values_exit_with_validation_code(tmp_path, workspace, capsys
     if case == "model_value":
         bad.write_text(json.dumps(extra))
         argv[argv.index("--model-config") + 1] = bad
-    elif case == "old_config":  # a dict is a --config file
+    elif case in ("old_config", "config_value"):  # a dict is a --config file, Infinity as json.dumps writes it
         bad.write_text(json.dumps(extra))
         argv += ["--config", bad]
     else:
@@ -549,7 +556,7 @@ def test_bad_config_values_exit_with_validation_code(tmp_path, workspace, capsys
         argv[argv.index("--quantizers") + 1] = bad
     assert run(*argv) == 2
     assert named in capsys.readouterr().err
-    assert not (tmp_path / "t" / "ar.ckpt").exists()
+    assert not (tmp_path / "t").exists() and not (tmp_path / "w").exists()
 
 
 @pytest.mark.parametrize("subcommand", ["world", "quantize", "train", "eval", "synth"])

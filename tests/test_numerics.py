@@ -49,6 +49,11 @@ def max_rel_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
     return float((np.abs(a - b) / denom).max())
 
 
+def _sum_of_squares(w: Tensor) -> Tensor:
+    """The sum of w's squared entries as a (1, 1) tensor."""
+    return nm.matmul(nm.reshape(w, (1, -1)), nm.reshape(w, (-1, 1)))
+
+
 def check_grads(make_loss, params, tol=1e-4, h=1e-5):
     """Run taped backward once, then compare against finite differences."""
     with Tape() as tape:
@@ -153,10 +158,10 @@ def test_cross_entropy_out_of_range_target():
         nm.cross_entropy(Tensor(np.zeros((1, 3))), [3])
 
 
-def test_backward_sum():
+def test_backward_sum(linear_head):
     w = Tensor([1.0, 2.0, 3.0], requires_grad=True)
     with Tape() as tape:
-        loss = nm.sum_all(w)
+        loss = linear_head(w, 1.0)
     backward(loss, tape)
     np.testing.assert_array_equal(w.grad, [1, 1, 1])
 
@@ -164,15 +169,29 @@ def test_backward_sum():
 def test_backward_quadratic():
     w = Tensor([1.0, 2.0], requires_grad=True)
     with Tape() as tape:
-        loss = nm.sum_all(nm.mul(w, w))
+        loss = _sum_of_squares(w)
     backward(loss, tape)
     np.testing.assert_allclose(w.grad, [2, 4])
+
+
+def test_add_rejects_a_broadcast_operand_that_needs_a_gradient():
+    row = Tensor(np.ones(4), requires_grad=True)
+    grid = Tensor(np.ones((3, 4)), requires_grad=True)
+    for a, b in [(grid, row), (row, grid), (row, Tensor(np.ones((3, 1))))]:
+        with pytest.raises(ShapeError):
+            nm.add(a, b)
+    # a constant operand still broadcasts, as the attention mask does
+    mask = Tensor(np.array([0.0, -np.inf, 0.0, 0.0]))
+    with Tape() as tape:
+        loss = nm.cross_entropy(nm.add(grid, mask), [0, 2, 3])
+    backward(loss, tape)
+    assert grid.grad.shape == (3, 4) and not grid.grad[:, 1].any()
 
 
 def test_backward_rejects_nonscalar():
     w = Tensor([1.0, 2.0], requires_grad=True)
     with Tape() as tape:
-        y = nm.mul(w, w)
+        y = nm.add(w, w)
     with pytest.raises(ContractError):
         backward(y, tape)
 
@@ -186,7 +205,7 @@ def test_backward_two_layer_mlp_matches_finite_differences():
     targets = rng.integers(0, 3, size=6)
 
     def make_loss():
-        h = nm.gelu(nm.add(nm.matmul(x, w1), b1))
+        h = nm.gelu(nm.matmul(x, w1, b1))
         return nm.cross_entropy(nm.matmul(h, w2), targets)
 
     check_grads(make_loss, [w1, b1, w2])
@@ -197,21 +216,24 @@ def test_backward_two_layer_mlp_matches_finite_differences():
 # ---------------------------------------------------------------------------
 
 
-def test_gradcheck_elementwise_and_shape_ops():
+def test_gradcheck_elementwise_and_shape_ops(linear_head):
     rng = np.random.default_rng(11)
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
     c = Tensor(rng.normal(size=(4,)), requires_grad=True)
+    row = Tensor(rng.normal(size=(4,)))
+    coeff = rng.normal(size=(4, 4))
 
     def make_loss():
-        y = nm.mul(nm.add(a, c), b)          # broadcast add
+        y = nm.add(nm.matmul(a, b, c), a)    # both operands need a gradient
+        y = nm.add(y, row)                   # a constant operand broadcasts
         y = nm.scale(y, 1.7)
         y = nm.transpose(y, (1, 0))
         y = nm.reshape(y, (2, 6))
-        y = nm.concat([y, y], axis=0)
+        y = nm.concat([y, y])
         y = nm.narrow(y, 1, 1, 4)
         y = nm.gather_rows(y, [0, 2, 2, 3])
-        return nm.mean_all(nm.gelu(y))
+        return linear_head(nm.gelu(y), coeff)
 
     check_grads(make_loss, [a, b, c])
 
@@ -234,11 +256,12 @@ def test_gradcheck_layer_norm_softmax_embedding():
     check_grads(make_loss, [table, gain, bias, w])
 
 
-def test_gradcheck_dropout_pad_stack_stacked_matmul():
+def test_gradcheck_dropout_pad_stack_stacked_matmul(linear_head):
     rng = np.random.default_rng(13)
     a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     w = Tensor(rng.normal(0, 0.4, (3, 3)), requires_grad=True)
+    coeff = rng.normal(size=(2, 4))
 
     def make_loss():
         drop_rng = np.random.default_rng(99)  # reseeded: identical mask per call
@@ -246,7 +269,7 @@ def test_gradcheck_dropout_pad_stack_stacked_matmul():
         x = nm.matmul(x, w)                   # N-D @ 2-D
         x = nm.dropout(x, 0.25, drop_rng)
         y = nm.matmul(x, nm.transpose(x, (0, 2, 1)))  # stacked N-D @ N-D
-        return nm.mean_all(nm.sum_axis(y, 1))
+        return linear_head(nm.sum_axis(y, 1), coeff)
 
     check_grads(make_loss, [a, b, w])
 
@@ -275,8 +298,7 @@ def test_adam_converges_on_quadratic():
     state = AdamState(learning_rate=0.1)
     for _ in range(100):
         with Tape() as tape:
-            diff = nm.add(p, Tensor([-3.0]))
-            loss = nm.sum_all(nm.mul(diff, diff))
+            loss = _sum_of_squares(nm.add(p, Tensor([-3.0])))
         backward(loss, tape)
         adam_step([p], [p.grad], state)
     assert abs(p.data[0] - 3.0) < 0.5
@@ -360,30 +382,30 @@ def test_backward_visits_each_record_once_via_fanout_accumulation():
     # y used twice: grads must accumulate, not overwrite
     w = Tensor([2.0], requires_grad=True)
     with Tape() as tape:
-        y = nm.mul(w, w)           # w^2
-        z = nm.add(y, y)           # 2 w^2
-        loss = nm.sum_all(z)
+        y = _sum_of_squares(w)     # w^2
+        loss = nm.add(y, y)        # 2 w^2
     backward(loss, tape)
     np.testing.assert_allclose(w.grad, [8.0])
 
 
 def test_backward_of_scalar_sums_keeps_0d_gradients():
-    # add's VJP unbroadcasts a 0-d gradient; it must stay 0-d for sum_all's VJP
-    w = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+    # cross_entropy's output is 0-d; add hands its 0-d gradient on to both
+    w = Tensor([[0.0, 0.0]], requires_grad=True)
     with Tape() as tape:
-        loss = nm.add(nm.sum_all(w), nm.sum_all(w))
+        loss = nm.add(nm.cross_entropy(w, [0]), nm.cross_entropy(w, [0]))
+    assert loss.shape == ()
     backward(loss, tape)
-    np.testing.assert_array_equal(w.grad, [2.0, 2.0, 2.0])
+    np.testing.assert_array_equal(w.grad, [[-1.0, 1.0]])
 
 
-def test_backward_accumulates_without_writing_into_shared_gradients():
+def test_backward_accumulates_without_writing_into_shared_gradients(linear_head):
     # add hands the same gradient array to both inputs and concat hands out
     # views of it; accumulating into w's view must not change e's gradient
     w = Tensor([[1.0, 2.0]], requires_grad=True)
     e = Tensor(np.ones((2, 2)), requires_grad=True)
     with Tape() as tape:
         both = nm.add(nm.concat([w, w]), e)
-        loss = nm.sum_all(nm.mul(both, Tensor([[1.0, 2.0], [3.0, 4.0]])))
+        loss = linear_head(both, np.array([[1.0, 2.0], [3.0, 4.0]]))
     backward(loss, tape)
     np.testing.assert_array_equal(e.grad, [[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_array_equal(w.grad, [[4.0, 6.0]])
@@ -464,16 +486,17 @@ def test_worker_and_inline_leaf_gradients_train_identical_weights(monkeypatch):
     assert _tiny_model_weights(3) == on_worker
 
 
-def test_gradcheck_interior_weight_runs_inline():
+def test_gradcheck_interior_weight_runs_inline(linear_head):
     # the matmul's weight operand is a reshape output, so its gradient
     # function must run on the calling thread, never on the worker
     rng = np.random.default_rng(14)
     x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     w = Tensor(rng.normal(0, 0.5, (2, 10)), requires_grad=True)
+    coeff = rng.normal(size=(2, 3, 5))
 
     def make_loss():
         y = nm.matmul(x, nm.reshape(w, (4, 5)))  # N-D @ 2-D, interior weight
-        return nm.mean_all(nm.gelu(y))
+        return linear_head(nm.gelu(y), coeff)
 
     with Tape() as tape:
         loss = make_loss()
@@ -510,28 +533,27 @@ def test_leaf_gradient_error_is_raised_by_backward():
         backward(out, tape)
 
 
-def test_leaf_contributions_summed_in_sweep_order_onto_existing_grad():
+def test_leaf_contributions_summed_in_sweep_order_onto_existing_grad(linear_head):
     # w feeds a matmul (its gradient is a function run on the worker) and an
     # add (a plain array). The add is recorded last, so it is swept first:
     # w.grad must be exactly (old + add's part) + matmul's part
     rng = np.random.default_rng(15)
     w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-    x = Tensor(rng.normal(size=(4, 3)))
+    x = Tensor(rng.normal(size=(3, 3)))
     coeff = rng.normal(size=(3, 3))
     old = rng.normal(size=(3, 3))
     w.grad = old.copy()
     with Tape() as tape:
         y = nm.matmul(x, w)
-        loss = nm.sum_all(nm.mul(nm.add(nm.sum_axis(y, 0), w), Tensor(coeff)))
+        loss = linear_head(nm.add(y, w), coeff)
     backward(loss, tape)
-    dy = np.ascontiguousarray(np.broadcast_to(coeff.sum(axis=0), (4, 3)))
-    want = (old + coeff) + x.data.T @ dy
-    assert want.tobytes() != ((old + x.data.T @ dy) + coeff).tobytes()  # the order shows
+    want = (old + coeff) + x.data.T @ coeff
+    assert want.tobytes() != ((old + x.data.T @ coeff) + coeff).tobytes()  # the order shows
     assert w.grad.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("vjp_raises", [False, True], ids=["returns", "raises"])
-def test_backward_joins_its_worker_before_it_returns_or_raises(vjp_raises):
+def test_backward_joins_its_worker_before_it_returns_or_raises(vjp_raises, linear_head):
     # w's part goes to the worker before the record swept last, whose VJP may raise
     w = Tensor(np.ones(3), requires_grad=True)
     ran_on = []
@@ -550,7 +572,7 @@ def test_backward_joins_its_worker_before_it_returns_or_raises(vjp_raises):
     with Tape() as tape:
         last = nm._result(w.data * 1.0, (w,), last_vjp)
         part = nm._result(w.data * 2.0, (w,), noting_thread)
-        loss = nm.add(nm.sum_all(part), nm.sum_all(last))
+        loss = linear_head(nm.add(part, last), 1.0)
     with pytest.raises(FloatingPointError) if vjp_raises else contextlib.nullcontext():
         backward(loss, tape)
     (worker,) = ran_on
@@ -672,12 +694,12 @@ def test_nd_matmul_matches_per_slice_products():
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
-def test_gradients_are_writable_after_a_trivial_broadcast():
+def test_gradients_are_writable_after_a_trivial_broadcast(linear_head):
     # sum_axis over a size-1 axis once handed out a read-only broadcast view,
     # which clip_grad_norm could not scale in place
     w = Tensor(np.ones((2, 1, 3)), requires_grad=True)
     with Tape() as tape:
-        loss = nm.sum_all(nm.reshape(nm.sum_axis(w, 1), (3, 2)))
+        loss = linear_head(nm.reshape(nm.sum_axis(w, 1), (3, 2)), 1.0)
     backward(loss, tape)
     assert nm.clip_grad_norm([w.grad], 0.5) == pytest.approx(math.sqrt(6))
     np.testing.assert_allclose(w.grad, np.full((2, 1, 3), 0.5 / math.sqrt(6)))
@@ -688,34 +710,32 @@ def test_gradients_are_writable_after_a_trivial_broadcast():
 # ---------------------------------------------------------------------------
 
 
-def _taped_grads(make, inputs, coeff):
-    with Tape() as tape:
-        out = make()
-        loss = nm.sum_all(nm.mul(out, Tensor(coeff)))
-    backward(loss, tape)
-    return [out.data] + [t.grad for t in inputs]
-
-
 @pytest.mark.parametrize("x_shape", [(7, 5), (3, 4, 5)])
-def test_matmul_bias_matches_matmul_then_add_bitwise(x_shape):
+def test_matmul_bias_matches_matmul_then_add_bitwise(x_shape, linear_head):
     rng = np.random.default_rng(20)
     xd, wd, bd = rng.normal(size=x_shape), rng.normal(size=(5, 6)), rng.normal(size=6)
-    coeff = rng.normal(size=x_shape[:-1] + (6,))
+    gout = rng.normal(size=x_shape[:-1] + (6,))  # the head hands the product exactly this gradient
     fused = [Tensor(a, requires_grad=True) for a in (xd, wd, bd)]
-    plain = [Tensor(a, requires_grad=True) for a in (xd, wd, bd)]
-    got = _taped_grads(lambda: nm.matmul(*fused), fused, coeff)
-    want = _taped_grads(lambda: nm.add(nm.matmul(plain[0], plain[1]), plain[2]), plain, coeff)
+    with Tape() as tape:
+        out = nm.matmul(*fused)
+        loss = linear_head(out, gout)
+    backward(loss, tape)
+    got = [out.data] + [t.grad for t in fused]
+    x2, g2 = xd.reshape(-1, 5), gout.reshape(-1, 6)
+    lead = tuple(range(gout.ndim - 1))
+    want = [(x2 @ wd + bd).reshape(gout.shape), (g2 @ wd.T).reshape(x_shape), x2.T @ g2, gout.sum(axis=lead)]
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert g.tobytes() == w.tobytes()
 
 
-def test_gradcheck_matmul_bias():
+def test_gradcheck_matmul_bias(linear_head):
     rng = np.random.default_rng(21)
     x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     w = Tensor(rng.normal(0, 0.5, (4, 5)), requires_grad=True)
     b = Tensor(rng.normal(size=5), requires_grad=True)
-    check_grads(lambda: nm.mean_all(nm.gelu(nm.matmul(x, w, b))), [x, w, b])
+    coeff = rng.normal(size=(2, 3, 5))
+    check_grads(lambda: linear_head(nm.gelu(nm.matmul(x, w, b)), coeff), [x, w, b])
 
 
 def test_matmul_bias_shape_checked():
@@ -744,13 +764,13 @@ def test_backward_leaves_gradients_on_leaves_only():
     assert {id(t) for t in leaves} <= {id(p) for p in model.parameters()}
 
 
-def test_leaves_added_together_own_their_gradient_buffers():
+def test_leaves_added_together_own_their_gradient_buffers(linear_head):
     # add's VJP hands both inputs the same array; clipping scales each
     # leaf's buffer in place, so a shared buffer would be scaled twice
     a = Tensor([3.0, 4.0], requires_grad=True)
     b = Tensor([0.0, 0.0], requires_grad=True)
     with Tape() as tape:
-        loss = nm.sum_all(nm.mul(nm.add(a, b), Tensor([1.0, 1.0])))
+        loss = linear_head(nm.add(a, b), 1.0)
     backward(loss, tape)
     assert not np.shares_memory(a.grad, b.grad)
     nm.clip_grad_norm([a.grad, b.grad], 1.0)
@@ -838,14 +858,14 @@ def _probe(x: Tensor, when_swept) -> Tensor:
 
 
 @pytest.mark.parametrize("consume, dx", [
-    (lambda s, x: nm.add(s, x), 3.0),  # add's VJP reads shapes only
-    (lambda s, x: nm.mul(s, Tensor(np.full((4, 4), 5.0))), 10.0),  # mul's reads only the constant
-], ids=["add", "mul_by_constant"])
-def test_an_output_no_vjp_reads_dies_with_the_callers_reference(consume, dx):
+    (lambda s, x: nm.add(s, x), 3.0),  # add's VJP reads flags only
+    (lambda s, x: nm.scale(s, 5.0), 10.0),  # scale's reads only the constant
+], ids=["add", "scale"])
+def test_an_output_no_vjp_reads_dies_with_the_callers_reference(consume, dx, linear_head):
     x = Tensor(np.ones((4, 4)), requires_grad=True)
     with Tape() as tape:
         s = nm.scale(x, 2.0)
-        loss = nm.sum_all(consume(s, x))
+        loss = linear_head(consume(s, x), 1.0)
     scaled = weakref.ref(s.data)
     del s
     assert scaled() is None
@@ -853,7 +873,7 @@ def test_an_output_no_vjp_reads_dies_with_the_callers_reference(consume, dx):
     np.testing.assert_array_equal(x.grad, np.full((4, 4), dx))
 
 
-def test_an_array_a_vjp_reads_lives_until_the_sweep_runs_its_record(monkeypatch):
+def test_an_array_a_vjp_reads_lives_until_the_sweep_runs_its_record(monkeypatch, linear_head):
     # matmul's VJP reads its interior operand for the weight's gradient,
     # which goes to the worker as a function of that operand. The tasks
     # are kept past their run, as an executor may keep a finished one.
@@ -872,7 +892,7 @@ def test_an_array_a_vjp_reads_lives_until_the_sweep_runs_its_record(monkeypatch)
         a = nm.scale(x, 2.0)
         operand = weakref.ref(a.data)
         y = _probe(nm.matmul(a, w), lambda: seen.append(operand() is not None))  # swept just before the matmul
-        loss = nm.sum_all(y)
+        loss = linear_head(y, 1.0)
     del a, y
     assert operand() is not None
     backward(loss, tape)
@@ -897,13 +917,13 @@ def test_a_tensor_from_another_tape_is_a_leaf_of_this_one():
     with Tape() as first:
         h = nm.scale(w, 3.0)
     with Tape() as second:
-        loss = nm.sum_all(nm.mul(h, h))
+        loss = _sum_of_squares(h)
     backward(loss, second)
     np.testing.assert_array_equal(h.grad, [6.0, 12.0])
     assert w.grad is None
 
 
-def test_a_vjp_raising_mid_sweep_leaves_the_earlier_leaf_parts_added():
+def test_a_vjp_raising_mid_sweep_leaves_the_earlier_leaf_parts_added(linear_head):
     # the matmul is swept before the failing record, so its part (a
     # function, run on the worker) is in w.grad when backward re-raises
     x = Tensor([[3.0, 4.0]])
@@ -915,19 +935,19 @@ def test_a_vjp_raising_mid_sweep_leaves_the_earlier_leaf_parts_added():
 
     with Tape() as tape:
         early = nm._result(w.data * 1.0, (w,), failing_vjp)
-        loss = nm.add(nm.sum_all(nm.matmul(x, w)), nm.sum_all(early))
+        loss = nm.add(nm.matmul(x, w), linear_head(early, 1.0))
     with pytest.raises(FloatingPointError):
         backward(loss, tape)
     np.testing.assert_array_equal(w.grad, [[13.0], [24.0]])
 
 
-def test_leaf_parts_are_added_under_the_callers_error_state():
+def test_leaf_parts_are_added_under_the_callers_error_state(linear_head):
     # w's two parts, inf and -inf, meet in the worker's add; the caller
     # asked invalid operations to raise, and a thread does not inherit that
-    w = Tensor(np.full(2, 0.25), requires_grad=True)
-    x = Tensor(np.full(2, 1e308))
+    w = Tensor(np.full((2, 1), 0.25), requires_grad=True)
+    x = Tensor(np.full((1, 2), 1e308))
     with Tape() as tape:
-        both = nm.concat([nm.mul(w, x), nm.mul(w, nm.scale(x, -1.0))])
-        loss = nm.scale(nm.sum_all(both), 2.0)
+        both = nm.concat([nm.matmul(x, w), nm.matmul(nm.scale(x, -1.0), w)])
+        loss = nm.scale(linear_head(both, 1.0), 2.0)
     with np.errstate(over="ignore", invalid="raise"), pytest.raises(FloatingPointError):
         backward(loss, tape)

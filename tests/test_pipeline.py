@@ -53,6 +53,13 @@ def test_training_config_rejects_non_positive_step_sizes(bad):
         pl.TrainingConfig(**bad)
 
 
+@pytest.mark.parametrize("value", [float("inf"), True])
+def test_training_config_rejects_a_learning_rate_that_is_not_a_finite_real(value):
+    # True would train at 1.0 and be recorded as true
+    with pytest.raises(ContractError, match="TrainingConfig.learning_rate must be a finite real >= 0"):
+        pl.TrainingConfig(learning_rate=value)
+
+
 def _utterance(slots):
     return pl.TokenizedUtterance(phonemes=np.arange(3), phonetic=np.arange(2 * slots),
                                  codes=np.arange(6 * slots).reshape(3 * slots, 2), speaker_id=0)
@@ -234,7 +241,7 @@ def test_training_and_the_probe_build_one_batch(tiny_corpus, tiny_quantizers, ti
     tokenized = pl.tokenize_utterances(tiny_corpus.train, tiny_quantizers)
     idxs, fracs = pl.batch_schedule(len(tokenized), cfg)
     layers = pl.layer_schedule(cfg, model.min_layer, tiny_model_config.n_codec_layers)
-    drop_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, pl._DROP_STREAM])))
+    drop_rng = np.random.default_rng([cfg.seed, pl._DROP_STREAM])
     batch = pl.teacher_forced(model, tokenized, idxs[0], fracs[0], layers[0], train=True, rng=drop_rng)
     assert nm.cross_entropy(*batch).item() == losses[0]
     assert 0.0 <= pooled_accuracy(model, tokenized) <= 1.0
@@ -256,19 +263,19 @@ def test_vocab_mismatch_rejected(tiny_corpus, tiny_quantizers, tiny_model_config
         pl.train_mode(pl.MODE_PROPOSED_AR, tiny_corpus, tiny_quantizers, quick_config(steps=1), bad)
 
 
-def test_training_stops_at_non_finite_gradient():
-    # The loss is finite (the four terms cancel), but w's two gradient paths
+def test_training_stops_at_non_finite_gradient(linear_head):
+    # The loss is finite (the two products cancel), but w's two gradient paths
     # are 2 * 1e308 = inf and 2 * -1e308 = -inf, which sum to NaN.
-    w = nm.Tensor(np.full(2, 0.25), requires_grad=True)
-    x = nm.Tensor(np.full(2, 1e308))
+    w = nm.Tensor(np.full((2, 1), 0.25), requires_grad=True)
+    x = nm.Tensor(np.full((1, 2), 1e308))
 
     class OneParam:
         def parameters(self):
             return [w]
 
     def step_forward(step, drop_rng):
-        both = nm.concat([nm.mul(w, x), nm.mul(w, nm.scale(x, -1.0))])
-        return nm.scale(nm.sum_all(both), 2.0)
+        both = nm.concat([nm.matmul(x, w), nm.matmul(nm.scale(x, -1.0), w)])
+        return nm.scale(linear_head(both, 1.0), 2.0)
 
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         pl.TrainingError, match="non-finite gradient norm nan at step 0"
@@ -579,7 +586,7 @@ def _full_recompute_tokens(model, entries):
 def _entries(bundle, reqs, seeds):
     prompts = pl.tokenize_utterances([r.prompt for r in reqs], bundle.quantizers)
     return [
-        pl._prepare_entry(bundle, r, p, np.random.Generator(np.random.PCG64(s)))
+        pl._prepare_entry(bundle, r, p, np.random.default_rng(s))
         for r, p, s in zip(reqs, prompts, seeds)
     ]
 

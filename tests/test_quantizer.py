@@ -451,7 +451,7 @@ def _reference_kmeans(vectors, k, max_iters, seed):
     whether an empty cluster was repaired)."""
     vectors = np.ascontiguousarray(vectors, dtype=np.float64)
     n = vectors.shape[0]
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x6B6D])))
+    rng = np.random.default_rng([seed, 0x6B6D])
     centroids = np.empty((k, vectors.shape[1]))
     centroids[0] = vectors[int(rng.integers(n))]
     d2 = ((vectors - centroids[0]) ** 2).sum(axis=1)

@@ -4,20 +4,20 @@ with the reason it stays.
 A name counts as used when an `ast.Name` or `ast.Attribute` of that name
 appears in src outside its own definition. The match is by name alone, so a
 method counts as used when any object's attribute of that name is read.
-Dunder names are left out: the language calls them.
+Dunder names are left out: the language calls them. A pin whose reason
+names perfbench holds only while its bare name appears in `perfbench/*.py`.
 """
 
 import ast
+import re
 from pathlib import Path
 
-_SRC = Path(__file__).resolve().parents[1] / "src" / "phonolm"
+_ROOT = Path(__file__).resolve().parents[1]
+_SRC = _ROOT / "src" / "phonolm"
 
 _PINNED = {
     "numerics.narrow": "perfbench/tracer.py wraps it (tracer._OP_GROUPS)",
     "numerics.pad_stack": "perfbench/tracer.py wraps it (tracer._OP_GROUPS)",
-    "numerics.mul": "a loss head of the tests' gradient checks",
-    "numerics.sum_all": "a loss head of the tests' gradient checks",
-    "numerics.mean_all": "a loss head of the tests' gradient checks",
     "pipeline.save_bundle": "perfbench saves its bundles with it",
     "tokenworld.content_prototypes": "perfbench reads the world's prototypes",
     "tokenworld.speaker_vectors": "perfbench reads the world's speaker vectors",
@@ -66,3 +66,10 @@ def test_every_src_name_has_a_src_use_or_a_pinned_reason():
     unused = _unused_names()
     assert sorted(unused - set(_PINNED)) == [], "no src code uses these: delete them or pin them with a reason"
     assert sorted(set(_PINNED) - unused) == [], "src code now uses these pinned names: unpin them"
+
+
+def test_every_pin_that_names_perfbench_is_a_name_perfbench_uses():
+    text = "\n".join(path.read_text() for path in sorted((_ROOT / "perfbench").glob("*.py")))
+    stale = [qualified for qualified, reason in _PINNED.items() if "perfbench" in reason
+             and not re.search(rf"\b{re.escape(qualified.rsplit('.', 1)[1])}\b", text)]
+    assert stale == [], "perfbench no longer names these: delete them or give the pin its real reason"

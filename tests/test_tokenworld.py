@@ -32,6 +32,14 @@ def test_rate_ratio_enforced():
         tw.WorldSpec(phonetic_rate_per_slot=2, acoustic_rate_per_slot=4)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5, True, "0.1", None])
+@pytest.mark.parametrize("key", ["prosody_noise_sigma", "speaker_embedding_scale", "condition_noise_sigma_clean",
+                                 "condition_noise_sigma_other"])
+def test_world_spec_rejects_a_float_field_that_is_not_a_finite_real(key, value):
+    with pytest.raises(ContractError, match=f"WorldSpec.{key} must be a finite real >= 0"):
+        tw.WorldSpec(**{key: value})
+
+
 def test_noise_ordering_enforced():
     with pytest.raises(ContractError):
         tw.WorldSpec(condition_noise_sigma_clean=0.2, condition_noise_sigma_other=0.1)
@@ -271,6 +279,8 @@ def _set(key, value):
     (lambda root: _edit_spec(root, acoustic_rate_per_slot=4), "world.json"),
     (lambda root: _edit_spec(root, no_such_field=1), "world.json"),
     (lambda root: _edit_spec(root, seed=-1), "world.json: WorldSpec.seed must be >= 0"),
+    (lambda root: _edit_spec(root, prosody_noise_sigma=float("nan")),
+     "world.json: WorldSpec.prosody_noise_sigma must be a finite real >= 0, got nan"),
     (lambda root: _edit_first_record(root / "train.jsonl", lambda d: d["phonemes"].__setitem__(0, 99)),
      r"train.jsonl:1: .*phoneme id 99 outside \[0, 32\)"),
     (lambda root: _edit_first_record(root / "test_clean.jsonl", _narrow_frames),
@@ -286,7 +296,7 @@ def _set(key, value):
     (lambda root: _edit_first_record(root / "train.jsonl", lambda d: d["alignment"].__setitem__(-1, 50)),
      "train.jsonl:1: .*alignment"),
 ], ids=["missing_split", "bad_json_line", "missing_key", "not_base64", "payload_shape_mismatch",
-        "spec_rejected", "spec_unknown_field", "spec_negative_seed", "phoneme_outside_vocab",
+        "spec_rejected", "spec_unknown_field", "spec_negative_seed", "spec_nan_sigma", "phoneme_outside_vocab",
         "frames_narrower_than_world", "acoustic_row_short", "speaker_outside_world", "unknown_condition",
         "alignment_short", "alignment_index_out_of_range"])
 def test_load_corpus_rejects_malformed_files(tmp_path, corrupt, named):
