@@ -93,7 +93,7 @@ class TrainingConfig:
         # a negative clip norm flips every gradient, and 0 zeroes them
         if not (self.learning_rate > 0 and self.grad_clip > 0):
             raise ContractError("learning_rate and grad_clip must be positive")
-        nm.check_reals(self, ("learning_rate",))
+        nm.check_reals(self, ("learning_rate", "grad_clip"))
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -14,7 +14,10 @@ below that bound by the screen's margin keeps its id, which is then the
 strict explicit argmin. So fits are bit-identical to Lloyd's algorithm over
 the brute-force search. Empty clusters are repaired by moving their centroid
 onto the point farthest from its current centroid, which keeps Lloyd's
-distortion monotone.
+distortion monotone. k-means++ seeding screens each new seed against every
+point with one product of the same form, and computes the explicit distance
+only where the screen cannot prove it leaves the point's D^2 as it is, so
+the seeds too are those of explicit passes over every point.
 
 The same exact search (`_nearest`) also serves the world's oracle
 (`tokenworld._classify_frames`), which labels frames with their nearest
@@ -35,6 +38,7 @@ from .numerics import ContractError, ShapeError
 _ASSIGN_CHUNK = 2048
 _EPS = np.finfo(np.float64).eps
 _ETA = np.finfo(np.float64).smallest_subnormal
+_MAX = np.finfo(np.float64).max
 
 
 @dataclass
@@ -190,33 +194,72 @@ def _draw(weights: np.ndarray, total: float, rng: np.random.Generator, cdf: np.n
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _kmeans_pp_init(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: next centroid drawn with probability ~ D^2. The
-    distance passes run over row chunks in one reused buffer."""
-    n = vectors.shape[0]
-    centroids = np.empty((k, vectors.shape[1]))
-    diff = np.empty((min(n, _ASSIGN_CHUNK), vectors.shape[1]))
-    d2, fresh = np.empty(n), np.empty(n)
+def _kmeans_pp_init(vectors, columns, x_sq, k, rng) -> np.ndarray:
+    """k-means++ seeding: each next centroid is a point drawn with
+    probability ~ d2, its explicit squared distance `((x - c) ** 2).sum()`
+    to the nearest centroid drawn so far. `columns` is `vectors.T`
+    (contiguous) and `x_sq` the rows' squared norms.
 
-    def dist2(c, out):
-        for start in range(0, n, _ASSIGN_CHUNK):
-            chunk = vectors[start : start + _ASSIGN_CHUNK]
-            part = diff[: chunk.shape[0]]
-            np.subtract(chunk, c, out=part)
-            np.square(part, out=part)
-            np.sum(part, axis=1, out=out[start : start + _ASSIGN_CHUNK])
-        return out
-
+    d2 starts at inf, and each centroid c but the last (whose distances no
+    draw reads) lowers it to min(d2, e), e the explicit distance to c. One
+    product over `columns` screens every row first: r = g + ||x||^2 - d2,
+    with g = (-2 c)^T x + ||c||^2. Only rows where r > M fails, for
+    M = (2d + 4)(2 eps (||x||^2 + ||c||^2) + eta), get e (in row chunks,
+    through one buffer; every row for the first centroid, where r is -inf),
+    and on every other row e >= d2, so min keeps d2.
+    So d2 and the draws are those of explicit passes over every row. With
+    the notation of `_nearest` (E the exact squared distance):
+    - g is one summation order of `_nearest`'s (d+1)-term product, so it is
+      within gamma_(2d+1) S of E - ||x||^2; ||x||^2 is computed within
+      gamma_d S and e within gamma_(d+2) S of E. Adding g and ||x||^2 rounds
+      by at most u (1 + gamma_(3d+1)) S, so the computed t = g + ||x||^2 is
+      within gamma_(4d+4) S of e.
+    - r is t - d2 rounded, with d2 the very value min compares against.
+      r > M >= 0 gives t > d2 and t - d2 >= r / (1 + u) > M / (1 + u).
+    - S <= 2 (||x||^2 + ||c||^2), so M, with the rounding of the norms and
+      of M itself (gamma_(d+3) of it), is at least
+      (1 - gamma_(d+3)) (4d + 8) u S. That exceeds (1 + u) gamma_(4d+4) S
+      for any d below about 10^7. Below the normal range each of the 4d
+      products in e, g and the two norms may be off by eta / 2 absolutely
+      (sums there are exact), and M's (2d + 4) eta covers their 2d eta.
+    - So e >= t - gamma_(4d+4) S > d2 on every skipped row.
+    - The bounds need sums that do not overflow. When every ||x||^2 is at
+      most a sixteenth of the largest float (and so is ||c||^2: c is a
+      row), S is at most about a quarter of it, and no sum in e, g, t, r or
+      M can overflow. Otherwise M is inf (NaN where x and c are 0) and every
+      row is explicit. A NaN r or M also fails r > M, so NaN rows are never
+      skipped: a NaN corpus still raises at the first draw.
+    """
+    n, d = vectors.shape
+    centroids = np.empty((k, d))
+    diff, e = np.empty((min(n, _ASSIGN_CHUNK), d)), np.empty(min(n, _ASSIGN_CHUNK))
+    d2, r, margin = np.full(n, np.inf), np.empty(n), np.empty(n)
+    slope = 2 * (2 * d + 4) * _EPS if x_sq.max(initial=0.0) <= _MAX / 16 else np.inf
     centroids[0] = vectors[int(rng.integers(n))]
-    dist2(centroids[0], d2)
     for j in range(1, k):
+        c = centroids[j - 1]
+        c_sq = c @ c
+        np.matmul(-2.0 * c, columns, out=r)  # scaling by -2 is exact
+        r += c_sq
+        r += x_sq
+        r -= d2
+        np.add(x_sq, c_sq, out=margin)
+        margin *= slope
+        margin += (2 * d + 4) * _ETA
+        search = np.flatnonzero(~(r > margin))
+        for start in range(0, search.size, _ASSIGN_CHUNK):
+            rows = search[start : start + _ASSIGN_CHUNK]
+            part = vectors.take(rows, axis=0, out=diff[: rows.size])
+            np.subtract(part, c, out=part)
+            np.square(part, out=part)
+            dist = np.sum(part, axis=1, out=e[: rows.size])
+            d2[rows] = np.minimum(d2.take(rows), dist, out=dist)
         total = d2.sum()
         if total <= 0.0:
             idx = int(rng.integers(n))  # all points coincide with chosen seeds
         else:
-            idx = _draw(d2, total, rng, fresh)
+            idx = _draw(d2, total, rng, r)  # r is free until the next screen
         centroids[j] = vectors[idx]
-        np.minimum(d2, dist2(centroids[j], fresh), out=d2)
     return centroids
 
 
@@ -298,12 +341,13 @@ def _kmeans(vectors, k, max_iters, seed) -> tuple:
     if vectors.ndim != 2:
         raise ShapeError(f"expected (n, d) vectors, got {vectors.shape}")
     n = vectors.shape[0]
+    if k < 1 or max_iters < 0:
+        raise ContractError(f"need k >= 1 and max_iters >= 0, got k={k}, max_iters={max_iters}")
     if n < k:
         raise ContractError(f"need at least k={k} vectors, got {n}")
-    rng = np.random.default_rng([seed, 0x6B6D])
-    centroids = _kmeans_pp_init(vectors, k, rng)
     columns = np.ascontiguousarray(vectors.T)
     x_sq = np.einsum("ij,ij->i", vectors, vectors)
+    centroids = _kmeans_pp_init(vectors, columns, x_sq, k, np.random.default_rng([seed, 0x6B6D]))
     ids = lower = None
     history = []
     iters = 0
@@ -369,6 +413,8 @@ def rvq_fit(
     k-means does at least as well as quantizing to the residual mean, the
     energy sequence is non-increasing.
     """
+    if layers < 1:
+        raise ContractError(f"need layers >= 1, got {layers}")
     residual = np.array(vectors, dtype=np.float64)
     books = []
     energy = []

@@ -527,6 +527,8 @@ def _train_argv(workspace, out, mode="proposed_ar"):
     ("world_value", ["--set", "condition_noise_sigma_other=Infinity"], "WorldSpec.condition_noise_sigma_other must be"),
     ("world_value", ["--set", "speaker_embedding_scale=true"], "WorldSpec.speaker_embedding_scale must be"),
     ("learning_rate", ["--set", "learning_rate=true"], "learning_rate must be a finite real >= 0, got True"),
+    ("grad_clip", ["--set", "grad_clip=true"], "grad_clip must be a finite real >= 0, got True"),
+    ("config_value", {"grad_clip": float("inf")}, "grad_clip must be a finite real >= 0, got inf"),
     ("config_value", {"learning_rate": float("inf")}, "learning_rate must be a finite real >= 0, got inf"),
 ])
 def test_bad_config_values_exit_with_validation_code(tmp_path, workspace, capsys, case, extra, named):

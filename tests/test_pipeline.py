@@ -53,11 +53,13 @@ def test_training_config_rejects_non_positive_step_sizes(bad):
         pl.TrainingConfig(**bad)
 
 
+@pytest.mark.parametrize("key", ["learning_rate", "grad_clip"])
 @pytest.mark.parametrize("value", [float("inf"), True])
-def test_training_config_rejects_a_learning_rate_that_is_not_a_finite_real(value):
-    # True would train at 1.0 and be recorded as true
-    with pytest.raises(ContractError, match="TrainingConfig.learning_rate must be a finite real >= 0"):
-        pl.TrainingConfig(learning_rate=value)
+def test_training_config_rejects_step_sizes_that_are_not_finite_reals(key, value):
+    # True would train at (or clip to) 1.0 and be recorded as true; an
+    # infinite clip never clips and is written as the non-JSON Infinity
+    with pytest.raises(ContractError, match=f"TrainingConfig.{key} must be a finite real >= 0"):
+        pl.TrainingConfig(**{key: value})
 
 
 def _utterance(slots):

@@ -46,6 +46,20 @@ def test_kmeans_rejects_k_above_n():
         qz.kmeans_fit(np.zeros((3, 2)), k=4)
 
 
+@pytest.mark.parametrize("fit, kw, named", [
+    (qz.kmeans_fit, {"k": 0}, "k >= 1"),
+    (qz.rvq_fit, {"k": 0}, "k >= 1"),
+    (qz.rvq_fit, {"layers": 0}, "layers >= 1"),
+    (qz.kmeans_fit, {"k": 2, "max_iters": -1}, "max_iters >= 0"),
+    (qz.rvq_fit, {"max_iters": -1}, "max_iters >= 0"),
+])
+def test_fits_reject_counts_below_their_least(fit, kw, named):
+    # k=0 failed inside the seeding, layers=0 gave a model without a dim,
+    # and max_iters=-1 ran no round
+    with pytest.raises(ContractError, match=named):
+        fit(np.random.default_rng(0).normal(size=(40, 3)), **kw)
+
+
 def test_lloyd_distortion_monotone():
     rng = np.random.default_rng(2)
     for trial in range(10):
@@ -547,19 +561,70 @@ def _tiny_points():
     return 2.0**-520 * rng.normal(size=(300, 3))
 
 
+def _overflowing_points():
+    # ||x||^2 overflows, so the seeding's screen can prove nothing, while
+    # the squared distances between points stay finite
+    rng = np.random.default_rng(50)
+    return 1e155 + 1e151 * rng.normal(size=(200, 3))
+
+
+def _large_points():
+    # the largest scale at which the seeding still screens
+    rng = np.random.default_rng(51)
+    return 1e153 + 1e150 * rng.normal(size=(200, 3))
+
+
+def _coincident_points():
+    # every draw after the first takes the total <= 0 path
+    return np.full((40, 3), 0.75)
+
+
+def _as_many_points_as_centroids():
+    return np.random.default_rng(52).normal(size=(9, 4))
+
+
 @pytest.mark.parametrize("points, k", [
     (_duplicated_points, 12),
     (_grid_points, 7),
     (_offset_points, 8),
     (_tiny_points, 6),
+    (_overflowing_points, 8),
+    (_large_points, 8),
+    (_coincident_points, 5),
+    (_as_many_points_as_centroids, 9),
     (_duplicated_points, 1),
     (_grid_points, 1),
-], ids=["duplicates", "midpoints", "offset", "tiny", "duplicates_k1", "midpoints_k1"])
+], ids=["duplicates", "midpoints", "offset", "tiny", "overflowing", "large", "coincident", "n_equals_k",
+        "duplicates_k1", "midpoints_k1"])
 def test_fits_on_adversarial_sets_match_the_reference_lloyd(points, k):
     vectors = points()
-    for seed in range(3):
-        for max_iters in (3, 100):
-            _assert_fit_matches_reference(vectors, k, max_iters, seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seed in range(3):
+            for max_iters in (0, 3, 100):  # the seeding alone, and fits after it
+                _assert_fit_matches_reference(vectors, k, max_iters, seed)
+
+
+def test_seeding_a_nan_corpus_raises_like_choice():
+    vectors = np.random.default_rng(53).normal(size=(50, 3))
+    vectors[17, 1] = np.nan
+    with pytest.raises(ValueError, match="k-means\\+\\+ weights sum to nan"):
+        qz.kmeans_fit(vectors, 4)
+
+
+def test_seeding_computes_few_explicit_distances(monkeypatch):
+    from phonolm import tokenworld as tw
+
+    corpus = tw.build_corpus(tw.WorldSpec(seed=26), 60, 2, np.random.default_rng(26))
+    vectors = np.concatenate([u.phonetic_frames for u in corpus.train])
+    n, k = vectors.shape[0], 32
+    real = np.subtract
+    rows = []
+    monkeypatch.setattr(np, "subtract", lambda a, *rest, **kw: rows.append(len(a)) or real(a, *rest, **kw))
+    book = qz.kmeans_fit(vectors, k, max_iters=0, seed=26)
+    monkeypatch.undo()
+    # the fit's one search takes n rows; the seeding takes the rest
+    assert sum(rows) - n < 0.25 * n * (k - 1)
+    assert book.centroids.tobytes() == _reference_kmeans(vectors, k, 0, 26)[0].tobytes()
 
 
 def test_a_fit_whose_cluster_empties_matches_the_reference_lloyd():
