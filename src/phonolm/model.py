@@ -61,7 +61,8 @@ class ModelConfig:
     def __post_init__(self):
         counts = {name: 0 if name == "n_layers" else 1 for name in asdict(self) if name != "dropout"}
         nm.check_counts(self, counts)  # every field but dropout is a count
-        if not 0.0 <= self.dropout < 1.0:
+        nm.check_reals(self, ("dropout",))
+        if self.dropout >= 1.0:
             raise ContractError(f"ModelConfig.dropout must be in [0, 1), got {self.dropout!r}")
         if self.d_model % self.n_heads != 0:
             raise ContractError("d_model must be divisible by n_heads")

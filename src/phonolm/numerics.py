@@ -47,7 +47,9 @@ al., arXiv 1912.01703), with no recompute:
   The worker adds each contribution as it arrives, so none waits for the
   sweep to end.
 `matmul` takes the bias, so a projection is one record with no pre-bias
-array, and `gelu` saves only its tanh term for the VJP. The `phonolm` CLI
+array. `gelu` computes its derivative in the forward pass, while the
+input and tanh term are still in cache, and saves only that array for the
+VJP; its input is freed with the caller's reference. The `phonolm` CLI
 has glibc's malloc keep freed memory in the process
 (`cli.keep_freed_pages`), so what one step frees serves the next step's
 allocations without faulting in fresh pages.
@@ -339,40 +341,59 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _result(x.data * c, (x,), vjp)
 
 
+_GELU_BLOCK = 1 << 15  # elements: a block's x, t, 0.5x, du and two outputs stay in a 2 MB L2
+
+
 def gelu(x: Tensor) -> Tensor:
     # tanh-form gelu; smooth everywhere, which keeps finite-difference
     # gradient checks meaningful at any input (a relu kink would not).
     # powers spelled as multiplies: np.power is an order of magnitude slower.
     # The in-place steps compute exactly 0.5 * xd * (1 + tanh(c * (xd +
-    # 0.044715 * xd³))) and its derivative: each is the same ufunc on the
-    # same operands as the plain expression (products and sums commute).
-    # Only t is kept for the VJP, which recomputes xd * xd: the same multiply,
-    # so the same bits, and one array of the input's size less on the tape.
+    # 0.044715 * xd³))) and, on a taped call, its derivative: each is the
+    # same ufunc on the same operands as the plain expression (products and
+    # sums commute). Every step is elementwise, so running them block by
+    # block over the flattened input gives the bits of one pass over it,
+    # while a block's arrays are still in cache. The tape keeps only the
+    # derivative, one array of the input's size, and the VJP multiplies it
+    # by the incoming gradient.
     c = np.sqrt(2.0 / np.pi)
     xd = x.data
-    t = xd * xd
-    t *= xd
-    t *= 0.044715
-    t += xd
-    t *= c
-    np.tanh(t, out=t)
-    data = np.add(t, 1.0)
-    data *= 0.5 * xd
+    flat = xd.reshape(-1)
+    data = np.empty(xd.shape)
+    out = data.reshape(-1)
+    taped = x.requires_grad and bool(_tape_stack())  # _record's condition
+    slope = np.empty(xd.shape) if taped else None
+    slopes = slope.reshape(-1) if taped else None
+    width = min(flat.size, _GELU_BLOCK)
+    t, half, du = np.empty(width), np.empty(width), np.empty(width)
+    for lo in range(0, flat.size, _GELU_BLOCK):
+        xb = flat[lo:lo + _GELU_BLOCK]
+        n = xb.size
+        tb, hb, db, ob = t[:n], half[:n], du[:n], out[lo:lo + n]
+        np.multiply(xb, xb, out=tb)
+        tb *= xb
+        tb *= 0.044715
+        tb += xb
+        tb *= c
+        np.tanh(tb, out=tb)
+        np.add(tb, 1.0, out=ob)
+        np.multiply(0.5, xb, out=hb)
+        if taped:
+            np.multiply(xb, xb, out=db)
+            db *= 3 * 0.044715
+            db += 1.0
+            db *= c
+            sb = slopes[lo:lo + n]
+            np.multiply(tb, tb, out=sb)  # the tail: 0.5x (1 - t²) du
+            np.subtract(1.0, sb, out=sb)
+            sb *= hb
+            sb *= db
+            np.multiply(ob, 0.5, out=db)  # the head: (t + 1) / 2
+            sb += db
+        ob *= hb
 
     def vjp(g):
-        du = xd * xd
-        du *= 3 * 0.044715
-        du += 1.0
-        du *= c
-        tail = t * t
-        np.subtract(1.0, tail, out=tail)
-        tail *= 0.5 * xd
-        tail *= du
-        head = np.add(t, 1.0, out=du)
-        head *= 0.5
-        head += tail
-        head *= g
-        return (head,)
+        return (slope * g,)
 
     return _result(data, (x,), vjp)
 

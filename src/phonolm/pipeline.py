@@ -90,10 +90,11 @@ class TrainingConfig:
 
     def __post_init__(self):
         nm.check_counts(self, {"steps": 1, "batch_size": 1, "seed": 0})
+        # first, so that a string or NaN is a ContractError, not a failed comparison
+        nm.check_reals(self, ("learning_rate", "grad_clip"))
         # a negative clip norm flips every gradient, and 0 zeroes them
         if not (self.learning_rate > 0 and self.grad_clip > 0):
             raise ContractError("learning_rate and grad_clip must be positive")
-        nm.check_reals(self, ("learning_rate", "grad_clip"))
 
     def to_dict(self) -> dict:
         return asdict(self)

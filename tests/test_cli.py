@@ -493,7 +493,7 @@ def _train_argv(workspace, out, mode="proposed_ar"):
     # a config.json as written before checkpoint_interval was removed
     ("old_config", {"steps": 3, "checkpoint_interval": 0}, "checkpoint_interval"),
     ("learning_rate", ["--set", "learning_rate=0"], "must be positive"),
-    ("grad_clip", ["--set", "grad_clip=-1"], "must be positive"),
+    ("grad_clip", ["--set", "grad_clip=-1"], "grad_clip must be a finite real >= 0, got -1"),
     ("quantizers_is_a_model", [], "not a quantizer set"),
     ("quantizers_garbage", [], "bad magic"),
     ("steps_float", ["--set", "steps=1.5"], "steps"),
@@ -510,7 +510,8 @@ def _train_argv(workspace, out, mode="proposed_ar"):
     ("model_value", {"max_sequence_len": 0}, "max_sequence_len must be >= 1"),
     ("model_value", {"n_layers": -1}, "n_layers must be >= 0"),
     ("model_value", {"dropout": 1.0}, "dropout must be in [0, 1)"),
-    ("model_value", {"dropout": -0.1}, "dropout must be in [0, 1)"),
+    ("model_value", {"dropout": -0.1}, "ModelConfig.dropout must be a finite real >= 0, got -0.1"),
+    ("model_value", {"dropout": "x"}, "ModelConfig.dropout must be a finite real >= 0, got 'x'"),
     # a config.json as written while TrainingConfig had a mode field, which --mode overwrote
     ("old_config", {"steps": 3, "seed": 0, "mode": "proposed_ar"}, "'mode'"),
     ("train_key", ["--set", "mode=proposed_ar"], "'mode'"),
@@ -528,6 +529,7 @@ def _train_argv(workspace, out, mode="proposed_ar"):
     ("world_value", ["--set", "speaker_embedding_scale=true"], "WorldSpec.speaker_embedding_scale must be"),
     ("learning_rate", ["--set", "learning_rate=true"], "learning_rate must be a finite real >= 0, got True"),
     ("grad_clip", ["--set", "grad_clip=true"], "grad_clip must be a finite real >= 0, got True"),
+    ("learning_rate", ["--set", 'learning_rate="x"'], "learning_rate must be a finite real >= 0, got 'x'"),
     ("config_value", {"grad_clip": float("inf")}, "grad_clip must be a finite real >= 0, got inf"),
     ("config_value", {"learning_rate": float("inf")}, "learning_rate must be a finite real >= 0, got inf"),
 ])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,16 @@ def tiny_config(**kw):
 def test_config_head_divisibility():
     with pytest.raises(ContractError):
         md.ModelConfig(n_heads=3, d_model=128)
+
+
+@pytest.mark.parametrize("dropout, named", [
+    (1.0, "must be in [0, 1)"), (True, "must be a finite real >= 0"), (-0.1, "must be a finite real >= 0"),
+    (float("nan"), "must be a finite real >= 0"), (float("inf"), "must be a finite real >= 0"),
+    ("x", "must be a finite real >= 0"),  # a string once failed the comparison with a TypeError
+])
+def test_config_rejects_a_dropout_outside_zero_to_one(dropout, named):
+    with pytest.raises(ContractError, match=re.escape(f"ModelConfig.dropout {named}")):
+        tiny_config(dropout=dropout)
 
 
 def test_parameter_count_pure_function_of_config():

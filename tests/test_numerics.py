@@ -619,19 +619,40 @@ def _vjp_of(make, x, g):
     return out.data, vjp(g)
 
 
+def _plain_gelu(xd):
+    """gelu and its derivative at `xd`, as plain numpy expressions."""
+    c = np.sqrt(2.0 / np.pi)
+    t = np.tanh(c * (xd + 0.044715 * (xd * xd * xd)))
+    du = c * (1.0 + 3 * 0.044715 * (xd * xd))
+    return 0.5 * xd * (1.0 + t), 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du
+
+
+@pytest.mark.parametrize("shape", [(3, 5, 8), (2, 65, 512), (70, 1000), (40000,), (0,), (0, 512)],
+                         ids=["small", "three-blocks", "ragged-rows", "1-D", "empty", "no-rows"])
+def test_gelu_blocks_match_the_plain_expressions_bitwise(shape):
+    # the kernel runs in blocks of nm._GELU_BLOCK (32768) elements: the
+    # large shapes span two or three each, the last one ragged
+    rng = np.random.default_rng(16)
+    xd = rng.normal(size=shape) * 2
+    g = rng.normal(size=shape)
+    want, slope = _plain_gelu(xd)
+    out, (gx,) = _vjp_of(nm.gelu, Tensor(xd, requires_grad=True), g)
+    assert out.shape == shape and gx.shape == shape
+    assert out.tobytes() == want.tobytes()
+    assert gx.tobytes() == (g * slope).tobytes()
+    # untaped, the kernel skips the derivative and must give the same output
+    assert nm.gelu(Tensor(xd, requires_grad=True)).data.tobytes() == want.tobytes()
+    with Tape():
+        assert nm.gelu(Tensor(xd)).data.tobytes() == want.tobytes()
+
+
 def test_inplace_kernels_match_plain_expressions_bitwise():
     # each op must compute exactly what its plain numpy expression does
+    # (gelu's own test is above)
     rng = np.random.default_rng(16)
     xd = rng.normal(size=(3, 5, 8)) * 2
     g = rng.normal(size=xd.shape)
     x = Tensor(xd, requires_grad=True)
-
-    c = np.sqrt(2.0 / np.pi)
-    t = np.tanh(c * (xd + 0.044715 * (xd * xd * xd)))
-    out, (gx,) = _vjp_of(nm.gelu, x, g)
-    assert out.tobytes() == (0.5 * xd * (1.0 + t)).tobytes()
-    du = c * (1.0 + 3 * 0.044715 * (xd * xd))
-    assert gx.tobytes() == (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du)).tobytes()
 
     e = np.exp(xd - xd.max(axis=-1, keepdims=True))
     s = e / e.sum(axis=-1, keepdims=True)
@@ -860,7 +881,8 @@ def _probe(x: Tensor, when_swept) -> Tensor:
 @pytest.mark.parametrize("consume, dx", [
     (lambda s, x: nm.add(s, x), 3.0),  # add's VJP reads flags only
     (lambda s, x: nm.scale(s, 5.0), 10.0),  # scale's reads only the constant
-], ids=["add", "scale"])
+    (lambda s, x: nm.gelu(s), 2.0 * _plain_gelu(2.0)[1]),  # gelu's reads only its derivative
+], ids=["add", "scale", "gelu"])
 def test_an_output_no_vjp_reads_dies_with_the_callers_reference(consume, dx, linear_head):
     x = Tensor(np.ones((4, 4)), requires_grad=True)
     with Tape() as tape:

@@ -45,19 +45,20 @@ def test_training_config_validation():
             pl.TrainingConfig(seed=seed)
 
 
-@pytest.mark.parametrize("bad", [{"learning_rate": 0.0}, {"learning_rate": -1e-3}, {"grad_clip": 0.0},
-                                 {"grad_clip": -1.0}, {"learning_rate": float("nan")}])
+@pytest.mark.parametrize("bad", [{"learning_rate": 0.0}, {"grad_clip": 0.0}])
 def test_training_config_rejects_non_positive_step_sizes(bad):
-    # grad_clip -1 would flip every gradient and 0 would zero it
+    # a grad_clip of 0 would zero every gradient
     with pytest.raises(ContractError, match="must be positive"):
         pl.TrainingConfig(**bad)
 
 
 @pytest.mark.parametrize("key", ["learning_rate", "grad_clip"])
-@pytest.mark.parametrize("value", [float("inf"), True])
+@pytest.mark.parametrize("value", [float("inf"), True, float("nan"), -1.0, "x"])
 def test_training_config_rejects_step_sizes_that_are_not_finite_reals(key, value):
     # True would train at (or clip to) 1.0 and be recorded as true; an
-    # infinite clip never clips and is written as the non-JSON Infinity
+    # infinite clip never clips and is written as the non-JSON Infinity;
+    # a grad_clip of -1 would flip every gradient; a string once failed the
+    # range check's comparison with a TypeError
     with pytest.raises(ContractError, match=f"TrainingConfig.{key} must be a finite real >= 0"):
         pl.TrainingConfig(**{key: value})
 
