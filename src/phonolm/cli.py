@@ -14,7 +14,9 @@ manifest: it appends one JSON line per run to its --out file.
 `train --mode M --out DIR` writes, as `pipeline.save_bundle` does, M's
 checkpoint and its .json sidecar (model config and TrainingConfig), the
 quantizers and `{system}_bundle.json`, then `losses_M.csv` and
-`manifest_M.json`: a system's two stages train into one DIR apart.
+`manifest_M.json`: a system's two stages train into one DIR apart. A
+stage refuses a DIR trained against other quantizers or another world,
+even with --force, which replaces only the stage's own checkpoint.
 Exit codes: 0 success, 2 validation error (bad arguments or a malformed
 corpus), 3 runtime/training failure.
 """
@@ -32,6 +34,7 @@ import resource
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -149,30 +152,27 @@ def _write_manifest(path: Path, subcommand: str, params: dict, input_files, outp
     checkpoint.write_atomic(path, json.dumps(manifest, indent=2) + "\n")
 
 
-def _parse_overrides(pairs) -> dict:
-    out = {}
+def _config(cls, path, pairs=None, seed=None, base=None):
+    """`cls` from command-line input, and the `--set` overrides parsed.
+
+    Each source overrides the ones before it: the `base` dict, the JSON
+    file at `path`, the `--set` KEY=VALUE `pairs` (a value that is not JSON
+    is a string), then `seed`. A key the config does not have, or a value
+    of the wrong type, is a bad argument."""
+    overrides = {}
     for pair in pairs or []:
         if "=" not in pair:
             raise ValidationError(f"--set expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
         try:
-            out[key] = json.loads(value)
+            overrides[key] = json.loads(value)
         except json.JSONDecodeError:
-            out[key] = value
-    return out
-
-
-def _load_json_config(path, overrides) -> dict:
-    data = json.loads(Path(path).read_text()) if path else {}
-    data.update(overrides)
-    return data
-
-
-def _build_config(cls, values: dict):
-    """cls(**values) from command-line input: a key the config does not
-    have, or a value of the wrong type, is a bad argument."""
+            overrides[key] = value
+    values = {**(base or {}), **(json.loads(Path(path).read_text()) if path else {}), **overrides}
+    if seed is not None:
+        values["seed"] = seed
     try:
-        return cls(**values)
+        return cls(**values), overrides
     except TypeError as exc:
         raise ValidationError(f"bad {cls.__name__}: {exc}") from exc
 
@@ -183,11 +183,7 @@ def _build_config(cls, values: dict):
 
 
 def cmd_world(args) -> int:
-    overrides = _parse_overrides(args.set)
-    spec_dict = _load_json_config(args.spec, overrides)
-    if args.seed is not None:  # --seed, then the spec's seed, then WorldSpec's 0
-        spec_dict["seed"] = args.seed
-    spec = _build_config(tw.WorldSpec, spec_dict)
+    spec, overrides = _config(tw.WorldSpec, args.spec, args.set, args.seed)
     out = _prepare_out(args.out, args.force)
     corpus = tw.build_corpus(spec, args.n_train, args.n_test, np.random.default_rng(spec.seed))
     tw.save_corpus(corpus, out)
@@ -205,7 +201,7 @@ def cmd_world(args) -> int:
     _write_manifest(
         out / "manifest.json", "world",
         params={"spec": args.spec, "n_train": args.n_train, "n_test": args.n_test,
-                "overrides": overrides, "world_spec": spec.to_dict()},
+                "overrides": overrides, "world_spec": asdict(spec)},
         input_files=[args.spec] if args.spec else [],
         output_files=list(tw.CORPUS_FILES.values()),
         args=args,
@@ -261,21 +257,29 @@ def cmd_train(args) -> int:
     quant_path = Path(args.quantizers)
     if not quant_path.exists():
         raise ValidationError(f"missing quantizers checkpoint: {quant_path}")
-    overrides = _parse_overrides(args.set)
-    cfg_dict = _load_json_config(args.config, overrides)
-    if args.seed is not None:  # --seed, then the config's seed, then TrainingConfig's 0
-        cfg_dict["seed"] = args.seed
-    config = _build_config(pl.TrainingConfig, cfg_dict)
+    config, overrides = _config(pl.TrainingConfig, args.config, args.set, args.seed)
 
     corpus = tw.load_corpus(corpus_dir)
     quant = qz.load_quantizers(quant_path)
-    base = pl.default_model_config(corpus.world_spec, quant).to_dict()
-    model_config = _build_config(md.ModelConfig, base | _load_json_config(args.model_config, {}))
+    base = asdict(pl.default_model_config(corpus.world_spec, quant))
+    model_config, _ = _config(md.ModelConfig, args.model_config, base=base)
 
     out = Path(args.out)  # `save_stages` makes it, so a run that fails leaves no empty dir
     mode = pl.MODES[args.mode]
     if (out / mode.checkpoint).exists() and not args.force:
         raise ValidationError(f"{out / mode.checkpoint} exists (use --force to overwrite)")
+    # the other stages in `out` were trained against its quantizers and world,
+    # which this stage would rewrite; --force replaces a stage, not those
+    held = out / pl.QUANTIZERS
+    if held.exists() and _sha256(held) != _sha256(quant_path):
+        raise ValidationError(f"{held} is not {quant_path}: {out} was trained against other quantizers")
+    for kind in pl.SYSTEMS:
+        meta_path = out / pl.bundle_files(kind)[-1]
+        if meta_path.exists():
+            with checkpoint.sidecar(meta_path) as meta:
+                held_world = tw.WorldSpec(**meta["world_spec"])
+            if held_world != corpus.world_spec:
+                raise ValidationError(f"{meta_path} names another world than {corpus_dir}'s")
 
     model, losses = pl.train_mode(args.mode, corpus, quant, config, model_config)
     written = pl.save_stages(out, corpus.world_spec, quant, {mode: model})
@@ -290,8 +294,8 @@ def cmd_train(args) -> int:
     _write_manifest(
         out / f"manifest_{args.mode}.json", "train",
         params={"mode": args.mode, "corpus": str(corpus_dir),
-                "quantizers": str(quant_path), "training": config.to_dict(),
-                "model_config": model_config.to_dict(), "overrides": overrides},
+                "quantizers": str(quant_path), "training": asdict(config),
+                "model_config": asdict(model_config), "overrides": overrides},
         input_files=input_files,
         output_files=written + [losses_name],
         args=args,
@@ -320,28 +324,23 @@ def cmd_eval(args) -> int:
             raise ValidationError(f"--splits names {flag!r} twice")
         splits.append(_SPLIT_FLAGS[flag])
 
-    resolved = [Path(b).resolve() for b in args.bundle]
-    if len(set(resolved)) < len(resolved):
-        raise ValidationError(f"--bundle names one directory twice: {', '.join(args.bundle)}")
-    systems = []  # (bundle_dir, kind)
+    systems = {}  # kind -> bundle_dir, in argument order
     for bundle_dir in args.bundle:
         kinds = pl.available_bundle_kinds(bundle_dir)
         if not kinds:
             missing = {k: pl.missing_bundle_files(bundle_dir, k) for k in pl.SYSTEMS}
             raise ValidationError(f"no complete bundle in {bundle_dir}; missing {missing}")
-        systems.extend((bundle_dir, k) for k in kinds)
-    holder = {}
-    for bundle_dir, kind in systems:  # one kind from two dirs would pool as seed replicates
-        if kind in holder:
-            raise ValidationError(f"--bundle {holder[kind]} and {bundle_dir} both hold a {kind} system")
-        holder[kind] = bundle_dir
+        for kind in kinds:  # one kind from two dirs (or one dir named twice) would pool as seed replicates
+            if kind in systems:
+                raise ValidationError(f"--bundle {systems[kind]} and {bundle_dir} both hold a {kind} system")
+            systems[kind] = bundle_dir
 
     corpus = tw.load_corpus(corpus_dir)
     ev.check_scorable(corpus, splits)
     out = _prepare_out(args.out, args.force)
     for name in ev.REPORT_FILES:  # an earlier run's reports would pass for this one's if every task crashes
         (out / name).unlink(missing_ok=True)
-    tasks = [(bundle_dir, kind, args.seed + rep) for bundle_dir, kind in systems for rep in range(args.seeds)]
+    tasks = [(bundle_dir, kind, args.seed + rep) for kind, bundle_dir in systems.items() for rep in range(args.seeds)]
     reports, crashed = [], []
     with contextlib.ExitStack() as stack:
         # --jobs 1 runs the tasks in this process, where the benchmark captures their results
@@ -358,7 +357,7 @@ def cmd_eval(args) -> int:
         print(ev.write_report(reports, out))
 
     input_files = _corpus_files(corpus_dir)
-    for bundle_dir, kind in systems:  # a file a crashed task missed is left out
+    for kind, bundle_dir in systems.items():  # a file a crashed task missed is left out
         input_files += [p for p in (Path(bundle_dir) / n for n in pl.bundle_files(kind)) if p.exists()]
     _write_manifest(
         out / "manifest.json", "eval",

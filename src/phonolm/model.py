@@ -67,13 +67,6 @@ class ModelConfig:
         if self.d_model % self.n_heads != 0:
             raise ContractError("d_model must be divisible by n_heads")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
-
 
 class DecoderModel:
     """Config + named parameter set; the forward functions live below."""
@@ -117,7 +110,7 @@ class DecoderModel:
     def save(self, path) -> None:
         """Write the weights to `path`; config and training record go to its .json sidecar."""
         checkpoint.save_tensors(path, {k: v.data for k, v in self.params.items()})
-        meta = {"kind": self.kind, "role": self.role, "config": self.config.to_dict(), "training": self.training}
+        meta = {"kind": self.kind, "role": self.role, "config": asdict(self.config), "training": self.training}
         checkpoint.write_atomic(Path(path).with_suffix(".json"), json.dumps(meta, indent=2) + "\n")
 
 
@@ -218,7 +211,7 @@ def load_model(path) -> DecoderModel:
     ModelConfig rejects, or a kind other than AR and NAR, included), raises
     CheckpointError."""
     with checkpoint.sidecar(Path(path).with_suffix(".json")) as meta:
-        config = ModelConfig.from_dict(meta["config"])
+        config = ModelConfig(**meta["config"])
         kind, role, training = meta["kind"], meta["role"], meta.get("training")
         if kind not in (AR, NAR):
             raise ValueError(f"model kind {kind!r} is neither {AR!r} nor {NAR!r}")

@@ -96,9 +96,6 @@ class TrainingConfig:
         if not (self.learning_rate > 0 and self.grad_clip > 0):
             raise ContractError("learning_rate and grad_clip must be positive")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class TokenizedUtterance:
@@ -260,7 +257,7 @@ def train_mode(mode: str, corpus, quantizers, config, model_config=None) -> tupl
         return nm.cross_entropy(*batch)
 
     losses = _run_training(model, step_forward, config)
-    model.training = config.to_dict()  # saved in the model's own checkpoint sidecar
+    model.training = asdict(config)  # saved in the model's own checkpoint sidecar
     return model, losses
 
 
@@ -511,7 +508,7 @@ def save_stages(out_dir, world_spec: tw.WorldSpec, quantizers: Quantizers, stage
         model.save(out / mode.checkpoint)
     qz.save_quantizers(quantizers, out / QUANTIZERS)
     meta_name = bundle_files(kind)[-1]
-    meta = {"kind": kind, "world_spec": world_spec.to_dict()}
+    meta = {"kind": kind, "world_spec": asdict(world_spec)}
     checkpoint.write_atomic(out / meta_name, json.dumps(meta, indent=2) + "\n")
     return with_sidecars([mode.checkpoint for mode in stages] + [QUANTIZERS]) + [meta_name]
 
@@ -542,6 +539,6 @@ def load_bundle(in_dir, kind: str) -> SystemBundle:
     with checkpoint.sidecar(src / meta_name) as meta:
         if meta["kind"] != kind:
             raise ValueError(f"says kind {meta['kind']!r}, not {kind!r}")
-        world_spec = tw.WorldSpec.from_dict(meta["world_spec"])
+        world_spec = tw.WorldSpec(**meta["world_spec"])
     return SystemBundle(world_spec=world_spec, quantizers=qz.load_quantizers(src / quant_name),
                         ar=md.load_model(src / ar_name), nar=md.load_model(src / nar_name), kind=kind)

@@ -89,13 +89,6 @@ class WorldSpec:
         if self.speaker_subspace_dim > self.feature_dim:
             raise ContractError("speaker subspace must fit inside the feature space")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WorldSpec":
-        return cls(**d)
-
     def sigma_for(self, condition: str) -> float:
         if condition == CLEAN:
             return self.condition_noise_sigma_clean
@@ -381,7 +374,7 @@ def _check_in_world(u: Utterance, spec: WorldSpec) -> Utterance:
 def save_corpus(corpus: Corpus, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    checkpoint.write_atomic(out / CORPUS_FILES["world"], json.dumps(corpus.world_spec.to_dict(), indent=2) + "\n")
+    checkpoint.write_atomic(out / CORPUS_FILES["world"], json.dumps(asdict(corpus.world_spec), indent=2) + "\n")
     for name in SPLITS:
         lines = ((json.dumps(_utterance_to_json(u)) + "\n").encode("utf-8") for u in corpus.split(name))
         checkpoint.write_atomic(out / CORPUS_FILES[name], lines)
@@ -403,7 +396,7 @@ def load_corpus(in_dir) -> Corpus:
     src = Path(in_dir)
     path = src / CORPUS_FILES["world"]
     try:
-        spec = WorldSpec.from_dict(json.loads(path.read_text()))
+        spec = WorldSpec(**json.loads(path.read_text()))
     except (OSError, TypeError, ValueError) as exc:
         raise CorpusError(f"{path}: {exc}") from exc
     splits = {}

@@ -180,12 +180,13 @@ def test_without_mallopt_the_policy_is_skipped_and_commands_run(tmp_path, monkey
 
 _TRAIN_WITHOUT_THE_CLI = """
 import json, sys
+from dataclasses import asdict
 from pathlib import Path
 from phonolm import model as md, pipeline as pl, quantizer as qz, tokenworld as tw
 ws, out = Path(sys.argv[1]), Path(sys.argv[2])
 corpus = tw.load_corpus(ws / "world")
 quant = qz.load_quantizers(ws / "quant" / "quantizers.ckpt")
-base = pl.default_model_config(corpus.world_spec, quant).to_dict()
+base = asdict(pl.default_model_config(corpus.world_spec, quant))
 base.update(json.loads((ws / "model.json").read_text()))
 config = pl.TrainingConfig(**json.loads((ws / "train.json").read_text()), seed=5)
 model, _ = pl.train_mode("nar", corpus, quant, config, md.ModelConfig(**base))
@@ -578,6 +579,34 @@ def test_a_negative_seed_exits_before_any_output(tmp_path, workspace, capsys, su
     assert not out.exists()
 
 
+def test_train_refuses_a_bundle_trained_against_other_quantizers_or_another_world(tmp_path, workspace, capsys):
+    # every stage rewrites the bundle's quantizers and world, under the stages already trained against them
+    for name, seed in (("w", 7), ("w2", 8)):
+        assert run("world", "--spec", workspace / "world_spec.json", "--out", tmp_path / name,
+                   "--n-train", 24, "--n-test", 6, "--seed", seed) == 0
+    for name, seed in (("qa", 1), ("qb", 2)):
+        assert run("quantize", "--corpus", tmp_path / "w", "--k-phonetic", 16, "--k-codec", 8, "--layers", 4,
+                   "--iters", 2, "--seed", seed, "--out", tmp_path / name) == 0
+    bundle = tmp_path / "B"
+
+    def train(mode, corpus, quant, *extra):
+        return run("train", "--mode", mode, "--corpus", tmp_path / corpus,
+                   "--quantizers", tmp_path / quant / pl.QUANTIZERS, "--model-config", workspace / "model.json",
+                   "--out", bundle, "--set", "steps=1", *extra)
+
+    assert train("proposed_ar", "w", "qa") == 0
+    before = {p.name: p.read_bytes() for p in bundle.iterdir()}
+    capsys.readouterr()
+    for argv, named in [(("nar", "w", "qb"), "trained against other quantizers"),
+                        (("nar", "w", "qb", "--force"), "trained against other quantizers"),
+                        (("proposed_ar", "w", "qb", "--force"), "trained against other quantizers"),
+                        (("nar", "w2", "qa"), "proposed_bundle.json names another world")]:
+        assert train(*argv) == 2, argv
+        assert named in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in bundle.iterdir()} == before
+    assert train("nar", "w", "qa") == 0  # the bundle's own quantizers and world still train into it
+
+
 def test_file_names_come_from_the_mode_table(workspace):
     assert cli._MODE_FILES == {name: m.checkpoint for name, m in pl.MODES.items()}
     assert set(pl.SYSTEMS) == {m.system for m in pl.MODES.values()}
@@ -652,7 +681,7 @@ def test_eval_rejects_a_repeated_bundle(tmp_path, workspace, capsys):
     rc = run("eval", "--bundle", workspace / "prop", "--bundle", workspace / "base" / ".." / "prop",
              "--corpus", workspace / "world", "--splits", "clean", "--n-prompts", 1, "--out", out)
     assert rc == 2
-    assert "--bundle names one directory twice" in capsys.readouterr().err
+    assert "both hold a proposed system" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -254,14 +254,14 @@ def test_training_and_the_probe_build_one_batch(tiny_corpus, tiny_quantizers, ti
 def test_ar_modes_train_on_a_one_layer_codec(tiny_corpus, tiny_model_config, mode):
     # an AR model's stream needs codec layer 1 only; there is no NAR layer to draw
     quantizers = pl.fit_corpus_quantizers(tiny_corpus, k_phonetic=16, k_codec=8, n_layers=1, max_iters=3, seed=5)
-    mc = md.ModelConfig(**{**tiny_model_config.to_dict(), "n_codec_layers": 1})
+    mc = md.ModelConfig(**{**dataclasses.asdict(tiny_model_config), "n_codec_layers": 1})
     model, losses = pl.train_mode(mode, tiny_corpus, quantizers, quick_config(steps=2), mc)
     assert len(losses) == 2 and all(np.isfinite(losses))
     assert 0.0 <= pooled_accuracy(model, pl.tokenize_utterances(tiny_corpus.train, quantizers)) <= 1.0
 
 
 def test_vocab_mismatch_rejected(tiny_corpus, tiny_quantizers, tiny_model_config):
-    bad = md.ModelConfig(**{**tiny_model_config.to_dict(), "phonetic_vocab": 99})
+    bad = md.ModelConfig(**{**dataclasses.asdict(tiny_model_config), "phonetic_vocab": 99})
     with pytest.raises(ContractError):
         pl.train_mode(pl.MODE_PROPOSED_AR, tiny_corpus, tiny_quantizers, quick_config(steps=1), bad)
 
@@ -431,7 +431,7 @@ def test_bundle_save_load_round_trip(tiny_bundles, tiny_corpus, tmp_path):
     a = pl.synthesize_many(prop, [req], [7])[0]
     b = pl.synthesize_many(loaded, [req], [7])[0]
     np.testing.assert_array_equal(a.codes, b.codes)
-    assert loaded.ar.training == loaded.nar.training == quick_config(steps=30, seed=5).to_dict()
+    assert loaded.ar.training == loaded.nar.training == dataclasses.asdict(quick_config(steps=30, seed=5))
 
 
 def test_stages_saved_apart_write_the_bundle_save_bundle_writes(tiny_bundles, tmp_path):

@@ -184,3 +184,30 @@ def test_ab_stops_on_a_run_without_a_result(ab, tmp_path):
         ab.main([str(parent), str(change), "--workload", "quantize", "--pairs", "1", "--seed0", "10",
                  "--out", str(tmp_path / "BENCH_x.json")])
     assert not (tmp_path / "BENCH_x.json").exists()
+
+
+def test_ab_writes_a_repeat_batch_beside_the_first_and_refuses_a_third(ab, tmp_path, capsys):
+    parent = _tree(tmp_path, "parent", [2.0, 3.0])
+    change = _tree(tmp_path, "change", [1.0, 4.0])
+    out = tmp_path / "BENCH_x.json"
+    argv = [str(parent), str(change), "--workload", "train", "--pairs", "1", "--out", str(out)]
+    assert ab.main(argv + ["--seed0", "10"]) == 0
+    first = json.loads(out.read_text())["workloads"]["train"]
+    assert ab.main(argv + ["--seed0", "11"]) == 0
+    bench = json.loads(out.read_text())
+    assert bench["workloads"]["train"] == first
+    assert bench["repeats"]["train"]["seeds"] == [11]
+    assert bench["repeats"]["train"]["metrics"]["stage_s"]["change"]["runs"] == [4.0]
+    calls = (tmp_path / "calls.txt").read_text()
+    before = out.read_text()
+    with pytest.raises(SystemExit) as exited:
+        ab.main(argv + ["--seed0", "10"])
+    assert exited.value.code == 2
+    assert "already holds workloads.train and repeats.train" in capsys.readouterr().err
+    other = _tree(tmp_path, "other", [2.0])
+    with pytest.raises(SystemExit) as exited:
+        ab.main([str(other), str(change), "--workload", "synth", "--pairs", "1", "--seed0", "10", "--out", str(out)])
+    assert exited.value.code == 2
+    assert "records parent_tree parent, not other" in capsys.readouterr().err
+    assert out.read_text() == before
+    assert (tmp_path / "calls.txt").read_text() == calls

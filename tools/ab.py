@@ -19,9 +19,12 @@ side's runs, median and quartiles (numpy's linear percentiles), the number
 of pairs in which the change read lower, the medians' change in percent and
 the parent's quartile spread; and whether every run was correct, with the
 operations each side attempted and failed. The entry goes under `workloads`
-in --out. Other workloads and keys already in that file are kept, so one
-file gathers several workloads, and a `change` or `claim` written there by
-hand stays.
+in --out, or under `repeats` when --out already holds the workload, so a
+second batch stands beside the first. Other workloads and keys already in
+that file are kept, so one file gathers several workloads, and a `change` or
+`claim` written there by hand stays. The run stops before its first pair
+when --out already holds the workload twice, or when it records other trees
+(`parent_tree`, `change_tree`) than these.
 
 With --digests the change tree's `tools/output_digests.py` also compares the
 two trees' `src` at 1 and at 2 BLAS threads, and `same_bytes` records its
@@ -146,15 +149,20 @@ def main(argv=None) -> int:
         p.error("--pairs must be >= 1")
 
     bench = json.loads(args.out.read_text()) if args.out.exists() else {}
+    labels = {"parent_tree": label(trees["parent"]), "change_tree": label(trees["change"])}
+    for key, value in labels.items():
+        if bench.get(key, value) != value:
+            p.error(f"{args.out} records {key} {bench[key]}, not {value}")
+    slot = "repeats" if args.workload in bench.get("workloads", {}) else "workloads"
+    if args.workload in bench.get(slot, {}):
+        p.error(f"{args.out} already holds workloads.{args.workload} and repeats.{args.workload}")
     bench.update({
-        "parent_tree": label(trees["parent"]),
-        "change_tree": label(trees["change"]),
+        **labels,
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}; "
                    "perfbench/run.py pins BLAS to 1 thread",
         "method": METHOD,
     })
-    bench.setdefault("workloads", {})[args.workload] = measure(trees, args.workload, args.pairs, args.seed0,
-                                                                seconds.pop())
+    bench.setdefault(slot, {})[args.workload] = measure(trees, args.workload, args.pairs, args.seed0, seconds.pop())
     if args.digests:
         bench["same_bytes"] = same_bytes(trees)
     args.out.write_text(json.dumps(bench, indent=2) + "\n")
