@@ -158,7 +158,8 @@ def _config(cls, path, pairs=None, seed=None, base=None):
     Each source overrides the ones before it: the `base` dict, the JSON
     file at `path`, the `--set` KEY=VALUE `pairs` (a value that is not JSON
     is a string), then `seed`. A key the config does not have, or a value
-    of the wrong type, is a bad argument."""
+    of the wrong type, is a bad argument; so is a file that cannot be read,
+    is not JSON, or holds something other than an object."""
     overrides = {}
     for pair in pairs or []:
         if "=" not in pair:
@@ -168,7 +169,13 @@ def _config(cls, path, pairs=None, seed=None, base=None):
             overrides[key] = json.loads(value)
         except json.JSONDecodeError:
             overrides[key] = value
-    values = {**(base or {}), **(json.loads(Path(path).read_text()) if path else {}), **overrides}
+    try:
+        loaded = json.loads(Path(path).read_text()) if path else {}
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        raise ValidationError(f"bad {cls.__name__}: cannot read {path}: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise ValidationError(f"bad {cls.__name__}: {path} holds a JSON {type(loaded).__name__}, not an object")
+    values = {**(base or {}), **loaded, **overrides}
     if seed is not None:
         values["seed"] = seed
     try:

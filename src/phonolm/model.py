@@ -13,9 +13,10 @@ embedding (phonetic token, if the variant uses one), the embeddings of its
 codec ids at layers < j, and a layer-index embedding; prompt frames sum the
 embeddings of all of their codec layers.
 
-Both variants share one trunk shape and one position-index space, process
-padded batches (padding is masked out of attention and of the loss), and
-serialize through the shared checkpoint container with a JSON config sidecar.
+Both variants share one trunk shape and one position-index space, run a
+batch as its real rows packed one item after another (attention alone pads
+them, and masks the padding out), and serialize through the shared
+checkpoint container with a JSON config sidecar.
 """
 
 from __future__ import annotations
@@ -287,41 +288,45 @@ class KVCache:
         self.lengths = self.lengths[entries]
 
 
-def _trunk_forward(model: DecoderModel, x: Tensor, mask: Tensor, train: bool, rng, cache=None) -> Tensor:
-    """Pre-LN blocks over (B, T, d) inputs. With a KVCache, the T inputs sit
-    after each entry's cached rows and attend over those rows too; `mask`
-    must then cover the keys up to the longest entry."""
+def _trunk_forward(model: DecoderModel, x: Tensor, batch: tuple, layout, mask: Tensor, train: bool, rng,
+                   cache=None) -> Tensor:
+    """Pre-LN blocks over packed (N, d) rows: `x` holds the real rows of a
+    (B, T) = `batch` padded batch, at the places `layout` gives them. Every
+    op but attention runs on these rows; attention scatters q, k and v into
+    zeroed (B, H, T, hd) heads and gathers the mixed rows back. With a
+    KVCache, the T positions sit after each entry's cached rows and attend
+    over those rows too; `mask` must then cover the keys up to the longest
+    entry."""
     cfg = model.config
     p = model.params
-    B, T, d = x.shape
-    H = cfg.n_heads
+    B, T = batch
+    d, H = cfg.d_model, cfg.n_heads
     hd = d // H
     inv_sqrt = 1.0 / np.sqrt(hd)
 
-    def drop(t):
-        return nm.dropout(t, cfg.dropout, rng) if train and cfg.dropout > 0 else t
+    def drop(t, row_layout=None):
+        return nm.dropout(t, cfg.dropout, rng, row_layout) if train and cfg.dropout > 0 else t
+
+    def split_heads(t):  # packed (N, d) rows -> zero-padded (B, H, T, hd)
+        return nm.transpose(nm.reshape(nm.pad_rows(t, layout), (B, T, H, hd)), (0, 2, 1, 3))
 
     for i in range(cfg.n_layers):
         b = f"blocks/{i}"
         h = nm.layer_norm(x, p[f"{b}/ln1/gain"], p[f"{b}/ln1/bias"])
-        q = nm.matmul(h, p[f"{b}/attn/wq"], p[f"{b}/attn/bq"])
-        k = nm.matmul(h, p[f"{b}/attn/wk"], p[f"{b}/attn/bk"])
-        v = nm.matmul(h, p[f"{b}/attn/wv"], p[f"{b}/attn/bv"])
-        q = nm.transpose(nm.reshape(q, (B, T, H, hd)), (0, 2, 1, 3))
-        k = nm.transpose(nm.reshape(k, (B, T, H, hd)), (0, 2, 1, 3))
-        v = nm.transpose(nm.reshape(v, (B, T, H, hd)), (0, 2, 1, 3))
+        q = split_heads(nm.matmul(h, p[f"{b}/attn/wq"], p[f"{b}/attn/bq"], layout))
+        k = split_heads(nm.matmul(h, p[f"{b}/attn/wk"], p[f"{b}/attn/bk"], layout))
+        v = split_heads(nm.matmul(h, p[f"{b}/attn/wv"], p[f"{b}/attn/bv"], layout))
         if cache is not None:
             k, v = cache.write(i, k, v)
         scores = nm.scale(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), inv_sqrt)
-        att = nm.softmax_rows(nm.add(scores, mask))
-        att = drop(att)
-        mix = nm.reshape(nm.transpose(nm.matmul(att, v), (0, 2, 1, 3)), (B, T, d))
-        out = nm.matmul(mix, p[f"{b}/attn/wo"], p[f"{b}/attn/bo"])
-        x = nm.add(x, drop(out))
+        att = drop(nm.softmax_rows(nm.add(scores, mask)))
+        mix = nm.reshape(nm.transpose(nm.matmul(att, v), (0, 2, 1, 3)), (B * T, d))
+        out = nm.matmul(nm.unpad_rows(mix, layout), p[f"{b}/attn/wo"], p[f"{b}/attn/bo"], layout)
+        x = nm.add(x, drop(out, layout))
         h2 = nm.layer_norm(x, p[f"{b}/ln2/gain"], p[f"{b}/ln2/bias"])
-        f = nm.gelu(nm.matmul(h2, p[f"{b}/ffn/w1"], p[f"{b}/ffn/b1"]))
-        f = nm.matmul(f, p[f"{b}/ffn/w2"], p[f"{b}/ffn/b2"])
-        x = nm.add(x, drop(f))
+        f = nm.gelu(nm.matmul(h2, p[f"{b}/ffn/w1"], p[f"{b}/ffn/b1"], layout))
+        f = nm.matmul(f, p[f"{b}/ffn/w2"], p[f"{b}/ffn/b2"], layout)
+        x = nm.add(x, drop(f, layout))
     return nm.layer_norm(x, p["final_ln/gain"], p["final_ln/bias"])
 
 
@@ -336,11 +341,12 @@ def _run_batch(model: DecoderModel, x: Tensor, lengths, rows, causal: bool, trai
     given a KVCache (the cached rows come first) and 0 without one; a
     sequence that would end past max_sequence_len raises
     SequenceLengthError before anything is looked up or cached. Position
-    embeddings are added, one gather pads the items into a (B, T, d) batch
-    (padding slots read an appended zero row), which runs through the trunk
-    (and into `cache`, whose lengths then grow by `lengths`), and each
-    item's `rows[b]` = (start, count) of its new rows are projected through
-    the head, concatenated in item order.
+    embeddings are added and the rows run through the trunk packed, as
+    the real rows of a (B, T) batch padded to the longest item: the row
+    layout, the index of each real row among the B·T padded ones and B·T,
+    is computed here once (and `cache`'s lengths then grow by `lengths`).
+    Each item's `rows[b]` = (start, count) of its new rows are projected
+    through the head, concatenated in item order.
     """
     cfg = model.config
     if train and cfg.dropout > 0 and rng is None:
@@ -353,18 +359,17 @@ def _run_batch(model: DecoderModel, x: Tensor, lengths, rows, causal: bool, trai
     B, T = len(lengths), int(lengths.max())
     pos = np.arange(T)
     real = pos < lengths[:, None]  # (B, T); row-major order is item order
+    layout = (np.flatnonzero(real), B * T)
     x = nm.add(x, nm.embedding(model.params["emb/pos"], (starts[:, None] + pos)[real]))
-    slots = np.where(real, np.cumsum(lengths)[:, None] - lengths[:, None] + pos, x.shape[0])
-    x = nm.gather_rows(nm.concat([x, Tensor(np.zeros((1, cfg.d_model)))]), slots)
     if train and cfg.dropout > 0:
-        x = nm.dropout(x, cfg.dropout, rng)
+        x = nm.dropout(x, cfg.dropout, rng, layout)
     mask = _attention_mask(ends, T, int(starts.max()) + T, causal, starts)
-    h = _trunk_forward(model, x, mask, train, rng, cache)
+    h = _trunk_forward(model, x, (B, T), layout, mask, train, rng, cache)
     if cache is not None:
         cache.lengths = ends
     first, counts = np.asarray(rows, dtype=np.int64).T
-    heads = np.flatnonzero((pos >= first[:, None]) & (pos < (first + counts)[:, None]))
-    return nm.matmul(nm.gather_rows(nm.reshape(h, (B * T, cfg.d_model)), heads), model.params["head/w"])
+    heads = np.flatnonzero(((pos >= first[:, None]) & (pos < (first + counts)[:, None]))[real])
+    return nm.matmul(nm.gather_rows(h, heads), model.params["head/w"])
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,23 @@ Only a constant operand (`requires_grad` False), such as an attention mask,
 may broadcast in `add`. An operand that needs a gradient must have the sum's
 shape (a bias goes into `matmul`), so no VJP sums a gradient down to it.
 
+A batch of ragged sequences runs packed: its real rows one after another,
+as a 2-D array, with a row layout `(index, padded)` that places them among
+the `padded` rows of the batch padded to its longest item (`index[i]` is
+real row i's place there, in increasing order). `pad_rows` and
+`unpad_rows` move rows between the two layouts, for the ops that need the
+padded one (attention); every row-wise op runs on the real rows alone.
+`matmul` and `dropout` take the layout so that they give the bits of the
+padded batch with zeros in the padding:
+- `dropout` draws its mask over the padded shape, in the padded batch's
+  order, and keeps the real rows.
+- `matmul`'s weight gradient `Xᵀ·G` sums over rows, and BLAS splits that
+  sum into blocks of rows, so the same real rows summed without the
+  padding can round otherwise. It is formed on the padded rows, zero in
+  the padding, where a zero row adds an exact zero. A bias's or a layer
+  norm's column sum needs no padding: numpy adds the rows of a non-inner
+  axis one at a time, so dropping zero rows leaves every sum unchanged.
+
 Backward splits its work in two. The input-gradient chain runs in order on
 the calling thread. A leaf's gradient (a parameter's, say `Xᵀ·G` for a
 weight, or the sum of `G` over its rows for a bias) is read by nothing until
@@ -399,7 +416,7 @@ def gelu(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, layout=None) -> Tensor:
     """Matrix product. 2-D x 2-D, stacked N-D x N-D (equal leading dims),
     or N-D x 2-D (shared weight applied to every leading slice).
 
@@ -407,7 +424,9 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     gradient `Xᵀ·G` is handed to `backward` as a function (see there).
     With a 2-D weight, an optional 1-D `bias` is added in place to the
     product, which gives the bits of `a @ b + bias` as one record; its
-    gradient, the sum of `G` over the leading axes, is also a function."""
+    gradient, the sum of `G` over the leading axes, is also a function.
+    Given a row `layout` (see the module docstring), `a` is 2-D and holds
+    the layout's real rows, and `Xᵀ·G` is formed in the padded layout."""
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2:
         raise ShapeError(f"matmul needs >=2-D operands, got {ad.shape} @ {bd.shape}")
@@ -415,6 +434,10 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"inner dims differ: {ad.shape} @ {bd.shape}")
     if bias is not None and (bd.ndim != 2 or bias.data.shape != bd.shape[-1:]):
         raise ShapeError(f"bias {bias.data.shape} does not fit the weight {bd.shape}")
+    if layout is not None:
+        if ad.ndim != 2 or bd.ndim != 2:
+            raise ShapeError(f"a row layout needs a 2-D product, got {ad.shape} @ {bd.shape}")
+        _check_layout(layout, len(ad))
     if bd.ndim == 2:
         k, n = bd.shape
         a_shape = ad.shape
@@ -424,9 +447,14 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         if has_bias:
             data += bias.data
 
+        def weight_grad(g2):
+            if layout is None:
+                return a2.T @ g2
+            return _scatter(a2, layout).T @ _scatter(g2, layout)
+
         def vjp(g):
             g2 = g.reshape(-1, n)
-            grads = ((g2 @ bd.T).reshape(a_shape), lambda: a2.T @ g2)
+            grads = ((g2 @ bd.T).reshape(a_shape), lambda: weight_grad(g2))
             if not has_bias:
                 return grads
             lead = tuple(range(g.ndim - 1))
@@ -559,13 +587,20 @@ def embedding(table: Tensor, ids) -> Tensor:
     return _result(np.ascontiguousarray(data), (table,), vjp)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout with a mask drawn from `rng` (replayable by reseeding)."""
+def dropout(x: Tensor, p: float, rng: np.random.Generator, layout=None) -> Tensor:
+    """Inverted dropout with a mask drawn from `rng` (replayable by reseeding).
+
+    Given a row `layout`, `x` holds its real rows: the mask is drawn over the
+    padded rows, as for the padded batch, and its real rows are kept."""
     if not 0.0 <= p < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {p}")
     if p == 0.0:
         return x
-    keep = rng.random(x.data.shape) >= p
+    if layout is None:
+        keep = rng.random(x.data.shape) >= p
+    else:
+        index, padded = _check_layout(layout, x.data.shape[0])
+        keep = (rng.random((padded,) + x.data.shape[1:]) >= p)[index]
     factor = 1.0 / (1.0 - p)
     data = x.data * keep
     data *= factor
@@ -655,6 +690,46 @@ def transpose(x: Tensor, axes) -> Tensor:
         return (np.ascontiguousarray(g.transpose(inv)),)
 
     return _result(data, (x,), vjp)
+
+
+def _check_layout(layout, n_real: int) -> tuple:
+    """The layout's (index, padded), or ShapeError unless it has `n_real`
+    real rows."""
+    index, padded = layout
+    if len(index) != n_real:
+        raise ShapeError(f"a layout of {len(index)} real rows does not fit {n_real} rows")
+    return index, padded
+
+
+def _scatter(rows: np.ndarray, layout) -> np.ndarray:
+    """`rows` at the layout's real rows of a zeroed (padded, ...) array."""
+    index, padded = layout
+    out = np.zeros((padded,) + rows.shape[1:])
+    out[index] = rows
+    return out
+
+
+def pad_rows(x: Tensor, layout) -> Tensor:
+    """The real rows `x` at their places in the layout's zeroed padded rows."""
+    index, _ = _check_layout(layout, x.data.shape[0])
+
+    def vjp(g):
+        return (g[index],)
+
+    return _result(_scatter(x.data, layout), (x,), vjp)
+
+
+def unpad_rows(x: Tensor, layout) -> Tensor:
+    """The layout's real rows of the padded rows `x`, in order: `pad_rows`
+    undone."""
+    index, padded = layout
+    if x.data.shape[0] != padded:
+        raise ShapeError(f"unpad_rows expects {padded} padded rows, got {x.data.shape[0]}")
+
+    def vjp(g):
+        return (_scatter(g, layout),)
+
+    return _result(x.data[index], (x,), vjp)
 
 
 def pad_stack(tensors) -> Tensor:

@@ -157,10 +157,30 @@ def _net_deep_mix(rng, head):
     return [table, gain, bias, w], fwd
 
 
+def _net_packed_rows(rng, head):
+    # the packed trunk's ops: a row layout's matmul and dropout over the
+    # real rows, padded for a stacked product and packed again
+    x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    w = Tensor(rng.normal(0, 0.5, (4, 4)), requires_grad=True)
+    c = Tensor(rng.normal(0, 0.2, (4,)), requires_grad=True)
+    layout = (np.array([0, 1, 2, 3, 5]), 6)  # two items of 3 and 2 rows, padded to 3
+    coeff = rng.normal(size=(5, 4))
+
+    def fwd():
+        drop = np.random.default_rng(4321)
+        y = nm.dropout(nm.matmul(x, w, c, layout), 0.2, drop, layout)
+        p = nm.reshape(nm.pad_rows(y, layout), (2, 3, 4))
+        att = nm.softmax_rows(nm.matmul(p, nm.transpose(p, (0, 2, 1))))
+        y = nm.unpad_rows(nm.reshape(nm.matmul(att, p), (6, 4)), layout)
+        return head(y, coeff)
+
+    return [x, w, c], fwd
+
+
 def test_criterion_1_gradient_correctness(linear_head):
     t0 = time.perf_counter()
     # a builder that ends in cross_entropy has its scalar and leaves the head unused
-    builders = [_net_mlp, _net_attention, _net_padded_batch, _net_shapes, _net_deep_mix]
+    builders = [_net_mlp, _net_attention, _net_padded_batch, _net_shapes, _net_deep_mix, _net_packed_rows]
     worst = 0.0
     count = 0
     for i in range(20):

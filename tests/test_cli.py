@@ -564,6 +564,38 @@ def test_bad_config_values_exit_with_validation_code(tmp_path, workspace, capsys
     assert not (tmp_path / "t").exists() and not (tmp_path / "w").exists()
 
 
+@pytest.mark.parametrize("content, named", [
+    (None, "cannot read"),  # no file at the path
+    ("{bad", "cannot read"),  # not JSON
+    (b"\xff\xfe{}", "cannot read"),  # not UTF-8
+    ("[1, 2]", "holds a JSON list, not an object"),
+    ('"steps"', "holds a JSON str, not an object"),
+], ids=["missing", "not_json", "not_utf8", "list", "string"])
+@pytest.mark.parametrize("flag, cls", [
+    ("--spec", "WorldSpec"), ("--config", "TrainingConfig"), ("--model-config", "ModelConfig"),
+])
+def test_an_unreadable_or_non_object_config_file_exits_with_validation_code(tmp_path, workspace, capsys, flag,
+                                                                              cls, content, named):
+    bad = tmp_path / "bad.json"
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    elif content is not None:
+        bad.write_text(content)
+    out = tmp_path / "out"
+    if flag == "--spec":
+        argv = ["world", "--spec", bad, "--out", out, "--n-train", 4, "--n-test", 2]
+    else:
+        argv = _train_argv(workspace, out)
+        if flag == "--model-config":
+            argv[argv.index("--model-config") + 1] = bad
+        else:
+            argv += [flag, bad]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"bad {cls}: " in err and named in err and str(bad) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("subcommand", ["world", "quantize", "train", "eval", "synth"])
 def test_a_negative_seed_exits_before_any_output(tmp_path, workspace, capsys, subcommand):
     out = tmp_path / "out"

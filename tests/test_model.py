@@ -514,3 +514,139 @@ def test_cache_filled_only_by_inference_forward():
         md.ar_batch_logits(m, items, train=True, rng=np.random.default_rng(0), cache=md.KVCache(m, 1, 8))
     with pytest.raises(ContractError):
         md.ar_batch_logits(m, items, cache=md.KVCache(m, 2, 8))
+
+
+# ---------------------------------------------------------------------------
+# the packed trunk against the padded one it replaced
+# ---------------------------------------------------------------------------
+
+
+def _padded_trunk_forward(model, x, mask, train, rng, cache=None):
+    """The trunk as it ran before it was packed: every op over the (B, T, d)
+    padded batch. A reference only."""
+    cfg = model.config
+    p = model.params
+    B, T, d = x.shape
+    H = cfg.n_heads
+    hd = d // H
+    inv_sqrt = 1.0 / np.sqrt(hd)
+
+    def drop(t):
+        return nm.dropout(t, cfg.dropout, rng) if train and cfg.dropout > 0 else t
+
+    for i in range(cfg.n_layers):
+        b = f"blocks/{i}"
+        h = nm.layer_norm(x, p[f"{b}/ln1/gain"], p[f"{b}/ln1/bias"])
+        q = nm.matmul(h, p[f"{b}/attn/wq"], p[f"{b}/attn/bq"])
+        k = nm.matmul(h, p[f"{b}/attn/wk"], p[f"{b}/attn/bk"])
+        v = nm.matmul(h, p[f"{b}/attn/wv"], p[f"{b}/attn/bv"])
+        q = nm.transpose(nm.reshape(q, (B, T, H, hd)), (0, 2, 1, 3))
+        k = nm.transpose(nm.reshape(k, (B, T, H, hd)), (0, 2, 1, 3))
+        v = nm.transpose(nm.reshape(v, (B, T, H, hd)), (0, 2, 1, 3))
+        if cache is not None:
+            k, v = cache.write(i, k, v)
+        scores = nm.scale(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), inv_sqrt)
+        att = drop(nm.softmax_rows(nm.add(scores, mask)))
+        mix = nm.reshape(nm.transpose(nm.matmul(att, v), (0, 2, 1, 3)), (B, T, d))
+        out = nm.matmul(mix, p[f"{b}/attn/wo"], p[f"{b}/attn/bo"])
+        x = nm.add(x, drop(out))
+        h2 = nm.layer_norm(x, p[f"{b}/ln2/gain"], p[f"{b}/ln2/bias"])
+        f = nm.gelu(nm.matmul(h2, p[f"{b}/ffn/w1"], p[f"{b}/ffn/b1"]))
+        f = nm.matmul(f, p[f"{b}/ffn/w2"], p[f"{b}/ffn/b2"])
+        x = nm.add(x, drop(f))
+    return nm.layer_norm(x, p["final_ln/gain"], p["final_ln/bias"])
+
+
+def _padded_run_batch(model, x, lengths, rows, causal, train, rng, cache=None):
+    """`md._run_batch` as it ran before the trunk was packed: one gather pads
+    the items into a (B, T, d) batch, padding slots reading an appended zero
+    row. A reference only."""
+    cfg = model.config
+    lengths = np.asarray(lengths, dtype=np.int64)
+    starts = np.zeros_like(lengths) if cache is None else cache.lengths
+    ends = starts + lengths
+    B, T = len(lengths), int(lengths.max())
+    pos = np.arange(T)
+    real = pos < lengths[:, None]
+    x = nm.add(x, nm.embedding(model.params["emb/pos"], (starts[:, None] + pos)[real]))
+    slots = np.where(real, np.cumsum(lengths)[:, None] - lengths[:, None] + pos, x.shape[0])
+    x = nm.gather_rows(nm.concat([x, nm.Tensor(np.zeros((1, cfg.d_model)))]), slots)
+    if train and cfg.dropout > 0:
+        x = nm.dropout(x, cfg.dropout, rng)
+    mask = md._attention_mask(ends, T, int(starts.max()) + T, causal, starts)
+    h = _padded_trunk_forward(model, x, mask, train, rng, cache)
+    if cache is not None:
+        cache.lengths = ends
+    first, counts = np.asarray(rows, dtype=np.int64).T
+    heads = np.flatnonzero((pos >= first[:, None]) & (pos < (first + counts)[:, None]))
+    return nm.matmul(nm.gather_rows(nm.reshape(h, (B * T, cfg.d_model)), heads), model.params["head/w"])
+
+
+def _assert_same_bits(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), f"{what} differs from the padded reference"
+
+
+def _reference_case(kind):
+    """A model with dropout on, and a batch of 8 items padded to 512 rows
+    (400 real): enough rows that the BLAS splits a padded Xᵀ·G otherwise
+    than a packed one, at d_model 64."""
+    cfg = tiny_config(d_model=64, n_heads=2, d_ff=128, dropout=0.1)
+    rng = np.random.default_rng(29)
+    lengths = [64, 37, 55, 41, 60, 33, 48, 62]
+    items = []
+    for n in lengths:
+        n_ph = int(rng.integers(4, 12))
+        n_prompt = int(rng.integers(2, 10))
+        n_target = n - n_ph - 1 - n_prompt
+        if kind == md.AR:
+            items.append((rng.integers(0, 10, n_ph), rng.integers(0, 12, n_prompt), rng.integers(0, 12, n_target)))
+        else:
+            j = int(rng.integers(1, cfg.n_codec_layers + 1))
+            items.append((rng.integers(0, 10, n_ph), rng.integers(0, 12, n_target),
+                          rng.integers(0, 6, (n_prompt, cfg.n_codec_layers)), rng.integers(0, 6, (n_target, j - 1)), j))
+    build = md.build_ar_model if kind == md.AR else md.build_nar_model
+    return build(cfg, md.STREAM_PHONETIC if kind == md.AR else md.VARIANT_PROPOSED, seed=8), items
+
+
+@pytest.mark.parametrize("kind", [md.AR, md.NAR])
+def test_packed_trunk_matches_the_padded_reference_bitwise(kind, monkeypatch):
+    model, items = _reference_case(kind)
+
+    def train_step():
+        for p in model.parameters():
+            p.grad = None
+        rng = np.random.default_rng(5)
+        with Tape() as tape:
+            if kind == md.AR:
+                logits, targets = md.ar_batch_logits(model, items, train=True, rng=rng)
+            else:
+                logits = md.nar_batch_logits(model, items, train=True, rng=rng)
+                targets = np.concatenate([np.arange(len(it[3])) % 6 for it in items])
+            loss = nm.cross_entropy(logits, targets)
+        backward(loss, tape)
+        return logits.data, loss.data, {name: p.grad for name, p in model.params.items()}
+
+    logits, loss, grads = train_step()
+    monkeypatch.setattr(md, "_run_batch", _padded_run_batch)
+    want_logits, want_loss, want_grads = train_step()
+    _assert_same_bits(logits, want_logits, "logits")
+    _assert_same_bits(loss, want_loss, "loss")
+    for name, want in want_grads.items():
+        _assert_same_bits(grads[name], want, f"{name}.grad")
+
+
+def test_packed_cached_decoding_matches_the_padded_reference_bitwise(monkeypatch):
+    m, items, steps, tokens = _ragged_decode_case()
+
+    def decode():
+        cache = md.KVCache(m, len(items), 32)
+        out = [md.ar_batch_logits(m, [(ph, pr, []) for ph, pr in items], cache=cache)[0].data]
+        for fed in range(max(steps)):
+            out.append(md.ar_step(m, cache, [t[fed % len(t)] for t in tokens]).data)
+        return out
+
+    got = decode()
+    monkeypatch.setattr(md, "_run_batch", _padded_run_batch)
+    for i, (logits, want) in enumerate(zip(got, decode())):
+        _assert_same_bits(logits, want, f"logits after {i} steps")

@@ -882,7 +882,10 @@ def _probe(x: Tensor, when_swept) -> Tensor:
     (lambda s, x: nm.add(s, x), 3.0),  # add's VJP reads flags only
     (lambda s, x: nm.scale(s, 5.0), 10.0),  # scale's reads only the constant
     (lambda s, x: nm.gelu(s), 2.0 * _plain_gelu(2.0)[1]),  # gelu's reads only its derivative
-], ids=["add", "scale", "gelu"])
+    # the row ops' VJPs read only the row layout
+    (lambda s, x: nm.pad_rows(s, (np.array([0, 2, 3, 5]), 6)), 2.0),
+    (lambda s, x: nm.unpad_rows(s, (np.array([0, 2]), 4)), np.array([[2.0], [0.0], [2.0], [0.0]])),
+], ids=["add", "scale", "gelu", "pad_rows", "unpad_rows"])
 def test_an_output_no_vjp_reads_dies_with_the_callers_reference(consume, dx, linear_head):
     x = Tensor(np.ones((4, 4)), requires_grad=True)
     with Tape() as tape:
@@ -893,6 +896,65 @@ def test_an_output_no_vjp_reads_dies_with_the_callers_reference(consume, dx, lin
     assert scaled() is None
     backward(loss, tape)
     np.testing.assert_array_equal(x.grad, np.full((4, 4), dx))
+
+
+def _packed_case(rng):
+    """Real rows of a batch padded to 512 rows (about 3 in 4 real), a row
+    layout for them, and a weight and bias: enough rows that the BLAS
+    splits a padded Xᵀ·G otherwise than a packed one."""
+    real = np.sort(rng.choice(512, 389, replace=False))
+    x = Tensor(rng.normal(size=(len(real), 64)), requires_grad=True)
+    w = Tensor(rng.normal(size=(64, 64)), requires_grad=True)
+    c = Tensor(rng.normal(size=(64,)), requires_grad=True)
+    return x, w, c, (real, 512)
+
+
+def test_a_layout_matmul_gives_the_padded_products_bits(linear_head):
+    rng = np.random.default_rng(41)
+    x, w, c, layout = _packed_case(rng)
+    coeff = rng.normal(size=(len(layout[0]), w.shape[1]))
+
+    def grads(make_loss):
+        for t in (x, w, c):
+            t.grad = None
+        with Tape() as tape:
+            out, loss = make_loss()
+        backward(loss, tape)
+        return out.data, x.grad, w.grad, c.grad
+
+    def packed():
+        out = nm.matmul(x, w, c, layout)
+        return out, linear_head(out, coeff)
+
+    def padded():  # zero rows in the padding, whose gradient is zero too
+        out = nm.matmul(nm.pad_rows(x, layout), w, c)
+        return out, linear_head(out, nm._scatter(coeff, layout))
+
+    got, want = grads(packed), grads(padded)
+    np.testing.assert_array_equal(got[0], want[0][layout[0]])
+    for name, g, h in zip(("x", "w", "bias"), got[1:], want[1:]):
+        assert g.tobytes() == h.tobytes(), f"{name}.grad differs from the padded product's"
+
+
+def test_a_layout_dropout_keeps_the_real_rows_of_the_padded_mask():
+    rng = np.random.default_rng(42)
+    x, _, _, layout = _packed_case(rng)
+    padded = nm.dropout(nm.pad_rows(x, layout), 0.3, np.random.default_rng(6))
+    packed = nm.dropout(x, 0.3, np.random.default_rng(6), layout)
+    assert packed.data.tobytes() == padded.data[layout[0]].tobytes()
+
+
+def test_layout_ops_reject_rows_their_layout_does_not_have():
+    layout = (np.array([0, 2, 3]), 4)
+    three, four = Tensor(np.ones((3, 2))), Tensor(np.ones((4, 2)))
+    w = Tensor(np.ones((2, 2)))
+    for call in (lambda: nm.matmul(four, w, layout=layout),
+                 lambda: nm.matmul(Tensor(np.ones((1, 3, 2))), w, layout=layout),  # a layout's rows are 2-D
+                 lambda: nm.dropout(four, 0.5, np.random.default_rng(0), layout),
+                 lambda: nm.pad_rows(four, layout), lambda: nm.unpad_rows(three, layout)):
+        with pytest.raises(ShapeError):
+            call()
+    np.testing.assert_array_equal(nm.unpad_rows(nm.pad_rows(three, layout), layout).data, three.data)
 
 
 def test_an_array_a_vjp_reads_lives_until_the_sweep_runs_its_record(monkeypatch, linear_head):
