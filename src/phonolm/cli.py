@@ -103,8 +103,18 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _check_out(out: Path, is_dir: bool) -> None:
+    """Raise ValidationError unless `--out` can be written as a directory
+    (`is_dir`) or as a file: it is one if it exists, and else its nearest
+    existing ancestor is a directory."""
+    held = next(p for p in (out, *out.parents) if p.exists())  # "." or the root at the latest
+    if held.is_dir() != (is_dir or held != out):
+        raise ValidationError(f"--out {out}: {held} is {'' if held.is_dir() else 'not '}a directory")
+
+
 def _prepare_out(path: str, force: bool) -> Path:
     out = Path(path)
+    _check_out(out, is_dir=True)
     if out.exists() and any(out.iterdir()) and not force:
         raise ValidationError(f"output directory {out} is not empty (use --force to overwrite)")
     out.mkdir(parents=True, exist_ok=True)
@@ -262,8 +272,10 @@ _MODE_FILES = {name: mode.checkpoint for name, mode in pl.MODES.items()}  # read
 def cmd_train(args) -> int:
     corpus_dir = Path(args.corpus)
     quant_path = Path(args.quantizers)
-    if not quant_path.exists():
-        raise ValidationError(f"missing quantizers checkpoint: {quant_path}")
+    if not quant_path.is_file():
+        raise ValidationError(f"missing quantizers checkpoint file: {quant_path}")
+    out = Path(args.out)  # `save_stages` makes it, so a run that fails leaves no empty dir
+    _check_out(out, is_dir=True)
     config, overrides = _config(pl.TrainingConfig, args.config, args.set, args.seed)
 
     corpus = tw.load_corpus(corpus_dir)
@@ -271,7 +283,6 @@ def cmd_train(args) -> int:
     base = asdict(pl.default_model_config(corpus.world_spec, quant))
     model_config, _ = _config(md.ModelConfig, args.model_config, base=base)
 
-    out = Path(args.out)  # `save_stages` makes it, so a run that fails leaves no empty dir
     mode = pl.MODES[args.mode]
     if (out / mode.checkpoint).exists() and not args.force:
         raise ValidationError(f"{out / mode.checkpoint} exists (use --force to overwrite)")
@@ -282,11 +293,8 @@ def cmd_train(args) -> int:
         raise ValidationError(f"{held} is not {quant_path}: {out} was trained against other quantizers")
     for kind in pl.SYSTEMS:
         meta_path = out / pl.bundle_files(kind)[-1]
-        if meta_path.exists():
-            with checkpoint.sidecar(meta_path) as meta:
-                held_world = tw.WorldSpec(**meta["world_spec"])
-            if held_world != corpus.world_spec:
-                raise ValidationError(f"{meta_path} names another world than {corpus_dir}'s")
+        if meta_path.exists() and pl.bundle_world(out, kind) != corpus.world_spec:
+            raise ValidationError(f"{meta_path} names another world than {corpus_dir}'s")
 
     model, losses = pl.train_mode(args.mode, corpus, quant, config, model_config)
     written = pl.save_stages(out, corpus.world_spec, quant, {mode: model})
@@ -382,6 +390,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    out_path = Path(args.out)
+    _check_out(out_path, is_dir=False)
     corpus = tw.load_corpus(args.corpus)
     kinds = pl.available_bundle_kinds(args.bundle)
     if not kinds:
@@ -413,7 +423,6 @@ def cmd_synth(args) -> int:
         "generated_length": result.generated_length,
         "codes": result.codes.tolist(),
     }
-    out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "a") as f:
         f.write(json.dumps(record) + "\n")

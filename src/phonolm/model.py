@@ -288,24 +288,21 @@ class KVCache:
         self.lengths = self.lengths[entries]
 
 
-def _trunk_forward(model: DecoderModel, x: Tensor, batch: tuple, layout, mask: Tensor, train: bool, rng,
-                   cache=None) -> Tensor:
+def _trunk_forward(model: DecoderModel, x: Tensor, batch: tuple, layout, mask: Tensor, drop, cache=None) -> Tensor:
     """Pre-LN blocks over packed (N, d) rows: `x` holds the real rows of a
     (B, T) = `batch` padded batch, at the places `layout` gives them. Every
     op but attention runs on these rows; attention scatters q, k and v into
-    zeroed (B, H, T, hd) heads and gathers the mixed rows back. With a
-    KVCache, the T positions sit after each entry's cached rows and attend
-    over those rows too; `mask` must then cover the keys up to the longest
-    entry."""
+    zeroed (B, H, T, hd) heads and gathers the mixed rows back, under `mask`.
+    `drop(t, row_layout=None)` drops out the attention weights and each
+    residual branch (the identity in an inference pass). With a KVCache, the
+    T positions sit after each entry's cached rows and attend over those
+    rows too; `mask` must then cover the keys up to the longest entry."""
     cfg = model.config
     p = model.params
     B, T = batch
     d, H = cfg.d_model, cfg.n_heads
     hd = d // H
     inv_sqrt = 1.0 / np.sqrt(hd)
-
-    def drop(t, row_layout=None):
-        return nm.dropout(t, cfg.dropout, rng, row_layout) if train and cfg.dropout > 0 else t
 
     def split_heads(t):  # packed (N, d) rows -> zero-padded (B, H, T, hd)
         return nm.transpose(nm.reshape(nm.pad_rows(t, layout), (B, T, H, hd)), (0, 2, 1, 3))
@@ -330,8 +327,7 @@ def _trunk_forward(model: DecoderModel, x: Tensor, batch: tuple, layout, mask: T
     return nm.layer_norm(x, p["final_ln/gain"], p["final_ln/bias"])
 
 
-def _run_batch(model: DecoderModel, x: Tensor, lengths, rows, causal: bool, train: bool, rng,
-               cache=None) -> Tensor:
+def _run_batch(model: DecoderModel, x: Tensor, lengths, heads, rng=None, cache=None) -> Tensor:
     """The one forward tail: training, NAR passes, AR prefill and cached
     decode steps all end here.
 
@@ -345,12 +341,12 @@ def _run_batch(model: DecoderModel, x: Tensor, lengths, rows, causal: bool, trai
     the real rows of a (B, T) batch padded to the longest item: the row
     layout, the index of each real row among the B·T padded ones and B·T,
     is computed here once (and `cache`'s lengths then grow by `lengths`).
-    Each item's `rows[b]` = (start, count) of its new rows are projected
-    through the head, concatenated in item order.
+    Attention is causal iff the model is AR. A pass given a dropout `rng`
+    is a training pass, its masks drawn from `rng` (none at a zero rate);
+    one without is an inference pass. Each item's last `heads[b]` rows are
+    projected through the head, concatenated in item order.
     """
     cfg = model.config
-    if train and cfg.dropout > 0 and rng is None:
-        raise ContractError("training forward needs an rng for dropout")
     lengths = np.asarray(lengths, dtype=np.int64)
     starts = np.zeros_like(lengths) if cache is None else cache.lengths
     ends = starts + lengths
@@ -360,16 +356,17 @@ def _run_batch(model: DecoderModel, x: Tensor, lengths, rows, causal: bool, trai
     pos = np.arange(T)
     real = pos < lengths[:, None]  # (B, T); row-major order is item order
     layout = (np.flatnonzero(real), B * T)
-    x = nm.add(x, nm.embedding(model.params["emb/pos"], (starts[:, None] + pos)[real]))
-    if train and cfg.dropout > 0:
-        x = nm.dropout(x, cfg.dropout, rng, layout)
-    mask = _attention_mask(ends, T, int(starts.max()) + T, causal, starts)
-    h = _trunk_forward(model, x, (B, T), layout, mask, train, rng, cache)
+
+    def drop(t, row_layout=None):
+        return t if rng is None else nm.dropout(t, cfg.dropout, rng, row_layout)
+
+    x = drop(nm.add(x, nm.embedding(model.params["emb/pos"], (starts[:, None] + pos)[real])), layout)
+    mask = _attention_mask(ends, T, int(starts.max()) + T, model.kind == AR, starts)
+    h = _trunk_forward(model, x, (B, T), layout, mask, drop, cache)
     if cache is not None:
         cache.lengths = ends
-    first, counts = np.asarray(rows, dtype=np.int64).T
-    heads = np.flatnonzero(((pos >= first[:, None]) & (pos < (first + counts)[:, None]))[real])
-    return nm.matmul(nm.gather_rows(h, heads), model.params["head/w"])
+    last = np.flatnonzero((pos >= (lengths - np.asarray(heads))[:, None])[real])
+    return nm.matmul(nm.gather_rows(h, last), model.params["head/w"])
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +374,7 @@ def _run_batch(model: DecoderModel, x: Tensor, lengths, rows, causal: bool, trai
 # ---------------------------------------------------------------------------
 
 
-def ar_batch_logits(model: DecoderModel, items, train: bool = False, rng=None, cache=None) -> tuple:
+def ar_batch_logits(model: DecoderModel, items, rng=None, cache=None) -> tuple:
     """Batched AR forward.
 
     items: (phonemes, prompt_ids, target_ids) triples. The full token input
@@ -395,25 +392,23 @@ def ar_batch_logits(model: DecoderModel, items, train: bool = False, rng=None, c
     """
     if model.kind != AR:
         raise ContractError("ar_batch_logits needs an AR model")
-    if cache is not None and (train or cache.lengths.shape != (len(items),) or cache.lengths.any()):
+    if cache is not None and (rng is not None or cache.lengths.shape != (len(items),) or cache.lengths.any()):
         raise ContractError("a cache is filled by an inference forward, one empty entry per item")
     n_ph = model.config.phoneme_vocab
-    ids, lengths, rows, flat_targets = [], [], [], []
+    ids, lengths, flat_targets = [], [], []
     for phonemes, prompt, target in items:
         phonemes = np.asarray(phonemes, dtype=np.int64)
         prompt = np.asarray(prompt, dtype=np.int64)
         target = np.asarray(target, dtype=np.int64)
-        T = len(phonemes) + 1 + len(prompt) + len(target)
         tokens = np.concatenate([[model.sep_id], prompt, target])
         if phonemes.min(initial=0) < 0 or phonemes.max(initial=0) >= n_ph or tokens.min() < 0:
             raise IndexError("AR input id out of range")  # it would read the other table's rows
         ids += [phonemes, tokens + n_ph]
-        lengths.append(T)
-        rows.append((len(phonemes) + 1 + len(prompt) - 1, len(target) + 1))
+        lengths.append(len(phonemes) + len(tokens))
         flat_targets.append(np.concatenate([target, [model.stop_id]]))
     table = nm.concat([model.params["emb/phoneme"], model.params["emb/token"]])
     x = nm.embedding(table, np.concatenate(ids))
-    logits = _run_batch(model, x, lengths, rows, causal=True, train=train, rng=rng, cache=cache)
+    logits = _run_batch(model, x, lengths, [len(t) for t in flat_targets], rng, cache)
     return logits, np.concatenate(flat_targets)
 
 
@@ -426,7 +421,7 @@ def ar_step(model: DecoderModel, cache: KVCache, tokens) -> Tensor:
     """
     B = len(cache.lengths)
     x = nm.embedding(model.params["emb/token"], tokens)
-    return _run_batch(model, x, [1] * B, [(0, 1)] * B, causal=True, train=False, rng=None, cache=cache)
+    return _run_batch(model, x, [1] * B, [1] * B, cache=cache)
 
 
 def ar_sample_next(logits_row, temperature: float, top_k: int, rng: np.random.Generator) -> int:
@@ -483,10 +478,11 @@ def _validate_nar_item(model, phonemes, cond_tokens, prompt_codes, target_below,
     return phonemes, cond_tokens, prompt_codes, target_below, j
 
 
-def nar_batch_logits(model: DecoderModel, items, train: bool = False, rng=None) -> Tensor:
+def nar_batch_logits(model: DecoderModel, items, rng=None) -> Tensor:
     """Batched NAR forward. items: (phonemes, cond_tokens, prompt_codes,
     target_below, layer_index). Returns logits (sum of frame counts, K_c),
-    concatenated in item order.
+    concatenated in item order. A dropout `rng` makes it a training pass
+    (see `_run_batch`).
 
     Every lookup covers the whole batch. Codec ids go through the stacked
     per-layer table with offset ids: a prompt frame sums its L codes, and a
@@ -520,5 +516,4 @@ def nar_batch_logits(model: DecoderModel, items, train: bool = False, rng=None) 
     # the item each row of the concat belongs to; a stable sort puts the rows in item order
     owner = np.repeat(np.tile(np.arange(len(clean)), 4), counts.T.ravel())
     x = nm.gather_rows(nm.concat([e_ph, e_sep, e_prompt, e_target]), np.argsort(owner, kind="stable"))
-    rows = np.stack([counts[:, :3].sum(axis=1), counts[:, 3]], axis=1)
-    return _run_batch(model, x, counts.sum(axis=1), rows, causal=False, train=train, rng=rng)
+    return _run_batch(model, x, counts.sum(axis=1), counts[:, 3], rng)

@@ -288,7 +288,8 @@ def backward(loss: Tensor, tape: Tape) -> None:
     The sweep consumes the tape: once a record's VJP has run, the record's
     output gradient is dropped and the record keeps no VJP, so it pins no
     array. The records themselves stay, with their nodes and leaves, so
-    `len(tape)` is unchanged. Run `backward` once per tape.
+    `len(tape)` is unchanged. Run `backward` once per tape: a second run
+    raises ContractError before it touches anything.
 
     If a VJP raises, `backward` waits for the worker to finish what the
     sweep sent it and joins it, then re-raises. Each leaf's .grad then holds
@@ -298,8 +299,10 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    _slot(loss, tape.key).grad = np.ones_like(loss.data)
     records = tape.records
+    if records and records[-1][2] is None:  # every sweep clears the last record's VJP first
+        raise ContractError("backward already ran on this tape")
+    _slot(loss, tape.key).grad = np.ones_like(loss.data)
     errors = np.geterr()
     adds = []  # one future per leaf contribution, in sweep order
     # leaving the block waits for every contribution sent, even when a VJP raises

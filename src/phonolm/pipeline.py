@@ -192,15 +192,16 @@ def nar_training_items(tokenized, idxs, fracs, layers, variant: str) -> tuple:
     return nar_items(prompted_items(tokenized, idxs, fracs), layers, variant)
 
 
-def teacher_forced(model, tokenized, idxs, fracs, layers, train: bool = False, rng=None) -> tuple:
+def teacher_forced(model, tokenized, idxs, fracs, layers, rng=None) -> tuple:
     """(logits, labels) of one teacher-forced batch: `tokenized[i]` for each
     i in `idxs`, its prompt the `fracs` prefix; a NAR model predicts the
     `layers` layer of each target, an AR model its next tokens and ignores
-    `layers`."""
+    `layers`. A dropout `rng` makes it a training pass; attention is causal
+    iff the model is AR, and the head reads each item's last (target) rows."""
     if model.kind == md.AR:
-        return md.ar_batch_logits(model, ar_training_items(tokenized, idxs, fracs, model.role), train, rng)
+        return md.ar_batch_logits(model, ar_training_items(tokenized, idxs, fracs, model.role), rng)
     items, labels = nar_training_items(tokenized, idxs, fracs, layers, model.role)
-    return md.nar_batch_logits(model, items, train, rng), labels
+    return md.nar_batch_logits(model, items, rng), labels
 
 
 def _run_training(model, step_forward, config: TrainingConfig) -> list:
@@ -253,7 +254,7 @@ def train_mode(mode: str, corpus, quantizers, config, model_config=None) -> tupl
     layers = layer_schedule(config, model.min_layer, model_config.n_codec_layers) if kind == md.NAR else idxs
 
     def step_forward(step, drop_rng):
-        batch = teacher_forced(model, tokenized, idxs[step], fracs[step], layers[step], True, drop_rng)
+        batch = teacher_forced(model, tokenized, idxs[step], fracs[step], layers[step], drop_rng)
         return nm.cross_entropy(*batch)
 
     losses = _run_training(model, step_forward, config)
@@ -527,6 +528,16 @@ def available_bundle_kinds(in_dir) -> list:
     return [kind for kind in SYSTEMS if not missing_bundle_files(in_dir, kind)]
 
 
+def bundle_world(in_dir, kind: str) -> tw.WorldSpec:
+    """The world `in_dir`'s `{kind}_bundle.json` names. A missing or
+    malformed file, or one that names another kind, raises CheckpointError
+    naming it."""
+    with checkpoint.sidecar(Path(in_dir) / bundle_files(kind)[-1]) as meta:
+        if meta["kind"] != kind:
+            raise ValueError(f"says kind {meta['kind']!r}, not {kind!r}")
+        return tw.WorldSpec(**meta["world_spec"])
+
+
 def load_bundle(in_dir, kind: str) -> SystemBundle:
     """The `kind` system in `in_dir`. A missing checkpoint raises
     ContractError; a malformed file, or a `{kind}_bundle.json` that names
@@ -535,10 +546,6 @@ def load_bundle(in_dir, kind: str) -> SystemBundle:
     missing = missing_bundle_files(in_dir, kind)
     if missing:
         raise ContractError(f"incomplete {kind} bundle in {src}: missing {missing}")
-    ar_name, _, nar_name, _, quant_name, _, meta_name = bundle_files(kind)
-    with checkpoint.sidecar(src / meta_name) as meta:
-        if meta["kind"] != kind:
-            raise ValueError(f"says kind {meta['kind']!r}, not {kind!r}")
-        world_spec = tw.WorldSpec(**meta["world_spec"])
-    return SystemBundle(world_spec=world_spec, quantizers=qz.load_quantizers(src / quant_name),
+    ar_name, _, nar_name, _, quant_name, _, _ = bundle_files(kind)
+    return SystemBundle(world_spec=bundle_world(src, kind), quantizers=qz.load_quantizers(src / quant_name),
                         ar=md.load_model(src / ar_name), nar=md.load_model(src / nar_name), kind=kind)

@@ -611,6 +611,35 @@ def test_a_negative_seed_exits_before_any_output(tmp_path, workspace, capsys, su
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["world", "quantize", "train", "train_quantizers", "eval", "synth_dir",
+                                  "synth_under_file"])
+def test_a_path_of_the_wrong_kind_exits_2_before_any_work(tmp_path, workspace, capsys, monkeypatch, case):
+    # a file where a directory belongs, or a directory where a file does
+    taken, empty = tmp_path / "taken", tmp_path / "empty"
+    taken.write_text("keep me\n")
+    empty.mkdir()
+    ran = []
+    for name in ("train_mode", "load_bundle"):
+        monkeypatch.setattr(pl, name, lambda *a, name=name, **kw: ran.append(name))
+    world, bundle = workspace / "world", workspace / "prop"
+    synth = ["synth", "--bundle", bundle, "--corpus", world, "--index", 0, "--prompt-index", 1, "--out"]
+    not_dir = f"--out {taken}: {taken} is not a directory"
+    argv, named = {
+        "world": (["world", "--n-train", 4, "--n-test", 2, "--out", taken], not_dir),
+        "quantize": (["quantize", "--corpus", world, "--out", taken], not_dir),
+        "train": (_train_argv(workspace, taken), not_dir),
+        "train_quantizers": ([*_train_argv(workspace, tmp_path / "t"), "--quantizers", empty],
+                             f"missing quantizers checkpoint file: {empty}"),
+        "eval": (["eval", "--bundle", bundle, "--corpus", world, "--out", taken], not_dir),
+        "synth_dir": (synth + [empty], f"--out {empty}: {empty} is a directory"),
+        "synth_under_file": (synth + [taken / "x.jsonl"], f"--out {taken / 'x.jsonl'}: {taken} is not a directory"),
+    }[case]
+    assert run(*argv) == 2
+    assert named in capsys.readouterr().err
+    assert taken.read_text() == "keep me\n" and not any(empty.iterdir())
+    assert ran == [] and not (tmp_path / "t").exists()
+
+
 def test_train_refuses_a_bundle_trained_against_other_quantizers_or_another_world(tmp_path, workspace, capsys):
     # every stage rewrites the bundle's quantizers and world, under the stages already trained against them
     for name, seed in (("w", 7), ("w2", 8)):

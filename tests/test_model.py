@@ -326,7 +326,7 @@ def test_training_grads_flow_everywhere():
     rng = np.random.default_rng(4)
     items = [([1, 2], np.array([3]), np.array([4, 5]))]
     with Tape() as tape:
-        logits, targets = md.ar_batch_logits(m, items, train=True, rng=rng)
+        logits, targets = md.ar_batch_logits(m, items, rng=rng)
         loss = nm.cross_entropy(logits, targets)
     backward(loss, tape)
     touched = sum(p.grad is not None and np.any(p.grad != 0) for p in m.parameters())
@@ -511,9 +511,37 @@ def test_cache_filled_only_by_inference_forward():
     m = md.build_ar_model(tiny_config(), md.STREAM_PHONETIC, seed=0)
     items = [([1, 2], [3], [4])]
     with pytest.raises(ContractError):
-        md.ar_batch_logits(m, items, train=True, rng=np.random.default_rng(0), cache=md.KVCache(m, 1, 8))
+        md.ar_batch_logits(m, items, rng=np.random.default_rng(0), cache=md.KVCache(m, 1, 8))
     with pytest.raises(ContractError):
         md.ar_batch_logits(m, items, cache=md.KVCache(m, 2, 8))
+
+
+@pytest.mark.parametrize("kind", [md.AR, md.NAR])
+def test_forward_drops_out_iff_given_an_rng_and_its_head_reads_each_items_last_rows(kind, monkeypatch):
+    model, items = _reference_case(kind)  # dropout 0.1
+    still = md.DecoderModel(tiny_config(d_model=64, n_heads=2, d_ff=128), model.kind, model.role, model.params, None)
+
+    def forward(m, rng=None):
+        return md.ar_batch_logits(m, items, rng)[0].data if kind == md.AR else md.nar_batch_logits(m, items, rng).data
+
+    plain = forward(model)
+    _assert_same_bits(forward(still, np.random.default_rng(5)), plain, "an rng at dropout 0")
+    _assert_same_bits(forward(still), plain, "a forward with dropout off")
+    assert forward(model, np.random.default_rng(5)).tobytes() != plain.tobytes()
+
+    trunk_out = []
+    trunk = md._trunk_forward
+    monkeypatch.setattr(md, "_trunk_forward", lambda *a, **kw: trunk_out.append(trunk(*a, **kw)) or trunk_out[-1])
+    forward(model)
+    if kind == md.AR:  # the target rows and the STOP slot
+        lengths = [len(ph) + 1 + len(pr) + len(tg) for ph, pr, tg in items]
+        heads = [len(tg) + 1 for _, _, tg in items]
+    else:  # the target frames
+        lengths = [len(ph) + 1 + len(pc) + len(tb) for ph, _, pc, tb, _ in items]
+        heads = [len(tb) for _, _, _, tb, _ in items]
+    ends = np.cumsum(lengths)
+    last = np.concatenate([trunk_out[0].data[end - n : end] for end, n in zip(ends, heads)])
+    np.testing.assert_allclose(plain, last @ model.params["head/w"].data, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +549,7 @@ def test_cache_filled_only_by_inference_forward():
 # ---------------------------------------------------------------------------
 
 
-def _padded_trunk_forward(model, x, mask, train, rng, cache=None):
+def _padded_trunk_forward(model, x, mask, rng, cache=None):
     """The trunk as it ran before it was packed: every op over the (B, T, d)
     padded batch. A reference only."""
     cfg = model.config
@@ -532,7 +560,7 @@ def _padded_trunk_forward(model, x, mask, train, rng, cache=None):
     inv_sqrt = 1.0 / np.sqrt(hd)
 
     def drop(t):
-        return nm.dropout(t, cfg.dropout, rng) if train and cfg.dropout > 0 else t
+        return t if rng is None else nm.dropout(t, cfg.dropout, rng)
 
     for i in range(cfg.n_layers):
         b = f"blocks/{i}"
@@ -557,7 +585,7 @@ def _padded_trunk_forward(model, x, mask, train, rng, cache=None):
     return nm.layer_norm(x, p["final_ln/gain"], p["final_ln/bias"])
 
 
-def _padded_run_batch(model, x, lengths, rows, causal, train, rng, cache=None):
+def _padded_run_batch(model, x, lengths, heads, rng=None, cache=None):
     """`md._run_batch` as it ran before the trunk was packed: one gather pads
     the items into a (B, T, d) batch, padding slots reading an appended zero
     row. A reference only."""
@@ -571,15 +599,14 @@ def _padded_run_batch(model, x, lengths, rows, causal, train, rng, cache=None):
     x = nm.add(x, nm.embedding(model.params["emb/pos"], (starts[:, None] + pos)[real]))
     slots = np.where(real, np.cumsum(lengths)[:, None] - lengths[:, None] + pos, x.shape[0])
     x = nm.gather_rows(nm.concat([x, nm.Tensor(np.zeros((1, cfg.d_model)))]), slots)
-    if train and cfg.dropout > 0:
+    if rng is not None:
         x = nm.dropout(x, cfg.dropout, rng)
-    mask = md._attention_mask(ends, T, int(starts.max()) + T, causal, starts)
-    h = _padded_trunk_forward(model, x, mask, train, rng, cache)
+    mask = md._attention_mask(ends, T, int(starts.max()) + T, model.kind == md.AR, starts)
+    h = _padded_trunk_forward(model, x, mask, rng, cache)
     if cache is not None:
         cache.lengths = ends
-    first, counts = np.asarray(rows, dtype=np.int64).T
-    heads = np.flatnonzero((pos >= first[:, None]) & (pos < (first + counts)[:, None]))
-    return nm.matmul(nm.gather_rows(nm.reshape(h, (B * T, cfg.d_model)), heads), model.params["head/w"])
+    last = np.flatnonzero((pos >= (lengths - np.asarray(heads))[:, None]) & real)
+    return nm.matmul(nm.gather_rows(nm.reshape(h, (B * T, cfg.d_model)), last), model.params["head/w"])
 
 
 def _assert_same_bits(got, want, what):
@@ -619,9 +646,9 @@ def test_packed_trunk_matches_the_padded_reference_bitwise(kind, monkeypatch):
         rng = np.random.default_rng(5)
         with Tape() as tape:
             if kind == md.AR:
-                logits, targets = md.ar_batch_logits(model, items, train=True, rng=rng)
+                logits, targets = md.ar_batch_logits(model, items, rng=rng)
             else:
-                logits = md.nar_batch_logits(model, items, train=True, rng=rng)
+                logits = md.nar_batch_logits(model, items, rng=rng)
                 targets = np.concatenate([np.arange(len(it[3])) % 6 for it in items])
             loss = nm.cross_entropy(logits, targets)
         backward(loss, tape)

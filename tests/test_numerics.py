@@ -461,7 +461,7 @@ def _tiny_model_weights(steps: int) -> bytes:
     params = model.parameters()
     for _ in range(steps):
         with Tape() as tape:
-            logits, targets = md.ar_batch_logits(model, items, train=True, rng=drop)
+            logits, targets = md.ar_batch_logits(model, items, rng=drop)
             loss = nm.cross_entropy(logits, targets)
         backward(loss, tape)
         grads = nm.fill_missing_grads(params)
@@ -531,6 +531,27 @@ def test_leaf_gradient_error_is_raised_by_backward():
         out = nm._result(np.asarray(w.data.sum()), (w,), failing_vjp)
     with pytest.raises(FloatingPointError):
         backward(out, tape)
+
+
+@pytest.mark.parametrize("first_raises", [False, True], ids=["after-a-sweep", "after-a-failed-sweep"])
+def test_a_second_backward_on_a_tape_raises_before_it_touches_a_gradient(first_raises, linear_head):
+    # the add hands w its part before the record swept last, whose VJP may raise
+    w = Tensor(np.ones(3), requires_grad=True)
+
+    def last_vjp(g):
+        if first_raises:
+            raise FloatingPointError("vjp failed")
+        return (g * 2.0,)
+
+    with Tape() as tape:
+        loss = linear_head(nm.add(nm._result(w.data * 2.0, (w,), last_vjp), w), 1.0)
+    with pytest.raises(FloatingPointError) if first_raises else contextlib.nullcontext():
+        backward(loss, tape)
+    before = w.grad.copy()
+    np.testing.assert_array_equal(before, [1.0] * 3 if first_raises else [3.0] * 3)
+    with pytest.raises(ContractError, match="backward already ran on this tape"):
+        backward(loss, tape)
+    assert w.grad.tobytes() == before.tobytes()
 
 
 def test_leaf_contributions_summed_in_sweep_order_onto_existing_grad(linear_head):
@@ -770,7 +791,7 @@ def test_matmul_bias_shape_checked():
 def _tiny_ar_step_tape():
     model, items = _tiny_ar_case()
     with Tape() as tape:
-        logits, targets = md.ar_batch_logits(model, items, train=True, rng=np.random.default_rng(5))
+        logits, targets = md.ar_batch_logits(model, items, rng=np.random.default_rng(5))
         loss = nm.cross_entropy(logits, targets)
     return model, tape, loss
 
@@ -828,7 +849,7 @@ def _nar_step_tape():
                       rng.integers(0, 8, (int(rng.integers(8, 14)), 4)), rng.integers(0, 8, (n_frames, 1)), 2))
     labels = rng.integers(0, 8, sum(item[3].shape[0] for item in items))
     with Tape() as tape:
-        logits = md.nar_batch_logits(model, items, train=True, rng=np.random.default_rng(5))
+        logits = md.nar_batch_logits(model, items, rng=np.random.default_rng(5))
         loss = nm.cross_entropy(logits, labels)
     return tape, loss
 

@@ -245,7 +245,7 @@ def test_training_and_the_probe_build_one_batch(tiny_corpus, tiny_quantizers, ti
     idxs, fracs = pl.batch_schedule(len(tokenized), cfg)
     layers = pl.layer_schedule(cfg, model.min_layer, tiny_model_config.n_codec_layers)
     drop_rng = np.random.default_rng([cfg.seed, pl._DROP_STREAM])
-    batch = pl.teacher_forced(model, tokenized, idxs[0], fracs[0], layers[0], train=True, rng=drop_rng)
+    batch = pl.teacher_forced(model, tokenized, idxs[0], fracs[0], layers[0], rng=drop_rng)
     assert nm.cross_entropy(*batch).item() == losses[0]
     assert 0.0 <= pooled_accuracy(model, tokenized) <= 1.0
 
