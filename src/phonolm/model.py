@@ -235,7 +235,7 @@ def load_model(path) -> DecoderModel:
 # ---------------------------------------------------------------------------
 
 
-def _attention_mask(lengths, n_queries: int, n_keys: int, causal: bool, offsets=0) -> Tensor:
+def _attention_mask(lengths, n_queries: int, n_keys: int, causal: bool, offsets=0) -> np.ndarray:
     """Additive attention mask: 0 where attending is allowed, -inf where not.
 
     Entry b has keys at positions [0, lengths[b]) and queries at positions
@@ -250,7 +250,7 @@ def _attention_mask(lengths, n_queries: int, n_keys: int, causal: bool, offsets=
     if causal:
         queries = np.arange(n_queries)[:, None] + np.asarray(offsets)[..., None, None, None]
         allowed = allowed & (keys <= queries)
-    return Tensor(np.where(allowed, 0.0, _NEG_INF))
+    return np.where(allowed, 0.0, _NEG_INF)
 
 
 class KVCache:
@@ -288,7 +288,7 @@ class KVCache:
         self.lengths = self.lengths[entries]
 
 
-def _trunk_forward(model: DecoderModel, x: Tensor, batch: tuple, layout, mask: Tensor, drop, cache=None) -> Tensor:
+def _trunk_forward(model: DecoderModel, x: Tensor, batch: tuple, layout, mask: np.ndarray, drop, cache=None) -> Tensor:
     """Pre-LN blocks over packed (N, d) rows: `x` holds the real rows of a
     (B, T) = `batch` padded batch, at the places `layout` gives them. Every
     op but attention runs on these rows; attention scatters q, k and v into
@@ -315,8 +315,7 @@ def _trunk_forward(model: DecoderModel, x: Tensor, batch: tuple, layout, mask: T
         v = split_heads(nm.matmul(h, p[f"{b}/attn/wv"], p[f"{b}/attn/bv"], layout))
         if cache is not None:
             k, v = cache.write(i, k, v)
-        scores = nm.scale(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), inv_sqrt)
-        att = drop(nm.softmax_rows(nm.add(scores, mask)))
+        att = drop(nm.softmax_rows(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), inv_sqrt, mask))
         mix = nm.reshape(nm.transpose(nm.matmul(att, v), (0, 2, 1, 3)), (B * T, d))
         out = nm.matmul(nm.unpad_rows(mix, layout), p[f"{b}/attn/wo"], p[f"{b}/attn/bo"], layout)
         x = nm.add(x, drop(out, layout))

@@ -10,9 +10,11 @@ is checked against central finite differences in the test suite, so new ops
 must come with smooth derivatives (this is why the nonlinearity is gelu, not
 relu).
 
-Only a constant operand (`requires_grad` False), such as an attention mask,
-may broadcast in `add`. An operand that needs a gradient must have the sum's
-shape (a bias goes into `matmul`), so no VJP sums a gradient down to it.
+The ops are the ones the model runs, plus `narrow` and `pad_stack`, which
+the benchmark's tracer wraps. `add` takes operands of one shape (a bias goes
+into `matmul`, attention's mask into `softmax_rows`), so no VJP sums a
+gradient down to an operand. `matmul` with a 2-D weight, and `layer_norm`,
+take 2-D rows.
 
 A batch of ragged sequences runs packed: its real rows one after another,
 as a 2-D array, with a row layout `(index, padded)` that places them among
@@ -52,7 +54,7 @@ al., arXiv 1912.01703), with no recompute:
 - A record keeps a small node as its output's gradient slot, never the
   output tensor, and per input either that input's node or, for a leaf,
   the leaf tensor. So an output no VJP reads (a residual add, a matmul's
-  product, `scale`) is freed as soon as the caller drops it.
+  product) is freed as soon as the caller drops it.
 - Each VJP captures only the arrays it reads, plus shapes and flags.
 - The sweep releases each record's VJP, and with it those arrays, once it
   has run, and drops the record's output gradient: nothing else reads
@@ -336,25 +338,15 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
-    for t in (a, b):
-        if t.requires_grad and t.data.shape != data.shape:
-            raise ShapeError(f"an operand that needs a gradient may not broadcast: {t.data.shape} to {data.shape}")
+    """Elementwise sum of two tensors of one shape."""
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add needs operands of one shape, got {a.data.shape} and {b.data.shape}")
     ga, gb = a.requires_grad, b.requires_grad
 
     def vjp(g):
         return (g if ga else None, g if gb else None)
 
-    return _result(data, (a, b), vjp)
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def vjp(g):
-        return (g * c,)
-
-    return _result(x.data * c, (x,), vjp)
+    return _result(a.data + b.data, (a, b), vjp)
 
 
 _GELU_BLOCK = 1 << 15  # elements: a block's x, t, 0.5x, du and two outputs stay in a 2 MB L2
@@ -420,53 +412,43 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, layout=None) -> Tensor:
-    """Matrix product. 2-D x 2-D, stacked N-D x N-D (equal leading dims),
-    or N-D x 2-D (shared weight applied to every leading slice).
+    """Matrix product: 2-D rows times a 2-D weight, or stacked N-D x N-D
+    (equal leading dims).
 
-    N-D x 2-D runs as one 2-D product over all leading rows; the weight's
-    gradient `Xᵀ·G` is handed to `backward` as a function (see there).
-    With a 2-D weight, an optional 1-D `bias` is added in place to the
-    product, which gives the bits of `a @ b + bias` as one record; its
-    gradient, the sum of `G` over the leading axes, is also a function.
-    Given a row `layout` (see the module docstring), `a` is 2-D and holds
-    the layout's real rows, and `Xᵀ·G` is formed in the padded layout."""
+    With a 2-D weight, the weight's gradient `Xᵀ·G` is handed to `backward`
+    as a function (see there), and an optional 1-D `bias` is added in place
+    to the product, which gives the bits of `a @ b + bias` as one record;
+    its gradient, the sum of `G` over the rows, is also a function. Given a
+    row `layout` (see the module docstring), `a` holds the layout's real
+    rows, and `Xᵀ·G` is formed in the padded layout."""
     ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-D operands, got {ad.shape} @ {bd.shape}")
+    if ad.ndim < 2 or ad.ndim != bd.ndim:
+        raise ShapeError(f"matmul needs operands of one rank >= 2, got {ad.shape} @ {bd.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"inner dims differ: {ad.shape} @ {bd.shape}")
     if bias is not None and (bd.ndim != 2 or bias.data.shape != bd.shape[-1:]):
         raise ShapeError(f"bias {bias.data.shape} does not fit the weight {bd.shape}")
     if layout is not None:
-        if ad.ndim != 2 or bd.ndim != 2:
+        if bd.ndim != 2:
             raise ShapeError(f"a row layout needs a 2-D product, got {ad.shape} @ {bd.shape}")
         _check_layout(layout, len(ad))
     if bd.ndim == 2:
-        k, n = bd.shape
-        a_shape = ad.shape
-        a2 = ad.reshape(-1, k)
-        data = a2 @ bd
+        data = ad @ bd
         has_bias = bias is not None
         if has_bias:
             data += bias.data
 
-        def weight_grad(g2):
+        def weight_grad(g):
             if layout is None:
-                return a2.T @ g2
-            return _scatter(a2, layout).T @ _scatter(g2, layout)
+                return ad.T @ g
+            return _scatter(ad, layout).T @ _scatter(g, layout)
 
         def vjp(g):
-            g2 = g.reshape(-1, n)
-            grads = ((g2 @ bd.T).reshape(a_shape), lambda: weight_grad(g2))
-            if not has_bias:
-                return grads
-            lead = tuple(range(g.ndim - 1))
-            return grads + (lambda: g.sum(axis=lead),)
+            grads = (g @ bd.T, lambda: weight_grad(g))
+            return grads + (lambda: g.sum(axis=0),) if has_bias else grads
 
         inputs = (a, b, bias) if has_bias else (a, b)
-        return _result(data.reshape(ad.shape[:-1] + (n,)), inputs, vjp)
-    if ad.ndim != bd.ndim:
-        raise ShapeError(f"unsupported matmul arrangement: {ad.shape} @ {bd.shape}")
+        return _result(data, inputs, vjp)
     if ad.shape[:-2] != bd.shape[:-2]:
         raise ShapeError(f"leading dims differ: {ad.shape} @ {bd.shape}")
 
@@ -481,17 +463,21 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, layout=None) -> Ten
 # ---------------------------------------------------------------------------
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row softmax along the last axis, computed with max-subtraction.
+def softmax_rows(x: Tensor, scale: float, mask) -> Tensor:
+    """Row softmax of `scale * x + mask` along the last axis, computed with
+    max-subtraction: attention's scores in one record.
 
-    -inf inputs are legal (they get exactly zero probability; attention masks
-    rely on this), NaN inputs are not.
+    `mask` is a constant array that broadcasts to `x`'s shape. -inf entries
+    are legal (they get exactly zero probability; attention masks rely on
+    this), NaN ones are not.
     """
-    xd = x.data
-    m = xd.max(axis=-1, keepdims=True)
+    c = float(scale)
+    s = x.data * c
+    s += mask
+    m = s.max(axis=-1, keepdims=True)
     if np.isnan(m).any():  # NaN propagates through max; cheaper than a full scan
         raise NumericError("softmax_rows: NaN in input")
-    s = xd - m
+    s -= m
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
 
@@ -500,6 +486,7 @@ def softmax_rows(x: Tensor) -> Tensor:
         dot = gx.sum(axis=-1, keepdims=True)
         np.subtract(g, dot, out=gx)
         gx *= s
+        gx *= c
         return (gx,)
 
     return _result(s, (x,), vjp)
@@ -540,11 +527,14 @@ _LN_EPS = 1e-5  # added to the variance before the square root
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine.
+    """Normalize each of the 2-D rows `x` to zero mean / unit variance, then
+    affine.
 
     The variance is np.var's own arithmetic (mean, subtract, square, sum,
     divide) on the centred rows this function needs anyway."""
     xd, gd = x.data, gain.data
+    if xd.ndim != 2:
+        raise ShapeError(f"layer_norm takes 2-D rows, got {xd.shape}")
     d = xd.shape[-1]
     mu = xd.mean(axis=-1, keepdims=True)
     xhat = xd - mu
@@ -559,7 +549,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     data += bias.data
 
     def vjp(g):
-        lead = tuple(range(g.ndim - 1))
         gx = g * gd
         tmp = gx * xhat
         m2 = tmp.mean(axis=-1, keepdims=True)
@@ -568,7 +557,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         gx -= tmp
         gx *= inv
         np.multiply(g, xhat, out=tmp)
-        return (gx, tmp.sum(axis=lead), g.sum(axis=lead))
+        return (gx, tmp.sum(axis=0), g.sum(axis=0))
 
     return _result(data, (x, gain, bias), vjp)
 
@@ -849,14 +838,3 @@ def clip_grad_norm(grads, max_norm: float) -> float:
         for g in grads:
             g *= s
     return norm
-
-
-def fill_missing_grads(params) -> list:
-    """Return the params' grad buffers, materializing zeros where backward
-    never reached (e.g. an embedding table unused by this step's layer draw)."""
-    out = []
-    for p in params:
-        if p.grad is None:
-            p.grad = np.zeros_like(p.data)
-        out.append(p.grad)
-    return out

@@ -37,7 +37,7 @@ from . import model as md
 from . import numerics as nm
 from . import quantizer as qz
 from . import tokenworld as tw
-from .numerics import AdamState, ContractError, Tape, adam_step, backward, clip_grad_norm, fill_missing_grads
+from .numerics import AdamState, ContractError, NumericError, Tape, adam_step, backward, clip_grad_norm
 from .quantizer import Quantizers
 
 KIND_PROPOSED = "proposed"
@@ -205,19 +205,25 @@ def teacher_forced(model, tokenized, idxs, fracs, layers, rng=None) -> tuple:
 
 
 def _run_training(model, step_forward, config: TrainingConfig) -> list:
-    """Shared loop: step_forward(step, tape_active_rng) -> scalar loss Tensor."""
+    """Shared loop: step_forward(step, tape_active_rng) -> scalar loss Tensor.
+
+    Every parameter gets a gradient in every step. A NumericError in a
+    step's forward or backward is a TrainingError at that step."""
     params = model.parameters()
     adam = AdamState(learning_rate=config.learning_rate)
     drop_rng = np.random.default_rng([config.seed, _DROP_STREAM])
     losses = []
     for step in range(config.steps):
-        with Tape() as tape:
-            loss = step_forward(step, drop_rng)
-        value = loss.item()
-        if not np.isfinite(value):
-            raise TrainingError(f"non-finite loss {value} at step {step}")
-        backward(loss, tape)
-        grads = fill_missing_grads(params)
+        try:
+            with Tape() as tape:
+                loss = step_forward(step, drop_rng)
+            value = loss.item()
+            if not np.isfinite(value):
+                raise TrainingError(f"non-finite loss {value} at step {step}")
+            backward(loss, tape)
+        except NumericError as exc:
+            raise TrainingError(f"{exc} at step {step}") from exc
+        grads = [p.grad for p in params]
         norm = clip_grad_norm(grads, config.grad_clip)
         if not np.isfinite(norm):
             raise TrainingError(f"non-finite gradient norm {norm} at step {step}")
@@ -546,6 +552,6 @@ def load_bundle(in_dir, kind: str) -> SystemBundle:
     missing = missing_bundle_files(in_dir, kind)
     if missing:
         raise ContractError(f"incomplete {kind} bundle in {src}: missing {missing}")
-    ar_name, _, nar_name, _, quant_name, _, _ = bundle_files(kind)
-    return SystemBundle(world_spec=bundle_world(src, kind), quantizers=qz.load_quantizers(src / quant_name),
-                        ar=md.load_model(src / ar_name), nar=md.load_model(src / nar_name), kind=kind)
+    ar, nar = _system_modes(kind)
+    return SystemBundle(world_spec=bundle_world(src, kind), quantizers=qz.load_quantizers(src / QUANTIZERS),
+                        ar=md.load_model(src / ar.checkpoint), nar=md.load_model(src / nar.checkpoint), kind=kind)

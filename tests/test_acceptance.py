@@ -91,12 +91,10 @@ def _net_attention(rng, head):
     ids = rng.integers(0, 7, 5)
     t = rng.integers(0, 4, 5)
     mask = np.where(np.tril(np.ones((5, 5))) > 0, 0.0, -np.inf)
-    mask_t = Tensor(mask)
 
     def fwd():
         x = nm.layer_norm(nm.embedding(table, ids), gain, bias)
-        scores = nm.scale(nm.matmul(x, nm.transpose(x, (1, 0))), 0.5)
-        att = nm.softmax_rows(nm.add(scores, mask_t))
+        att = nm.softmax_rows(nm.matmul(x, nm.transpose(x, (1, 0))), 0.5, mask)
         return nm.cross_entropy(nm.matmul(nm.matmul(att, x), w), t)
 
     return [table, gain, bias, w], fwd
@@ -106,14 +104,14 @@ def _net_padded_batch(rng, head):
     a = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     w = Tensor(rng.normal(0, 0.5, (4, 4)), requires_grad=True)
-    mask = Tensor(np.where(np.tril(np.ones((3, 3))) > 0, 0.0, -np.inf))  # one per batch entry
+    mask = np.where(np.tril(np.ones((3, 3))) > 0, 0.0, -np.inf)  # one per batch entry
     coeff = rng.normal(size=(2, 3))
 
     def fwd():
         drop = np.random.default_rng(1234)
-        x = nm.pad_stack([a, b])
-        x = nm.dropout(nm.matmul(x, w), 0.2, drop)
-        y = nm.softmax_rows(nm.add(nm.matmul(x, nm.transpose(x, (0, 2, 1))), mask))
+        x = nm.reshape(nm.pad_stack([a, b]), (6, 4))
+        x = nm.reshape(nm.dropout(nm.matmul(x, w), 0.2, drop), (2, 3, 4))
+        y = nm.softmax_rows(nm.matmul(x, nm.transpose(x, (0, 2, 1))), 1.0, mask)
         return head(nm.sum_axis(y, 1), coeff)
 
     return [a, b, w], fwd
@@ -127,7 +125,7 @@ def _net_shapes(rng, head):
 
     def fwd():
         y = nm.add(nm.matmul(a, b, c), a)
-        y = nm.concat([y, nm.scale(y, 0.5)])
+        y = nm.concat([y, nm.add(y, y)])
         y = nm.narrow(y, 0, 1, 4)
         y = nm.reshape(nm.transpose(y, (1, 0)), (2, 8))
         y = nm.gather_rows(y, [0, 1, 1])
@@ -151,7 +149,7 @@ def _net_deep_mix(rng, head):
         x = nm.layer_norm(x, gain, bias)
         x = nm.dropout(x, 0.15, drop)
         x = nm.gather_rows(x, [0, 2, 4])
-        p = nm.softmax_rows(x)
+        p = nm.softmax_rows(x, 2.0, 0.0)
         return nm.cross_entropy(nm.matmul(p, w), t)
 
     return [table, gain, bias, w], fwd
@@ -159,18 +157,20 @@ def _net_deep_mix(rng, head):
 
 def _net_packed_rows(rng, head):
     # the packed trunk's ops: a row layout's matmul and dropout over the
-    # real rows, padded for a stacked product and packed again
+    # real rows, padded for a stacked product under the padding's key mask
+    # and packed again
     x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
     w = Tensor(rng.normal(0, 0.5, (4, 4)), requires_grad=True)
     c = Tensor(rng.normal(0, 0.2, (4,)), requires_grad=True)
     layout = (np.array([0, 1, 2, 3, 5]), 6)  # two items of 3 and 2 rows, padded to 3
+    mask = md._attention_mask([3, 2], 3, 3, False)[:, 0]  # (2, 1, 3)
     coeff = rng.normal(size=(5, 4))
 
     def fwd():
         drop = np.random.default_rng(4321)
         y = nm.dropout(nm.matmul(x, w, c, layout), 0.2, drop, layout)
         p = nm.reshape(nm.pad_rows(y, layout), (2, 3, 4))
-        att = nm.softmax_rows(nm.matmul(p, nm.transpose(p, (0, 2, 1))))
+        att = nm.softmax_rows(nm.matmul(p, nm.transpose(p, (0, 2, 1))), 0.5, mask)
         y = nm.unpad_rows(nm.reshape(nm.matmul(att, p), (6, 4)), layout)
         return head(y, coeff)
 

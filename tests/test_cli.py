@@ -5,6 +5,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +177,40 @@ def test_without_mallopt_the_policy_is_skipped_and_commands_run(tmp_path, monkey
     assert cli.keep_freed_pages() is None
     assert main(["world", "--out", str(tmp_path / "w"), "--seed", "3", "--n-train", "4", "--n-test", "2"]) == 0
     assert json.loads((tmp_path / "w" / "manifest.json").read_text())["environment"]["malloc"] is None
+
+
+def _no_such_name(name):
+    raise ValueError("unrecognized configuration name")
+
+
+@pytest.mark.parametrize("confstr", [None, lambda name: None, lambda name: "", _no_such_name],
+                         ids=["no-confstr", "undefined", "empty", "unknown-name"])
+def test_keep_freed_pages_skips_a_libc_it_cannot_name_glibc(monkeypatch, confstr):
+    opened = []
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: opened.append(name))
+    if confstr is None:
+        monkeypatch.delattr(cli.os, "confstr")
+    else:
+        monkeypatch.setattr(cli.os, "confstr", confstr)
+    assert cli.keep_freed_pages() is None
+    assert opened == []  # the C library is never opened
+
+
+@pytest.mark.parametrize("accepted, want", [
+    ({-3}, {"M_MMAP_THRESHOLD": 32 << 20}),
+    (set(), None),
+], ids=["trim-refused", "mmap-refused"])
+def test_keep_freed_pages_stops_at_the_first_value_mallopt_refuses(monkeypatch, accepted, want):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append(param)
+        return int(param in accepted)
+
+    monkeypatch.setattr(cli.os, "confstr", lambda name: "glibc 2.36")
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    assert cli.keep_freed_pages() == want
+    assert calls == [-3, -1][: len(accepted) + 1]
 
 
 _TRAIN_WITHOUT_THE_CLI = """
@@ -948,3 +983,71 @@ def test_synth_rejects_same_prompt_and_target(tmp_path, workspace):
     rc = run("synth", "--bundle", workspace / "prop", "--corpus", workspace / "world",
              "--index", 0, "--prompt-index", 0, "--out", tmp_path / "x.jsonl")
     assert rc == 2
+
+
+def test_synth_accepts_a_temperature_below_one(tmp_path, workspace):
+    out_file = tmp_path / "s.jsonl"
+    rc = run("synth", "--bundle", workspace / "prop", "--corpus", workspace / "world", "--index", 0,
+             "--prompt-index", 1, "--temperature", "0.5", "--out", out_file)
+    assert rc == 0
+    assert json.loads(out_file.read_text())["system"] == "proposed"
+
+
+@pytest.mark.parametrize("case, extra, message", [
+    ("empty_bundle", [], "no complete bundle in"),
+    ("other_system", ["--system", "baseline"], "has no baseline system"),
+    ("index", ["--index", 99], "utterance index out of range for split of 6"),
+    ("prompt_index", ["--prompt-index", -1], "utterance index out of range for split of 6"),
+])
+def test_synth_exits_2_before_writing_on_a_bundle_or_index_it_cannot_use(tmp_path, workspace, capsys, case,
+                                                                         extra, message):
+    bundle = workspace / "prop"
+    if case == "empty_bundle":
+        bundle = tmp_path / "empty"
+        bundle.mkdir()
+    out_file = tmp_path / "s.jsonl"
+    rc = run("synth", "--bundle", bundle, "--corpus", workspace / "world", "--index", 0, "--prompt-index", 1,
+             *extra, "--out", out_file)  # a flag given twice takes its last value
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out_file.exists()
+
+
+def test_train_onto_an_existing_stage_needs_force(tmp_path, workspace, capsys):
+    stage = workspace / "prop" / pl.MODES["proposed_ar"].checkpoint
+    before = stage.read_bytes()
+    assert run(*_train_argv(workspace, workspace / "prop")) == 2
+    assert f"{stage} exists (use --force to overwrite)" in capsys.readouterr().err
+    assert stage.read_bytes() == before
+
+
+def test_eval_rejects_an_unknown_split_name(tmp_path, workspace, capsys):
+    rc = run("eval", "--bundle", workspace / "prop", "--corpus", workspace / "world",
+             "--splits", "clean,dirty", "--out", tmp_path / "e")
+    assert rc == 2
+    assert "unknown split 'dirty'" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["world", "train"])
+def test_a_set_without_an_equals_sign_exits_2(tmp_path, workspace, capsys, subcommand):
+    out = tmp_path / "o"
+    argv = ["world", "--out", out] if subcommand == "world" else _train_argv(workspace, out)
+    assert run(*argv, "--set", "steps") == 2
+    assert "--set expects key=value, got 'steps'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_diverging_training_run_exits_3_naming_its_step(tmp_path, capsys):
+    # a learning rate of 1e300 sends every weight past the float range in
+    # step 0's update, so step 1's attention scores are NaN
+    world, quant, out = tmp_path / "w", tmp_path / "q", tmp_path / "t"
+    assert run("world", "--out", world, "--n-train", 40, "--n-test", 8, "--seed", 7) == 0
+    assert run("quantize", "--corpus", world, "--iters", 2, "--out", quant) == 0
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        rc = run("train", "--mode", "nar", "--corpus", world, "--quantizers", quant / pl.QUANTIZERS,
+                 "--set", "steps=4", "--set", "learning_rate=1e300", "--set", "grad_clip=1e300", "--out", out)
+    assert rc == 3
+    assert "training failed: softmax_rows: NaN in input at step 1" in capsys.readouterr().err
+    assert not out.exists()

@@ -344,7 +344,7 @@ def test_attention_mask_matches_per_item_loop():
             if causal:
                 allowed = allowed & (cols[None, :] <= cols[:, None])
             want[b, 0][~allowed] = -np.inf
-        got = md._attention_mask(lengths, T, T, causal).data
+        got = md._attention_mask(lengths, T, T, causal)
         np.testing.assert_array_equal(np.broadcast_to(got, want.shape), want)
 
 
@@ -549,33 +549,32 @@ def test_forward_drops_out_iff_given_an_rng_and_its_head_reads_each_items_last_r
 # ---------------------------------------------------------------------------
 
 
-def _padded_trunk_forward(model, x, mask, rng, cache=None):
-    """The trunk as it ran before it was packed: every op over the (B, T, d)
-    padded batch. A reference only."""
+def _padded_trunk_forward(model, x, batch, mask, rng, cache=None):
+    """The trunk as it ran before it was packed: every op over the B·T rows
+    of the (B, T) = `batch` padded batch. A reference only."""
     cfg = model.config
     p = model.params
-    B, T, d = x.shape
-    H = cfg.n_heads
+    B, T = batch
+    d, H = cfg.d_model, cfg.n_heads
     hd = d // H
     inv_sqrt = 1.0 / np.sqrt(hd)
 
     def drop(t):
         return t if rng is None else nm.dropout(t, cfg.dropout, rng)
 
+    def split_heads(t):  # (B·T, d) rows -> (B, H, T, hd)
+        return nm.transpose(nm.reshape(t, (B, T, H, hd)), (0, 2, 1, 3))
+
     for i in range(cfg.n_layers):
         b = f"blocks/{i}"
         h = nm.layer_norm(x, p[f"{b}/ln1/gain"], p[f"{b}/ln1/bias"])
-        q = nm.matmul(h, p[f"{b}/attn/wq"], p[f"{b}/attn/bq"])
-        k = nm.matmul(h, p[f"{b}/attn/wk"], p[f"{b}/attn/bk"])
-        v = nm.matmul(h, p[f"{b}/attn/wv"], p[f"{b}/attn/bv"])
-        q = nm.transpose(nm.reshape(q, (B, T, H, hd)), (0, 2, 1, 3))
-        k = nm.transpose(nm.reshape(k, (B, T, H, hd)), (0, 2, 1, 3))
-        v = nm.transpose(nm.reshape(v, (B, T, H, hd)), (0, 2, 1, 3))
+        q = split_heads(nm.matmul(h, p[f"{b}/attn/wq"], p[f"{b}/attn/bq"]))
+        k = split_heads(nm.matmul(h, p[f"{b}/attn/wk"], p[f"{b}/attn/bk"]))
+        v = split_heads(nm.matmul(h, p[f"{b}/attn/wv"], p[f"{b}/attn/bv"]))
         if cache is not None:
             k, v = cache.write(i, k, v)
-        scores = nm.scale(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), inv_sqrt)
-        att = drop(nm.softmax_rows(nm.add(scores, mask)))
-        mix = nm.reshape(nm.transpose(nm.matmul(att, v), (0, 2, 1, 3)), (B, T, d))
+        att = drop(nm.softmax_rows(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), inv_sqrt, mask))
+        mix = nm.reshape(nm.transpose(nm.matmul(att, v), (0, 2, 1, 3)), (B * T, d))
         out = nm.matmul(mix, p[f"{b}/attn/wo"], p[f"{b}/attn/bo"])
         x = nm.add(x, drop(out))
         h2 = nm.layer_norm(x, p[f"{b}/ln2/gain"], p[f"{b}/ln2/bias"])
@@ -587,8 +586,8 @@ def _padded_trunk_forward(model, x, mask, rng, cache=None):
 
 def _padded_run_batch(model, x, lengths, heads, rng=None, cache=None):
     """`md._run_batch` as it ran before the trunk was packed: one gather pads
-    the items into a (B, T, d) batch, padding slots reading an appended zero
-    row. A reference only."""
+    the items into the B·T rows of a (B, T) batch, padding slots reading an
+    appended zero row. A reference only."""
     cfg = model.config
     lengths = np.asarray(lengths, dtype=np.int64)
     starts = np.zeros_like(lengths) if cache is None else cache.lengths
@@ -598,15 +597,15 @@ def _padded_run_batch(model, x, lengths, heads, rng=None, cache=None):
     real = pos < lengths[:, None]
     x = nm.add(x, nm.embedding(model.params["emb/pos"], (starts[:, None] + pos)[real]))
     slots = np.where(real, np.cumsum(lengths)[:, None] - lengths[:, None] + pos, x.shape[0])
-    x = nm.gather_rows(nm.concat([x, nm.Tensor(np.zeros((1, cfg.d_model)))]), slots)
+    x = nm.gather_rows(nm.concat([x, nm.Tensor(np.zeros((1, cfg.d_model)))]), slots.reshape(-1))
     if rng is not None:
         x = nm.dropout(x, cfg.dropout, rng)
     mask = md._attention_mask(ends, T, int(starts.max()) + T, model.kind == md.AR, starts)
-    h = _padded_trunk_forward(model, x, mask, rng, cache)
+    h = _padded_trunk_forward(model, x, (B, T), mask, rng, cache)
     if cache is not None:
         cache.lengths = ends
     last = np.flatnonzero((pos >= (lengths - np.asarray(heads))[:, None]) & real)
-    return nm.matmul(nm.gather_rows(nm.reshape(h, (B * T, cfg.d_model)), last), model.params["head/w"])
+    return nm.matmul(nm.gather_rows(h, last), model.params["head/w"])
 
 
 def _assert_same_bits(got, want, what):

@@ -104,36 +104,48 @@ def test_matmul_shape_mismatch():
 
 
 def test_softmax_symmetry():
-    out = nm.softmax_rows(Tensor([[0.0, 0.0]]))
+    out = nm.softmax_rows(Tensor([[0.0, 0.0]]), 1.0, 0.0)
     np.testing.assert_allclose(out.data, [[0.5, 0.5]])
 
 
 def test_softmax_stability_under_shift():
-    out = nm.softmax_rows(Tensor([[1000.0, 1000.0, 1000.0]]))
+    out = nm.softmax_rows(Tensor([[1000.0, 1000.0, 1000.0]]), 1.0, 0.0)
     assert np.isfinite(out.data).all()
     np.testing.assert_allclose(out.data, [[1 / 3] * 3])
 
 
 def test_softmax_closed_form():
-    out = nm.softmax_rows(Tensor([[0.0, math.log(3.0)]]))
+    out = nm.softmax_rows(Tensor([[0.0, math.log(3.0)]]), 1.0, 0.0)
     np.testing.assert_allclose(out.data, [[0.25, 0.75]], atol=1e-12)
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(size=(20, 7)) * 10)
-    s = nm.softmax_rows(x).data.sum(axis=-1)
+    s = nm.softmax_rows(x, 1.0, 0.0).data.sum(axis=-1)
     assert np.abs(s - 1.0).max() <= 1e-9
 
 
 def test_softmax_rejects_nan():
     with pytest.raises(NumericError):
-        nm.softmax_rows(Tensor([[0.0, np.nan]]))
+        nm.softmax_rows(Tensor([[0.0, np.nan]]), 1.0, 0.0)
 
 
 def test_softmax_neg_inf_is_exact_zero():
-    out = nm.softmax_rows(Tensor([[0.0, -np.inf, 0.0]]))
+    out = nm.softmax_rows(Tensor([[0.0, -np.inf, 0.0]]), 1.0, 0.0)
     assert out.data[0, 1] == 0.0
+
+
+def test_softmax_scales_then_masks():
+    # the softmax of 2 * [0, ln 3 / 2, 5] with the last entry masked out
+    out = nm.softmax_rows(Tensor([[0.0, math.log(3.0) / 2, 5.0]]), 2.0, np.array([0.0, 0.0, -np.inf]))
+    np.testing.assert_allclose(out.data, [[0.25, 0.75, 0.0]], atol=1e-12)
+    assert out.data[0, 2] == 0.0
+
+
+def test_softmax_rejects_nan_from_the_mask():
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError):  # inf + -inf
+        nm.softmax_rows(Tensor([[np.inf, 0.0]]), 1.0, np.array([-np.inf, 0.0]))
 
 
 def test_cross_entropy_uniform():
@@ -174,18 +186,14 @@ def test_backward_quadratic():
     np.testing.assert_allclose(w.grad, [2, 4])
 
 
-def test_add_rejects_a_broadcast_operand_that_needs_a_gradient():
+def test_add_rejects_operands_of_different_shapes():
+    # a constant operand too: the attention mask goes into softmax_rows
     row = Tensor(np.ones(4), requires_grad=True)
     grid = Tensor(np.ones((3, 4)), requires_grad=True)
-    for a, b in [(grid, row), (row, grid), (row, Tensor(np.ones((3, 1))))]:
+    for a, b in [(grid, row), (row, grid), (row, Tensor(np.ones((3, 1)))), (grid, Tensor(np.zeros(4))),
+                 (Tensor(np.zeros((1, 4))), grid)]:
         with pytest.raises(ShapeError):
             nm.add(a, b)
-    # a constant operand still broadcasts, as the attention mask does
-    mask = Tensor(np.array([0.0, -np.inf, 0.0, 0.0]))
-    with Tape() as tape:
-        loss = nm.cross_entropy(nm.add(grid, mask), [0, 2, 3])
-    backward(loss, tape)
-    assert grid.grad.shape == (3, 4) and not grid.grad[:, 1].any()
 
 
 def test_backward_rejects_nonscalar():
@@ -221,13 +229,12 @@ def test_gradcheck_elementwise_and_shape_ops(linear_head):
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
     c = Tensor(rng.normal(size=(4,)), requires_grad=True)
-    row = Tensor(rng.normal(size=(4,)))
+    const = Tensor(rng.normal(size=(3, 4)))
     coeff = rng.normal(size=(4, 4))
 
     def make_loss():
         y = nm.add(nm.matmul(a, b, c), a)    # both operands need a gradient
-        y = nm.add(y, row)                   # a constant operand broadcasts
-        y = nm.scale(y, 1.7)
+        y = nm.add(const, y)                 # the first one needs none
         y = nm.transpose(y, (1, 0))
         y = nm.reshape(y, (2, 6))
         y = nm.concat([y, y])
@@ -245,11 +252,12 @@ def test_gradcheck_layer_norm_softmax_embedding():
     bias = Tensor(np.zeros(5), requires_grad=True)
     w = Tensor(rng.normal(0, 0.4, (5, 4)), requires_grad=True)
     ids = np.array([0, 3, 5, 3])
+    causal = np.where(np.tril(np.ones((4, 4))) > 0, 0.0, -np.inf)
 
     def make_loss():
         x = nm.embedding(table, ids)
         x = nm.layer_norm(x, gain, bias)
-        att = nm.softmax_rows(nm.matmul(x, nm.transpose(x, (1, 0))))
+        att = nm.softmax_rows(nm.matmul(x, nm.transpose(x, (1, 0))), 0.7, causal)
         x = nm.matmul(att, x)
         return nm.cross_entropy(nm.matmul(x, w), [1, 0, 2, 3])
 
@@ -266,7 +274,7 @@ def test_gradcheck_dropout_pad_stack_stacked_matmul(linear_head):
     def make_loss():
         drop_rng = np.random.default_rng(99)  # reseeded: identical mask per call
         x = nm.pad_stack([a, b])              # (2, 4, 3)
-        x = nm.matmul(x, w)                   # N-D @ 2-D
+        x = nm.reshape(nm.matmul(nm.reshape(x, (8, 3)), w), (2, 4, 3))
         x = nm.dropout(x, 0.25, drop_rng)
         y = nm.matmul(x, nm.transpose(x, (0, 2, 1)))  # stacked N-D @ N-D
         return linear_head(nm.sum_axis(y, 1), coeff)
@@ -360,7 +368,7 @@ def test_parallel_forward_only_matches_sequential():
     inputs = [Tensor(rng.normal(size=(3, 8))) for _ in range(16)]
 
     def fwd(x):
-        return nm.softmax_rows(nm.matmul(x, w)).data
+        return nm.softmax_rows(nm.matmul(x, w), 1.0, 0.0).data
 
     sequential = [fwd(x) for x in inputs]
     with ThreadPoolExecutor(max_workers=4) as ex:
@@ -464,7 +472,7 @@ def _tiny_model_weights(steps: int) -> bytes:
             logits, targets = md.ar_batch_logits(model, items, rng=drop)
             loss = nm.cross_entropy(logits, targets)
         backward(loss, tape)
-        grads = nm.fill_missing_grads(params)
+        grads = [p.grad for p in params]
         nm.clip_grad_norm(grads, 1.0)
         adam_step(params, grads, state)
     return b"".join(p.data.tobytes() for p in params)
@@ -490,12 +498,12 @@ def test_gradcheck_interior_weight_runs_inline(linear_head):
     # the matmul's weight operand is a reshape output, so its gradient
     # function must run on the calling thread, never on the worker
     rng = np.random.default_rng(14)
-    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
     w = Tensor(rng.normal(0, 0.5, (2, 10)), requires_grad=True)
-    coeff = rng.normal(size=(2, 3, 5))
+    coeff = rng.normal(size=(6, 5))
 
     def make_loss():
-        y = nm.matmul(x, nm.reshape(w, (4, 5)))  # N-D @ 2-D, interior weight
+        y = nm.matmul(x, nm.reshape(w, (4, 5)))  # interior weight
         return linear_head(nm.gelu(y), coeff)
 
     with Tape() as tape:
@@ -675,24 +683,28 @@ def test_inplace_kernels_match_plain_expressions_bitwise():
     g = rng.normal(size=xd.shape)
     x = Tensor(xd, requires_grad=True)
 
-    e = np.exp(xd - xd.max(axis=-1, keepdims=True))
+    mask = np.where(rng.random((3, 1, 8)) < 0.3, -np.inf, 0.0)
+    mask[..., 0] = 0.0  # every row keeps a key
+    z = xd * 0.35 + mask
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
     s = e / e.sum(axis=-1, keepdims=True)
-    out, (gx,) = _vjp_of(nm.softmax_rows, x, g)
+    out, (gx,) = _vjp_of(lambda t: nm.softmax_rows(t, 0.35, mask), x, g)
     assert out.tobytes() == s.tobytes()
-    assert gx.tobytes() == (s * (g - (g * s).sum(axis=-1, keepdims=True))).tobytes()
+    assert gx.tobytes() == ((s * (g - (g * s).sum(axis=-1, keepdims=True))) * 0.35).tobytes()
 
+    rows, g2 = xd.reshape(15, 8), g.reshape(15, 8)
     gain = Tensor(rng.normal(size=8), requires_grad=True)
     bias = Tensor(rng.normal(size=8), requires_grad=True)
-    mu = xd.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(xd.var(axis=-1, keepdims=True) + 1e-5)
-    xhat = (xd - mu) * inv
-    out, (gx, ggain, gbias) = _vjp_of(lambda t: nm.layer_norm(t, gain, bias), x, g)
+    mu = rows.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(rows.var(axis=-1, keepdims=True) + 1e-5)
+    xhat = (rows - mu) * inv
+    out, (gx, ggain, gbias) = _vjp_of(lambda t: nm.layer_norm(t, gain, bias), Tensor(rows, requires_grad=True), g2)
     assert out.tobytes() == (xhat * gain.data + bias.data).tobytes()
-    gg = g * gain.data
+    gg = g2 * gain.data
     want = inv * (gg - gg.mean(axis=-1, keepdims=True) - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
     assert gx.tobytes() == want.tobytes()
-    assert ggain.tobytes() == (g * xhat).sum(axis=(0, 1)).tobytes()
-    assert gbias.tobytes() == g.sum(axis=(0, 1)).tobytes()
+    assert ggain.tobytes() == (g2 * xhat).sum(axis=0).tobytes()
+    assert gbias.tobytes() == g2.sum(axis=0).tobytes()
 
     keep = np.random.default_rng(17).random(xd.shape) >= 0.3
     out, (gx,) = _vjp_of(lambda t: nm.dropout(t, 0.3, np.random.default_rng(17)), x, g)
@@ -723,17 +735,20 @@ def test_adam_step_matches_plain_update_bitwise():
             assert not gr.any()
 
 
-def test_nd_matmul_matches_per_slice_products():
-    # the N-D x 2-D product runs as one 2-D product; BLAS may block the rows
-    # differently from a per-slice loop, so agreement is to rounding only
-    rng = np.random.default_rng(19)
-    for shape in [(2, 3, 5), (4, 1, 5), (3, 17, 5), (2, 2, 2, 5)]:
-        a = rng.normal(size=shape)
-        w = rng.normal(size=(5, 6))
-        got = nm.matmul(Tensor(a), Tensor(w)).data
-        want = np.stack([s @ w for s in a.reshape(-1, *shape[-2:])]).reshape(shape[:-1] + (6,))
-        assert got.shape == want.shape
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+def test_row_ops_reject_input_that_is_not_2d_rows():
+    # a 2-D weight and layer norm take rows: a batch reshapes to them first
+    w, gain, bias = Tensor(np.ones((5, 6))), Tensor(np.ones(5)), Tensor(np.zeros(5))
+    for shape in [(2, 3, 5), (1, 1, 5), (2, 2, 2, 5), (5,)]:
+        with pytest.raises(ShapeError):
+            nm.matmul(Tensor(np.ones(shape)), w)
+        with pytest.raises(ShapeError):
+            nm.layer_norm(Tensor(np.ones(shape)), gain, bias)
+    assert nm.matmul(Tensor(np.ones((4, 5))), w).shape == (4, 6)
+    assert nm.layer_norm(Tensor(np.ones((4, 5))), gain, bias).shape == (4, 5)
+
+
+def test_numerics_keeps_no_scale_or_zero_filled_gradients():
+    assert not hasattr(nm, "scale") and not hasattr(nm, "fill_missing_grads")
 
 
 def test_gradients_are_writable_after_a_trivial_broadcast(linear_head):
@@ -752,20 +767,17 @@ def test_gradients_are_writable_after_a_trivial_broadcast(linear_head):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("x_shape", [(7, 5), (3, 4, 5)])
-def test_matmul_bias_matches_matmul_then_add_bitwise(x_shape, linear_head):
+def test_matmul_bias_matches_matmul_then_add_bitwise(linear_head):
     rng = np.random.default_rng(20)
-    xd, wd, bd = rng.normal(size=x_shape), rng.normal(size=(5, 6)), rng.normal(size=6)
-    gout = rng.normal(size=x_shape[:-1] + (6,))  # the head hands the product exactly this gradient
+    xd, wd, bd = rng.normal(size=(7, 5)), rng.normal(size=(5, 6)), rng.normal(size=6)
+    gout = rng.normal(size=(7, 6))  # the head hands the product exactly this gradient
     fused = [Tensor(a, requires_grad=True) for a in (xd, wd, bd)]
     with Tape() as tape:
         out = nm.matmul(*fused)
         loss = linear_head(out, gout)
     backward(loss, tape)
     got = [out.data] + [t.grad for t in fused]
-    x2, g2 = xd.reshape(-1, 5), gout.reshape(-1, 6)
-    lead = tuple(range(gout.ndim - 1))
-    want = [(x2 @ wd + bd).reshape(gout.shape), (g2 @ wd.T).reshape(x_shape), x2.T @ g2, gout.sum(axis=lead)]
+    want = [xd @ wd + bd, gout @ wd.T, xd.T @ gout, gout.sum(axis=0)]
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert g.tobytes() == w.tobytes()
@@ -773,10 +785,10 @@ def test_matmul_bias_matches_matmul_then_add_bitwise(x_shape, linear_head):
 
 def test_gradcheck_matmul_bias(linear_head):
     rng = np.random.default_rng(21)
-    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
     w = Tensor(rng.normal(0, 0.5, (4, 5)), requires_grad=True)
     b = Tensor(rng.normal(size=5), requires_grad=True)
-    coeff = rng.normal(size=(2, 3, 5))
+    coeff = rng.normal(size=(6, 5))
     check_grads(lambda: linear_head(nm.gelu(nm.matmul(x, w, b)), coeff), [x, w, b])
 
 
@@ -899,18 +911,30 @@ def _probe(x: Tensor, when_swept) -> Tensor:
     return nm._result(x.data, (x,), vjp)
 
 
+def test_backward_skips_a_record_whose_output_got_no_gradient(linear_head):
+    # the loss reads nothing of `unread`, so the sweep passes its record by
+    w = Tensor(np.ones(3), requires_grad=True)
+    ran = []
+    with Tape() as tape:
+        unread = _probe(w, lambda: ran.append("unread"))
+        loss = linear_head(_probe(w, lambda: ran.append("read")), 2.0)
+    assert unread.node is not None and len(tape) == 4  # two probes, the head's reshape and product
+    backward(loss, tape)
+    assert ran == ["read"]
+    np.testing.assert_array_equal(w.grad, np.full(3, 2.0))
+
+
 @pytest.mark.parametrize("consume, dx", [
     (lambda s, x: nm.add(s, x), 3.0),  # add's VJP reads flags only
-    (lambda s, x: nm.scale(s, 5.0), 10.0),  # scale's reads only the constant
     (lambda s, x: nm.gelu(s), 2.0 * _plain_gelu(2.0)[1]),  # gelu's reads only its derivative
     # the row ops' VJPs read only the row layout
     (lambda s, x: nm.pad_rows(s, (np.array([0, 2, 3, 5]), 6)), 2.0),
     (lambda s, x: nm.unpad_rows(s, (np.array([0, 2]), 4)), np.array([[2.0], [0.0], [2.0], [0.0]])),
-], ids=["add", "scale", "gelu", "pad_rows", "unpad_rows"])
+], ids=["add", "gelu", "pad_rows", "unpad_rows"])
 def test_an_output_no_vjp_reads_dies_with_the_callers_reference(consume, dx, linear_head):
     x = Tensor(np.ones((4, 4)), requires_grad=True)
     with Tape() as tape:
-        s = nm.scale(x, 2.0)
+        s = nm.add(x, x)
         loss = linear_head(consume(s, x), 1.0)
     scaled = weakref.ref(s.data)
     del s
@@ -994,7 +1018,7 @@ def test_an_array_a_vjp_reads_lives_until_the_sweep_runs_its_record(monkeypatch,
     w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     seen = []
     with Tape() as tape:
-        a = nm.scale(x, 2.0)
+        a = nm.add(x, x)
         operand = weakref.ref(a.data)
         y = _probe(nm.matmul(a, w), lambda: seen.append(operand() is not None))  # swept just before the matmul
         loss = linear_head(y, 1.0)
@@ -1020,11 +1044,11 @@ def test_backward_leaves_the_tape_pinning_no_activation():
 def test_a_tensor_from_another_tape_is_a_leaf_of_this_one():
     w = Tensor([1.0, 2.0], requires_grad=True)
     with Tape() as first:
-        h = nm.scale(w, 3.0)
+        h = nm.add(w, w)
     with Tape() as second:
         loss = _sum_of_squares(h)
     backward(loss, second)
-    np.testing.assert_array_equal(h.grad, [6.0, 12.0])
+    np.testing.assert_array_equal(h.grad, [4.0, 8.0])
     assert w.grad is None
 
 
@@ -1052,7 +1076,7 @@ def test_leaf_parts_are_added_under_the_callers_error_state(linear_head):
     w = Tensor(np.full((2, 1), 0.25), requires_grad=True)
     x = Tensor(np.full((1, 2), 1e308))
     with Tape() as tape:
-        both = nm.concat([nm.matmul(x, w), nm.matmul(nm.scale(x, -1.0), w)])
-        loss = nm.scale(linear_head(both, 1.0), 2.0)
+        both = nm.concat([nm.matmul(x, w), nm.matmul(Tensor(-x.data), w)])
+        loss = linear_head(both, 2.0)
     with np.errstate(over="ignore", invalid="raise"), pytest.raises(FloatingPointError):
         backward(loss, tape)

@@ -277,8 +277,8 @@ def test_training_stops_at_non_finite_gradient(linear_head):
             return [w]
 
     def step_forward(step, drop_rng):
-        both = nm.concat([nm.matmul(x, w), nm.matmul(nm.scale(x, -1.0), w)])
-        return nm.scale(linear_head(both, 1.0), 2.0)
+        both = nm.concat([nm.matmul(x, w), nm.matmul(nm.Tensor(-x.data), w)])
+        return linear_head(both, 2.0)
 
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         pl.TrainingError, match="non-finite gradient norm nan at step 0"
