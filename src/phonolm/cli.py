@@ -292,7 +292,7 @@ def cmd_train(args) -> int:
     if held.exists() and _sha256(held) != _sha256(quant_path):
         raise ValidationError(f"{held} is not {quant_path}: {out} was trained against other quantizers")
     for kind in pl.SYSTEMS:
-        meta_path = out / pl.bundle_files(kind)[-1]
+        meta_path = out / pl.bundle_json(kind)
         if meta_path.exists() and pl.bundle_world(out, kind) != corpus.world_spec:
             raise ValidationError(f"{meta_path} names another world than {corpus_dir}'s")
 

@@ -429,8 +429,7 @@ def ar_sample_next(logits_row, temperature: float, top_k: int, rng: np.random.Ge
         raise ContractError(f"temperature must be a finite number > 0, got {temperature}")
     if top_k < 1:
         raise ContractError("top_k must be >= 1")
-    row = logits_row.data if isinstance(logits_row, Tensor) else np.asarray(logits_row)
-    row = row.reshape(-1)
+    row = np.asarray(logits_row).reshape(-1)
     k = min(top_k, row.size)
     cand = np.argsort(-row, kind="stable")[:k]
     z = row[cand] / temperature

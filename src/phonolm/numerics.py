@@ -136,10 +136,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
@@ -775,25 +771,19 @@ class AdamState:
     v: list = field(default_factory=list)
 
 
-def adam_step(params, grads, state: AdamState) -> None:
-    """One Adam update over aligned `params`/`grads`; grads are zeroed after.
-
-    `grads` may be the params' own .grad buffers (the usual case) or any
-    aligned list of arrays.
-    """
+def adam_step(params, state: AdamState) -> None:
+    """One Adam update of each of `params` from its own .grad, which is
+    zeroed after."""
     params = list(params)
-    grads = list(grads)
-    if len(params) != len(grads):
-        raise ContractError("params and grads must align one-to-one")
-    for p, g in zip(params, grads):
-        if g is None:
+    for p in params:
+        if p.grad is None:
             raise ContractError("missing gradient for a parameter")
-        if g.shape != p.data.shape:
-            raise ContractError(f"grad shape {g.shape} != param shape {p.data.shape}")
+        if p.grad.shape != p.data.shape:
+            raise ContractError(f"grad shape {p.grad.shape} != param shape {p.data.shape}")
     if not state.m:
         state.m = [np.zeros_like(p.data) for p in params]
         state.v = [np.zeros_like(p.data) for p in params]
-    if len(state.m) != len(params):
+    if [m.shape for m in state.m] != [p.data.shape for p in params]:
         raise ContractError("AdamState was initialized for a different parameter list")
     state.step_count += 1
     t = state.step_count
@@ -804,7 +794,8 @@ def adam_step(params, grads, state: AdamState) -> None:
     inv_sqrt_bc2 = 1.0 / np.sqrt(bc2)
     # one scratch buffer, viewed at each parameter's shape
     scratch = np.empty(max((p.data.size for p in params), default=0))
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, m, v in zip(params, state.m, state.v):
+        g = p.grad
         s = scratch[: g.size].reshape(g.shape)
         np.multiply(g, 1.0 - b1, out=s)
         m *= b1
@@ -822,19 +813,20 @@ def adam_step(params, grads, state: AdamState) -> None:
         g[...] = 0.0
 
 
-def clip_grad_norm(grads, max_norm: float) -> float:
-    """Scale grads in place so the global L2 norm is at most `max_norm`.
+def clip_grad_norm(params, max_norm: float) -> float:
+    """Scale each of `params`' .grad in place so that their global L2 norm
+    is at most `max_norm`.
 
     Returns the pre-clip norm.
     """
     total = 0.0
-    for g in grads:
-        if g is None:
+    for p in params:
+        if p.grad is None:
             raise ContractError("missing gradient in clip_grad_norm")
-        total += float((g * g).sum())
+        total += float((p.grad * p.grad).sum())
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
         s = max_norm / norm
-        for g in grads:
-            g *= s
+        for p in params:
+            p.grad *= s
     return norm

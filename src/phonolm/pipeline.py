@@ -102,7 +102,6 @@ class TokenizedUtterance:
     phonemes: np.ndarray
     phonetic: np.ndarray   # (2 * slots,)
     codes: np.ndarray      # (3 * slots, n_layers)
-    speaker_id: int
 
     @property
     def slots(self) -> int:
@@ -129,9 +128,7 @@ def tokenize_utterances(utts, quantizers: Quantizers) -> list:
     phonetic = encode([u.phonetic_frames for u in utts], qz.kmeans_assign, quantizers.phonetic)
     codes = encode([u.acoustic_frames for u in utts], qz.rvq_encode, quantizers.rvq)
     return [
-        TokenizedUtterance(
-            phonemes=np.asarray(u.phonemes, dtype=np.int64), phonetic=ph, codes=c, speaker_id=u.speaker_id
-        )
+        TokenizedUtterance(phonemes=np.asarray(u.phonemes, dtype=np.int64), phonetic=ph, codes=c)
         for u, ph, c in zip(utts, phonetic, codes)
     ]
 
@@ -223,16 +220,15 @@ def _run_training(model, step_forward, config: TrainingConfig) -> list:
             backward(loss, tape)
         except NumericError as exc:
             raise TrainingError(f"{exc} at step {step}") from exc
-        grads = [p.grad for p in params]
-        norm = clip_grad_norm(grads, config.grad_clip)
+        norm = clip_grad_norm(params, config.grad_clip)
         if not np.isfinite(norm):
             raise TrainingError(f"non-finite gradient norm {norm} at step {step}")
-        adam_step(params, grads, adam)
+        adam_step(params, adam)
         losses.append(value)
     return losses
 
 
-def train_mode(mode: str, corpus, quantizers, config, model_config=None) -> tuple:
+def train_mode(mode: str, corpus, quantizers, config, model_config) -> tuple:
     """Train the model of one `MODES` entry from its seeded init on the
     corpus's train split; returns (model, per-step losses).
 
@@ -245,8 +241,6 @@ def train_mode(mode: str, corpus, quantizers, config, model_config=None) -> tupl
     if mode not in MODES:
         raise ContractError(f"unknown training mode {mode!r}; expected one of {tuple(MODES)}")
     kind, role = MODES[mode].kind, MODES[mode].role
-    if model_config is None:
-        model_config = default_model_config(corpus.world_spec, quantizers)
     _check_vocab(model_config, quantizers)
     build = md.build_ar_model if kind == md.AR else md.build_nar_model
     model = build(model_config, role, seed=config.seed)  # its own seeded stream: fails before tokenizing
@@ -436,7 +430,7 @@ def _predict_codes(bundle: SystemBundle, entries: list) -> list:
         if not proposed:
             codes[:, 0] = t  # the baseline's AR stream is codec layer 1
         phonemes = e.phonemes[len(e.prompt.phonemes) :]
-        targets.append(TokenizedUtterance(phonemes, t if proposed else t[:0], codes, e.prompt.speaker_id))
+        targets.append(TokenizedUtterance(phonemes, t if proposed else t[:0], codes))
     live = [i for i, tg in enumerate(targets) if len(tg.codes)]
     prompted = [(entries[i].phonemes, entries[i].prompt, targets[i]) for i in live]
     bounds = np.cumsum([len(targets[i].codes) for i in live])[:-1]
@@ -488,8 +482,14 @@ def check_corpus_world(bundle: SystemBundle, corpus: tw.Corpus) -> None:
 # ---------------------------------------------------------------------------
 
 def _system_modes(kind: str) -> tuple:
-    """(AR mode, NAR mode) of a system, in table order."""
-    return tuple(m for m in MODES.values() if m.system == kind)
+    """(AR mode, NAR mode) of a system, by model kind, whatever the table's order."""
+    modes = {m.kind: m for m in MODES.values() if m.system == kind}
+    return modes[md.AR], modes[md.NAR]
+
+
+def bundle_json(kind: str) -> str:
+    """The name of a `kind` bundle's JSON: its kind and world."""
+    return f"{kind}_bundle.json"
 
 
 def with_sidecars(names) -> list:
@@ -499,8 +499,8 @@ def with_sidecars(names) -> list:
 
 def bundle_files(kind: str) -> list:
     """Every file a `kind` bundle is read from: the AR, NAR and quantizer
-    checkpoints, each followed by its sidecar, then `{kind}_bundle.json`."""
-    return with_sidecars([m.checkpoint for m in _system_modes(kind)] + [QUANTIZERS]) + [f"{kind}_bundle.json"]
+    checkpoints, each followed by its sidecar, then `bundle_json(kind)`."""
+    return with_sidecars([m.checkpoint for m in _system_modes(kind)] + [QUANTIZERS]) + [bundle_json(kind)]
 
 
 def save_stages(out_dir, world_spec: tw.WorldSpec, quantizers: Quantizers, stages: dict) -> list:
@@ -514,7 +514,7 @@ def save_stages(out_dir, world_spec: tw.WorldSpec, quantizers: Quantizers, stage
     for mode, model in stages.items():
         model.save(out / mode.checkpoint)
     qz.save_quantizers(quantizers, out / QUANTIZERS)
-    meta_name = bundle_files(kind)[-1]
+    meta_name = bundle_json(kind)
     meta = {"kind": kind, "world_spec": asdict(world_spec)}
     checkpoint.write_atomic(out / meta_name, json.dumps(meta, indent=2) + "\n")
     return with_sidecars([mode.checkpoint for mode in stages] + [QUANTIZERS]) + [meta_name]
@@ -538,7 +538,7 @@ def bundle_world(in_dir, kind: str) -> tw.WorldSpec:
     """The world `in_dir`'s `{kind}_bundle.json` names. A missing or
     malformed file, or one that names another kind, raises CheckpointError
     naming it."""
-    with checkpoint.sidecar(Path(in_dir) / bundle_files(kind)[-1]) as meta:
+    with checkpoint.sidecar(Path(in_dir) / bundle_json(kind)) as meta:
         if meta["kind"] != kind:
             raise ValueError(f"says kind {meta['kind']!r}, not {kind!r}")
         return tw.WorldSpec(**meta["world_spec"])

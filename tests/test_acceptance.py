@@ -186,7 +186,7 @@ def test_criterion_1_gradient_correctness(linear_head):
     for i in range(20):
         rng = np.random.default_rng(1000 + i)
         params, fwd = builders[i % len(builders)](rng, linear_head)
-        assert sum(p.size for p in params) <= 10**4
+        assert sum(p.data.size for p in params) <= 10**4
         with Tape() as tape:
             loss = fwd()
         backward(loss, tape)

@@ -45,6 +45,15 @@ def test_bad_magic_rejected(tmp_path):
         load_tensors(path)
 
 
+def test_unsupported_version_rejected(tmp_path):
+    path = tmp_path / "v.ckpt"
+    save_tensors(path, {"w": np.zeros(2)})
+    blob = path.read_bytes()
+    path.write_bytes(blob[:4] + (2).to_bytes(4, "little") + blob[8:])
+    with pytest.raises(CheckpointError, match="unsupported version 2"):
+        load_tensors(path)
+
+
 def test_truncated_payload_rejected(tmp_path):
     path = tmp_path / "t.ckpt"
     save_tensors(path, {"w": np.zeros(8)})

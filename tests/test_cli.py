@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import json
 import os
 import resource
@@ -271,9 +272,13 @@ def test_missing_corpus_exits_with_validation_code_naming_world_json(tmp_path, w
         assert not (tmp_path / out).exists()
 
 
-def test_quantize_rejects_k_above_frames(tmp_path, workspace):
-    assert run("quantize", "--corpus", workspace / "world", "--k-phonetic", 10**6,
-               "--out", tmp_path / "q") == 2
+@pytest.mark.parametrize("flag, frames", [("--k-phonetic", "phonetic"), ("--k-codec", "acoustic")])
+def test_quantize_rejects_k_above_frames(tmp_path, workspace, capsys, flag, frames):
+    out = tmp_path / "q"
+    assert run("quantize", "--corpus", workspace / "world", flag, 10**6, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} 1000000 exceeds the" in err and f"train {frames} frames" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value, least", [
@@ -701,6 +706,32 @@ def test_train_refuses_a_bundle_trained_against_other_quantizers_or_another_worl
         assert named in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in bundle.iterdir()} == before
     assert train("nar", "w", "qa") == 0  # the bundle's own quantizers and world still train into it
+
+
+def test_bundle_stages_are_found_by_kind_and_the_bundle_json_by_name(tmp_path, workspace, monkeypatch, capsys):
+    # neither the mode table's order nor the file list's decides which file holds what
+    bundle = pl.load_bundle(workspace / "prop", pl.KIND_PROPOSED)
+    pl.save_bundle(bundle, tmp_path / "in_order")
+    files = pl.bundle_files
+    monkeypatch.setattr(pl, "MODES", dict(reversed(pl.MODES.items())))
+    monkeypatch.setattr(pl, "bundle_files", lambda kind: files(kind)[::-1])
+    pl.save_bundle(dataclasses.replace(bundle), tmp_path / "reordered")
+    names = sorted(p.name for p in (tmp_path / "in_order").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "reordered").iterdir())
+    for name in names:
+        assert (tmp_path / "reordered" / name).read_bytes() == (tmp_path / "in_order" / name).read_bytes(), name
+    loaded = pl.load_bundle(tmp_path / "reordered", pl.KIND_PROPOSED)
+    for got, want in ((loaded.ar, bundle.ar), (loaded.nar, bundle.nar)):
+        assert (got.kind, got.role) == (want.kind, want.role)
+        assert all((got.params[n].data == p.data).all() for n, p in want.params.items())
+    # `train`'s world guard still reads the bundle JSON
+    assert run("world", "--spec", workspace / "world_spec.json", "--out", tmp_path / "w2",
+               "--n-train", 16, "--n-test", 6, "--seed", 4) == 0
+    capsys.readouterr()
+    assert run("train", "--mode", "nar", "--corpus", tmp_path / "w2",
+               "--quantizers", workspace / "quant" / pl.QUANTIZERS, "--model-config", workspace / "model.json",
+               "--out", tmp_path / "reordered", "--set", "steps=1", "--force") == 2
+    assert "proposed_bundle.json names another world" in capsys.readouterr().err
 
 
 def test_file_names_come_from_the_mode_table(workspace):

@@ -134,6 +134,14 @@ def test_evaluate_system_rejects_a_corpus_from_another_world(eval_bundles, tiny_
         ev.evaluate_system(eval_bundles, other, "test_clean", 2, seed=0)
 
 
+def test_evaluate_system_rejects_a_prompt_from_a_training_speaker(eval_bundles, tiny_corpus, monkeypatch):
+    # a "test" split of train utterances pairs each with a prompt of a speaker seen in training
+    leaked = dataclasses.replace(tiny_corpus, test_clean=tiny_corpus.train)
+    monkeypatch.setattr(pl, "synthesize_many", lambda *a: pytest.fail("synthesized"))
+    with pytest.raises(ContractError, match="zero-shot protocol violation: prompt speaker seen in training"):
+        ev.evaluate_system(eval_bundles, leaked, "test_clean", 4, seed=0)
+
+
 def test_evaluate_skips_single_utterance_speakers(eval_bundles, tiny_corpus, caplog):
     # craft a split where one speaker appears once, next to the held-out speaker's utterances
     # (the tiny world holds out one speaker, so the lone one is taken from the train pool)

@@ -36,11 +36,11 @@ def test_parameter_count_pure_function_of_config():
     cfg = tiny_config()
     a = md.build_ar_model(cfg, md.STREAM_PHONETIC, seed=1)
     b = md.build_ar_model(cfg, md.STREAM_PHONETIC, seed=2)
-    assert sum(p.size for p in a.parameters()) == sum(p.size for p in b.parameters())
+    assert sum(p.data.size for p in a.parameters()) == sum(p.data.size for p in b.parameters())
     assert list(a.params) == list(b.params)
     n1 = md.build_nar_model(cfg, md.VARIANT_PROPOSED, seed=1)
     n2 = md.build_nar_model(cfg, md.VARIANT_PROPOSED, seed=9)
-    assert sum(p.size for p in n1.parameters()) == sum(p.size for p in n2.parameters())
+    assert sum(p.data.size for p in n1.parameters()) == sum(p.data.size for p in n2.parameters())
 
 
 def test_ar_empty_prefix_gives_single_logit_row():

@@ -290,13 +290,15 @@ def test_gradcheck_dropout_pad_stack_stacked_matmul(linear_head):
 def test_adam_zero_grad_fresh_state_no_move():
     p = Tensor([1.0, -2.0], requires_grad=True)
     before = p.data.copy()
-    adam_step([p], [np.zeros(2)], AdamState(learning_rate=0.1))
+    p.grad = np.zeros(2)
+    adam_step([p], AdamState(learning_rate=0.1))
     np.testing.assert_array_equal(p.data, before)
 
 
 def test_adam_first_step_is_lr_times_sign():
     p = Tensor([0.0], requires_grad=True)
-    adam_step([p], [np.array([2.5])], AdamState(learning_rate=0.1))
+    p.grad = np.array([2.5])
+    adam_step([p], AdamState(learning_rate=0.1))
     # bias-corrected first step: m_hat/sqrt(v_hat) == sign(g) up to epsilon
     assert abs(p.data[0] + 0.1) < 1e-6
 
@@ -308,21 +310,57 @@ def test_adam_converges_on_quadratic():
         with Tape() as tape:
             loss = _sum_of_squares(nm.add(p, Tensor([-3.0])))
         backward(loss, tape)
-        adam_step([p], [p.grad], state)
+        adam_step([p], state)
     assert abs(p.data[0] - 3.0) < 0.5
 
 
 def test_adam_missing_grad_rejected():
     p = Tensor([1.0], requires_grad=True)
     with pytest.raises(ContractError):
-        adam_step([p], [None], AdamState(learning_rate=0.1))
+        adam_step([p], AdamState(learning_rate=0.1))
+
+
+def test_adam_rejects_a_gradient_of_another_shape_before_it_moves_anything():
+    p = Tensor([1.0, 2.0], requires_grad=True)
+    p.grad = np.ones(3)
+    state = AdamState(learning_rate=0.1)
+    with pytest.raises(ContractError, match=r"grad shape \(3,\) != param shape \(2,\)"):
+        adam_step([p], state)
+    np.testing.assert_array_equal(p.data, [1.0, 2.0])
+    assert state.step_count == 0 and not state.m
+
+
+@pytest.mark.parametrize("shapes", [[(1,), (1,)], [(2,)], [(1, 1)]], ids=["longer", "wider", "of_another_rank"])
+def test_adam_rejects_a_state_built_for_another_parameter_list(shapes):
+    # another list of the same length once passed the check and failed in numpy mid-update
+    state = AdamState(learning_rate=0.1)
+    p = Tensor([1.0], requires_grad=True)
+    p.grad = np.array([0.5])
+    adam_step([p], state)
+    moved = state.m[0].copy()
+    others = [Tensor(np.ones(s), requires_grad=True) for s in shapes]
+    for o in others:
+        o.grad = np.full(o.data.shape, 0.5)
+    with pytest.raises(ContractError, match="AdamState was initialized for a different parameter list"):
+        adam_step(others, state)
+    assert all((o.data == 1.0).all() for o in others)
+    np.testing.assert_array_equal(state.m[0], moved)
+    assert state.step_count == 1
+
+
+def test_clip_grad_norm_rejects_a_missing_gradient():
+    p, q = Tensor([3.0], requires_grad=True), Tensor([4.0], requires_grad=True)
+    p.grad = np.array([3.0])
+    with pytest.raises(ContractError, match="missing gradient in clip_grad_norm"):
+        nm.clip_grad_norm([p, q], 1.0)
+    np.testing.assert_array_equal(p.grad, [3.0])
 
 
 def test_adam_zeroes_grads_and_counts_steps():
     p = Tensor([1.0], requires_grad=True)
     p.grad = np.array([0.7])
     state = AdamState(learning_rate=0.01)
-    adam_step([p], [p.grad], state)
+    adam_step([p], state)
     assert state.step_count == 1
     np.testing.assert_array_equal(p.grad, [0.0])
     assert state.m[0].shape == p.data.shape
@@ -330,11 +368,11 @@ def test_adam_zeroes_grads_and_counts_steps():
 
 
 def test_clip_grad_norm():
-    g1 = np.array([3.0, 0.0])
-    g2 = np.array([4.0])
-    norm = nm.clip_grad_norm([g1, g2], max_norm=1.0)
+    p1, p2 = Tensor([0.0, 0.0], requires_grad=True), Tensor([0.0], requires_grad=True)
+    p1.grad, p2.grad = np.array([3.0, 0.0]), np.array([4.0])
+    norm = nm.clip_grad_norm([p1, p2], max_norm=1.0)
     assert abs(norm - 5.0) < 1e-12
-    assert abs(np.sqrt((g1 * g1).sum() + (g2 * g2).sum()) - 1.0) < 1e-12
+    assert abs(np.sqrt((p1.grad * p1.grad).sum() + (p2.grad * p2.grad).sum()) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +391,7 @@ def _tiny_training_run(seed: int) -> bytes:
             h = nm.dropout(nm.gelu(nm.matmul(x, w)), 0.1, drop)
             loss = nm.cross_entropy(h, [0, 1, 2, 3])
         backward(loss, tape)
-        adam_step([w], [w.grad], state)
+        adam_step([w], state)
     return w.data.tobytes()
 
 
@@ -472,9 +510,8 @@ def _tiny_model_weights(steps: int) -> bytes:
             logits, targets = md.ar_batch_logits(model, items, rng=drop)
             loss = nm.cross_entropy(logits, targets)
         backward(loss, tape)
-        grads = [p.grad for p in params]
-        nm.clip_grad_norm(grads, 1.0)
-        adam_step(params, grads, state)
+        nm.clip_grad_norm(params, 1.0)
+        adam_step(params, state)
     return b"".join(p.data.tobytes() for p in params)
 
 
@@ -723,7 +760,9 @@ def test_adam_step_matches_plain_update_bitwise():
     for t in range(1, 4):
         grads = [rng.normal(size=s) for s in shapes]
         plain = [gr.copy() for gr in grads]
-        adam_step(params, grads, state)
+        for p, gr in zip(params, grads):
+            p.grad = gr
+        adam_step(params, state)
         b1, b2 = nm.ADAM_BETA1, nm.ADAM_BETA2
         for i, gr in enumerate(plain):
             m[i] = b1 * m[i] + (1.0 - b1) * gr
@@ -758,7 +797,7 @@ def test_gradients_are_writable_after_a_trivial_broadcast(linear_head):
     with Tape() as tape:
         loss = linear_head(nm.reshape(nm.sum_axis(w, 1), (3, 2)), 1.0)
     backward(loss, tape)
-    assert nm.clip_grad_norm([w.grad], 0.5) == pytest.approx(math.sqrt(6))
+    assert nm.clip_grad_norm([w], 0.5) == pytest.approx(math.sqrt(6))
     np.testing.assert_allclose(w.grad, np.full((2, 1, 3), 0.5 / math.sqrt(6)))
 
 
@@ -827,7 +866,7 @@ def test_leaves_added_together_own_their_gradient_buffers(linear_head):
         loss = linear_head(nm.add(a, b), 1.0)
     backward(loss, tape)
     assert not np.shares_memory(a.grad, b.grad)
-    nm.clip_grad_norm([a.grad, b.grad], 1.0)
+    nm.clip_grad_norm([a, b], 1.0)
     assert math.sqrt(float((a.grad**2).sum() + (b.grad**2).sum())) == pytest.approx(1.0)
 
 

@@ -65,7 +65,7 @@ def test_training_config_rejects_step_sizes_that_are_not_finite_reals(key, value
 
 def _utterance(slots):
     return pl.TokenizedUtterance(phonemes=np.arange(3), phonetic=np.arange(2 * slots),
-                                 codes=np.arange(6 * slots).reshape(3 * slots, 2), speaker_id=0)
+                                 codes=np.arange(6 * slots).reshape(3 * slots, 2))
 
 
 def test_split_slots_bounds():
@@ -132,14 +132,16 @@ def test_train_mode_rejects_utterances_too_short_to_split_before_step_0(monkeypa
     quantizers = pl.fit_corpus_quantizers(corpus, k_phonetic=8, k_codec=4, n_layers=2, max_iters=3, seed=1)
     monkeypatch.setattr(pl, "_run_training", lambda *a: pytest.fail("training started"))
     with pytest.raises(ContractError, match=r"train utterance \d+ has 1 slot\(s\)"):
-        pl.train_mode("nar", corpus, quantizers, quick_config(steps=2, batch_size=2, seed=1))
+        pl.train_mode("nar", corpus, quantizers, quick_config(steps=2, batch_size=2, seed=1),
+                      pl.default_model_config(spec, quantizers))
 
 
 def test_train_mode_rejects_a_baseline_nar_on_a_one_layer_codec_before_tokenizing(monkeypatch, tiny_corpus):
     quantizers = pl.fit_corpus_quantizers(tiny_corpus, k_phonetic=8, k_codec=4, n_layers=1, max_iters=3, seed=1)
     monkeypatch.setattr(pl, "tokenize_utterances", lambda *a: pytest.fail("tokenized"))
     with pytest.raises(ContractError, match="n_codec_layers >= 2, got 1"):
-        pl.train_mode(pl.MODE_BASELINE_NAR, tiny_corpus, quantizers, quick_config(steps=2, batch_size=2))
+        pl.train_mode(pl.MODE_BASELINE_NAR, tiny_corpus, quantizers, quick_config(steps=2, batch_size=2),
+                      pl.default_model_config(tiny_corpus.world_spec, quantizers))
 
 
 def test_batch_schedule_mode_independent(tiny_corpus, tiny_quantizers):
@@ -287,6 +289,21 @@ def test_training_stops_at_non_finite_gradient(linear_head):
     np.testing.assert_array_equal(w.data, 0.25)  # Adam never ran
 
 
+def test_training_stops_at_a_non_finite_loss_naming_its_step(linear_head):
+    w = nm.Tensor(np.ones((2, 1)), requires_grad=True)
+
+    class OneParam:
+        def parameters(self):
+            return [w]
+
+    def step_forward(step, drop_rng):
+        return linear_head(w, 1.0 if step == 0 else np.inf)
+
+    with pytest.raises(pl.TrainingError, match="non-finite loss inf at step 1"):
+        pl._run_training(OneParam(), step_forward, quick_config(steps=3))
+    np.testing.assert_array_equal(w.grad, 0.0)  # step 0's Adam zeroed it; step 1 never ran backward
+
+
 def _make_bundles(tiny_corpus, tiny_quantizers, tiny_model_config, steps=30, seed=5):
     cfg = quick_config(steps=steps, seed=seed)
     ar, _ = pl.train_mode(pl.MODE_PROPOSED_AR, tiny_corpus, tiny_quantizers, cfg, tiny_model_config)
@@ -410,6 +427,23 @@ def test_synthesize_rejects_empty_prompt(tiny_bundles, tiny_corpus):
         pl.SynthesisRequest(phonemes=[1, 2], prompt=None)
     with pytest.raises(ContractError):
         pl.SynthesisRequest(phonemes=[], prompt=tiny_corpus.test_clean[0])
+
+
+@pytest.mark.parametrize("case", ["phoneme_above_vocab", "negative_phoneme", "no_headroom", "no_seed", "two_seeds"])
+def test_synthesize_rejects_a_request_it_cannot_decode(tiny_bundles, tiny_corpus, monkeypatch, case):
+    phonemes, seeds, named = {
+        "phoneme_above_vocab": ([1, 12], [0], "phoneme id out of range for this world"),
+        "negative_phoneme": ([-1, 2], [0], "phoneme id out of range for this world"),
+        "no_headroom": ([1, 2] * 80, [0], "prompt leaves no room for generation under max_sequence_len"),
+        "no_seed": ([1, 2], [], "one seed per request"),
+        "two_seeds": ([1, 2], [0, 1], "one seed per request"),
+    }[case]
+    prop, _ = tiny_bundles
+    assert prop.world_spec.phoneme_vocab_size == 12 and prop.ar.config.max_sequence_len == 160
+    monkeypatch.setattr(pl, "_generate_tokens", lambda *a: pytest.fail("decoded"))
+    req = pl.SynthesisRequest(phonemes=phonemes, prompt=tiny_corpus.test_clean[1])
+    with pytest.raises(ContractError, match=named):
+        pl.synthesize_many(prop, [req], seeds)
 
 
 @pytest.mark.parametrize("factor", [float("nan"), float("inf"), 1.0, 0.5])
@@ -562,7 +596,6 @@ def test_tokenize_utterances_matches_per_utterance_encoding(tiny_corpus, tiny_qu
                 tu.phonetic, qz.kmeans_assign(u.phonetic_frames, tiny_quantizers.phonetic)
             )
             np.testing.assert_array_equal(tu.codes, qz.rvq_encode(u.acoustic_frames, tiny_quantizers.rvq))
-            assert tu.speaker_id == u.speaker_id
 
 
 def _full_recompute_tokens(model, entries):
