@@ -8,7 +8,7 @@ into one DIR keep one record each. A manifest holds the run's `params`
 (`outputs`), and a `config_hash` over the subcommand, params and inputs;
 a file's writer is the run whose `outputs` list the same hash. Outside that
 hash it holds the environment (numpy, BLAS threads, the allocator
-thresholds `main` applied), the subcommand's wall time and minor page
+settings `main` applied), the subcommand's wall time and minor page
 faults, and the process's peak resident set so far. `synth` writes no
 manifest: it appends one JSON line per run to its --out file.
 `train --mode M --out DIR` writes, as `pipeline.save_bundle` does, M's
@@ -55,9 +55,10 @@ _SPLIT_FLAGS = {"clean": "test_clean", "other": "test_other"}
 
 
 # mallopt parameter numbers (malloc.h) and their values: glibc's largest mmap
-# threshold on 64-bit (mallopt rejects more), and a trim threshold above what
-# one training step's tape frees at once (56-96 MB)
-_MALLOC_POLICY = (("M_MMAP_THRESHOLD", -3, 32 << 20), ("M_TRIM_THRESHOLD", -1, 256 << 20))
+# threshold on 64-bit (mallopt rejects more), a trim threshold above what
+# one training step's tape frees at once (56-96 MB), and one arena
+_MALLOC_POLICY = (("M_MMAP_THRESHOLD", -3, 32 << 20), ("M_TRIM_THRESHOLD", -1, 256 << 20),
+                  ("M_ARENA_MAX", -8, 1))
 
 
 class ValidationError(ValueError):
@@ -65,17 +66,28 @@ class ValidationError(ValueError):
 
 
 def keep_freed_pages() -> dict | None:
-    """Make glibc's malloc keep freed memory in the process; return the
-    thresholds applied ({name: bytes}), or None where nothing was applied.
+    """Make glibc's malloc keep freed memory in the process, in one heap that
+    every thread shares; return the settings applied ({name: value}), or
+    None where nothing was applied.
 
     By default glibc serves each block above a dynamic threshold (from
     128 KiB) with its own mmap and trims the heap top once its free space
     passes twice that, so the activations a training step frees go back to
     the kernel and the next step faults fresh pages in. Both thresholds are
     set: setting either one stops the dynamic adjustment, which would leave
-    the other at its start value. The policy is process-wide and applying it
-    again changes nothing; elsewhere than glibc this does nothing. Results
-    do not depend on it.
+    the other at its start value.
+
+    By default glibc also gives a second thread an arena of its own, and a
+    block freed there serves only that arena. `numerics.backward`'s leaf
+    worker allocates the parameters' gradients, which `adam_step` releases
+    before the next forward; one arena lets those freed blocks serve the
+    main thread's activations (6.7 MiB of gradients for a default-size NAR
+    model). A library caller that skips this policy (the tests, a script)
+    keeps two arenas, so the gradients the worker frees serve only the
+    worker's next ones.
+
+    The policy is process-wide and applying it again changes nothing;
+    elsewhere than glibc this does nothing. Results do not depend on it.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):

@@ -260,7 +260,8 @@ class KVCache:
     Block i keeps (B, H, capacity, hd) arrays; entry b has its first
     `lengths[b]` rows filled. Rows past that may hold leftovers of padding,
     which the length mask hides. A forward given the cache places entry b's
-    new rows at positions lengths[b] onward and then advances `lengths`.
+    new rows at positions lengths[b] onward and then advances `lengths`; one
+    whose rows would reach past `capacity` raises ContractError first.
     """
 
     def __init__(self, model: DecoderModel, batch: int, capacity: int):
@@ -269,6 +270,7 @@ class KVCache:
         self.keys = [np.zeros(shape) for _ in range(cfg.n_layers)]
         self.values = [np.zeros(shape) for _ in range(cfg.n_layers)]
         self.lengths = np.zeros(batch, dtype=np.int64)
+        self.capacity = capacity
 
     def write(self, block: int, k: Tensor, v: Tensor) -> tuple:
         """Store a forward's new (B, H, T, hd) rows after each entry's filled
@@ -335,7 +337,8 @@ def _run_batch(model: DecoderModel, x: Tensor, lengths, heads, rng=None, cache=N
     positions starts[b] + [0, lengths[b]), where starts is `cache.lengths`
     given a KVCache (the cached rows come first) and 0 without one; a
     sequence that would end past max_sequence_len raises
-    SequenceLengthError before anything is looked up or cached. Position
+    SequenceLengthError, and rows past `cache`'s capacity ContractError,
+    before anything is looked up or cached. Position
     embeddings are added and the rows run through the trunk packed, as
     the real rows of a (B, T) batch padded to the longest item: the row
     layout, the index of each real row among the B·T padded ones and B·T,
@@ -352,6 +355,9 @@ def _run_batch(model: DecoderModel, x: Tensor, lengths, heads, rng=None, cache=N
     if ends.max() > cfg.max_sequence_len:
         raise SequenceLengthError(f"sequence length {ends.max()} exceeds max_sequence_len {cfg.max_sequence_len}")
     B, T = len(lengths), int(lengths.max())
+    span = int(starts.max()) + T  # the keys attention reads; a KVCache writes up to here
+    if cache is not None and span > cache.capacity:
+        raise ContractError(f"a KVCache of capacity {cache.capacity} cannot hold {span} positions")
     pos = np.arange(T)
     real = pos < lengths[:, None]  # (B, T); row-major order is item order
     layout = (np.flatnonzero(real), B * T)
@@ -360,7 +366,7 @@ def _run_batch(model: DecoderModel, x: Tensor, lengths, heads, rng=None, cache=N
         return t if rng is None else nm.dropout(t, cfg.dropout, rng, row_layout)
 
     x = drop(nm.add(x, nm.embedding(model.params["emb/pos"], (starts[:, None] + pos)[real])), layout)
-    mask = _attention_mask(ends, T, int(starts.max()) + T, model.kind == AR, starts)
+    mask = _attention_mask(ends, T, span, model.kind == AR, starts)
     h = _trunk_forward(model, x, (B, T), layout, mask, drop, cache)
     if cache is not None:
         cache.lengths = ends

@@ -65,13 +65,19 @@ al., arXiv 1912.01703), with no recompute:
   share memory and `clip_grad_norm`/`adam_step` may scale each in place.
   The worker adds each contribution as it arrives, so none waits for the
   sweep to end.
+- A gradient lives from `backward` to the update: `adam_step` releases
+  each parameter's .grad once it has applied it (PyTorch's
+  `zero_grad(set_to_none=True)`), so no step's forward runs on top of the
+  last step's gradients, and the next `backward` copies its first
+  contribution again.
 `matmul` takes the bias, so a projection is one record with no pre-bias
 array. `gelu` computes its derivative in the forward pass, while the
 input and tanh term are still in cache, and saves only that array for the
 VJP; its input is freed with the caller's reference. The `phonolm` CLI
-has glibc's malloc keep freed memory in the process
-(`cli.keep_freed_pages`), so what one step frees serves the next step's
-allocations without faulting in fresh pages.
+has glibc's malloc keep freed memory in the process, in one arena for
+both threads (`cli.keep_freed_pages`), so what one step frees, the
+gradients the worker made included, serves the next step's allocations
+without faulting in fresh pages.
 """
 
 from __future__ import annotations
@@ -280,7 +286,8 @@ def backward(loss: Tensor, tape: Tape) -> None:
     parameter. Every contribution to a leaf goes to this call's worker
     thread as the sweep reaches it, and the worker adds them in that order
     into the leaf's own buffer: a copy of the first contribution when .grad
-    was None, else the existing .grad, in place. A VJP's function for any
+    is None (as in every training step, since `adam_step` releases each
+    gradient), else the existing .grad, in place. A VJP's function for any
     other input runs here.
 
     The sweep consumes the tape: once a record's VJP has run, the record's
@@ -772,8 +779,10 @@ class AdamState:
 
 
 def adam_step(params, state: AdamState) -> None:
-    """One Adam update of each of `params` from its own .grad, which is
-    zeroed after."""
+    """One Adam update of each of `params` from its own .grad, which it then
+    releases (sets to None): a gradient lives from `backward` to the update,
+    and the next `backward` makes a fresh one. The buffer is squared in place
+    on the way, so a caller that kept a reference to it reads no gradient."""
     params = list(params)
     for p in params:
         if p.grad is None:
@@ -810,7 +819,7 @@ def adam_step(params, state: AdamState) -> None:
         np.divide(m, s, out=s)
         s *= lr
         p.data -= s
-        g[...] = 0.0
+        p.grad = None
 
 
 def clip_grad_norm(params, max_norm: float) -> float:

@@ -167,8 +167,8 @@ _GLIBC = bool(getattr(os, "confstr", None) and "CS_GNU_LIBC_VERSION" in os.confs
 
 
 @pytest.mark.skipif(not _GLIBC, reason="the malloc policy applies to glibc only")
-def test_keep_freed_pages_applies_both_thresholds_and_can_be_repeated():
-    want = {"M_MMAP_THRESHOLD": 32 << 20, "M_TRIM_THRESHOLD": 256 << 20}
+def test_keep_freed_pages_applies_its_three_settings_and_can_be_repeated():
+    want = {"M_MMAP_THRESHOLD": 32 << 20, "M_TRIM_THRESHOLD": 256 << 20, "M_ARENA_MAX": 1}
     assert cli.keep_freed_pages() == want
     assert cli.keep_freed_pages() == want
 

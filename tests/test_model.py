@@ -476,6 +476,20 @@ def test_cached_step_length_guard():
         md.ar_step(m, cache, [7, 7])
 
 
+def test_a_cached_step_past_the_caches_capacity_raises_before_it_writes():
+    m = md.build_ar_model(tiny_config(max_sequence_len=16), md.STREAM_PHONETIC, seed=0)
+    cache = md.KVCache(m, 1, 6)
+    md.ar_batch_logits(m, [([1, 2], [3], [])], cache=cache)  # 4 rows: phonemes, SEP, prompt
+    md.ar_step(m, cache, [5])
+    md.ar_step(m, cache, [5])  # all 6 rows filled
+    keys = [k.copy() for k in cache.keys]
+    with pytest.raises(ContractError, match="capacity 6"):
+        md.ar_step(m, cache, [5])
+    np.testing.assert_array_equal(cache.lengths, [6])
+    for k, before in zip(cache.keys, keys):
+        np.testing.assert_array_equal(k, before)
+
+
 @pytest.mark.parametrize("forward", ["ar", "nar", "cached_step"])
 def test_sequences_of_exactly_max_sequence_len_pass_and_one_more_raises(forward):
     cfg = tiny_config(max_sequence_len=8)

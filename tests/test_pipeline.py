@@ -301,7 +301,62 @@ def test_training_stops_at_a_non_finite_loss_naming_its_step(linear_head):
 
     with pytest.raises(pl.TrainingError, match="non-finite loss inf at step 1"):
         pl._run_training(OneParam(), step_forward, quick_config(steps=3))
-    np.testing.assert_array_equal(w.grad, 0.0)  # step 0's Adam zeroed it; step 1 never ran backward
+    assert w.grad is None  # step 0's Adam released it; step 1 never ran backward
+
+
+@pytest.mark.parametrize("mode", [pl.MODE_PROPOSED_AR, pl.MODE_NAR])
+def test_no_parameter_holds_a_gradient_between_training_steps(mode, monkeypatch, tiny_corpus, tiny_quantizers,
+                                                               tiny_model_config):
+    held = []  # per step, before its forward, and once after the last update
+    run_training = pl._run_training
+
+    def checking_run(model, step_forward, config):
+        params = model.parameters()
+
+        def checked(step, drop_rng):
+            held.append(sum(p.grad is not None for p in params))
+            return step_forward(step, drop_rng)
+
+        losses = run_training(model, checked, config)
+        held.append(sum(p.grad is not None for p in params))
+        return losses
+
+    monkeypatch.setattr(pl, "_run_training", checking_run)
+    pl.train_mode(mode, tiny_corpus, tiny_quantizers, quick_config(steps=3), tiny_model_config)
+    assert held == [0, 0, 0, 0]
+
+
+def _zeroed_gradient_update(kept: dict):
+    """The update as it was before `adam_step` released the gradients: it
+    zeroes each buffer and keeps it, so the next backward adds into it."""
+
+    def update(params, state):
+        for p in params:
+            # from the second step on, backward added into the kept buffer
+            assert kept.setdefault(id(p), p.grad) is p.grad
+        buffers = [p.grad for p in params]
+        nm.adam_step(params, state)
+        for p, g in zip(params, buffers):
+            g[...] = 0.0
+            p.grad = g
+
+    return update
+
+
+@pytest.mark.parametrize("mode", [pl.MODE_PROPOSED_AR, pl.MODE_NAR])
+def test_released_gradients_train_the_bytes_of_the_zeroed_gradient_reference(mode, monkeypatch, tiny_corpus,
+                                                                              tiny_quantizers, tiny_model_config):
+    # backward copies a released gradient's first contribution where it added
+    # it to a zeroed buffer; 0.0 + g is g, so only an exact zero's sign can differ
+    config = quick_config(steps=6)
+    model, losses = pl.train_mode(mode, tiny_corpus, tiny_quantizers, config, tiny_model_config)
+    kept = {}
+    monkeypatch.setattr(pl, "adam_step", _zeroed_gradient_update(kept))
+    ref_model, ref_losses = pl.train_mode(mode, tiny_corpus, tiny_quantizers, config, tiny_model_config)
+    assert len(kept) == len(ref_model.parameters())
+    assert np.array(losses).tobytes() == np.array(ref_losses).tobytes()
+    for name, p in model.params.items():
+        assert p.data.tobytes() == ref_model.params[name].data.tobytes(), name
 
 
 def _make_bundles(tiny_corpus, tiny_quantizers, tiny_model_config, steps=30, seed=5):
