@@ -17,8 +17,9 @@ quantizers and `{system}_bundle.json`, then `losses_M.csv` and
 `manifest_M.json`: a system's two stages train into one DIR apart. A
 stage refuses a DIR trained against other quantizers or another world,
 even with --force, which replaces only the stage's own checkpoint.
-Exit codes: 0 success, 2 validation error (bad arguments or a malformed
-corpus), 3 runtime/training failure.
+Exit codes: 0 success, 2 validation error (bad arguments, a malformed
+corpus, or a model config that the world, the codecs or the corpus do not
+fit), 3 runtime/training failure.
 """
 
 from __future__ import annotations
@@ -59,10 +60,6 @@ _SPLIT_FLAGS = {"clean": "test_clean", "other": "test_other"}
 # one training step's tape frees at once (56-96 MB), and one arena
 _MALLOC_POLICY = (("M_MMAP_THRESHOLD", -3, 32 << 20), ("M_TRIM_THRESHOLD", -1, 256 << 20),
                   ("M_ARENA_MAX", -8, 1))
-
-
-class ValidationError(ValueError):
-    pass
 
 
 def keep_freed_pages() -> dict | None:
@@ -116,19 +113,19 @@ def _sha256(path: Path) -> str:
 
 
 def _check_out(out: Path, is_dir: bool) -> None:
-    """Raise ValidationError unless `--out` can be written as a directory
+    """Raise ContractError unless `--out` can be written as a directory
     (`is_dir`) or as a file: it is one if it exists, and else its nearest
     existing ancestor is a directory."""
     held = next(p for p in (out, *out.parents) if p.exists())  # "." or the root at the latest
     if held.is_dir() != (is_dir or held != out):
-        raise ValidationError(f"--out {out}: {held} is {'' if held.is_dir() else 'not '}a directory")
+        raise ContractError(f"--out {out}: {held} is {'' if held.is_dir() else 'not '}a directory")
 
 
 def _prepare_out(path: str, force: bool) -> Path:
     out = Path(path)
     _check_out(out, is_dir=True)
     if out.exists() and any(out.iterdir()) and not force:
-        raise ValidationError(f"output directory {out} is not empty (use --force to overwrite)")
+        raise ContractError(f"output directory {out} is not empty (use --force to overwrite)")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -185,7 +182,7 @@ def _config(cls, path, pairs=None, seed=None, base=None):
     overrides = {}
     for pair in pairs or []:
         if "=" not in pair:
-            raise ValidationError(f"--set expects key=value, got {pair!r}")
+            raise ContractError(f"--set expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
         try:
             overrides[key] = json.loads(value)
@@ -194,16 +191,16 @@ def _config(cls, path, pairs=None, seed=None, base=None):
     try:
         loaded = json.loads(Path(path).read_text()) if path else {}
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
-        raise ValidationError(f"bad {cls.__name__}: cannot read {path}: {exc}") from exc
+        raise ContractError(f"bad {cls.__name__}: cannot read {path}: {exc}") from exc
     if not isinstance(loaded, dict):
-        raise ValidationError(f"bad {cls.__name__}: {path} holds a JSON {type(loaded).__name__}, not an object")
+        raise ContractError(f"bad {cls.__name__}: {path} holds a JSON {type(loaded).__name__}, not an object")
     values = {**(base or {}), **loaded, **overrides}
     if seed is not None:
         values["seed"] = seed
     try:
         return cls(**values), overrides
     except TypeError as exc:
-        raise ValidationError(f"bad {cls.__name__}: {exc}") from exc
+        raise ContractError(f"bad {cls.__name__}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +242,11 @@ def cmd_quantize(args) -> int:
     n_phonetic = sum(u.phonetic_frames.shape[0] for u in corpus.train)
     n_acoustic = sum(u.acoustic_frames.shape[0] for u in corpus.train)
     if args.k_phonetic > n_phonetic:
-        raise ValidationError(
+        raise ContractError(
             f"--k-phonetic {args.k_phonetic} exceeds the {n_phonetic} train phonetic frames"
         )
     if args.k_codec > n_acoustic:
-        raise ValidationError(
+        raise ContractError(
             f"--k-codec {args.k_codec} exceeds the {n_acoustic} train acoustic frames"
         )
     out = _prepare_out(args.out, args.force)
@@ -285,7 +282,7 @@ def cmd_train(args) -> int:
     corpus_dir = Path(args.corpus)
     quant_path = Path(args.quantizers)
     if not quant_path.is_file():
-        raise ValidationError(f"missing quantizers checkpoint file: {quant_path}")
+        raise ContractError(f"missing quantizers checkpoint file: {quant_path}")
     out = Path(args.out)  # `save_stages` makes it, so a run that fails leaves no empty dir
     _check_out(out, is_dir=True)
     config, overrides = _config(pl.TrainingConfig, args.config, args.set, args.seed)
@@ -297,16 +294,16 @@ def cmd_train(args) -> int:
 
     mode = pl.MODES[args.mode]
     if (out / mode.checkpoint).exists() and not args.force:
-        raise ValidationError(f"{out / mode.checkpoint} exists (use --force to overwrite)")
+        raise ContractError(f"{out / mode.checkpoint} exists (use --force to overwrite)")
     # the other stages in `out` were trained against its quantizers and world,
     # which this stage would rewrite; --force replaces a stage, not those
     held = out / pl.QUANTIZERS
     if held.exists() and _sha256(held) != _sha256(quant_path):
-        raise ValidationError(f"{held} is not {quant_path}: {out} was trained against other quantizers")
+        raise ContractError(f"{held} is not {quant_path}: {out} was trained against other quantizers")
     for kind in pl.SYSTEMS:
         meta_path = out / pl.bundle_json(kind)
         if meta_path.exists() and pl.bundle_world(out, kind) != corpus.world_spec:
-            raise ValidationError(f"{meta_path} names another world than {corpus_dir}'s")
+            raise ContractError(f"{meta_path} names another world than {corpus_dir}'s")
 
     model, losses = pl.train_mode(args.mode, corpus, quant, config, model_config)
     written = pl.save_stages(out, corpus.world_spec, quant, {mode: model})
@@ -346,9 +343,9 @@ def cmd_eval(args) -> int:
     for flag in args.splits.split(","):
         flag = flag.strip()
         if flag not in _SPLIT_FLAGS:
-            raise ValidationError(f"unknown split {flag!r}; expected clean,other")
+            raise ContractError(f"unknown split {flag!r}; expected clean,other")
         if _SPLIT_FLAGS[flag] in splits:
-            raise ValidationError(f"--splits names {flag!r} twice")
+            raise ContractError(f"--splits names {flag!r} twice")
         splits.append(_SPLIT_FLAGS[flag])
 
     systems = {}  # kind -> bundle_dir, in argument order
@@ -356,10 +353,10 @@ def cmd_eval(args) -> int:
         kinds = pl.available_bundle_kinds(bundle_dir)
         if not kinds:
             missing = {k: pl.missing_bundle_files(bundle_dir, k) for k in pl.SYSTEMS}
-            raise ValidationError(f"no complete bundle in {bundle_dir}; missing {missing}")
+            raise ContractError(f"no complete bundle in {bundle_dir}; missing {missing}")
         for kind in kinds:  # one kind from two dirs (or one dir named twice) would pool as seed replicates
             if kind in systems:
-                raise ValidationError(f"--bundle {systems[kind]} and {bundle_dir} both hold a {kind} system")
+                raise ContractError(f"--bundle {systems[kind]} and {bundle_dir} both hold a {kind} system")
             systems[kind] = bundle_dir
 
     corpus = tw.load_corpus(corpus_dir)
@@ -407,18 +404,18 @@ def cmd_synth(args) -> int:
     corpus = tw.load_corpus(args.corpus)
     kinds = pl.available_bundle_kinds(args.bundle)
     if not kinds:
-        raise ValidationError(f"no complete bundle in {args.bundle}")
+        raise ContractError(f"no complete bundle in {args.bundle}")
     kind = args.system or kinds[0]
     if kind not in kinds:
-        raise ValidationError(f"bundle {args.bundle} has no {kind} system")
+        raise ContractError(f"bundle {args.bundle} has no {kind} system")
     bundle = pl.load_bundle(args.bundle, kind)
     pl.check_corpus_world(bundle, corpus)
     split = _SPLIT_FLAGS.get(args.split, args.split)
     utts = corpus.split(split)
     if not (0 <= args.index < len(utts)) or not (0 <= args.prompt_index < len(utts)):
-        raise ValidationError(f"utterance index out of range for split of {len(utts)}")
+        raise ContractError(f"utterance index out of range for split of {len(utts)}")
     if args.index == args.prompt_index:
-        raise ValidationError("prompt must be a different utterance than the target")
+        raise ContractError("prompt must be a different utterance than the target")
     target, prompt = utts[args.index], utts[args.prompt_index]
     request = pl.SynthesisRequest(
         phonemes=target.phonemes, prompt=prompt,
@@ -542,7 +539,7 @@ def main(argv=None) -> int:
     args.minor_faults_at_start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     try:
         return args.func(args)
-    except (ValidationError, ContractError, tw.CorpusError, checkpoint.CheckpointError) as exc:
+    except (ContractError, tw.CorpusError, checkpoint.CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except pl.TrainingError as exc:

@@ -128,10 +128,11 @@ def _aggregate(evals: list, skipped: int) -> SplitMetrics:
 
 def _score(target, codes, runaway: bool, quantizers, spec) -> UtteranceEval:
     """Decode `codes` through the RVQ and score the frames against `target`:
-    oracle transcript against its phonemes, oracle speaker against its speaker."""
-    frames = qz.rvq_decode(codes, quantizers.rvq)
-    breakdown = levenshtein(target.phonemes, tw.oracle_transcribe(frames, spec))
-    speaker_ok = frames.shape[0] > 0 and tw.oracle_speaker(frames, spec) == target.speaker_id
+    oracle transcript against its phonemes, the majority oracle speaker
+    (lowest id on ties, none without frames) against its speaker."""
+    content, speakers = tw.oracle_labels(qz.rvq_decode(codes, quantizers.rvq), spec)
+    breakdown = levenshtein(target.phonemes, tw.collapse_runs(content))
+    speaker_ok = len(speakers) > 0 and np.bincount(speakers).argmax() == target.speaker_id
     return UtteranceEval(breakdown=breakdown, speaker_ok=bool(speaker_ok), runaway=runaway)
 
 

@@ -42,7 +42,7 @@ _INIT_STD = 0.02
 _NEG_INF = -np.inf
 
 
-class SequenceLengthError(ValueError):
+class SequenceLengthError(ContractError):
     """Sequence would exceed the model's max_sequence_len."""
 
 

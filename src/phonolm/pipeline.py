@@ -241,7 +241,7 @@ def train_mode(mode: str, corpus, quantizers, config, model_config) -> tuple:
     if mode not in MODES:
         raise ContractError(f"unknown training mode {mode!r}; expected one of {tuple(MODES)}")
     kind, role = MODES[mode].kind, MODES[mode].role
-    _check_vocab(model_config, quantizers)
+    _check_fixed_fields(model_config, corpus.world_spec, quantizers)
     build = md.build_ar_model if kind == md.AR else md.build_nar_model
     model = build(model_config, role, seed=config.seed)  # its own seeded stream: fails before tokenizing
     idxs, fracs = batch_schedule(len(corpus.train), config)
@@ -279,26 +279,25 @@ def fit_corpus_quantizers(
     )
 
 
+def _fixed_fields(world_spec: tw.WorldSpec, quantizers: Quantizers) -> dict:
+    """The `ModelConfig` fields that the world and the codecs fix, and their values."""
+    return {
+        "phoneme_vocab": world_spec.phoneme_vocab_size,
+        "phonetic_vocab": quantizers.phonetic.k,
+        "codec_vocab": quantizers.rvq.vocab,
+        "n_codec_layers": quantizers.rvq.n_layers,
+    }
+
+
 def default_model_config(world_spec: tw.WorldSpec, quantizers: Quantizers) -> md.ModelConfig:
-    return md.ModelConfig(
-        phoneme_vocab=world_spec.phoneme_vocab_size,
-        phonetic_vocab=quantizers.phonetic.k,
-        codec_vocab=quantizers.rvq.vocab,
-        n_codec_layers=quantizers.rvq.n_layers,
-    )
+    return md.ModelConfig(**_fixed_fields(world_spec, quantizers))
 
 
-def _check_vocab(model_config: md.ModelConfig, quantizers: Quantizers):
-    if model_config.phonetic_vocab != quantizers.phonetic.k:
-        raise ContractError(
-            f"model phonetic_vocab {model_config.phonetic_vocab} != codebook K {quantizers.phonetic.k}"
-        )
-    if model_config.codec_vocab != quantizers.rvq.vocab:
-        raise ContractError(
-            f"model codec_vocab {model_config.codec_vocab} != RVQ K {quantizers.rvq.vocab}"
-        )
-    if model_config.n_codec_layers != quantizers.rvq.n_layers:
-        raise ContractError("model n_codec_layers != RVQ layer count")
+def _check_fixed_fields(model_config: md.ModelConfig, world_spec: tw.WorldSpec, quantizers: Quantizers):
+    """Raise ContractError naming the first field the world or the codecs fix to another value."""
+    for name, value in _fixed_fields(world_spec, quantizers).items():
+        if getattr(model_config, name) != value:
+            raise ContractError(f"model {name} {getattr(model_config, name)} != {value}, the world's and codecs' value")
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +344,7 @@ class SystemBundle:
         for model, mode in zip((self.ar, self.nar), _system_modes(self.kind)):
             if (model.kind, model.role) != (mode.kind, mode.role):
                 raise ContractError(f"{self.kind} bundle needs a {mode.kind} model with role {mode.role!r}")
-        _check_vocab(self.ar.config, self.quantizers)
-        _check_vocab(self.nar.config, self.quantizers)
-        if self.world_spec.phoneme_vocab_size != self.ar.config.phoneme_vocab:
-            raise ContractError("phoneme vocab mismatch between world and model")
+            _check_fixed_fields(model.config, self.world_spec, self.quantizers)
 
 
 def _expected_generation(request: SynthesisRequest, spec: tw.WorldSpec, stream: str) -> int:

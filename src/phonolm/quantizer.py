@@ -20,7 +20,7 @@ only where the screen cannot prove it leaves the point's D^2 as it is, so
 the seeds too are those of explicit passes over every point.
 
 The same exact search (`_nearest`) also serves the world's oracle
-(`tokenworld._classify_frames`), which labels frames with their nearest
+(`tokenworld.oracle_labels`), which labels frames with their nearest
 (content, speaker) pair.
 """
 

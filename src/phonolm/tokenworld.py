@@ -268,7 +268,7 @@ def _pair_bank(spec: WorldSpec) -> np.ndarray:
     return (content[:, None, :] + spk[None, :, :]).reshape(-1, spec.feature_dim)
 
 
-def _classify_frames(frames: np.ndarray, spec: WorldSpec) -> tuple:
+def oracle_labels(frames: np.ndarray, spec: WorldSpec) -> tuple:
     """(content, speaker) labels of the nearest pair per frame.
 
     The search is the quantizer's `_nearest` over the pair bank, whose ids are
@@ -292,16 +292,8 @@ def oracle_transcribe(frames: np.ndarray, spec: WorldSpec) -> list:
     """Frame-level nearest-pair classification, run-collapsed to phonemes."""
     if len(frames) == 0:
         return []
-    content_labels, _ = _classify_frames(frames, spec)
+    content_labels, _ = oracle_labels(frames, spec)
     return collapse_runs(content_labels)
-
-
-def oracle_speaker(frames: np.ndarray, spec: WorldSpec) -> int:
-    """Majority speaker label over frames (lowest id wins ties)."""
-    if len(frames) == 0:
-        raise ContractError("oracle_speaker needs at least one frame")
-    _, speaker_labels = _classify_frames(frames, spec)
-    return int(np.bincount(speaker_labels, minlength=spec.num_speakers).argmax())
 
 
 # ---------------------------------------------------------------------------

@@ -553,6 +553,13 @@ def _train_argv(workspace, out, mode="proposed_ar"):
     ("model_value", {"dropout": 1.0}, "dropout must be in [0, 1)"),
     ("model_value", {"dropout": -0.1}, "ModelConfig.dropout must be a finite real >= 0, got -0.1"),
     ("model_value", {"dropout": "x"}, "ModelConfig.dropout must be a finite real >= 0, got 'x'"),
+    # a field the world (12 phonemes) or the codecs (16 phonetic ids, 4 layers of 8 codec ids) fix
+    ("model_value", {"phoneme_vocab": 13}, "model phoneme_vocab 13 != 12"),
+    ("model_value", {"phonetic_vocab": 15}, "model phonetic_vocab 15 != 16"),
+    ("model_value", {"codec_vocab": 9}, "model codec_vocab 9 != 8"),
+    ("model_value", {"n_codec_layers": 3}, "model n_codec_layers 3 != 4"),
+    # shorter than the corpus's training sequences: step 0 fails before anything is written
+    ("model_value", {"max_sequence_len": 12}, "exceeds max_sequence_len 12"),
     # a config.json as written while TrainingConfig had a mode field, which --mode overwrote
     ("old_config", {"steps": 3, "seed": 0, "mode": "proposed_ar"}, "'mode'"),
     ("train_key", ["--set", "mode=proposed_ar"], "'mode'"),

@@ -6,6 +6,7 @@ import pytest
 
 from phonolm import evaluation as ev
 from phonolm import pipeline as pl
+from phonolm import quantizer as qz
 from phonolm import tokenworld as tw
 from phonolm.numerics import ContractError
 
@@ -94,8 +95,6 @@ def eval_bundles(tiny_corpus, tiny_quantizers, tiny_model_config):
 
 
 def test_passthrough_floor_matches_raw_encode(tiny_corpus, tiny_quantizers):
-    from phonolm import quantizer as qz
-
     metrics = ev.evaluate_passthrough(tiny_corpus, tiny_quantizers, "test_clean", 6, seed=1)
     assert metrics.runaway_rate == 0.0
     # same computation done longhand over the full split
@@ -111,6 +110,18 @@ def test_passthrough_floor_matches_raw_encode(tiny_corpus, tiny_quantizers):
 def test_passthrough_speaker_floor(tiny_corpus, tiny_quantizers):
     metrics = ev.evaluate_passthrough(tiny_corpus, tiny_quantizers, "test_clean", 6, seed=1)
     assert 0.0 <= metrics.speaker_consistency <= 1.0
+
+
+def test_score_reads_the_majority_speaker_and_no_frames_name_none(tiny_corpus, tiny_quantizers):
+    spec, rvq = tiny_corpus.world_spec, tiny_quantizers.rvq
+    for u, tu in zip(tiny_corpus.test_clean, pl.tokenize_utterances(tiny_corpus.test_clean, tiny_quantizers)):
+        content, speakers = tw.oracle_labels(qz.rvq_decode(tu.codes, rvq), spec)
+        got = ev._score(u, tu.codes, False, tiny_quantizers, spec)
+        assert got.speaker_ok == (np.bincount(speakers).argmax() == u.speaker_id)
+        assert got.breakdown == ev.levenshtein(u.phonemes, tw.collapse_runs(content))
+    u = tiny_corpus.test_clean[0]
+    got = ev._score(u, np.zeros((0, rvq.n_layers), dtype=np.int64), True, tiny_quantizers, spec)
+    assert got.breakdown.deletions == len(u.phonemes) and not got.speaker_ok and got.runaway
 
 
 def test_evaluate_system_structure_and_determinism(eval_bundles, tiny_corpus):

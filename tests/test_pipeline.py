@@ -262,9 +262,10 @@ def test_ar_modes_train_on_a_one_layer_codec(tiny_corpus, tiny_model_config, mod
     assert 0.0 <= pooled_accuracy(model, pl.tokenize_utterances(tiny_corpus.train, quantizers)) <= 1.0
 
 
-def test_vocab_mismatch_rejected(tiny_corpus, tiny_quantizers, tiny_model_config):
-    bad = md.ModelConfig(**{**dataclasses.asdict(tiny_model_config), "phonetic_vocab": 99})
-    with pytest.raises(ContractError):
+@pytest.mark.parametrize("name", ["phoneme_vocab", "phonetic_vocab", "codec_vocab", "n_codec_layers"])
+def test_vocab_mismatch_rejected(tiny_corpus, tiny_quantizers, tiny_model_config, name):
+    bad = dataclasses.replace(tiny_model_config, **{name: getattr(tiny_model_config, name) + 1})
+    with pytest.raises(ContractError, match=name):
         pl.train_mode(pl.MODE_PROPOSED_AR, tiny_corpus, tiny_quantizers, quick_config(steps=1), bad)
 
 
@@ -388,6 +389,16 @@ def test_bundle_kind_model_consistency(tiny_bundles):
             world_spec=prop.world_spec, quantizers=prop.quantizers,
             ar=base.ar, nar=prop.nar, kind=pl.KIND_PROPOSED,
         )
+
+
+@pytest.mark.parametrize("stage", ["ar", "nar"])
+def test_bundle_refuses_a_model_of_another_phoneme_vocab(tiny_bundles, stage):
+    prop, _ = tiny_bundles
+    model = getattr(prop, stage)
+    config = dataclasses.replace(model.config, phoneme_vocab=model.config.phoneme_vocab + 1)
+    build = md.build_ar_model if model.kind == md.AR else md.build_nar_model
+    with pytest.raises(ContractError, match="phoneme_vocab"):
+        dataclasses.replace(prop, **{stage: build(config, model.role, seed=0)})
 
 
 def test_synthesize_length_law_proposed(tiny_bundles, tiny_corpus):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from phonolm.numerics import ContractError
+from phonolm.numerics import ContractError, ShapeError
 from phonolm import tokenworld as tw
 
 
@@ -18,6 +18,11 @@ def _edit_distance(a, b):
             dp[j] = min(dp[j] + 1, dp[j - 1] + 1, prev + (a[i - 1] != b[j - 1]))
             prev = cur
     return dp[n]
+
+
+def majority_speaker(frames, spec):
+    """The oracle speaker the scorer reads: the most frequent speaker label, lowest id on ties."""
+    return int(np.bincount(tw.oracle_labels(frames, spec)[1]).argmax())
 
 
 def zero_noise_spec(**kw):
@@ -103,7 +108,7 @@ def test_oracle_soundness_zero_noise():
     for _ in range(10):
         utt = tw.sample_utterance(spec, int(rng.integers(8)), tw.CLEAN, rng)
         assert tw.oracle_transcribe(utt.acoustic_frames, spec) == utt.phonemes
-        assert tw.oracle_speaker(utt.acoustic_frames, spec) == utt.speaker_id
+        assert majority_speaker(utt.acoustic_frames, spec) == utt.speaker_id
 
 
 def test_oracle_agrees_with_bruteforce_nearest_pair():
@@ -112,7 +117,7 @@ def test_oracle_agrees_with_bruteforce_nearest_pair():
     utts = [tw.sample_utterance(spec, int(rng.integers(8)), tw.CLEAN, rng) for _ in range(30)]
     frames = np.concatenate([u.acoustic_frames for u in utts])[:1000]
     content, spk = tw.content_prototypes(spec), tw.speaker_vectors(spec)
-    got_c, got_s = tw._classify_frames(frames, spec)
+    got_c, got_s = tw.oracle_labels(frames, spec)
     for i in range(frames.shape[0]):
         best = (np.inf, -1, -1)
         for p in range(spec.phoneme_vocab_size):
@@ -131,12 +136,17 @@ def test_oracle_speaker_majority_rule():
         protos[[1] * 7] + spk[2],   # 70% speaker 2
         protos[[1] * 3] + spk[5],   # 30% speaker 5
     ])
-    assert tw.oracle_speaker(frames, spec) == 2
+    assert list(tw.oracle_labels(frames, spec)[1]) == [2] * 7 + [5] * 3
+    assert majority_speaker(frames, spec) == 2
+    assert majority_speaker(frames[4:], spec) == 2  # a 3:3 tie goes to the lowest id
 
 
-def test_oracle_speaker_empty_rejected():
-    with pytest.raises(ContractError):
-        tw.oracle_speaker(np.zeros((0, 16)), tw.WorldSpec())
+def test_oracle_labels_of_no_frames_are_empty():
+    spec = tw.WorldSpec()
+    content, speakers = tw.oracle_labels(np.zeros((0, spec.feature_dim)), spec)
+    assert content.shape == speakers.shape == (0,)
+    with pytest.raises(ShapeError):
+        tw.oracle_labels(np.zeros((0, spec.feature_dim + 1)), spec)
 
 
 def test_default_world_oracle_floor():
@@ -150,7 +160,7 @@ def test_default_world_oracle_floor():
         hyp = tw.oracle_transcribe(utt.acoustic_frames, spec)
         edits += _edit_distance(utt.phonemes, hyp)
         refs += len(utt.phonemes)
-        spk_hits += tw.oracle_speaker(utt.acoustic_frames, spec) == utt.speaker_id
+        spk_hits += majority_speaker(utt.acoustic_frames, spec) == utt.speaker_id
     assert edits / refs < 0.01
     assert spk_hits >= 99
 

@@ -11,7 +11,9 @@ again. In it the script runs, through `python -m phonolm.cli`:
     quantize --iters 4                            (into quant/, which training uses)
     quantize                                      (at its default --iters, into quant_default/)
     train --mode <m> --set steps=<n> --seed 101   (all four modes, one bundle dir;
-                                                  n = 20 for AR stages, 12 for NAR)
+                                                  n = 20 for AR stages, 12 for NAR;
+                                                  baseline_nar also reads --model-config
+                                                  model_baseline_nar.json)
     eval --n-prompts 6 --seeds 2                  (serial, into eval/)
     eval --n-prompts 6 --seeds 2 --jobs 2         (worker processes, into eval_jobs2/)
     synth --index 0 --prompt-index 4 --seed 3     (the proposed system, split clean)
@@ -27,7 +29,11 @@ as well as in the calling one. The second quantize runs each fit's Lloyd
 rounds to its fixpoint or the default cap, so the digests cover the
 quantizer's bound-pruned rounds well past the fourth. The AR and NAR
 stages train with different budgets, as the stages of one bundle may, so
-the digests also show where each stage's training record is kept.
+the digests also show where each stage's training record is kept. The
+baseline NAR's model config is merged from a file, written into the run
+directory, that restates the world's phoneme vocab (32) and halves d_ff
+(256), so the digests cover the merge of a --model-config file and the
+check of the fields the world and the codecs fix.
 
 Given a second src dir, the script runs the recipe on both, prints the
 paths whose digests differ (or that only one run wrote) and exits 1 if
@@ -37,6 +43,7 @@ there is any, 0 if every file is the same.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -56,9 +63,11 @@ def run_recipe(src: Path, root: Path) -> None:
     phonolm("world", "--out", "world", "--n-train", "60", "--n-test", "12", "--seed", "7")
     phonolm("quantize", "--corpus", "world", "--out", "quant", "--iters", "4")
     phonolm("quantize", "--corpus", "world", "--out", "quant_default")
+    (root / "model_baseline_nar.json").write_text(json.dumps({"phoneme_vocab": 32, "d_ff": 256}))
     for mode, steps in TRAIN_STEPS.items():
+        extra = ["--model-config", "model_baseline_nar.json"] if mode == "baseline_nar" else []
         phonolm("train", "--mode", mode, "--corpus", "world", "--quantizers", "quant/quantizers.ckpt",
-                "--out", "bundle", "--set", f"steps={steps}", "--seed", "101")
+                "--out", "bundle", "--set", f"steps={steps}", "--seed", "101", *extra)
     for out, jobs in (("eval", "1"), ("eval_jobs2", "2")):
         phonolm("eval", "--bundle", "bundle", "--corpus", "world", "--out", out,
                 "--n-prompts", "6", "--seeds", "2", "--jobs", jobs)
