@@ -26,11 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .numerics import ContractError
+
 MAGIC = b"PHLM"
 VERSION = 1
 
 
-class CheckpointError(ValueError):
+class CheckpointError(ContractError):
     """Corrupt or incompatible checkpoint file."""
 
 
@@ -88,12 +90,16 @@ def _records(tensors: dict):
 def load_tensors(path) -> dict:
     """Read a container back into {name: float64 array}, preserving order.
 
-    Every malformed file raises CheckpointError: bad magic or version, a
-    record cut short, a name that is not UTF-8 or that an earlier record
-    holds, or a rank or shape that does not fit the file.
+    A file that cannot be read, and every malformed file, raises
+    CheckpointError: bad magic or version, a record cut short, a name that
+    is not UTF-8 or that an earlier record holds, or a rank or shape that
+    does not fit the file.
     """
     path = Path(path)
-    blob = path.read_bytes()
+    try:
+        blob = path.read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: {type(exc).__name__}: {exc}") from exc
     if blob[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic {blob[:4]!r}")
     total = len(blob)

@@ -215,12 +215,7 @@ def cmd_world(args) -> int:
     tw.save_corpus(corpus, out)
 
     # self-check: raw-frame oracle floor on a sample of the train split
-    sample = corpus.train[: min(100, len(corpus.train))]
-    edits = refs = 0
-    for u in sample:
-        edits += ev.levenshtein(u.phonemes, tw.oracle_transcribe(u.acoustic_frames, spec)).distance
-        refs += len(u.phonemes)
-    floor = edits / max(1, refs)
+    floor = ev.aggregate([ev.score_frames(u, u.acoustic_frames, False, spec) for u in corpus.train[:100]], 0).per
     print(f"world written to {out}: {args.n_train} train / {args.n_test} per test split; "
           f"raw-frame oracle PER {floor:.4%}")
 
@@ -410,7 +405,7 @@ def cmd_synth(args) -> int:
         raise ContractError(f"bundle {args.bundle} has no {kind} system")
     bundle = pl.load_bundle(args.bundle, kind)
     pl.check_corpus_world(bundle, corpus)
-    split = _SPLIT_FLAGS.get(args.split, args.split)
+    split = _SPLIT_FLAGS[args.split]
     utts = corpus.split(split)
     if not (0 <= args.index < len(utts)) or not (0 <= args.prompt_index < len(utts)):
         raise ContractError(f"utterance index out of range for split of {len(utts)}")
@@ -436,9 +431,9 @@ def cmd_synth(args) -> int:
     with open(out_path, "a") as f:
         f.write(json.dumps(record) + "\n")
     frames = qz.rvq_decode(result.codes, bundle.quantizers.rvq)
-    transcript = tw.oracle_transcribe(frames, bundle.world_spec)
+    scored = ev.score_frames(target, frames, result.runaway, bundle.world_spec)
     print(f"synthesized {result.codes.shape[0]} frames (runaway={result.runaway}); "
-          f"oracle transcript {transcript} vs reference {target.phonemes}")
+          f"oracle PER {scored.breakdown.rate:.4%}, speaker kept: {scored.speaker_ok}")
     return EXIT_OK
 
 
@@ -456,14 +451,6 @@ def _count(least: int):
             raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
         return value
     return count
-
-
-def _temperature(text: str) -> float:
-    """Parser type of `--temperature`: a finite number > 0."""
-    value = float(text)
-    if not (np.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -519,10 +506,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--bundle", required=True)
     s.add_argument("--corpus", required=True)
     s.add_argument("--system", choices=pl.SYSTEMS)
-    s.add_argument("--split", default="clean")
+    s.add_argument("--split", default="clean", choices=_SPLIT_FLAGS)
     s.add_argument("--index", type=int, required=True)
     s.add_argument("--prompt-index", type=int, required=True)
-    s.add_argument("--temperature", type=_temperature, default=1.0)
+    s.add_argument("--temperature", type=float, default=1.0)
     s.add_argument("--top-k", type=_count(1), default=8)
     s.add_argument("--seed", type=_count(0), default=0)
     s.add_argument("--out", required=True, help="JSONL file to append the codes to")
@@ -539,7 +526,7 @@ def main(argv=None) -> int:
     args.minor_faults_at_start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     try:
         return args.func(args)
-    except (ContractError, tw.CorpusError, checkpoint.CheckpointError) as exc:
+    except ContractError as exc:  # CorpusError and CheckpointError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except pl.TrainingError as exc:

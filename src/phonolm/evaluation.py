@@ -113,7 +113,8 @@ class EvalReport:
     splits: dict = field(default_factory=dict)  # split name -> SplitMetrics
 
 
-def _aggregate(evals: list, skipped: int) -> SplitMetrics:
+def aggregate(evals: list, skipped: int) -> SplitMetrics:
+    """A split's metrics: each rate is the mean of the utterances' own rates."""
     return SplitMetrics(
         n=len(evals),
         per=float(np.mean([e.breakdown.rate for e in evals])),
@@ -126,11 +127,11 @@ def _aggregate(evals: list, skipped: int) -> SplitMetrics:
     )
 
 
-def _score(target, codes, runaway: bool, quantizers, spec) -> UtteranceEval:
-    """Decode `codes` through the RVQ and score the frames against `target`:
-    oracle transcript against its phonemes, the majority oracle speaker
-    (lowest id on ties, none without frames) against its speaker."""
-    content, speakers = tw.oracle_labels(qz.rvq_decode(codes, quantizers.rvq), spec)
+def score_frames(target, frames, runaway: bool, spec) -> UtteranceEval:
+    """Score `frames` against `target`: the oracle transcript against its
+    phonemes, the majority oracle speaker (lowest id on ties, none without
+    frames) against its speaker."""
+    content, speakers = tw.oracle_labels(frames, spec)
     breakdown = levenshtein(target.phonemes, tw.collapse_runs(content))
     speaker_ok = len(speakers) > 0 and np.bincount(speakers).argmax() == target.speaker_id
     return UtteranceEval(breakdown=breakdown, speaker_ok=bool(speaker_ok), runaway=runaway)
@@ -204,10 +205,10 @@ def evaluate_system(
         sampler_seeds.append(int(seed_rng.integers(0, 2**63 - 1)))
     results = pl.synthesize_many(bundle, requests, sampler_seeds)
     evals = [
-        _score(utts[i], res.codes, res.runaway, bundle.quantizers, bundle.world_spec)
+        score_frames(utts[i], qz.rvq_decode(res.codes, bundle.quantizers.rvq), res.runaway, bundle.world_spec)
         for (i, _), res in zip(pairs, results)
     ]
-    return _aggregate(evals, skipped)
+    return aggregate(evals, skipped)
 
 
 def evaluate_passthrough(corpus: tw.Corpus, quantizers, split: str, n_prompts: int, seed: int) -> SplitMetrics:
@@ -216,9 +217,10 @@ def evaluate_passthrough(corpus: tw.Corpus, quantizers, split: str, n_prompts: i
     utts, pairs, skipped = _pick_eval_utterances(corpus, split, n_prompts, seed)
     tokenized = pl.tokenize_utterances([utts[i] for i, _ in pairs], quantizers)
     evals = [
-        _score(utts[i], tu.codes, False, quantizers, corpus.world_spec) for (i, _), tu in zip(pairs, tokenized)
+        score_frames(utts[i], qz.rvq_decode(tu.codes, quantizers.rvq), False, corpus.world_spec)
+        for (i, _), tu in zip(pairs, tokenized)
     ]
-    return _aggregate(evals, skipped)
+    return aggregate(evals, skipped)
 
 
 # ---------------------------------------------------------------------------

@@ -430,11 +430,8 @@ def ar_step(model: DecoderModel, cache: KVCache, tokens) -> Tensor:
 
 
 def ar_sample_next(logits_row, temperature: float, top_k: int, rng: np.random.Generator) -> int:
-    """Top-k / temperature sampling from one logits row."""
-    if not (np.isfinite(temperature) and temperature > 0):
-        raise ContractError(f"temperature must be a finite number > 0, got {temperature}")
-    if top_k < 1:
-        raise ContractError("top_k must be >= 1")
+    """Top-k / temperature sampling from one logits row, with a `temperature`
+    and a `top_k` that `pipeline.SynthesisRequest` accepts."""
     row = np.asarray(logits_row).reshape(-1)
     k = min(top_k, row.size)
     cand = np.argsort(-row, kind="stable")[:k]

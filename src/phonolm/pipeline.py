@@ -314,6 +314,9 @@ class SynthesisRequest:
     max_length_factor: float = 2.0
 
     def __post_init__(self):
+        if not (np.isfinite(self.temperature) and self.temperature > 0):
+            raise ContractError(f"temperature must be a finite number > 0, got {self.temperature}")
+        nm.check_counts(self, {"top_k": 1})
         if not (np.isfinite(self.max_length_factor) and self.max_length_factor > 1):
             raise ContractError(f"max_length_factor must be a finite number > 1, got {self.max_length_factor}")
         if len(self.phonemes) == 0:

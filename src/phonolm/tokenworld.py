@@ -42,7 +42,7 @@ SPLITS = ("train", "test_clean", "test_other")
 CORPUS_FILES = {"world": "world.json", **{name: f"{name}.jsonl" for name in SPLITS}}  # a corpus dir's files
 
 
-class CorpusError(ValueError):
+class CorpusError(ContractError):
     """A corpus directory is missing a file, or a file in it is malformed."""
 
 
@@ -286,14 +286,6 @@ def collapse_runs(labels) -> list:
         if not out or out[-1] != x:
             out.append(int(x))
     return out
-
-
-def oracle_transcribe(frames: np.ndarray, spec: WorldSpec) -> list:
-    """Frame-level nearest-pair classification, run-collapsed to phonemes."""
-    if len(frames) == 0:
-        return []
-    content_labels, _ = oracle_labels(frames, spec)
-    return collapse_runs(content_labels)
 
 
 # ---------------------------------------------------------------------------

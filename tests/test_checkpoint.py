@@ -45,6 +45,15 @@ def test_bad_magic_rejected(tmp_path):
         load_tensors(path)
 
 
+def test_a_path_that_cannot_be_read_is_rejected_by_name(tmp_path):
+    path = tmp_path / "dir.ckpt"
+    path.mkdir()
+    with pytest.raises(CheckpointError, match=f"{path}: IsADirectoryError"):
+        load_tensors(path)
+    with pytest.raises(CheckpointError, match="FileNotFoundError"):
+        load_tensors(tmp_path / "missing.ckpt")
+
+
 def test_unsupported_version_rejected(tmp_path):
     path = tmp_path / "v.ckpt"
     save_tensors(path, {"w": np.zeros(2)})

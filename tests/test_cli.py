@@ -13,9 +13,12 @@ import numpy as np
 import pytest
 
 from phonolm import checkpoint, cli
+from phonolm import evaluation as ev
 from phonolm import pipeline as pl
+from phonolm import quantizer as qz
 from phonolm import tokenworld as tw
 from phonolm.cli import main
+from phonolm.numerics import ContractError
 
 
 def run(*argv):
@@ -115,6 +118,16 @@ def test_world_manifest_written(workspace):
     assert manifest["params"]["world_spec"]["seed"] == 3
     assert "train.jsonl" in manifest["outputs"]
     assert manifest["diagnostics"]["raw_frame_oracle_per"] < 0.01
+    # the report's PER: the mean of the per-utterance rates over the first 100 train utterances
+    corpus = tw.load_corpus(workspace / "world")
+    scored = [ev.score_frames(u, u.acoustic_frames, False, corpus.world_spec) for u in corpus.train[:100]]
+    assert manifest["diagnostics"]["raw_frame_oracle_per"] == ev.aggregate(scored, 0).per
+
+
+def test_bad_input_has_one_error_type():
+    # main turns a ContractError into exit 2; corpus and checkpoint loaders raise their own subtypes
+    assert issubclass(tw.CorpusError, ContractError)
+    assert issubclass(checkpoint.CheckpointError, ContractError)
 
 
 def test_manifest_records_environment_outside_config_hash(tmp_path, monkeypatch):
@@ -990,7 +1003,7 @@ def test_synth_rejects_a_corpus_from_another_world(tmp_path, workspace, capsys):
     assert not (tmp_path / "s.jsonl").exists()
 
 
-def test_synth_writes_jsonl(tmp_path, workspace):
+def test_synth_writes_jsonl(tmp_path, workspace, capsys):
     out_file = tmp_path / "synth.jsonl"
     rc = run("synth", "--bundle", workspace / "prop", "--corpus", workspace / "world",
              "--split", "clean", "--index", 0, "--prompt-index", 1,
@@ -998,18 +1011,34 @@ def test_synth_writes_jsonl(tmp_path, workspace):
     assert rc == 0
     record = json.loads(out_file.read_text().strip())
     assert record["system"] == "proposed"
+    assert record["split"] == "test_clean"
     assert record["index"] == 0
     assert isinstance(record["codes"], list)
+    # stdout carries eval's score of the codes it wrote
+    bundle, corpus = pl.load_bundle(workspace / "prop", "proposed"), tw.load_corpus(workspace / "world")
+    frames = qz.rvq_decode(np.array(record["codes"], dtype=np.int64), bundle.quantizers.rvq)
+    scored = ev.score_frames(corpus.test_clean[0], frames, record["runaway"], corpus.world_spec)
+    assert (f"oracle PER {scored.breakdown.rate:.4%}, speaker kept: {scored.speaker_ok}"
+            in capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_synth_exits_2_before_writing_on_a_bad_temperature(tmp_path, workspace, capsys, value):
+    out_file = tmp_path / "s.jsonl"
+    rc = run("synth", "--bundle", workspace / "prop", "--corpus", workspace / "world",
+             "--index", 0, "--prompt-index", 1, "--temperature", value, "--out", out_file)
+    assert rc == 2
+    assert f"error: temperature must be a finite number > 0, got {float(value)}" in capsys.readouterr().err
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--temperature", "nan", "must be a finite number > 0, got nan"),
-    ("--temperature", "inf", "must be a finite number > 0, got inf"),
-    ("--temperature", "0", "must be a finite number > 0, got 0"),
-    ("--temperature", "-1", "must be a finite number > 0, got -1"),
     ("--top-k", "0", "must be >= 1, got 0"),
+    # eval's split flags only: train speakers cannot prompt zero-shot, and test_clean is clean's other name
+    ("--split", "train", "invalid choice: 'train'"),
+    ("--split", "test_clean", "invalid choice: 'test_clean'"),
 ])
-def test_synth_rejects_bad_sampling_flags_in_the_parser(tmp_path, workspace, capsys, flag, value, message):
+def test_synth_rejects_bad_flags_in_the_parser(tmp_path, workspace, capsys, flag, value, message):
     out_file = tmp_path / "s.jsonl"
     err = _exits_in_the_parser(capsys, "synth", "--bundle", workspace / "prop", "--corpus", workspace / "world",
                                "--index", 0, "--prompt-index", 1, flag, value, "--out", out_file)
@@ -1033,6 +1062,7 @@ def test_synth_accepts_a_temperature_below_one(tmp_path, workspace):
 
 @pytest.mark.parametrize("case, extra, message", [
     ("empty_bundle", [], "no complete bundle in"),
+    ("checkpoint_is_a_directory", [], "IsADirectoryError"),
     ("other_system", ["--system", "baseline"], "has no baseline system"),
     ("index", ["--index", 99], "utterance index out of range for split of 6"),
     ("prompt_index", ["--prompt-index", -1], "utterance index out of range for split of 6"),
@@ -1043,6 +1073,10 @@ def test_synth_exits_2_before_writing_on_a_bundle_or_index_it_cannot_use(tmp_pat
     if case == "empty_bundle":
         bundle = tmp_path / "empty"
         bundle.mkdir()
+    if case == "checkpoint_is_a_directory":
+        bundle = shutil.copytree(workspace / "prop", tmp_path / "prop")
+        (bundle / pl.MODES["nar"].checkpoint).unlink()
+        (bundle / pl.MODES["nar"].checkpoint).mkdir()
     out_file = tmp_path / "s.jsonl"
     rc = run("synth", "--bundle", bundle, "--corpus", workspace / "world", "--index", 0, "--prompt-index", 1,
              *extra, "--out", out_file)  # a flag given twice takes its last value

@@ -101,7 +101,7 @@ def test_passthrough_floor_matches_raw_encode(tiny_corpus, tiny_quantizers):
     edits = refs = 0
     for u in tiny_corpus.test_clean:
         frames = qz.rvq_decode(qz.rvq_encode(u.acoustic_frames, tiny_quantizers.rvq), tiny_quantizers.rvq)
-        bd = ev.levenshtein(u.phonemes, tw.oracle_transcribe(frames, tiny_corpus.world_spec))
+        bd = ev.levenshtein(u.phonemes, tw.collapse_runs(tw.oracle_labels(frames, tiny_corpus.world_spec)[0]))
         edits += bd.distance
         refs += len(u.phonemes)
     assert metrics.per <= max(0.5, 2 * edits / refs) + 0.2
@@ -115,12 +115,13 @@ def test_passthrough_speaker_floor(tiny_corpus, tiny_quantizers):
 def test_score_reads_the_majority_speaker_and_no_frames_name_none(tiny_corpus, tiny_quantizers):
     spec, rvq = tiny_corpus.world_spec, tiny_quantizers.rvq
     for u, tu in zip(tiny_corpus.test_clean, pl.tokenize_utterances(tiny_corpus.test_clean, tiny_quantizers)):
-        content, speakers = tw.oracle_labels(qz.rvq_decode(tu.codes, rvq), spec)
-        got = ev._score(u, tu.codes, False, tiny_quantizers, spec)
+        frames = qz.rvq_decode(tu.codes, rvq)
+        content, speakers = tw.oracle_labels(frames, spec)
+        got = ev.score_frames(u, frames, False, spec)
         assert got.speaker_ok == (np.bincount(speakers).argmax() == u.speaker_id)
         assert got.breakdown == ev.levenshtein(u.phonemes, tw.collapse_runs(content))
     u = tiny_corpus.test_clean[0]
-    got = ev._score(u, np.zeros((0, rvq.n_layers), dtype=np.int64), True, tiny_quantizers, spec)
+    got = ev.score_frames(u, qz.rvq_decode(np.zeros((0, rvq.n_layers), dtype=np.int64), rvq), True, spec)
     assert got.breakdown.deletions == len(u.phonemes) and not got.speaker_ok and got.runaway
 
 

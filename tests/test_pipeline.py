@@ -519,6 +519,21 @@ def test_synthesis_request_needs_a_finite_length_factor_above_one(tiny_corpus, f
         pl.SynthesisRequest(phonemes=utt.phonemes, prompt=utt, max_length_factor=factor)
 
 
+@pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+def test_synthesis_request_needs_a_finite_temperature_above_zero(tiny_corpus, temperature):
+    # NaN once made every probability NaN, and each draw silently took the top candidate
+    utt = tiny_corpus.test_clean[0]
+    with pytest.raises(ContractError, match=r"temperature must be a finite number > 0"):
+        pl.SynthesisRequest(phonemes=utt.phonemes, prompt=utt, temperature=temperature)
+
+
+@pytest.mark.parametrize("top_k", [0, -1, 2.0, True])
+def test_synthesis_request_needs_a_top_k_count_of_at_least_one(tiny_corpus, top_k):
+    utt = tiny_corpus.test_clean[0]
+    with pytest.raises(ContractError, match=r"SynthesisRequest\.top_k must be"):
+        pl.SynthesisRequest(phonemes=utt.phonemes, prompt=utt, top_k=top_k)
+
+
 def test_bundle_save_load_round_trip(tiny_bundles, tiny_corpus, tmp_path):
     prop, base = tiny_bundles
     pl.save_bundle(prop, tmp_path)

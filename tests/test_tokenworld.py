@@ -20,6 +20,11 @@ def _edit_distance(a, b):
     return dp[n]
 
 
+def transcribe(frames, spec):
+    """The oracle transcript the scorer reads: the frames' content labels, run-collapsed."""
+    return tw.collapse_runs(tw.oracle_labels(frames, spec)[0])
+
+
 def majority_speaker(frames, spec):
     """The oracle speaker the scorer reads: the most frequent speaker label, lowest id on ties."""
     return int(np.bincount(tw.oracle_labels(frames, spec)[1]).argmax())
@@ -99,7 +104,7 @@ def test_oracle_transcribe_collapses_runs():
     protos = tw.content_prototypes(spec)
     spk = tw.speaker_vectors(spec)[0]
     frames = protos[[3, 3, 5, 5]] + spk
-    assert tw.oracle_transcribe(frames, spec) == [3, 5]
+    assert transcribe(frames, spec) == [3, 5]
 
 
 def test_oracle_soundness_zero_noise():
@@ -107,7 +112,7 @@ def test_oracle_soundness_zero_noise():
     rng = np.random.default_rng(4)
     for _ in range(10):
         utt = tw.sample_utterance(spec, int(rng.integers(8)), tw.CLEAN, rng)
-        assert tw.oracle_transcribe(utt.acoustic_frames, spec) == utt.phonemes
+        assert transcribe(utt.acoustic_frames, spec) == utt.phonemes
         assert majority_speaker(utt.acoustic_frames, spec) == utt.speaker_id
 
 
@@ -157,7 +162,7 @@ def test_default_world_oracle_floor():
     spk_hits = 0
     for _ in range(100):
         utt = tw.sample_utterance(spec, int(rng.integers(8)), tw.CLEAN, rng)
-        hyp = tw.oracle_transcribe(utt.acoustic_frames, spec)
+        hyp = transcribe(utt.acoustic_frames, spec)
         edits += _edit_distance(utt.phonemes, hyp)
         refs += len(utt.phonemes)
         spk_hits += majority_speaker(utt.acoustic_frames, spec) == utt.speaker_id
@@ -173,7 +178,7 @@ def test_noise_ordering_of_oracle_floor():
         edits = refs = 0
         for _ in range(60):
             utt = tw.sample_utterance(spec, int(rng.integers(8)), condition, rng)
-            edits += _edit_distance(utt.phonemes, tw.oracle_transcribe(utt.acoustic_frames, spec))
+            edits += _edit_distance(utt.phonemes, transcribe(utt.acoustic_frames, spec))
             refs += len(utt.phonemes)
         return edits / refs
 

@@ -17,6 +17,8 @@ again. In it the script runs, through `python -m phonolm.cli`:
     eval --n-prompts 6 --seeds 2                  (serial, into eval/)
     eval --n-prompts 6 --seeds 2 --jobs 2         (worker processes, into eval_jobs2/)
     synth --index 0 --prompt-index 4 --seed 3     (the proposed system, split clean)
+    synth --index 0 --prompt-index 4 --seed 3 --temperature 0.5 --top-k 3
+                                                  (appended to the same JSONL)
 
 and prints one `<sha256>  <path>` line per output file except the
 manifests (`manifest.json`, and the `manifest_<mode>.json` each train stage
@@ -25,7 +27,8 @@ give the same lines at one BLAS thread count (`OPENBLAS_NUM_THREADS`, read
 from the environment) wrote the same bytes: corpus, quantizers,
 checkpoints, `losses_*.csv`, the serial and the `--jobs 2` eval reports
 and the synth JSONL, so the digests cover synthesis in worker processes
-as well as in the calling one. The second quantize runs each fit's Lloyd
+as well as in the calling one, and sampling at the default and at other
+--temperature and --top-k values. The second quantize runs each fit's Lloyd
 rounds to its fixpoint or the default cap, so the digests cover the
 quantizer's bound-pruned rounds well past the fourth. The AR and NAR
 stages train with different budgets, as the stages of one bundle may, so
@@ -71,8 +74,9 @@ def run_recipe(src: Path, root: Path) -> None:
     for out, jobs in (("eval", "1"), ("eval_jobs2", "2")):
         phonolm("eval", "--bundle", "bundle", "--corpus", "world", "--out", out,
                 "--n-prompts", "6", "--seeds", "2", "--jobs", jobs)
-    phonolm("synth", "--bundle", "bundle", "--corpus", "world", "--index", "0", "--prompt-index", "4",
-            "--seed", "3", "--out", "synth/codes.jsonl")
+    for sampling in ([], ["--temperature", "0.5", "--top-k", "3"]):
+        phonolm("synth", "--bundle", "bundle", "--corpus", "world", "--index", "0", "--prompt-index", "4",
+                "--seed", "3", *sampling, "--out", "synth/codes.jsonl")
 
 
 def digests(root: Path) -> list:
